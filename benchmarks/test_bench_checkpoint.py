@@ -14,7 +14,8 @@ gated here:
   resumed segment costs roughly half a straight run, and the archive
   is compact enough to branch from freely.
 
-The measurements land in ``BENCH_PR9.json`` (path overridable via
+The measurements land in the git-ignored
+``benchmarks/out/checkpoint.json`` (path overridable via
 ``REPRO_BENCH_CHECKPOINT_OUT``); ``tools/bench_report.py`` folds them
 into the CI perf artifact.
 """
@@ -24,7 +25,7 @@ import os
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import OUT_DIR, regenerate
 
 from repro.fleet import ClusterPlan, ShardedFleetSim
 from repro.metrics.columns import BatchColumnStore
@@ -43,7 +44,7 @@ FLEET_DURATION_S = 240.0
 FLEET_SEED = 3
 
 OUT_ENV = "REPRO_BENCH_CHECKPOINT_OUT"
-DEFAULT_OUT = "BENCH_PR9.json"
+DEFAULT_OUT = os.path.join(OUT_DIR, "checkpoint.json")
 
 FIELDS = [("t_s", np.float64), ("tail_latency_ms", np.float64),
           ("slo_fraction", np.float64), ("emu", np.float64),

@@ -25,9 +25,9 @@ and gates the two contractual properties of the fleet layer:
   can be created skip the speedup assertion — the equivalence gate
   always runs.
 
-Measurements land in ``BENCH_PR4.json`` (path overridable via
-``REPRO_BENCH_FLEET_OUT``); ``tools/bench_report.py`` folds them into
-the CI perf-trajectory artifact.
+Measurements land in the git-ignored ``benchmarks/out/fleet.json`` (path
+overridable via ``REPRO_BENCH_FLEET_OUT``); ``tools/bench_report.py``
+folds them into the CI perf-trajectory artifact.
 """
 
 import json
@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import regenerate
+from conftest import OUT_DIR, regenerate
 
 from repro.scenarios import compile_scenario
 from repro.scenarios.library import mixed_fleet_1k_scenario
@@ -46,7 +46,7 @@ SHARD_LEAVES = 64
 MIN_SPEEDUP = 3.0
 MIN_CPUS = 6
 OUT_ENV = "REPRO_BENCH_FLEET_OUT"
-DEFAULT_OUT = "BENCH_PR4.json"
+DEFAULT_OUT = os.path.join(OUT_DIR, "fleet.json")
 CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
                   "emu")
 

@@ -1,36 +1,26 @@
-"""Mega-engine gate: the 1-core sharding regression, erased.
+"""Packing gate: whole clusters vs shards on the one fleet engine.
 
-``BENCH_PR4.json`` recorded the sharded fleet plan running 0.76x —
-*slower* than sequential — on a single-CPU host: with no cores to fan
-out across, the per-shard Python tick loops (actuator gathers, monitor
-deques, controller objects) are pure overhead.  The mega engine
-(``repro.sim.megabatch``) removes those loops instead of hiding them
-behind processes: the whole fleet advances as one heterogeneous
-``(T, N_fleet)`` array program, with per-cluster hardware capacities
-as broadcast columns and every managed cluster's Heracles controllers
-stepping as one grouped array program.
+Every fleet runs on one engine, the array program of
+``repro.sim.megabatch.MegaFleetSim``; the ``engine`` option only picks
+how leaves are packed onto it.  This benchmark runs the registered
+1000-leaf ``mixed-fleet-1k`` scenario (time-compressed for CI;
+``REPRO_BENCH_MEGAFLEET_COMPRESSION=1`` restores the full 12-hour day)
+under both packings, strictly in-process:
 
-This gate runs the registered 1000-leaf ``mixed-fleet-1k`` scenario
-(time-compressed for CI; ``REPRO_BENCH_MEGAFLEET_COMPRESSION=1``
-restores the full 12-hour day) under two plans:
+* **sharded** — today's default plan (~64-leaf shards) at
+  ``processes=1``, packed into one unit;
+* **mega** — the same scenario with ``engine="mega"``: whole clusters
+  as one unit, one whole-cluster shard record each.
 
-* **sequential sharded** — today's default plan (~64-leaf shards) at
-  ``processes=1``: the path the PR-4 regression measured;
-* **mega** — the same scenario with ``engine="mega"``.
+and enforces **equivalence**: bit-identical per-cluster histories,
+per-shard worst-tail roll-ups, and fleet summaries — the packing
+changes wall-clock, never numbers.  Both wall times and their ratio
+are reported, not gated.
 
-and enforces the engine's two contractual properties:
-
-* **equivalence**: bit-identical per-cluster histories, per-shard
-  worst-tail roll-ups, and fleet summaries — the engine changes
-  wall-clock, never numbers;
-* **speedup**: the mega plan completes at least ``MIN_SPEEDUP`` (5x)
-  faster.  The gate is unconditional: the mega engine's advantage is
-  algorithmic, not parallelism, so it owes the speedup even (indeed
-  especially) on a single-CPU host.
-
-Measurements land in ``BENCH_PR6.json`` (path overridable via
-``REPRO_BENCH_MEGAFLEET_OUT``); ``tools/bench_report.py`` folds them
-into the CI perf-trajectory artifact.
+Measurements land in the git-ignored ``benchmarks/out/megafleet.json``
+(path overridable via ``REPRO_BENCH_MEGAFLEET_OUT``);
+``tools/bench_report.py`` folds them into the CI perf-trajectory
+artifact.
 """
 
 import dataclasses
@@ -39,16 +29,15 @@ import os
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import OUT_DIR, regenerate
 
 from repro.scenarios import compile_scenario
 from repro.scenarios.library import mixed_fleet_1k_scenario
 
 COMPRESSION = float(os.environ.get("REPRO_BENCH_MEGAFLEET_COMPRESSION",
                                    "72"))
-MIN_SPEEDUP = 5.0
 OUT_ENV = "REPRO_BENCH_MEGAFLEET_OUT"
-DEFAULT_OUT = "BENCH_PR6.json"
+DEFAULT_OUT = os.path.join(OUT_DIR, "megafleet.json")
 CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
                   "emu")
 
@@ -71,15 +60,14 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
     spec = _scenario("mega")
     total_leaves = spec.fleet.total_leaves()
 
-    # The regression's reference plan first: today's sharded default at
-    # one process.  (Running it first also charges the one-off DRAM
-    # model profiling to the comparator — both engines share the
-    # per-process memoized models, as the shard workers do.)
+    # The sharded packing first, at one process.  (Running it first
+    # also charges the one-off DRAM model profiling to it — both
+    # packings share the per-process memoized models.)
     seq_start = time.perf_counter()
     sequential = _run_fleet("sharded")
     seq_wall = time.perf_counter() - seq_start
 
-    # The mega plan (the benchmark timer records this run).
+    # The whole-cluster packing (the benchmark timer records this run).
     mega_start = time.perf_counter()
     mega = regenerate(benchmark, _run_fleet, "mega")
     mega_wall = time.perf_counter() - mega_start
@@ -93,10 +81,10 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
           f"minutes (compression {COMPRESSION:.0f}x):")
     print(f"  sequential sharded ({shard_count} shards, 1 process): "
           f"{seq_wall:.2f}s wall")
-    print(f"  mega (one array program): {mega_wall:.2f}s wall "
+    print(f"  mega (whole clusters, 1 process): {mega_wall:.2f}s wall "
           f"-> {speedup:.2f}x")
 
-    # -- equivalence: the engine must never change a number -------------
+    # -- equivalence: the packing must never change a number ------------
     for seq_outcome in sequential.fleet.clusters:
         mega_outcome = mega.fleet.cluster(seq_outcome.name)
         assert mega_outcome.root_slo_ms == seq_outcome.root_slo_ms
@@ -105,23 +93,23 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
             b = mega_outcome.history.column(name)
             assert np.array_equal(a, b), (
                 f"cluster {seq_outcome.name!r} column {name!r} diverged "
-                f"between engines")
+                f"between packings")
         # The worst leaf tail rolls up exactly whatever the partition:
-        # many shards on the reference, one whole-cluster shard on mega.
+        # many shards when sharded, one whole-cluster shard on mega.
         seq_worst = max(s.summary["worst_tail_ms"]
                         for s in seq_outcome.shards)
         mega_worst = max(s.summary["worst_tail_ms"]
                          for s in mega_outcome.shards)
         assert mega_worst == seq_worst, (
             f"cluster {seq_outcome.name!r}: per-shard worst-tail metrics "
-            f"diverged between engines")
+            f"diverged between packings")
     seq_summary = sequential.fleet.summary(skip_s=warmup)
     mega_summary = mega.fleet.summary(skip_s=warmup)
     assert seq_summary == mega_summary, "fleet summaries diverged"
     print(f"  fleet EMU {mega_summary['fleet_emu']:.1%} (min "
           f"{mega_summary['min_fleet_emu']:.1%}), load-weighted root "
           f"latency {mega_summary['weighted_root_latency_ms']:.1f} ms "
-          f"[bit-identical across engines]")
+          f"[bit-identical across packings]")
 
     report = {
         "benchmark": "test_bench_megafleet",
@@ -141,9 +129,3 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"  report: {out_path}")
-
-    # -- speedup: unconditional — this is the regression being erased ---
-    assert speedup >= MIN_SPEEDUP, (
-        f"mega engine only {speedup:.2f}x faster than the sequential "
-        f"sharded path (need >= {MIN_SPEEDUP:.0f}x; BENCH_PR4 recorded "
-        f"the sharded plan at 0.76x on one CPU)")

@@ -16,10 +16,10 @@ properties of the columnar telemetry subsystem:
   (the old implementation's list-comprehension-then-ndarray path,
   reproduced verbatim below).
 
-The measurements land in ``BENCH_PR3.json`` (path overridable via
-``REPRO_BENCH_OUT``) so the perf trajectory of the telemetry layer is
-recorded run over run; ``tools/bench_report.py`` wraps this benchmark
-plus the batched-backend gate into the CI artifact.
+The measurements land in the git-ignored ``benchmarks/out/metrics.json``
+(path overridable via ``REPRO_BENCH_OUT``) so the perf trajectory of the
+telemetry layer is recorded run over run; ``tools/bench_report.py``
+wraps this benchmark plus the batched-backend gate into the CI artifact.
 """
 
 import json
@@ -28,7 +28,7 @@ import sys
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import OUT_DIR, regenerate
 
 from repro.core.controller import HeraclesController
 from repro.core.dram_model import profile_lc_dram_model
@@ -42,7 +42,7 @@ DURATION_S = 1800.0
 SEED = 7
 MIN_MEMORY_RATIO = 5.0
 OUT_ENV = "REPRO_BENCH_OUT"
-DEFAULT_OUT = "BENCH_PR3.json"
+DEFAULT_OUT = os.path.join(OUT_DIR, "metrics.json")
 
 
 def _run_batch():

@@ -35,9 +35,9 @@ cannot fail it while a genuinely skewed measurement still does.
   changes a simulated number.
 
 Measurements (gates, walls, trace volume, and the 1000-leaf phase
-breakdown) land in ``BENCH_PR10.json`` (path overridable via
-``REPRO_BENCH_OBS_OUT``); ``tools/bench_report.py`` folds them into
-the CI perf-trajectory artifact.
+breakdown) land in the git-ignored ``benchmarks/out/obs.json`` (path
+overridable via ``REPRO_BENCH_OBS_OUT``); ``tools/bench_report.py``
+folds them into the CI perf-trajectory artifact.
 """
 
 import dataclasses
@@ -48,7 +48,7 @@ import statistics
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import OUT_DIR, regenerate
 
 from repro.obs import PROFILE_ENV, TRACE_ENV, render_profile
 from repro.scenarios import compile_scenario
@@ -65,7 +65,7 @@ TRACED_TOL = 0.15
 #: ``off`` neighbours) per round.
 ROUNDS = 12
 OUT_ENV = "REPRO_BENCH_OBS_OUT"
-DEFAULT_OUT = "BENCH_PR10.json"
+DEFAULT_OUT = os.path.join(OUT_DIR, "obs.json")
 CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
                   "emu")
 

@@ -17,9 +17,9 @@ gates the two contractual properties of the scheduler layer:
   ``MIN_GOODPUT_RATIO`` (1.2x) the BE goodput of the ``static``
   provisioning baseline, with zero additional SLO-window violations.
 
-Measurements land in ``BENCH_PR5.json`` (path overridable via
-``REPRO_BENCH_SCHED_OUT``); ``tools/bench_report.py`` folds them into
-the CI perf-trajectory artifact.
+Measurements land in the git-ignored ``benchmarks/out/sched.json`` (path
+overridable via ``REPRO_BENCH_SCHED_OUT``); ``tools/bench_report.py``
+folds them into the CI perf-trajectory artifact.
 """
 
 import json
@@ -27,7 +27,7 @@ import os
 import time
 
 import numpy as np
-from conftest import regenerate
+from conftest import OUT_DIR, regenerate
 
 from repro.scenarios import ScenarioSpec, compile_scenario
 from repro.scenarios.library import batch_backlog_1k_scenario
@@ -36,7 +36,7 @@ from repro.sched import compare_policies, tco_summary
 COMPRESSION = float(os.environ.get("REPRO_BENCH_SCHED_COMPRESSION", "72"))
 MIN_GOODPUT_RATIO = 1.2
 OUT_ENV = "REPRO_BENCH_SCHED_OUT"
-DEFAULT_OUT = "BENCH_PR5.json"
+DEFAULT_OUT = os.path.join(OUT_DIR, "sched.json")
 CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
                   "emu")
 

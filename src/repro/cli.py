@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--spill-dir", metavar="DIR", default=None,
             help="stream full telemetry chunks to .npy files under DIR "
                  "so history memory is bounded by chunk size, not run "
-                 "length")
+                 "length (member scenarios; fleet and sched reject it)")
 
     for name in sorted(EXPERIMENTS) + ["all"]:
         p = sub.add_parser(name)
@@ -176,8 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the fleet's maximum leaves per shard (>= 1)")
     fleet.add_argument(
         "--engine", choices=("sharded", "mega"), default=None,
-        help="override the fleet engine (sharded pool fan-out vs the "
-             "in-process mega array engine; identical telemetry)")
+        help="override the fleet packing (sharded: shards packed into "
+             "one unit per pool worker; mega: whole clusters as one "
+             "in-process unit; identical telemetry)")
     add_obs(fleet)
     add_checkpoint(fleet)
 
@@ -205,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the fleet's maximum leaves per shard (>= 1)")
     sched.add_argument(
         "--engine", choices=("sharded", "mega"), default=None,
-        help="override the fleet engine (sharded pool fan-out vs the "
-             "in-process mega array engine; identical telemetry)")
+        help="override the fleet packing (sharded: shards packed into "
+             "one unit per pool worker; mega: whole clusters as one "
+             "in-process unit; identical telemetry)")
     sched.add_argument(
         "--policy", choices=SCHED_POLICIES, default=None,
         help="override the scenario's placement policy")

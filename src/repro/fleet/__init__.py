@@ -1,11 +1,13 @@
-"""Fleet layer: sharded simulation of thousands of servers.
+"""Fleet layer: simulation of thousands of servers.
 
-Composes the pieces the earlier layers built — the vectorized
-:class:`~repro.sim.batch.BatchColocationSim`, the process-pool sweep
+Composes the pieces the earlier layers built — the array engine
+(:class:`~repro.sim.megabatch.MegaFleetSim`), the process-pool sweep
 runner, and the columnar telemetry stack — into a fleet abstraction:
-many heterogeneous clusters, each partitioned into homogeneous shards
-that run in parallel and roll up into bit-exact per-cluster histories
-plus fleet-level columns.
+many heterogeneous clusters that roll up into bit-exact per-cluster
+histories plus fleet-level columns.  There is one fleet engine with
+two packings: ``engine="sharded"`` partitions every cluster into
+shards and packs them into one unit per pool worker, ``engine="mega"``
+runs whole clusters as a single in-process unit.
 
 Three entry points::
 
@@ -26,7 +28,7 @@ from .aggregate import (AssembledCluster, FleetSlackView, FleetTelemetry,
                         reduce_leaf_epochs, rollup_cluster,
                         weighted_root_latency_row)
 from .shard import (ShardResult, ShardTask, overlapping_seed_ranges,
-                    partition_leaves, run_shard)
+                    pack_shards, partition_leaves)
 from .simulator import (DEFAULT_SHARD_LEAVES, ClusterOutcome, ClusterPlan,
                         FleetResult, ShardedFleetSim)
 
@@ -36,6 +38,6 @@ __all__ = [
     "FleetSlackView", "FleetTelemetry", "LeafSlackView",
     "ShardResult", "ShardTask", "ShardedFleetSim",
     "assemble_cluster", "build_fleet_telemetry", "fleet_emu_row",
-    "overlapping_seed_ranges", "partition_leaves", "reduce_leaf_epochs",
-    "rollup_cluster", "run_shard", "weighted_root_latency_row",
+    "overlapping_seed_ranges", "pack_shards", "partition_leaves",
+    "reduce_leaf_epochs", "rollup_cluster", "weighted_root_latency_row",
 ]

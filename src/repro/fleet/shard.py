@@ -1,14 +1,12 @@
-"""Shard execution: one homogeneous slice of a fleet cluster.
+"""Shards and units: how a fleet's leaves are cut and packed.
 
-A *shard* is a contiguous range of a cluster's leaf population, small
-enough to advance as one :class:`~repro.sim.batch.BatchColocationSim`
-inside a worker process.  :func:`run_shard` is the module-level
-(picklable) work unit the fleet simulator fans across
-:func:`repro.sim.runner.run_sweep`: it rebuilds the shard's workloads
-from names, attaches real per-leaf Heracles controllers (sharing one
-memoized offline DRAM model per worker process), runs the shard for
-the fleet duration, and returns the per-tick leaf telemetry the fleet
-aggregator rolls up.
+A *shard* is a contiguous range of one cluster's leaf population
+(:func:`partition_leaves`), described by a :class:`ShardTask`.  The
+fleet packs its shards, in order, into *units* of near-equal leaf
+counts (:func:`pack_shards`); each unit runs as one
+:class:`~repro.sim.megabatch.MegaFleetSim` array program, and units
+fan out across the :func:`repro.sim.runner.run_sweep` worker pool.
+Each unit hands back one :class:`ShardResult` per shard it ran.
 
 Equivalence contract
 --------------------
@@ -19,28 +17,20 @@ uniform leaf-SLO target from
 :func:`repro.cluster.cluster.cluster_slo_targets`), the same BE task
 (``be_mix[i % len(be_mix)]``), the same tail-noise seed
 (``seed * 1000 + i``) and the same shared trace — all keyed by the
-leaf's *global* index, never its position within the shard — and the
-batched physics of a member does not depend on which other members
-share its batch.  ``tests/test_fleet.py`` enforces the contract
-against both the single-process batch cluster and the scalar
-reference engine.
+leaf's *global* index, never its position within the shard or unit —
+and the array physics and controller of a member do not depend on
+which other members share its array.  ``tests/test_fleet.py``
+enforces the contract against both the single-process batch cluster
+and the scalar reference engine, for every packing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from ..cluster.leaf import make_leaf_lc
-from ..core.controller import HeraclesController
-from ..hardware.spec import MachineSpec
-from ..obs.progress import make_heartbeat
-from ..sim.batch import BatchColocationSim
-from ..sim.runner import memoized_dram_model
-from ..workloads.best_effort import make_be_workload
-from ..workloads.traces import LoadTrace
 
 
 def overlapping_seed_ranges(clusters):
@@ -98,73 +88,61 @@ def partition_leaves(total: int, shard_leaves: int) -> List[Tuple[int, int]]:
     return ranges
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """Everything a worker needs to run one shard (picklable).
+def pack_shards(sizes: Sequence[int],
+                units: int) -> List[Tuple[int, int]]:
+    """Pack shards, in order, into contiguous units of near-equal size.
 
     Args:
-        cluster: owning cluster's name (aggregation key).
-        cluster_index: owning cluster's position in the fleet.
+        sizes: leaf count of every shard, in fleet order.
+        units: how many units to pack them into (at most one per
+            shard).
+
+    Returns:
+        ``units`` half-open ``[first, last)`` shard-index ranges that
+        tile ``range(len(sizes))``.  Each cut falls where the running
+        leaf total comes nearest its even share (the earlier shard
+        boundary on a tie), and every unit holds at least one shard.
+
+    >>> pack_shards([3, 3, 2, 4, 4], 2)
+    [(0, 3), (3, 5)]
+    >>> pack_shards([5, 5], 1)
+    [(0, 2)]
+    """
+    if not 1 <= units <= len(sizes):
+        raise ValueError(f"cannot pack {len(sizes)} shards into {units} "
+                         f"units: need 1 <= units <= shards")
+    done = list(accumulate(sizes))  # leaves in shards[:b] = done[b - 1]
+    cuts = [0]
+    for u in range(1, units):
+        target = done[-1] * u / units
+        cuts.append(min(range(cuts[-1] + 1, len(sizes) - units + u + 1),
+                        key=lambda b: abs(done[b - 1] - target)))
+    cuts.append(len(sizes))
+    return list(zip(cuts, cuts[1:]))
+
+
+@dataclass(frozen=True)
+class ShardTask:
+    """One shard: the leaves ``[leaf_lo, leaf_hi)`` of one cluster plan.
+
+    Args:
+        plan: the owning :class:`~repro.fleet.simulator.ClusterPlan`
+            (workloads, trace, seed, chaos events; leaf indices stay
+            the plan's own, never shard-local).
+        cluster_index: the plan's position in the fleet.
         shard_index: this shard's position within the cluster.
-        leaf_lo / leaf_hi: global leaf index range ``[lo, hi)``.
-        total_leaves: the whole cluster's population; bounds the
-            shard's leaf range (and is what SLO targets are calibrated
-            from — never the shard's own size).
-        lc_name: LC workload every leaf runs.
-        be_mix: BE task names, assigned ``be_mix[i % len(be_mix)]`` by
-            global leaf index.
-        leaf_slo_ms: uniform leaf latency target (precomputed by the
-            fleet from :func:`~repro.cluster.cluster.
-            cluster_slo_targets`).
-        spec: the cluster's machine description.
-        trace: the cluster's shared offered-load trace.
-        managed: attach a Heracles instance per leaf.
-        seed: cluster base seed; leaf ``i`` draws noise from
-            ``seed * 1000 + i``.
-        duration_s / dt_s: run length and tick size.
-        collect_be: additionally record per-leaf BE telemetry
-            (normalized BE throughput and Heracles-granted BE cores)
-            each tick — the slack signals the fleet scheduler consumes.
-            Off by default: plain fleet runs pay nothing for the hook.
-        events: chaos schedule for this shard
-            (:class:`~repro.sim.chaos.ChaosEvent` tuples), with member
-            targets already rebased to shard-local indices by the
-            fleet's task builder.
-        checkpoint_path / checkpoint_at_s: snapshot the shard's full
-            state (engine pickle + collected telemetry prefix) to this
-            archive after the tick reaching ``checkpoint_at_s``.
-        resume_path: restore such an archive and continue from the
-            saved tick instead of building the shard from scratch;
-            results are bit-identical to the uninterrupted run.
-        spill_dir: bound the shard engine's resident history memory by
-            chunked spill-to-disk under this (shard-private) directory.
-        member_base: fleet-global index of this cluster's leaf 0
-            (cumulative leaf count of the preceding cluster plans);
+        leaf_lo / leaf_hi: cluster leaf index range ``[lo, hi)``.
+        member_base: fleet-global index of the plan's leaf 0
+            (cumulative leaf count of the preceding plans);
             decision-trace events report ``member_base + leaf_index``
-            so merged traces are invariant under any shard partition.
+            so merged traces are invariant under any packing.
     """
 
-    cluster: str
+    plan: Any
     cluster_index: int
     shard_index: int
     leaf_lo: int
     leaf_hi: int
-    total_leaves: int
-    lc_name: str
-    be_mix: Tuple[str, ...]
-    leaf_slo_ms: float
-    spec: MachineSpec
-    trace: LoadTrace
-    managed: bool
-    seed: int
-    duration_s: float
-    dt_s: float
-    collect_be: bool = False
-    events: Tuple = ()
-    checkpoint_path: "Optional[str]" = None
-    checkpoint_at_s: "Optional[float]" = None
-    resume_path: "Optional[str]" = None
-    spill_dir: "Optional[str]" = None
     member_base: int = 0
 
     @property
@@ -186,14 +164,14 @@ class ShardResult:
     ``be_norm`` and ``be_cores`` are the scheduler's slack signals —
     per-tick normalized BE throughput and Heracles-granted BE cores per
     leaf, also ``(T, leaves)``.  They are empty ``(0, 0)`` arrays
-    unless the task asked for them (``collect_be=True``).
+    unless the run collected them (``collect_be=True``).
 
-    ``trace`` and ``profile`` carry the shard's decision-trace payload
+    ``trace`` and ``profile`` carry a unit's decision-trace payload
     (:meth:`repro.obs.trace.TraceSink.payload` columns, fleet-global
-    member indices) and tick-phase wall-clock breakdown; both are
-    ``None`` unless the run enabled the corresponding observability
-    toggle.  The fleet layer merges them across shards and drops them
-    from the stripped records.
+    member indices) and tick-phase wall-clock breakdown, on the unit's
+    first result only; both are ``None`` unless the run enabled the
+    corresponding observability toggle.  The fleet layer merges them
+    across units and drops them from the stripped records.
     """
 
     cluster: str
@@ -227,172 +205,3 @@ class ShardResult:
             leaf_hi=self.leaf_hi, times_s=empty,
             tails_ms=empty.reshape(0, 0), emus=empty.reshape(0, 0),
             summary=dict(self.summary))
-
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Run one shard to completion (the picklable pool work unit).
-
-    Builds the shard's slice of the cluster exactly as
-    :class:`~repro.cluster.cluster.WebsearchCluster` builds the whole
-    population — shared LC instance, one BE instance per task name,
-    per-leaf seeds from the global leaf index — and advances it
-    tick-for-tick, recording every leaf's tail latency and EMU.
-    """
-    if task.duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if task.dt_s <= 0:
-        raise ValueError("dt must be positive")
-    n = task.leaves
-    if n <= 0:
-        raise ValueError(f"shard [{task.leaf_lo}, {task.leaf_hi}) is empty")
-    if task.leaf_lo < 0 or task.leaf_hi > task.total_leaves:
-        raise ValueError(
-            f"shard [{task.leaf_lo}, {task.leaf_hi}) falls outside the "
-            f"cluster's {task.total_leaves}-leaf population")
-    steps = int(round(task.duration_s / task.dt_s))
-    k0 = 0
-    if task.resume_path is not None:
-        from ..sim.checkpoint import CheckpointError, load_engine
-        restored = load_engine(task.resume_path, expect_kind="shard")
-        meta = restored.meta
-        mismatch = [
-            what for what, got, want in (
-                ("cluster", meta.get("cluster"), task.cluster),
-                ("shard_index", meta.get("shard_index"),
-                 task.shard_index),
-                ("leaf range", (meta.get("leaf_lo"), meta.get("leaf_hi")),
-                 (task.leaf_lo, task.leaf_hi)),
-                ("dt_s", meta.get("dt_s"), task.dt_s),
-                ("collect_be", bool(meta.get("collect_be")),
-                 bool(task.collect_be)),
-            ) if got != want]
-        if mismatch:
-            raise CheckpointError(
-                f"{task.resume_path}: checkpoint does not match this "
-                f"shard task (differs in {', '.join(mismatch)})")
-        k0 = int(meta["steps_done"])
-        if k0 > steps:
-            raise CheckpointError(
-                f"{task.resume_path}: holds {k0} completed ticks but "
-                f"the resumed run is only {steps} ticks long")
-        batch = restored.sim
-    else:
-        spec = task.spec
-        lc = make_leaf_lc(spec, task.leaf_slo_ms, lc_name=task.lc_name)
-        be_names = [task.be_mix[i % len(task.be_mix)]
-                    for i in range(task.leaf_lo, task.leaf_hi)]
-        be_by_name = {name: make_be_workload(name, spec)
-                      for name in sorted(set(be_names))}
-        batch = BatchColocationSim(
-            lc=lc, trace=task.trace,
-            bes=[be_by_name[name] for name in be_names],
-            spec=spec,
-            seeds=[task.seed * 1000 + i
-                   for i in range(task.leaf_lo, task.leaf_hi)],
-            record_history=False,
-            spill_dir=task.spill_dir)
-        if task.events:
-            batch.set_chaos_events(task.events)
-        if task.managed:
-            # One offline model per (LC, machine) pair per worker
-            # process; profiling is deterministic, so every process
-            # derives the same model the monolithic cluster would share
-            # across its leaves.
-            model = memoized_dram_model(task.lc_name, spec)
-            for member in batch.members:
-                HeraclesController.for_sim(member, dram_model=model)
-    # Fleet-global member indices for the decision trace — keyed by the
-    # leaf's global index like everything else in the shard, so the
-    # merged trace is invariant under the shard partition.  Re-stamped
-    # on restored engines too (cheap, and the map is this run's).
-    batch.obs_set_members(
-        task.member_base + np.arange(task.leaf_lo, task.leaf_hi))
-
-    k_save = None
-    if task.checkpoint_path is not None and task.checkpoint_at_s is not None:
-        from ..sim.checkpoint import checkpoint_step
-        k_save = checkpoint_step(task.checkpoint_at_s, task.duration_s,
-                                 task.dt_s)
-    times = np.empty(steps)
-    tails = np.empty((steps, n))
-    emus = np.empty((steps, n))
-    if task.collect_be:
-        be_norm = np.empty((steps, n))
-        be_cores = np.empty((steps, n))
-    else:
-        be_norm = be_cores = np.zeros((0, 0))
-    heartbeat = make_heartbeat(
-        f"{task.cluster}/shard{task.shard_index}", steps)
-    if k0:
-        times[:k0] = restored.arrays["times"]
-        tails[:k0] = restored.arrays["tails"]
-        emus[:k0] = restored.arrays["emus"]
-        if task.collect_be:
-            be_norm[:k0] = restored.arrays["be_norm"]
-            # be_cores lands one tick late (see the loop below), so the
-            # checkpoint carries one row fewer; resuming tick k0
-            # rewrites row k0-1 from the restored actuator state.
-            be_cores[:k0 - 1] = restored.arrays["be_cores"]
-    for k in range(k0, steps):
-        result = batch.tick(task.dt_s)
-        times[k] = result.t_s
-        tails[k] = result.tail_latency_ms
-        emus[k] = result.emu
-        if task.collect_be:
-            be_norm[k] = result.be_throughput_norm
-            # The recorded grant is the post-controller-step state —
-            # what the next tick will actually run with, the same state
-            # a cluster scheduler would poll from Heracles.  Tick k+1's
-            # actuator gather *is* that state for tick k, so each row
-            # lands one tick later as a vectorized copy instead of a
-            # per-member property loop on every tick.
-            if k:
-                be_cores[k - 1] = batch._gathered_be_cores
-        if k_save is not None and k + 1 == k_save:
-            from ..sim.checkpoint import save_engine
-            done = k + 1
-            arrays = {"times": times[:done], "tails": tails[:done],
-                      "emus": emus[:done]}
-            if task.collect_be:
-                arrays["be_norm"] = be_norm[:done]
-                # Row done-1 is unwritten until tick done gathers it;
-                # save the rows that exist and let the resumed tick
-                # rewrite the gap deterministically.
-                arrays["be_cores"] = be_cores[:done - 1]
-            save_engine(
-                batch, task.checkpoint_path, kind="shard", arrays=arrays,
-                extra_meta={"steps_done": done, "cluster": task.cluster,
-                            "shard_index": task.shard_index,
-                            "leaf_lo": task.leaf_lo,
-                            "leaf_hi": task.leaf_hi,
-                            "dt_s": task.dt_s,
-                            "collect_be": bool(task.collect_be)})
-        if heartbeat is not None:
-            heartbeat.beat(k + 1)
-    if steps and task.collect_be:
-        # The final row has no following tick to gather it; one direct
-        # (single, not per-tick) actuator read closes the shift.
-        be_cores[steps - 1] = batch.be_cores_now()
-    if steps:
-        summary = {
-            "mean_emu": float(emus.mean()),
-            "min_emu": float(emus.min()),
-            "worst_tail_ms": float(tails.max()),
-            "mean_tail_ms": float(tails.mean()),
-        }
-    else:
-        # duration_s / dt_s rounded to zero ticks: an empty run, like
-        # the cluster driver's, reporting the metric layer's
-        # nothing-recorded value (0.0) instead of crashing on empty
-        # reductions.
-        summary = {"mean_emu": 0.0, "min_emu": 0.0,
-                   "worst_tail_ms": 0.0, "mean_tail_ms": 0.0}
-    return ShardResult(
-        cluster=task.cluster, cluster_index=task.cluster_index,
-        shard_index=task.shard_index, leaf_lo=task.leaf_lo,
-        leaf_hi=task.leaf_hi, times_s=times, tails_ms=tails, emus=emus,
-        summary=summary, be_norm=be_norm, be_cores=be_cores,
-        trace=(batch._obs_trace.payload()
-               if batch._obs_trace is not None else None),
-        profile=(batch._obs_prof.as_dict()
-                 if batch._obs_prof is not None else None))

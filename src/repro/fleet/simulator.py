@@ -1,14 +1,17 @@
-"""The sharded fleet simulator: thousands of leaves across clusters.
+"""The fleet simulator: thousands of leaves across clusters.
 
 The paper's §5.3 minicluster stops at tens of homogeneous leaves
 behind one fan-out root.  :class:`ShardedFleetSim` scales the same
 construction to fleet size: a *fleet* is a set of clusters — each with
 its own machine spec, LC workload, BE mix, leaf count, and
-(phase-shifted) load trace — and each cluster's leaf population is
-partitioned into homogeneous *shards* that advance as independent
-:class:`~repro.sim.batch.BatchColocationSim` instances fanned across
-the :func:`repro.sim.runner.run_sweep` process pool (worker count via
-``REPRO_JOBS`` / ``--jobs``, like every other sweep).
+(phase-shifted) load trace.  Every fleet runs on one engine, the
+array program of :class:`~repro.sim.megabatch.MegaFleetSim`; the
+``engine`` option only picks how leaves are packed onto it.
+``"sharded"`` partitions each cluster into *shards* and packs them,
+in order, into one unit per worker of the
+:func:`repro.sim.runner.run_sweep` process pool (worker count via
+``REPRO_JOBS`` / ``--jobs``, like every other sweep); ``"mega"`` runs
+whole clusters as one in-process unit.
 
 Per-shard telemetry rolls up losslessly: each cluster's
 :class:`~repro.cluster.cluster.ClusterHistory` is reconstructed
@@ -47,7 +50,8 @@ from ..obs.profile import PhaseProfiler, profile_enabled
 from ..obs.trace import concat_payloads, make_sink
 from ..sim.checkpoint import (CheckpointError, checkpoint_step,
                               trace_checkpoint_save)
-from ..sim.runner import run_sweep
+from ..sim.megabatch import run_mega_fleet
+from ..sim.runner import default_jobs, run_sweep
 from ..workloads.best_effort import BE_PROFILES
 from ..workloads.latency_critical import LC_PROFILES
 from ..workloads.traces import LoadTrace
@@ -55,15 +59,15 @@ from .aggregate import (FleetSlackView, FleetTelemetry, assemble_cluster,
                         build_fleet_telemetry, reduce_leaf_epochs,
                         rollup_cluster)
 from .shard import (ShardResult, ShardTask, overlapping_seed_ranges,
-                    partition_leaves, run_shard)
+                    pack_shards, partition_leaves)
 
-#: Default shard size: large enough that the vectorized physics
-#: amortizes the per-tick fixed cost, small enough that a typical
-#: worker pool gets several shards per core to balance.
+#: Default shard size: the grain the packing cuts units at, small
+#: enough that units of near-equal leaf counts exist for any worker
+#: count a host offers.
 DEFAULT_SHARD_LEAVES = 64
 
 #: Manifest file written into a fleet checkpoint directory alongside
-#: the per-shard (or per-mega-group) engine archives.  Resuming
+#: the per-unit, per-group engine archives.  Resuming
 #: validates the manifest against the live fleet before any archive is
 #: unpickled, so a checkpoint taken with a different topology fails
 #: with a message naming the mismatch.
@@ -92,8 +96,8 @@ class ClusterPlan:
         events: chaos schedule for this cluster
             (:class:`~repro.sim.chaos.ChaosEvent` tuples with
             cluster-local leaf targets, or ``members=None`` for every
-            leaf).  Resolved identically by the sharded and mega
-            engines — see :mod:`repro.sim.chaos` for the semantics.
+            leaf).  Resolved identically under every packing — see
+            :mod:`repro.sim.chaos` for the semantics.
     """
 
     name: str
@@ -230,7 +234,7 @@ class FleetResult:
 
 
 class ShardedFleetSim:
-    """Partition a fleet into shards and run them across the pool.
+    """Partition a fleet into shards, pack them into units, run them.
 
     Args:
         clusters: the fleet's cluster plans (unique names).
@@ -239,12 +243,13 @@ class ShardedFleetSim:
             Must be positive — zero or negative shard sizes are
             rejected eagerly.
         record_period_s: cluster record cadence (30 s in the paper).
-        engine: ``"sharded"`` (default) fans the clusters out as shard
-            work units over the process pool; ``"mega"`` runs the whole
-            fleet in-process as one array program
-            (:class:`~repro.sim.megabatch.MegaFleetSim`) — bit-identical
-            telemetry, no per-shard Python tick loops.  Both feed the
-            same roll-up.
+        engine: the packing.  ``"sharded"`` (default) packs the shards
+            into ``min(workers, shards)`` contiguous units of
+            near-equal leaf counts, run across the process pool;
+            ``"mega"`` runs whole clusters as one in-process unit, one
+            whole-cluster shard record each.  Every unit is a
+            :class:`~repro.sim.megabatch.MegaFleetSim`, so telemetry is
+            bit-identical either way.
     """
 
     ENGINES = ("sharded", "mega")
@@ -283,24 +288,24 @@ class ShardedFleetSim:
         self.record_period_s = record_period_s
         self.engine = engine
 
-    def shard_plan(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Leaf ranges each cluster will be partitioned into."""
-        return {plan.name: partition_leaves(plan.leaves, self.shard_leaves)
-                for plan in self.clusters}
-
-    @staticmethod
-    def shard_archive(checkpoint_dir: str, cluster_index: int,
-                      shard_index: int) -> str:
-        """Deterministic archive path for one shard of a fleet snapshot."""
-        return os.path.join(checkpoint_dir,
-                            f"shard_{cluster_index}_{shard_index}.npz")
+    def _shards(self) -> List[ShardTask]:
+        """The fleet's shards in fleet order (whole clusters for mega)."""
+        shards, base = [], 0
+        for index, plan in enumerate(self.clusters):
+            ranges = [(0, plan.leaves)] if self.engine == "mega" \
+                else partition_leaves(plan.leaves, self.shard_leaves)
+            shards += [ShardTask(plan, index, s, lo, hi, base)
+                       for s, (lo, hi) in enumerate(ranges)]
+            base += plan.leaves
+        return shards
 
     def _fleet_meta(self, dt_s: float, checkpoint_at_s: float,
-                    collect_be: bool) -> Dict[str, Any]:
+                    collect_be: bool, units: int) -> Dict[str, Any]:
         """The manifest describing a fleet checkpoint directory."""
         return {
-            "version": 1,
+            "version": 2,
             "engine": self.engine,
+            "units": units,
             "dt_s": float(dt_s),
             "checkpoint_t_s": float(checkpoint_at_s),
             "collect_be": bool(collect_be),
@@ -310,7 +315,7 @@ class ShardedFleetSim:
         }
 
     def _load_fleet_meta(self, resume_from: str, dt_s: float,
-                         collect_be: bool) -> Dict[str, Any]:
+                         collect_be: bool, shards: int) -> Dict[str, Any]:
         """Read and validate a checkpoint manifest against this fleet."""
         meta_path = os.path.join(resume_from, FLEET_META_NAME)
         try:
@@ -321,7 +326,7 @@ class ShardedFleetSim:
                 f"cannot read fleet checkpoint manifest {meta_path}: "
                 f"{exc}")
         expected = self._fleet_meta(dt_s, meta.get("checkpoint_t_s", 0.0),
-                                    collect_be)
+                                    collect_be, meta.get("units"))
         for key in ("version", "engine", "dt_s", "collect_be",
                     "shard_leaves", "clusters"):
             if meta.get(key) != expected[key]:
@@ -331,96 +336,51 @@ class ShardedFleetSim:
                     f"snapshot only resumes under the engine, tick size, "
                     f"sharding, slack mode, and cluster plans that wrote "
                     f"it")
+        units = meta.get("units")
+        if isinstance(units, bool) or not isinstance(units, int) \
+                or not 1 <= units <= shards:
+            raise CheckpointError(
+                f"{meta_path}: checkpoint units={units!r} is not a unit "
+                f"count for this fleet's {shards} shards")
         return meta
-
-    def _tasks(self, duration_s: float, dt_s: float,
-               targets: Dict[str, Tuple[float, float]],
-               collect_be: bool = False,
-               checkpoint_dir: Optional[str] = None,
-               checkpoint_at_s: Optional[float] = None,
-               resume_from: Optional[str] = None,
-               spill_dir: Optional[str] = None) -> List[ShardTask]:
-        """Materialize the picklable shard work units."""
-        tasks = []
-        member_base = 0
-        for index, plan in enumerate(self.clusters):
-            leaf_slo_ms, _ = targets[plan.name]
-            spec = plan.spec or default_machine_spec()
-            for shard_index, (lo, hi) in enumerate(
-                    partition_leaves(plan.leaves, self.shard_leaves)):
-                # Chaos targets arrive as cluster-local leaf indices;
-                # each shard keeps the intersection with its own leaf
-                # range, rebased to shard-local indices (an event whose
-                # targets all land elsewhere is dropped, and a
-                # whole-cluster event stays whole-shard).
-                events = []
-                for event in plan.events:
-                    if event.members is None:
-                        events.append(event)
-                        continue
-                    local = tuple(m - lo for m in event.members
-                                  if lo <= m < hi)
-                    if local:
-                        events.append(event.retarget(local))
-                tasks.append(ShardTask(
-                    cluster=plan.name, cluster_index=index,
-                    shard_index=shard_index, leaf_lo=lo, leaf_hi=hi,
-                    total_leaves=plan.leaves, lc_name=plan.lc_name,
-                    be_mix=tuple(plan.be_mix), leaf_slo_ms=leaf_slo_ms,
-                    spec=spec, trace=plan.trace, managed=plan.managed,
-                    seed=plan.seed, duration_s=duration_s, dt_s=dt_s,
-                    collect_be=collect_be, events=tuple(events),
-                    checkpoint_path=None if checkpoint_dir is None else
-                    self.shard_archive(checkpoint_dir, index, shard_index),
-                    checkpoint_at_s=checkpoint_at_s,
-                    resume_path=None if resume_from is None else
-                    self.shard_archive(resume_from, index, shard_index),
-                    spill_dir=None if spill_dir is None else os.path.join(
-                        spill_dir, f"shard_{index}_{shard_index}"),
-                    member_base=member_base))
-            member_base += plan.leaves
-        return tasks
 
     def run(self, duration_s: float, dt_s: float = 1.0,
             processes: Optional[int] = None,
             slack_epoch_s: Optional[float] = None,
             checkpoint_dir: Optional[str] = None,
             checkpoint_at_s: Optional[float] = None,
-            resume_from: Optional[str] = None,
-            spill_dir: Optional[str] = None) -> FleetResult:
+            resume_from: Optional[str] = None) -> FleetResult:
         """Run the whole fleet and roll up its telemetry.
 
         Args:
             duration_s: simulated run length (shared by every cluster).
             dt_s: tick size (the record cadence is tick-counted from
                 it, like the cluster driver's).
-            processes: worker processes for the shard fan-out
-                (``None`` = auto via ``REPRO_JOBS`` /
-                :func:`repro.sim.runner.default_jobs`; ``1`` forces
-                the serial in-process path).
-            slack_epoch_s: when given, shards additionally collect the
-                per-leaf BE slack signals and the result carries a
+            processes: worker processes (``None`` = auto via
+                ``REPRO_JOBS`` / :func:`repro.sim.runner.default_jobs`;
+                ``1`` forces the serial in-process path).  Under
+                ``engine="sharded"`` the shards are packed into
+                ``min(workers, shards)`` units; ``"mega"`` always runs
+                one unit.
+            slack_epoch_s: when given, the units additionally collect
+                the per-leaf BE slack signals and the result carries a
                 :class:`FleetSlackView` at this decision-epoch
                 granularity (the scheduler hook).  ``None`` keeps the
-                plain fleet run — no extra telemetry, bit-identical to
-                what this method always produced.
+                plain fleet run — no extra telemetry.
             checkpoint_dir: when given (with ``checkpoint_at_s``),
-                snapshot every shard's full engine state mid-run into
-                this directory — per-shard ``.npz`` archives plus a
-                :data:`FLEET_META_NAME` manifest — so a later run can
-                resume (or branch several what-ifs) from ``t =
-                checkpoint_at_s`` instead of ``t = 0``.
+                snapshot every unit's full engine state mid-run into
+                this directory — one ``.npz`` archive per unit and
+                merged group plus a :data:`FLEET_META_NAME` manifest —
+                so a later run can resume (or branch several what-ifs)
+                from ``t = checkpoint_at_s`` instead of ``t = 0``.
             checkpoint_at_s: simulated time of the snapshot; must land
                 on a tick strictly inside the run.
             resume_from: a checkpoint directory written by a previous
-                run of this same fleet; the run warm-starts every shard
-                from its archive and only ticks the remaining steps.
-                The result is bit-identical to running from ``t = 0``.
-            spill_dir: bound telemetry memory by streaming full history
-                chunks to ``.npy`` files under this directory (one
-                subdirectory per shard).  The mega engine collects its
-                telemetry in dense arrays, not column stores, so this
-                only affects the sharded path.
+                run of this same fleet; the run rebuilds the saved
+                packing (whatever the worker count now), warm-starts
+                every unit from its archives and only ticks the
+                remaining steps.  The result is bit-identical to
+                running from ``t = 0``.
 
         Returns:
             The populated :class:`FleetResult`.
@@ -436,12 +396,13 @@ class ShardedFleetSim:
                 "checkpoint_dir and checkpoint_at_s go together: give "
                 "both to take a snapshot, neither to skip it")
         collect_be = slack_epoch_s is not None
+        shards = self._shards()
         k_save = None
         if checkpoint_dir is not None:
             k_save = checkpoint_step(checkpoint_at_s, duration_s, dt_s)
         if resume_from is not None:
             resume_meta = self._load_fleet_meta(resume_from, dt_s,
-                                                collect_be)
+                                                collect_be, len(shards))
             k_done = int(round(resume_meta["checkpoint_t_s"] / dt_s))
             if k_save is not None and k_save <= k_done:
                 raise CheckpointError(
@@ -449,6 +410,13 @@ class ShardedFleetSim:
                     f"before the resumed snapshot "
                     f"(t={resume_meta['checkpoint_t_s']}s); a resumed "
                     f"run can only checkpoint further ahead")
+            units = resume_meta["units"]
+        elif self.engine == "mega":
+            units = 1
+        else:
+            workers = processes if processes is not None \
+                else default_jobs(len(shards))
+            units = max(1, min(workers, len(shards)))
         targets = {
             plan.name: cluster_slo_targets(
                 plan.spec or default_machine_spec(), plan.leaves,
@@ -457,31 +425,22 @@ class ShardedFleetSim:
         }
         profiler = PhaseProfiler() if profile_enabled() else None
         t_dispatch = perf_counter()
-        if self.engine == "mega":
-            # One in-process array program for the whole fleet; the
-            # shard fan-out (and its pool) is bypassed entirely.  Each
-            # cluster comes back as a single whole-population
-            # ShardResult, so the roll-up below is shared verbatim.
-            from ..sim.megabatch import run_mega_fleet
-            results = run_mega_fleet(self.clusters, targets, duration_s,
-                                     dt_s=dt_s, collect_be=collect_be,
-                                     checkpoint_dir=checkpoint_dir,
-                                     checkpoint_at_s=checkpoint_at_s,
-                                     resume_from=resume_from)
-        else:
-            tasks = self._tasks(duration_s, dt_s, targets,
-                                collect_be=collect_be,
-                                checkpoint_dir=checkpoint_dir,
-                                checkpoint_at_s=checkpoint_at_s,
-                                resume_from=resume_from,
-                                spill_dir=spill_dir)
-            results = run_sweep(run_shard, tasks, processes=processes)
+        calls = [((shards[lo:hi], targets, duration_s),
+                  dict(unit=unit, dt_s=dt_s, collect_be=collect_be,
+                       checkpoint_dir=checkpoint_dir,
+                       checkpoint_at_s=checkpoint_at_s,
+                       resume_from=resume_from))
+                 for unit, (lo, hi) in enumerate(
+                     pack_shards([s.leaves for s in shards], units))]
+        results = [result for unit_results in run_sweep(
+            run_mega_fleet, calls, processes=processes, star=True)
+            for result in unit_results]
         dispatch_wall_s = perf_counter() - t_dispatch
-        # Harvest the shards' observability payloads before the roll-up
+        # Harvest the units' observability payloads before the roll-up
         # consumes (and drops) the bulk results.  The fleet-level sink
         # adds run-scoped events (checkpoint saves) so the merged trace
-        # stays invariant under the shard plan — a per-shard save event
-        # would count shards.
+        # stays invariant under the packing — a per-unit save event
+        # would count units.
         fleet_sink = make_sink()
         if fleet_sink is not None and resume_from is not None:
             # The snapshot this run warm-started from: replayed so a
@@ -498,21 +457,24 @@ class ShardedFleetSim:
         if profiler is not None:
             for result in results:
                 profiler.merge(result.profile)
-            # Pool wall-clock not attributed to any shard phase:
-            # dispatch, pickling, result transport.  Parallel shards
-            # overlap, so the residual clamps at zero and is exact
-            # only on the serial path (REPRO_JOBS=1).
-            shard_wall_s = sum(profiler.seconds.values())
-            profiler.add("ipc", max(0.0, dispatch_wall_s - shard_wall_s))
+            # Wall-clock not attributed to any unit's tick phases: unit
+            # construction (and, on a pool, dispatch, pickling and
+            # result transport).  Parallel units overlap, so the
+            # residual clamps at zero and is exact only when serial.
+            pooled = len(calls) > 1 and (
+                processes if processes is not None
+                else default_jobs(len(calls))) > 1
+            profiler.add("ipc" if pooled else "setup", max(
+                0.0, dispatch_wall_s - sum(profiler.seconds.values())))
         if checkpoint_dir is not None:
-            # The manifest is written last, once every shard archive
+            # The manifest is written last, once every unit archive
             # exists — a directory with a manifest is a complete,
             # resumable snapshot; one without is a partial write.
             os.makedirs(checkpoint_dir, exist_ok=True)
             meta_path = os.path.join(checkpoint_dir, FLEET_META_NAME)
             with open(meta_path, "w", encoding="utf-8") as handle:
                 json.dump(self._fleet_meta(dt_s, checkpoint_at_s,
-                                           collect_be),
+                                           collect_be, units),
                           handle, indent=2, sort_keys=True)
                 handle.write("\n")
 

@@ -3,10 +3,10 @@
 A :class:`PhaseProfiler` is a dict of wall-clock accumulators keyed by
 phase name.  Engines consult theirs with one ``is None`` check per
 tick; when enabled they bracket the tick's phases with
-``perf_counter`` reads.  Shards ship their totals back through
+``perf_counter`` reads.  Fleet units ship their totals back through
 :class:`~repro.fleet.shard.ShardResult`; the fleet layer sums them and
-adds its own ``rollup`` (telemetry re-assembly) and ``ipc``
-(process-pool dispatch residual) phases, so ``--profile`` can print
+adds its own ``setup`` or ``ipc`` (dispatch residual) and ``rollup``
+(telemetry re-assembly) phases, so ``--profile`` can print
 one fleet-wide breakdown that tells the next perf PR exactly where
 1000-leaf tick time goes.
 
@@ -17,11 +17,12 @@ shards and runs merge by plain key-wise addition:
 * ``physics`` — load evaluation + the vectorized server physics;
 * ``telemetry`` — appending the tick's rows into the column stores;
 * ``controllers`` — stepping Heracles/baseline controllers;
+* ``setup`` — fleet wall-clock outside every unit's tick phases when
+  the units ran in-process (unit construction, resume loading);
 * ``rollup`` — fleet-level history re-assembly and stacking;
-* ``ipc`` — pool wall-clock not accounted inside any shard (dispatch,
-  pickling, result transport); with a parallel pool shard time
-  overlaps, so this residual is clamped at zero and is only an
-  *upper-bound-free* hint, exact at ``REPRO_JOBS=1``.
+* ``ipc`` — the same residual when the units ran on a process pool,
+  where it also covers dispatch, pickling and result transport; unit
+  time overlaps there, so it is clamped at zero and only a hint.
 
 Wall-clock is inherently nondeterministic, so profiling carries no
 bit-identity contract of its own — the contract is that *enabling it
@@ -38,8 +39,8 @@ from typing import Dict, Mapping, Optional
 PROFILE_ENV = "REPRO_PROFILE"
 
 #: The fixed phase vocabulary; merges are key-wise sums over this set.
-PHASES = ("chaos", "physics", "telemetry", "controllers", "rollup",
-          "ipc")
+PHASES = ("chaos", "physics", "telemetry", "controllers", "setup",
+          "rollup", "ipc")
 
 
 def profile_enabled() -> bool:

@@ -583,12 +583,12 @@ class CompiledScenario:
             engine=fleet_spec.engine)
 
     def _fleet_run_kwargs(self) -> Dict[str, Optional[str]]:
-        """Checkpoint/resume/spill kwargs for a fleet-shaped run."""
+        """Checkpoint/resume kwargs for a fleet-shaped run."""
         ckpt = self.spec.checkpoint
         if ckpt is None:
             return {}
         return dict(checkpoint_dir=ckpt.save, checkpoint_at_s=ckpt.at_s,
-                    resume_from=ckpt.resume, spill_dir=ckpt.spill_dir)
+                    resume_from=ckpt.resume)
 
     def _run_fleet(self, processes: Optional[int]) -> ScenarioResult:
         spec = self.spec

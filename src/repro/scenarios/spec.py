@@ -647,12 +647,11 @@ class FleetSpec:
             positive — zero or negative shard sizes are rejected at
             load time.
         record_period_s: cluster record cadence in simulated seconds.
-        engine: fleet execution engine — ``"sharded"`` (default) fans
-            shards over the process pool, ``"mega"`` runs the whole
-            fleet as one in-process array program.  Bit-identical
-            telemetry either way; distinct from the per-shard
-            ``ShardSpec.engine`` knob, which picks the batch-vs-scalar
-            leaf backend inside one shard.
+        engine: how the fleet's leaves are packed onto the one fleet
+            engine — ``"sharded"`` (default) packs the shards into one
+            unit per process-pool worker, ``"mega"`` runs whole
+            clusters as one in-process unit.  Bit-identical telemetry
+            either way.
     """
 
     clusters: Tuple[ShardSpec, ...]
@@ -953,8 +952,9 @@ class CheckpointSpec:
         save: checkpoint destination — snapshot the full engine state
             mid-run so a later scenario run can warm-start from it.
             A directory for fleet/schedule scenarios (one archive per
-            shard plus a manifest), a single ``.npz`` archive path for
-            member scenarios (all members ride in one engine).
+            fleet unit and group plus a manifest), a single ``.npz``
+            archive path for member scenarios (all members ride in one
+            engine).
             Requires ``at_s``.
         at_s: simulated time of the snapshot; must land on a tick
             strictly inside the run.
@@ -964,7 +964,9 @@ class CheckpointSpec:
             ``t = 0``.
         spill_dir: bound telemetry memory by streaming full history
             chunks to ``.npy`` files under this directory instead of
-            growing RAM with the horizon.
+            growing RAM with the horizon.  Member scenarios only:
+            fleet and schedule scenarios keep no per-tick column store
+            and reject it.
     """
 
     save: Optional[str] = None
@@ -1281,7 +1283,7 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"{ctx}.engine: only member scenarios take a top-level "
                 f"engine (cluster scenarios set cluster.engine; fleets "
-                f"always run sharded batches)")
+                f"set fleet.engine)")
         fleet_like = self.fleet if self.fleet is not None else (
             self.schedule.fleet if self.schedule is not None else None)
         if self.checkpoint is not None:
@@ -1292,6 +1294,12 @@ class ScenarioSpec:
                     f"cells and minicluster arms are short independent "
                     f"runs with nothing to resume")
             self.checkpoint.validate(f"{ctx}.checkpoint")
+            if fleet_like is not None and self.checkpoint.spill_dir:
+                raise ScenarioError(
+                    f"{ctx}.checkpoint.spill_dir: fleet and schedule runs "
+                    f"collect leaf telemetry as dense arrays, not column "
+                    f"stores, so there is nothing to spill; spill_dir "
+                    f"applies to 'members' scenarios only")
             if (self.checkpoint.at_s is not None
                     and self.checkpoint.at_s > self.duration_s):
                 raise ScenarioError(

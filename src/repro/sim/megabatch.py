@@ -1,17 +1,17 @@
-"""Mega-batch fleet engine: every cluster as one array program.
+"""The fleet engine: cluster slices as heterogeneous array programs.
 
-The sharded fleet path (:mod:`repro.fleet.shard`) pays a full Python
-tick loop — actuator gathers, monitor deques, controller objects — per
-shard per tick.  On few-core hosts that fixed cost *inverts* the
-benefit of sharding (BENCH_PR4 records 0.76x vs sequential at one
-CPU).  This module removes the Python loops instead of hiding them
-behind processes: a fleet run becomes one engine advancing a single
-heterogeneous ``(T, N_fleet)`` array program.  Structurally compatible
-clusters are *merged* into one membership — per-cluster hardware
-capacities (DRAM bandwidth, NIC link rate), LC workloads, SLO targets
-and traces become per-member broadcast columns and segment slices —
-and the Heracles controllers of every managed cluster step together as
-one grouped array program over the merged membership.
+Every fleet run goes through :class:`MegaFleetSim`.  Its input is a
+list of cluster *slices* (contiguous leaf ranges of cluster plans);
+the fleet layer (:mod:`repro.fleet.simulator`) decides only how leaves
+are packed onto it — whole clusters in one in-process unit
+(``engine="mega"``), or shards packed into one unit per pool worker
+(``engine="sharded"``).  Within a unit, structurally compatible slices
+are *merged* into one membership — per-cluster hardware capacities
+(DRAM bandwidth, NIC link rate), LC workloads, SLO targets and traces
+become per-member broadcast columns and segment slices — and the
+Heracles controllers of every managed leaf step together as one
+grouped array program over the merged membership, with no per-leaf
+Python objects and no per-shard Python tick loops.
 
 Equivalence contract
 --------------------
@@ -19,8 +19,8 @@ Equivalence contract
 :class:`MegaClusterSim` subclasses :class:`~repro.sim.batch.
 BatchColocationSim` and overrides only the member-surface hooks — it
 *shares the vectorized physics code path outright*, so tick physics is
-bit-identical to the sharded reference by construction.  What this
-module reimplements as array state is the per-member control plane:
+bit-identical to the batch engine by construction.  What this module
+reimplements as array state is the per-member control plane:
 
 * actuator state (cores, CAT split, DVFS cap, HTB ceiling) as parallel
   arrays, mutated by masked vector transcriptions of each
@@ -38,9 +38,10 @@ module reimplements as array state is the per-member control plane:
   (``Generator.lognormal(size=k)`` consumes the bitstream exactly as
   ``k`` scalar calls).
 
-``tests/test_fleet.py`` and ``benchmarks/test_bench_megafleet.py``
-enforce bit-identity of every cluster roll-up against the sharded and
-scalar references.
+``tests/test_fleet.py`` enforces bit-identity of every cluster
+roll-up, under every packing, against the monolithic
+:class:`~repro.cluster.cluster.WebsearchCluster` batch and scalar
+runs.
 """
 
 from __future__ import annotations
@@ -169,11 +170,11 @@ def _dvfs_ladder(turbo):
 
 
 class MegaClusterSim(BatchColocationSim):
-    """One merged group of fleet clusters as a memberless array program.
+    """One merged group of fleet slices as a memberless array program.
 
-    Drop-in for the :class:`BatchColocationSim` a shard worker builds —
-    heterogeneous across clusters (per-member specs, LC workloads,
-    traces) — but with *no* per-member Python objects: the
+    A :class:`BatchColocationSim` heterogeneous across clusters
+    (per-member specs, LC workloads, traces) — but with *no* per-member
+    Python objects: the
     member-surface hooks are overridden with array-state
     implementations, and Heracles (when attached via
     :meth:`attach_vec_heracles`) steps as grouped array ops over the
@@ -330,7 +331,7 @@ class MegaClusterSim(BatchColocationSim):
         pairs covering each managed cluster's member range — plus a
         boolean ``managed`` mask gating which members' controllers may
         act (an unmanaged cluster's members never enable BE work, just
-        as leaves without a controller never do on the sharded path).
+        as leaves without a controller never do in the batch engine).
         """
         from ..core.config import HeraclesConfig
         config = config or HeraclesConfig()
@@ -350,8 +351,8 @@ class MegaClusterSim(BatchColocationSim):
             floors[i] = memo[key]
         if managed is not None:
             # for_sim mutates only the actuators it attaches to, so an
-            # unmanaged leaf keeps the Actuators default floor of 1 on
-            # the sharded path; mirror that here (a chaos set_llc_split
+            # unmanaged leaf keeps the Actuators default floor of 1 in
+            # the batch engine; mirror that here (a chaos set_llc_split
             # is the one writer that can reach an unmanaged member).
             floors = np.where(np.asarray(managed, dtype=bool), floors, 1)
         self._min_lc_llc_ways = floors
@@ -515,7 +516,7 @@ class _VecHeracles:
 
         Chaos ``enable_be`` events can switch on BE work for unmanaged
         members, so "has an enabled BE group" no longer implies
-        "managed" — but on the sharded path an unmanaged leaf has no
+        "managed" — but in the batch engine an unmanaged leaf has no
         controller at all, so every controller write must stay off it.
         """
         return mask if self._man is None else mask & self._man
@@ -776,27 +777,35 @@ class _VecHeracles:
 
 
 class MegaFleetSim:
-    """The whole fleet as one heterogeneous ``(T, N_fleet)`` program.
+    """Cluster slices of a fleet as heterogeneous ``(T, N)`` programs.
 
-    Cluster plans whose machine specs are structurally identical —
-    everything but DRAM bandwidth and NIC link rate, which the batch
-    physics takes as per-member columns — are *merged* into a single
-    :class:`MegaClusterSim` over their concatenated membership, with
-    per-cluster SLOs, offline DRAM models and traces carried as
-    per-member arrays and segment slices.  On the stock fleet every
-    cluster lands in one group, so a 1000-leaf fleet ticks as one array
-    program instead of one per cluster.  Structurally incompatible
-    specs (different core counts, cache geometry, turbo ladder, power
-    envelope) fall back to one group each; results are identical either
-    way, only the dispatch count changes.
+    The one fleet engine.  Its input is a list of *slices* — each a
+    :class:`~repro.fleet.shard.ShardTask`, a contiguous leaf range
+    ``[leaf_lo, leaf_hi)`` of one cluster plan.  Slices whose machine
+    specs are structurally identical — everything but DRAM bandwidth
+    and NIC link rate, which the batch physics takes as per-member
+    columns — are *merged* into a single :class:`MegaClusterSim` over
+    their concatenated membership, with per-cluster SLOs, offline DRAM
+    models and traces carried as per-member arrays and segment slices.
+    Structurally incompatible specs (different core counts, cache
+    geometry, turbo ladder, power envelope) fall back to one group
+    each.
 
-    Produces one whole-cluster :class:`~repro.fleet.shard.ShardResult`
-    per cluster plan, so the existing fleet roll-up
-    (``assemble_cluster`` → ``rollup_cluster`` → fleet telemetry)
-    consumes it unchanged.
+    Leaf ``i`` of a plan gets the tail-noise seed ``seed * 1000 + i``,
+    the BE task ``be_mix[i % len(be_mix)]`` and the chaos events
+    targeting ``i`` by its *global* index, wherever its slice starts,
+    and Heracles runs one independent controller per leaf.  So a
+    leaf's trajectory does not depend on which other slices share its
+    array: whole clusters in one unit, or shards packed into several
+    units across a worker pool, produce the same numbers.
+
+    Produces one :class:`~repro.fleet.shard.ShardResult` per slice, in
+    slice order, which the fleet roll-up (``assemble_cluster`` →
+    ``rollup_cluster`` → fleet telemetry) consumes.
     """
 
-    def __init__(self, plans, targets: Dict[str, Tuple[float, float]]):
+    def __init__(self, slices, targets: Dict[str, Tuple[float, float]],
+                 unit: int = 0):
         # Deferred imports: this module sits in repro.sim, below the
         # cluster/fleet layers it is building for.
         import dataclasses
@@ -804,7 +813,16 @@ class MegaFleetSim:
         from ..hardware.spec import default_machine_spec
         from ..sim.runner import memoized_dram_model
         from ..workloads.best_effort import make_be_workload
-        self.plans = list(plans)
+        self.slices = list(slices)
+        self.unit = unit
+        for task in self.slices:
+            if task.leaf_hi <= task.leaf_lo:
+                raise ValueError(f"shard [{task.leaf_lo}, {task.leaf_hi}) "
+                                 f"is empty")
+            if task.leaf_lo < 0 or task.leaf_hi > task.plan.leaves:
+                raise ValueError(
+                    f"shard [{task.leaf_lo}, {task.leaf_hi}) falls outside "
+                    f"the cluster's {task.plan.leaves}-leaf population")
 
         def structural_key(spec):
             return dataclasses.replace(
@@ -814,7 +832,12 @@ class MegaFleetSim:
 
         group_of: Dict[object, int] = {}
         buckets: List[dict] = []
-        for index, plan in enumerate(self.plans):
+        # One LC instance and one BE instance per task name per cluster,
+        # shared by all of its slices, as a monolithic cluster shares
+        # them across its leaves.
+        workloads: Dict[int, tuple] = {}
+        for index, task in enumerate(self.slices):
+            plan, lo, hi = task.plan, task.leaf_lo, task.leaf_hi
             spec = plan.spec or default_machine_spec()
             key = structural_key(spec)
             if key not in group_of:
@@ -823,35 +846,49 @@ class MegaFleetSim:
                                 "seeds": [], "specs": [], "managed": [],
                                 "models": [], "spans": [], "events": []})
             bucket = buckets[group_of[key]]
-            leaf_slo_ms, _ = targets[plan.name]
-            lc = make_leaf_lc(spec, leaf_slo_ms, lc_name=plan.lc_name)
+            if task.cluster_index not in workloads:
+                leaf_slo_ms, _ = targets[plan.name]
+                workloads[task.cluster_index] = (
+                    make_leaf_lc(spec, leaf_slo_ms, lc_name=plan.lc_name),
+                    {})
+            lc, be_by_name = workloads[task.cluster_index]
             be_names = [plan.be_mix[i % len(plan.be_mix)]
-                        for i in range(plan.leaves)]
-            be_by_name = {name: make_be_workload(name, spec)
-                          for name in sorted(set(be_names))}
-            lo = len(bucket["lcs"])
-            bucket["lcs"] += [lc] * plan.leaves
-            bucket["traces"] += [plan.trace] * plan.leaves
+                        for i in range(lo, hi)]
+            for name in sorted(set(be_names) - set(be_by_name)):
+                be_by_name[name] = make_be_workload(name, spec)
+            n = hi - lo
+            g_lo = len(bucket["lcs"])
+            bucket["lcs"] += [lc] * n
+            bucket["traces"] += [plan.trace] * n
             bucket["bes"] += [be_by_name[name] for name in be_names]
-            bucket["seeds"] += [plan.seed * 1000 + i
-                                for i in range(plan.leaves)]
-            bucket["specs"] += [spec] * plan.leaves
-            bucket["managed"] += [plan.managed] * plan.leaves
+            bucket["seeds"] += [plan.seed * 1000 + i for i in range(lo, hi)]
+            bucket["specs"] += [spec] * n
+            bucket["managed"] += [plan.managed] * n
             if plan.managed:
-                bucket["models"].append(
-                    (slice(lo, lo + plan.leaves),
-                     memoized_dram_model(plan.lc_name, spec)))
-            bucket["spans"].append((index, lo, lo + plan.leaves))
+                model = memoized_dram_model(plan.lc_name, spec)
+                models = bucket["models"]
+                if (models and models[-1][1] is model
+                        and models[-1][0].stop == g_lo):
+                    # Adjacent slices on one offline model (shards of
+                    # one cluster) share one segment: the grid lookup
+                    # is per member, so segments only cost dispatches.
+                    models[-1] = (slice(models[-1][0].start, g_lo + n),
+                                  model)
+                else:
+                    models.append((slice(g_lo, g_lo + n), model))
+            bucket["spans"].append((index, g_lo, g_lo + n))
             # Chaos events arrive with cluster-local leaf targets (or
-            # None for the whole cluster); a merged membership needs
-            # explicit indices offset into the group.
-            for event in getattr(plan, "events", ()) or ():
-                local = (range(plan.leaves) if event.members is None
-                         else event.members)
-                bucket["events"].append(event.retarget(
-                    tuple(m + lo for m in local)))
+            # None for the whole cluster); each slice keeps the
+            # intersection with its own leaf range, as explicit indices
+            # offset into the group.
+            for event in plan.events:
+                local = (range(lo, hi) if event.members is None
+                         else [m for m in event.members if lo <= m < hi])
+                if local:
+                    bucket["events"].append(event.retarget(
+                        tuple(m - lo + g_lo for m in local)))
 
-        #: (merged sim, [(plan index, member lo, member hi), ...])
+        #: (merged sim, [(slice index, member lo, member hi), ...])
         self.groups: List[Tuple[MegaClusterSim, list]] = []
         for bucket in buckets:
             sim = MegaClusterSim(
@@ -872,25 +909,24 @@ class MegaFleetSim:
 
         Plan order defines the fleet-global leaf numbering (cluster
         leaf ``j`` of plan ``i`` is global index ``sum(leaves[:i]) +
-        j``), matching the sharded path's ``ShardTask.member_base``
-        assignment — so decision-trace events merge shard-plan- and
-        engine-invariantly.  Cheap (one int64 array per group), so it
-        runs unconditionally and also re-stamps restored groups.
+        j``, carried as each slice's ``member_base``), so
+        decision-trace events merge invariantly under any packing.
+        Cheap (one int64 array per group), so it runs unconditionally
+        and also re-stamps restored groups.
         """
-        base, bases = 0, []
-        for plan in self.plans:
-            bases.append(base)
-            base += plan.leaves
         for sim, spans in self.groups:
             members = np.empty(sim.n, dtype=np.int64)
             for index, lo, hi in spans:
-                members[lo:hi] = bases[index] + np.arange(hi - lo)
+                task = self.slices[index]
+                members[lo:hi] = task.member_base + np.arange(
+                    task.leaf_lo, task.leaf_hi)
             sim.obs_set_members(members)
 
     @staticmethod
-    def group_archive(checkpoint_dir: str, group: int) -> str:
-        """Archive path of one merged group under a checkpoint dir."""
-        return os.path.join(checkpoint_dir, f"mega_group_{group}.npz")
+    def group_archive(checkpoint_dir: str, unit: int, group: int) -> str:
+        """Archive path of one unit's merged group under a checkpoint."""
+        return os.path.join(checkpoint_dir,
+                            f"mega_group_{unit}_{group}.npz")
 
     def _save_groups(self, checkpoint_dir: str, k: int, recs,
                      collect_be: bool) -> None:
@@ -898,9 +934,8 @@ class MegaFleetSim:
 
         Rows ``[0, k)`` of each group's collected arrays are fully
         written at this point except ``be_cores`` row ``k - 1``, which
-        (as in ``run_shard``) is only gathered by tick ``k + 1``; the
-        resumed run rewrites it deterministically from the restored
-        actuator state.
+        is only gathered by tick ``k + 1``; the resumed run rewrites it
+        deterministically from the restored actuator state.
         """
         from .checkpoint import save_engine
         for g, ((sim, _), (times, tails, emus, be_norm, be_cores)) \
@@ -910,8 +945,8 @@ class MegaFleetSim:
             if collect_be:
                 arrays["be_norm"] = be_norm[:k]
                 arrays["be_cores"] = be_cores[:k - 1]
-            save_engine(sim, self.group_archive(checkpoint_dir, g),
-                        kind="mega_group", arrays=arrays,
+            path = self.group_archive(checkpoint_dir, self.unit, g)
+            save_engine(sim, path, kind="mega_group", arrays=arrays,
                         extra_meta={"steps_done": k, "n": sim.n,
                                     "group": g,
                                     "collect_be": bool(collect_be)})
@@ -920,18 +955,20 @@ class MegaFleetSim:
                      collect_be: bool) -> int:
         """Swap in saved group sims + collected prefixes; returns k0.
 
-        The engine is first rebuilt fresh from its plans (group layout
-        is a deterministic function of the plans), then each group's
-        archive replaces the fresh sim and refills the already-computed
-        telemetry rows — validated against the rebuilt layout so a
-        checkpoint from a different fleet fails loudly.
+        The engine is first rebuilt fresh from its slices (group
+        layout is a deterministic function of the slices), then each
+        group's archive replaces the fresh sim and refills the
+        already-computed telemetry rows — validated against the
+        rebuilt layout so a checkpoint from a different fleet fails
+        loudly.
         """
         from .checkpoint import CheckpointError, load_engine
         k0 = None
         for g, (group, rec) in enumerate(zip(self.groups, recs)):
             sim, spans = group
-            restored = load_engine(self.group_archive(resume_from, g),
-                                   expect_kind="mega_group")
+            restored = load_engine(
+                self.group_archive(resume_from, self.unit, g),
+                expect_kind="mega_group")
             if restored.meta.get("n") != sim.n:
                 raise CheckpointError(
                     f"group {g}: checkpoint holds {restored.meta.get('n')} "
@@ -974,7 +1011,7 @@ class MegaFleetSim:
             checkpoint_dir: Optional[str] = None,
             checkpoint_at_s: Optional[float] = None,
             resume_from: Optional[str] = None) -> list:
-        """Advance the merged groups; one ShardResult per cluster plan.
+        """Advance the merged groups; one ShardResult per slice.
 
         ``checkpoint_dir`` + ``checkpoint_at_s`` snapshot every group
         (state + collected telemetry prefix) after the tick whose time
@@ -1007,7 +1044,7 @@ class MegaFleetSim:
         if resume_from is not None:
             k0 = self._load_groups(resume_from, recs, steps, collect_be)
         from ..obs.progress import make_heartbeat
-        heartbeat = make_heartbeat("fleet[mega]", steps)
+        heartbeat = make_heartbeat(f"fleet[unit {self.unit}]", steps)
         for k in range(k0, steps):
             for (sim, _), (times, tails, emus, be_norm, be_cores) in zip(
                     self.groups, recs):
@@ -1017,13 +1054,14 @@ class MegaFleetSim:
                 emus[k] = result.emu
                 if collect_be:
                     be_norm[k] = result.be_throughput_norm
-                    # The recorded grant is what run_shard records: the
-                    # state tick k+1's actuator gather sees — post
-                    # controller step of tick k *and* post any chaos
-                    # events firing at the start of tick k+1.  Reading
+                    # The recorded grant for tick k is the state tick
+                    # k+1's actuator gather sees — post controller step
+                    # of tick k *and* post any chaos events firing at
+                    # the start of tick k+1, the state a cluster
+                    # scheduler would poll from Heracles.  Reading
                     # be_cores_now() here instead would miss those
                     # chaos mutations and shift the scheduler's
-                    # grant_cores epochs off the sharded reference.
+                    # grant_cores epochs by one tick.
                     if k:
                         be_cores[k - 1] = sim._gathered_be_cores
             if k_save is not None and k + 1 == k_save:
@@ -1034,16 +1072,16 @@ class MegaFleetSim:
             for (sim, _), (times, tails, emus, be_norm, be_cores) in zip(
                     self.groups, recs):
                 # The final row has no following tick to gather it; one
-                # direct read closes the shift, as in run_shard.
+                # direct read closes the shift.
                 be_cores[steps - 1] = sim.be_cores_now()
-        results: List[Optional[ShardResult]] = [None] * len(self.plans)
+        results: List[Optional[ShardResult]] = [None] * len(self.slices)
         for (sim, spans), (times, tails, emus, be_norm, be_cores) in zip(
                 self.groups, recs):
             for index, lo, hi in spans:
-                plan = self.plans[index]
-                # Contiguous per-plan copies: the summary reductions see
-                # the same (T, leaves) layout a per-cluster engine would
-                # have filled directly.
+                task = self.slices[index]
+                # Contiguous per-slice copies: the summary reductions
+                # see the same (T, leaves) layout a per-slice engine
+                # would have filled directly.
                 p_tails = np.ascontiguousarray(tails[:, lo:hi])
                 p_emus = np.ascontiguousarray(emus[:, lo:hi])
                 if steps:
@@ -1054,6 +1092,9 @@ class MegaFleetSim:
                         "mean_tail_ms": float(p_tails.mean()),
                     }
                 else:
+                    # duration_s / dt_s rounded to zero ticks: an empty
+                    # run reports the metric layer's nothing-recorded
+                    # value instead of crashing on empty reductions.
                     summary = {"mean_emu": 0.0, "min_emu": 0.0,
                                "worst_tail_ms": 0.0, "mean_tail_ms": 0.0}
                 if collect_be:
@@ -1062,11 +1103,13 @@ class MegaFleetSim:
                 else:
                     p_be_norm = p_be_cores = np.zeros((0, 0))
                 results[index] = ShardResult(
-                    cluster=plan.name, cluster_index=index, shard_index=0,
-                    leaf_lo=0, leaf_hi=plan.leaves, times_s=times.copy(),
+                    cluster=task.plan.name,
+                    cluster_index=task.cluster_index,
+                    shard_index=task.shard_index, leaf_lo=task.leaf_lo,
+                    leaf_hi=task.leaf_hi, times_s=times.copy(),
                     tails_ms=p_tails, emus=p_emus, summary=summary,
                     be_norm=p_be_norm, be_cores=p_be_cores)
-        # Observability rides on the first plan's result (the fleet
+        # Observability rides on the first slice's result (the fleet
         # layer merges payloads across all results, so placement is
         # arbitrary; events already carry fleet-global member indices).
         from ..obs.profile import merge_profiles
@@ -1082,21 +1125,16 @@ class MegaFleetSim:
         return results
 
 
-def run_mega_fleet(plans, targets: Dict[str, Tuple[float, float]],
-                   duration_s: float, dt_s: float = 1.0,
-                   collect_be: bool = False,
-                   checkpoint_dir: Optional[str] = None,
-                   checkpoint_at_s: Optional[float] = None,
-                   resume_from: Optional[str] = None) -> list:
-    """Build and run the mega engine over a fleet's cluster plans.
+def run_mega_fleet(slices, targets: Dict[str, Tuple[float, float]],
+                   duration_s: float, unit: int = 0, **run_kwargs) -> list:
+    """Build and run one fleet unit: the picklable pool work unit.
 
-    The in-process work unit :class:`~repro.fleet.simulator.
-    ShardedFleetSim` dispatches to when ``engine="mega"``; returns one
-    whole-cluster :class:`~repro.fleet.shard.ShardResult` per plan, in
-    plan order.  Checkpoint/resume parameters pass straight through to
+    :class:`~repro.fleet.simulator.ShardedFleetSim` packs its slices
+    into units and fans them across :func:`repro.sim.runner.run_sweep`;
+    returns one :class:`~repro.fleet.shard.ShardResult` per slice, in
+    slice order.  ``run_kwargs`` (``dt_s``, ``collect_be`` and the
+    checkpoint/resume parameters) pass straight through to
     :meth:`MegaFleetSim.run`.
     """
-    return MegaFleetSim(plans, targets).run(
-        duration_s, dt_s=dt_s, collect_be=collect_be,
-        checkpoint_dir=checkpoint_dir, checkpoint_at_s=checkpoint_at_s,
-        resume_from=resume_from)
+    return MegaFleetSim(slices, targets, unit=unit).run(duration_s,
+                                                        **run_kwargs)

@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import WebsearchCluster, cluster_slo_targets
-from repro.fleet import (ClusterPlan, ShardedFleetSim, partition_leaves,
-                         run_shard)
-from repro.fleet.shard import ShardTask
+from repro.fleet import (ClusterPlan, ShardedFleetSim, ShardTask,
+                         pack_shards, partition_leaves)
 from repro.hardware.spec import default_machine_spec
 from repro.scenarios import (ScenarioError, compile_scenario, load_scenario,
                              registry)
 from repro.sim.chaos import ChaosEvent
+from repro.sim.megabatch import run_mega_fleet
 from repro.sim.runner import JOBS_ENV
 from repro.workloads.traces import (ConstantLoad, PhasedTrace,
                                     websearch_cluster_trace)
@@ -433,7 +433,7 @@ class TestCheckpointResume:
 
     def test_saving_does_not_perturb_the_run(self, tmp_path):
         """The run that *writes* the snapshot stays on trajectory, and
-        the checkpoint directory holds a manifest + shard archives."""
+        the checkpoint directory holds a manifest + unit archives."""
         import os
 
         from repro.fleet.simulator import FLEET_META_NAME
@@ -447,10 +447,10 @@ class TestCheckpointResume:
             "checkpointing run vs straight")
         names = sorted(os.listdir(ckpt))
         assert FLEET_META_NAME in names
-        assert [n for n in names if n.startswith("shard_")]
+        assert [n for n in names if n.startswith("mega_group_")]
         meta = json.loads((tmp_path / "ckpt" / FLEET_META_NAME)
                           .read_text())
-        assert meta["version"] == 1
+        assert meta["version"] == 2
         assert meta["checkpoint_t_s"] == SNAPSHOT_AT
         assert meta["engine"] == "sharded"
 
@@ -475,26 +475,6 @@ class TestCheckpointResume:
             f"vs straight")
         assert resumed.summary(skip_s=10.0) == straight.summary(
             skip_s=10.0)
-
-    def test_resume_with_spill_matches_in_ram(self, tmp_path,
-                                              monkeypatch):
-        """Spill on both segments of the resumed run: reads
-        materialize exactly what an in-RAM straight run records."""
-        from repro.metrics.columns import SPILL_CHUNK_ENV
-        monkeypatch.setenv(SPILL_CHUNK_ENV, "16")
-        ckpt = str(tmp_path / "ckpt")
-        straight = self._straight(shard_leaves=3)
-        self._fleet(shard_leaves=3).run(
-            CHAOS_DURATION, processes=1, checkpoint_dir=ckpt,
-            checkpoint_at_s=SNAPSHOT_AT,
-            spill_dir=str(tmp_path / "spill_a"))
-        resumed = self._fleet(shard_leaves=3).run(
-            CHAOS_DURATION, processes=1, resume_from=ckpt,
-            spill_dir=str(tmp_path / "spill_b"))
-        assert_cluster_histories_identical(
-            resumed.cluster("diff").history,
-            straight.cluster("diff").history,
-            "spilled resume vs in-RAM straight")
 
     def test_branching_two_futures_from_one_snapshot(self, tmp_path):
         """Warm-started what-if: the same snapshot resumed twice gives
@@ -562,21 +542,45 @@ class TestCheckpointResume:
                               resume_from=str(tmp_path / "nowhere"))
 
 
-class TestRunShard:
-    def _task(self, **over):
-        spec = default_machine_spec()
-        leaf_slo_ms, _ = cluster_slo_targets(spec, 4)
-        base = dict(cluster="c", cluster_index=0, shard_index=0,
-                    leaf_lo=0, leaf_hi=2, total_leaves=4,
-                    lc_name="websearch", be_mix=("brain", "streetview"),
-                    leaf_slo_ms=leaf_slo_ms, spec=spec,
-                    trace=ConstantLoad(0.5), managed=False, seed=1,
-                    duration_s=30.0, dt_s=1.0)
-        base.update(over)
-        return ShardTask(**base)
+class TestPackShards:
+    def test_one_unit_takes_everything(self):
+        assert pack_shards([3, 3, 2], 1) == [(0, 3)]
+
+    def test_cuts_nearest_the_even_share(self):
+        assert pack_shards([3, 3, 2, 4, 4], 2) == [(0, 3), (3, 5)]
+        assert pack_shards([1] * 6, 3) == [(0, 2), (2, 4), (4, 6)]
+        # Lopsided shards: every unit still gets at least one.
+        assert pack_shards([100, 1, 1], 3) == [(0, 1), (1, 2), (2, 3)]
+
+    def test_tiles_in_order(self):
+        for sizes in ([64] * 16, [63, 63, 62, 50, 50, 3], list(range(1, 9))):
+            for units in range(1, len(sizes) + 1):
+                cuts = pack_shards(sizes, units)
+                assert len(cuts) == units
+                assert cuts[0][0] == 0 and cuts[-1][1] == len(sizes)
+                assert all(hi == nlo for (_, hi), (nlo, _)
+                           in zip(cuts, cuts[1:]))
+                assert all(lo < hi for lo, hi in cuts)
+
+    def test_rejects_bad_unit_counts(self):
+        with pytest.raises(ValueError, match="units"):
+            pack_shards([4, 4], 0)
+        with pytest.raises(ValueError, match="units"):
+            pack_shards([4, 4], 3)
+
+
+class TestFleetUnit:
+    """One unit of the fleet engine, driven directly."""
+
+    def _run(self, leaf_lo=0, leaf_hi=2, duration_s=30.0, dt_s=1.0):
+        plan = ClusterPlan(name="c", leaves=4, trace=ConstantLoad(0.5),
+                           managed=False, seed=1)
+        targets = {"c": cluster_slo_targets(default_machine_spec(), 4)}
+        return run_mega_fleet([ShardTask(plan, 0, 0, leaf_lo, leaf_hi)],
+                              targets, duration_s, dt_s=dt_s)
 
     def test_shapes_and_summary(self):
-        result = run_shard(self._task())
+        (result,) = self._run()
         assert result.tails_ms.shape == (30, 2)
         assert result.emus.shape == (30, 2)
         assert result.times_s.shape == (30,)
@@ -585,13 +589,184 @@ class TestRunShard:
 
     def test_rejects_degenerate_tasks(self):
         with pytest.raises(ValueError, match="duration"):
-            run_shard(self._task(duration_s=0.0))
+            self._run(duration_s=0.0)
         with pytest.raises(ValueError, match="dt"):
-            run_shard(self._task(dt_s=-1.0))
+            self._run(dt_s=-1.0)
         with pytest.raises(ValueError, match="empty"):
-            run_shard(self._task(leaf_hi=0))
+            self._run(leaf_hi=0)
         with pytest.raises(ValueError, match="outside the cluster"):
-            run_shard(self._task(leaf_hi=9))
+            self._run(leaf_hi=9)
+        with pytest.raises(ValueError, match="outside the cluster"):
+            self._run(leaf_lo=-1)
+
+
+def packing_plans():
+    """Three clusters, two structural groups, chaos across shard edges.
+
+    ``beta`` runs on a 12-core server, so it cannot merge into the
+    array program of the stock-server clusters.  Every multi-leaf
+    event target spans a boundary of the 3-leaf partition
+    (``[0, 3) [3, 5) [5, 7)`` for ``alpha``, ``[0, 3) [3, 5)`` for
+    ``beta``, ``[0, 2) [2, 4)`` for ``gamma``).
+    """
+    stock = default_machine_spec()
+    small = dataclasses.replace(
+        stock, socket=dataclasses.replace(stock.socket, cores=12))
+    return [
+        ClusterPlan(name="alpha", leaves=7, trace=reference_trace(),
+                    seed=1, events=(
+                        ChaosEvent(20.0, "leaf_crash", members=(2, 3)),
+                        ChaosEvent(30.0, "straggler", 0.6,
+                                   members=(1, 2, 3, 4, 5)),
+                        ChaosEvent(45.0, "set_be_cores", 1,
+                                   members=(4, 5)),
+                        ChaosEvent(70.0, "leaf_restart", members=(2, 3)),
+                        ChaosEvent(90.0, "straggler", 1.0,
+                                   members=(1, 2, 3, 4, 5)))),
+        ClusterPlan(name="beta", leaves=5, lc_name="memkeyval",
+                    be_mix=("iperf",), spec=small,
+                    trace=PhasedTrace(reference_trace(), 600.0), seed=2,
+                    events=(
+                        ChaosEvent(25.0, "partition", 30.0,
+                                   members=(2, 3)),
+                        ChaosEvent(40.0, "power_cap", 0.75),
+                        ChaosEvent(60.0, "disable_be", members=(1, 3)),
+                        ChaosEvent(100.0, "power_cap", 1.0))),
+        ClusterPlan(name="gamma", leaves=4, trace=ConstantLoad(0.4),
+                    managed=False, seed=3, events=(
+                        ChaosEvent(35.0, "enable_be", members=(1, 2)),
+                        ChaosEvent(50.0, "set_llc_split", 3,
+                                   members=(1, 2)))),
+    ]
+
+
+class TestPackingInvariance:
+    """A leaf's trajectory does not depend on which other leaves share
+    its array: every packing of the shards onto units — one unit, or
+    one per pool worker — gives the same histories, per-shard
+    summaries, slack views and merged decision traces."""
+
+    @staticmethod
+    def _run(shard_leaves, processes, **kwargs):
+        fleet = ShardedFleetSim(packing_plans(), shard_leaves=shard_leaves)
+        return fleet.run(CHAOS_DURATION, processes=processes,
+                         slack_epoch_s=10.0, **kwargs)
+
+    @staticmethod
+    def _assert_same_fleet(got, want, what):
+        from repro.obs import events_to_jsonl
+        for outcome in want.clusters:
+            assert_cluster_histories_identical(
+                got.cluster(outcome.name).history, outcome.history,
+                f"{what} [{outcome.name}]")
+        assert got.summary(skip_s=10.0) == want.summary(skip_s=10.0)
+        for name in ("harvest_core_s", "grant_cores", "latched"):
+            assert np.array_equal(getattr(got.slack, name),
+                                  getattr(want.slack, name)), (
+                f"{what}: slack signal {name!r} diverged")
+        assert events_to_jsonl(got.trace) == events_to_jsonl(want.trace), (
+            f"{what}: merged decision traces differ")
+
+    def test_every_packing_is_identical(self, monkeypatch):
+        from repro.obs import TRACE_ENV
+        monkeypatch.setenv(TRACE_ENV, "1")
+        reference = ShardedFleetSim(packing_plans(), engine="mega").run(
+            CHAOS_DURATION, slack_epoch_s=10.0)
+        assert len(reference.trace["t_s"]) > 0
+        for shard_leaves in (1, 3, 8):
+            summaries = None
+            for processes in (1, 2, 3):
+                result = self._run(shard_leaves, processes)
+                what = f"shard={shard_leaves} processes={processes}"
+                self._assert_same_fleet(result, reference, what)
+                shards = {o.name: o.shard_summaries()
+                          for o in result.clusters}
+                if summaries is None:
+                    summaries = shards
+                assert shards == summaries, (
+                    f"{what}: per-shard summaries depend on the packing")
+
+    def test_two_unit_checkpoint_resumes_on_one_process(self, tmp_path,
+                                                        monkeypatch):
+        from repro.fleet.simulator import FLEET_META_NAME
+        from repro.obs import TRACE_ENV
+        monkeypatch.setenv(TRACE_ENV, "1")
+        ckpt = str(tmp_path / "ckpt")
+        straight = self._run(3, 1)
+        saved = self._run(3, 2, checkpoint_dir=ckpt,
+                          checkpoint_at_s=SNAPSHOT_AT)
+        meta = json.loads((tmp_path / "ckpt" / FLEET_META_NAME)
+                          .read_text())
+        assert meta["units"] == 2
+        resumed = self._run(3, 1, resume_from=ckpt)
+        self._assert_same_fleet(resumed, saved, "resumed vs saving run")
+        for outcome in straight.clusters:
+            assert_cluster_histories_identical(
+                resumed.cluster(outcome.name).history, outcome.history,
+                f"resumed vs straight [{outcome.name}]")
+            assert resumed.cluster(outcome.name).shard_summaries() \
+                == outcome.shard_summaries()
+
+    def test_corrupt_unit_count_is_rejected(self, tmp_path):
+        from repro.fleet.simulator import FLEET_META_NAME
+        from repro.sim.checkpoint import CheckpointError
+        ckpt = tmp_path / "ckpt"
+        self._run(3, 2, checkpoint_dir=str(ckpt),
+                  checkpoint_at_s=SNAPSHOT_AT)
+        meta_path = ckpt / FLEET_META_NAME
+        meta = json.loads(meta_path.read_text())
+        meta["units"] = 99
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CheckpointError, match="units=99"):
+            self._run(3, 1, resume_from=str(ckpt))
+
+
+def fleet_shaped(shape, **over):
+    """A small loadable fleet- or schedule-shaped scenario dict."""
+    fleet = {"clusters": [{"name": "a", "leaves": 4,
+                           "trace": {"kind": "constant", "load": 0.5}}]}
+    data = {"name": "matrix", "duration_s": 120, "warmup_s": 30,
+            shape: ({"epoch_s": 60, "fleet": fleet}
+                    if shape == "schedule" else fleet)}
+    data.update(over)
+    return data
+
+
+def run_cli(*argv):
+    from repro.cli import main
+    return main(list(argv))
+
+
+#: Options fleet-shaped runs do not support, each with the error it must
+#: raise before any work starts — never a silent drop.
+UNSUPPORTED_FLEET_OPTIONS = {
+    "fleet-spill_dir": (ScenarioError, "spill_dir", lambda: load_scenario(
+        fleet_shaped("fleet", checkpoint={"spill_dir": "spill"}))),
+    "schedule-spill_dir": (ScenarioError, "spill_dir", lambda: load_scenario(
+        fleet_shaped("schedule", checkpoint={"spill_dir": "spill"}))),
+    "fleet-spill_dir-with-save": (
+        ScenarioError, "spill_dir", lambda: load_scenario(fleet_shaped(
+            "fleet", checkpoint={"save": "ck", "at_s": 60,
+                                 "spill_dir": "spill"}))),
+    "cli-fleet--spill-dir": (SystemExit, "spill_dir", lambda: run_cli(
+        "fleet", "mixed-fleet-1k", "--spill-dir", "spill")),
+    "cli-sched--spill-dir": (SystemExit, "spill_dir", lambda: run_cli(
+        "sched", "batch-backlog-1k", "--spill-dir", "spill")),
+    "fleet-top-level-engine": (ScenarioError, "engine", lambda: load_scenario(
+        fleet_shaped("fleet", engine="batch"))),
+    "schedule-top-level-server": (
+        ScenarioError, "per\\s+cluster", lambda: load_scenario(
+            fleet_shaped("schedule", server={"cores": 8}))),
+    "fleet-controller": (ScenarioError, "controller", lambda: load_scenario(
+        fleet_shaped("fleet", controller="none"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSUPPORTED_FLEET_OPTIONS))
+def test_unsupported_option_fails_loud(case):
+    error, match, attempt = UNSUPPORTED_FLEET_OPTIONS[case]
+    with pytest.raises(error, match=match):
+        attempt()
 
 
 class TestHeterogeneousFleet:

@@ -1,7 +1,11 @@
 #!/usr/bin/env python
-"""Run the perf-gating benchmarks and write the BENCH_PR10.json report.
+"""Run the perf-gating benchmarks and write one JSON report.
 
-Usage: ``python tools/bench_report.py [--out BENCH_PR10.json] [--root DIR]``
+Usage: ``python tools/bench_report.py [--out PATH] [--root DIR]``
+
+The report goes to the git-ignored :data:`DEFAULT_OUT`
+(``benchmarks/out/bench_report.json``) unless ``--out`` names another
+path; the committed snapshots are never rewritten.
 
 Runs the telemetry benchmark (``benchmarks/test_bench_metrics.py`` —
 history-memory and summary-speed gates), the batched-backend benchmark
@@ -10,9 +14,9 @@ gates), the sharded-fleet benchmark (``benchmarks/test_bench_fleet.py``
 — cross-plan bit-identity plus the parallel wall-clock speedup gate),
 the scheduler benchmark (``benchmarks/test_bench_sched.py`` —
 slack-greedy vs static goodput at equal SLO), and the mega-fleet
-benchmark (``benchmarks/test_bench_megafleet.py`` — mega-engine
-bit-identity to the sharded reference plus the sequential-path speedup
-gate), the checkpoint/spill benchmark
+benchmark (``benchmarks/test_bench_megafleet.py`` — bit-identity of
+the whole-cluster and sharded packings of the fleet engine), the
+checkpoint/spill benchmark
 (``benchmarks/test_bench_checkpoint.py`` — the spilled-history peak-RSS
 gate plus checkpoint save/restore round-trip timing), and the
 observability benchmark (``benchmarks/test_bench_obs.py`` — the
@@ -44,6 +48,9 @@ import tempfile
 import time
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+
+#: Default report path, relative to ``--root``.
+DEFAULT_OUT = os.path.join("benchmarks", "out", "bench_report.json")
 
 #: The gating benchmarks whose wall time and verdicts the report records.
 #: name -> (pytest file, extra env).  The fleet and scheduler benchmarks
@@ -115,8 +122,7 @@ def load_trajectory(root: str = ROOT, exclude: str = "") -> dict:
     A snapshot that is unparsable is reported to stderr and skipped —
     the trajectory is best-effort context, never a reason to fail the
     report run.  ``exclude`` names the report's own output path, which
-    must not be folded into itself (the default output is
-    ``BENCH_PR6.json``, the same filename as the newest snapshot).
+    must not be folded into itself when it names a snapshot.
     """
     trajectory = {}
     for name in trajectory_snapshots(root):
@@ -149,10 +155,10 @@ def resolve_out(out: str, root: str) -> str:
 def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_PR10.json",
+    parser.add_argument("--out", default=DEFAULT_OUT,
                         help="report path; a relative path is anchored at "
                              "--root, not the caller's cwd (default: "
-                             "<root>/BENCH_PR10.json)")
+                             f"<root>/{DEFAULT_OUT})")
     parser.add_argument("--root", default=ROOT,
                         help="repository root the benchmarks and the "
                              "snapshot trajectory are read from "
@@ -162,7 +168,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     out = resolve_out(args.out, root)
 
-    report = {"report": "BENCH_PR10", "benches": {}}
+    report = {"report": "bench_report", "benches": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, path, env in BENCHES:
             extra = dict(env)
@@ -183,6 +189,7 @@ def main(argv=None) -> int:
     report["trajectory"] = load_trajectory(root=root, exclude=out)
     report["tests_passed"] = all(b["passed"]
                                  for b in report["benches"].values())
+    os.makedirs(os.path.dirname(out), exist_ok=True)
     with open(out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
