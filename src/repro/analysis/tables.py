@@ -1,8 +1,8 @@
 """Plain-text rendering of result tables and series.
 
 The paper's artefacts are figures; a terminal reproduction renders the
-same data as aligned text tables and simple sparkline-style series so
-EXPERIMENTS.md can embed paper-vs-measured comparisons directly.
+same data as aligned text tables and simple sparkline-style series,
+which the experiment harnesses print next to the paper's values.
 """
 
 from __future__ import annotations

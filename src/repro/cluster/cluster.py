@@ -12,10 +12,12 @@ Execution backends
 ``engine="batch"`` (default) advances all leaves per tick in one
 vectorized step through :class:`~repro.sim.batch.BatchColocationSim` —
 the leaves are homogeneous hardware, so their contention physics
-resolves as array math, which is what makes large clusters and long
-diurnal traces tractable.  ``engine="scalar"`` keeps the original
-one-``ColocationSim``-per-leaf loop as the reference implementation;
-both produce numerically identical cluster metrics for the same seed
+resolves as array math, and every leaf's Heracles instance steps as
+the batch's vector controller — which is what makes large clusters and
+long diurnal traces tractable.  ``engine="scalar"`` keeps the original
+one-``ColocationSim``-per-leaf loop (one :class:`Leaf` and one
+``HeraclesController`` each) as the reference implementation; both
+produce numerically identical cluster metrics for the same seed
 (enforced by ``benchmarks/test_bench_batch.py``).
 """
 
@@ -28,7 +30,6 @@ import numpy as np
 
 from ..core.config import HeraclesConfig
 from ..metrics.history import ColumnarHistory
-from ..core.controller import HeraclesController
 from ..core.dram_model import profile_lc_dram_model
 from ..hardware.spec import MachineSpec, default_machine_spec
 from ..sim.batch import BatchColocationSim
@@ -118,7 +119,12 @@ def cluster_slo_targets(spec: MachineSpec, leaves: int,
 
 
 class WebsearchCluster:
-    """A managed (or baseline) websearch minicluster."""
+    """A managed (or baseline) websearch minicluster.
+
+    The scalar engine keeps one :class:`Leaf` per server in ``leaves``;
+    the batch engine keeps the leaves as the members of ``batch``, with
+    Heracles attached as its vector controller (``leaves`` is empty).
+    """
 
     def __init__(self,
                  leaves: int = 20,
@@ -167,22 +173,15 @@ class WebsearchCluster:
                 bes=[be_by_name[c.be_name] for c in configs],
                 spec=self.spec, seeds=[c.seed for c in configs],
                 record_history=False)
-            for member in self.batch.members:
-                if managed:
-                    HeraclesController.for_sim(
-                        member, config=heracles_config,
-                        dram_model=shared_model)
-            self.leaves = [
-                Leaf(config, trace=self.trace, spec=self.spec,
-                     managed=managed, member=member)
-                for config, member in zip(configs, self.batch.members)
-            ]
+            if managed:
+                self.batch.attach_vec_heracles(config=heracles_config,
+                                               dram_model=shared_model)
         else:
             self.leaves = [
                 Leaf(config, trace=self.trace, spec=self.spec,
                      shared_dram_model=shared_model,
                      heracles_config=heracles_config,
-                     managed=managed, engine="scalar")
+                     managed=managed)
                 for config in configs
             ]
 

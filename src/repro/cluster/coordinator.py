@@ -16,7 +16,7 @@ target.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 
 class ClusterCoordinator:
@@ -72,10 +72,19 @@ class ClusterCoordinator:
             self._scale = max(self.min_scale, self._scale - self.step)
         return self.leaf_target_ms
 
-    def apply_to_leaves(self, leaves: List) -> None:
-        """Push the current target into each leaf's Heracles instance."""
+    def apply_to_cluster(self, cluster) -> None:
+        """Push the current target into every leaf's Heracles instance.
+
+        A batch cluster's leaves run under the batch's vector
+        controller, whose SLO vector is its own copy of the targets; a
+        scalar cluster's leaves each carry a ``HeraclesController``.
+        """
         target = self.leaf_target_ms
-        for leaf in leaves:
+        if cluster.batch is not None:
+            if cluster.batch.vec_heracles is not None:
+                cluster.batch.vec_heracles.slo_ms[:] = target
+            return
+        for leaf in cluster.leaves:
             if leaf.controller is None:
                 continue
             leaf.controller.top_level.slo_target_ms = target
@@ -115,5 +124,5 @@ class CoordinatedWebsearchCluster:
             after = self.coordinator.step_targets(cluster.time_s,
                                                   root_latency)
             if after != before:
-                self.coordinator.apply_to_leaves(cluster.leaves)
+                self.coordinator.apply_to_cluster(cluster)
         return cluster.history

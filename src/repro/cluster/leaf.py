@@ -9,16 +9,13 @@ leaf has a different shard" — we reproduce the shared-model detail by
 profiling once and handing every leaf the same (slightly stale for any
 given shard) model.
 
-Two execution backends are supported:
-
-* **batch** (default) — the leaf is one member of a
-  :class:`~repro.sim.batch.BatchColocationSim`; the cluster advances
-  every leaf in a single vectorized step.  A standalone ``Leaf`` (no
-  ``member`` supplied) owns a private single-member batch so ``tick()``
-  keeps working for direct use.
-* **scalar** — the original per-leaf :class:`~repro.sim.engine.
-  ColocationSim`, kept as the reference implementation the batched
-  backend is verified against.
+A leaf is the scalar :class:`~repro.sim.engine.ColocationSim` under a
+:class:`~repro.core.controller.HeraclesController` — the reference
+implementation the batched cluster is verified against.  A batch
+:class:`~repro.cluster.cluster.WebsearchCluster` builds no ``Leaf``
+objects: its leaves are the members of one cluster-wide
+:class:`~repro.sim.batch.BatchColocationSim` under the vector
+controller.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from ..core.config import HeraclesConfig
 from ..core.controller import HeraclesController
 from ..core.dram_model import LcDramBandwidthModel
 from ..hardware.spec import MachineSpec
-from ..sim.batch import BatchColocationSim, BatchMember
 from ..sim.engine import ColocationSim, TickRecord
 from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
@@ -57,65 +53,33 @@ class Leaf:
         shared_dram_model: the one offline model all leaves share.
         heracles_config: controller tunables.
         managed: attach a Heracles instance (False = baseline leaf).
-        engine: ``"batch"`` or ``"scalar"``.
-        member: pre-built batch member owned by a cluster-wide
-            :class:`BatchColocationSim`; when given, the cluster drives
-            the simulation and ``tick()`` must not be called here.
     """
 
     def __init__(self, config: LeafConfig, trace: LoadTrace,
                  spec: MachineSpec,
                  shared_dram_model: Optional[LcDramBandwidthModel] = None,
                  heracles_config: Optional[HeraclesConfig] = None,
-                 managed: bool = True,
-                 engine: str = "batch",
-                 member: Optional[BatchMember] = None):
+                 managed: bool = True):
         self.config = config
-        self._own_batch: Optional[BatchColocationSim] = None
-        if member is not None:
-            self.sim = member
-        elif engine == "scalar":
-            lc = make_leaf_lc(spec, config.leaf_slo_ms)
-            be = make_be_workload(config.be_name, spec)
-            self.sim = ColocationSim(lc=lc, trace=trace, be=be, spec=spec,
-                                     seed=config.seed)
-        elif engine == "batch":
-            lc = make_leaf_lc(spec, config.leaf_slo_ms)
-            be = make_be_workload(config.be_name, spec)
-            self._own_batch = BatchColocationSim(
-                lc=lc, trace=trace, bes=be, spec=spec, seeds=[config.seed])
-            self.sim = self._own_batch.members[0]
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-        self.controller = None
-        if managed and member is None:
-            self.controller = HeraclesController.for_sim(
-                self.sim, config=heracles_config,
-                dram_model=shared_dram_model)
-        elif member is not None:
-            # The cluster attaches controllers; mirror whatever it set.
-            self.controller = member.controller
+        self.sim = ColocationSim(
+            lc=make_leaf_lc(spec, config.leaf_slo_ms), trace=trace,
+            be=make_be_workload(config.be_name, spec), spec=spec,
+            seed=config.seed)
+        self.controller = (HeraclesController.for_sim(
+            self.sim, config=heracles_config, dram_model=shared_dram_model)
+            if managed else None)
 
     def tick(self) -> TickRecord:
-        """Advance this leaf by one second (standalone leaves only)."""
-        if self._own_batch is not None:
-            self._own_batch.tick()
-            return self.sim.history.last()
-        if isinstance(self.sim, ColocationSim):
-            return self.sim.tick()
-        raise RuntimeError("cluster-owned leaves are advanced by the "
-                           "cluster's batched tick, not leaf.tick()")
+        """Advance this leaf by one second."""
+        self.sim.tick()
+        return self.sim.history.last()
 
     @property
     def last_tail_ms(self) -> float:
-        if isinstance(self.sim, BatchMember):
-            return self.sim.last_tail_ms
         return self.sim.history.last().tail_latency_ms
 
     @property
     def last_emu(self) -> float:
-        if isinstance(self.sim, BatchMember):
-            return self.sim.last_emu
         return self.sim.history.last().emu
 
 

@@ -35,6 +35,20 @@ from .state import ControlState
 from .top_level import TopLevelController
 
 
+def lc_way_floor(lc: LatencyCriticalWorkload) -> int:
+    """The LC cache partition's floor, in ways.
+
+    Offline profiling tells Heracles the LC hot working set; the LC
+    partition never shrinks below the ways that keep it resident (plus
+    one way of headroom).
+    """
+    spec = lc.spec
+    mb_per_way = spec.socket.llc_mb / spec.socket.llc_ways
+    hot_per_socket = lc.profile.hot_mb / spec.sockets
+    return max(1, min(spec.socket.llc_ways - 1,
+                      int(hot_per_socket / mb_per_way) + 2))
+
+
 class SimBeThroughputProbe:
     """Picklable BE-throughput probe bound to one colocation sim.
 
@@ -114,15 +128,7 @@ class HeraclesController:
         model = dram_model or profile_lc_dram_model(lc)
         guaranteed = guaranteed_frequency_ghz(lc)
 
-        # Offline profiling tells Heracles the LC hot working set; the
-        # LC cache partition never shrinks below the ways that keep it
-        # resident (plus one way of headroom).
-        spec = lc.spec
-        mb_per_way = spec.socket.llc_mb / spec.socket.llc_ways
-        hot_per_socket = lc.profile.hot_mb / spec.sockets
-        floor = min(spec.socket.llc_ways - 1,
-                    int(hot_per_socket / mb_per_way) + 2)
-        sim.actuators.min_lc_llc_ways = max(1, floor)
+        sim.actuators.min_lc_llc_ways = lc_way_floor(lc)
 
         controller = cls(
             config=config,

@@ -14,7 +14,7 @@ from per-task counters instead of predicting it from an offline
 (load, LLC ways) table.  A small multiplicative margin stands in for
 the measurement being a snapshot rather than a forecast.
 
-The ablation bench (`benchmarks/test_bench_hw_dram.py`) compares the
+The ablation bench (``benchmarks/test_bench_extensions.py``) compares the
 two designs: the counter-based controller needs no profiling step and
 is immune to model staleness, at the cost of reacting to bandwidth
 changes instead of anticipating them.

@@ -7,7 +7,8 @@ paper clips its display at ">300%", recorded here as 350.
 
 :func:`figure1_agreement` scores a regenerated table against this data
 with the binary violation/no-violation criterion (the decision the
-controller actually acts on); EXPERIMENTS.md reports the score.
+controller actually acts on); ``tests/test_paper_data.py`` holds the
+regenerated table to it.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ execution layers below it.  Each scenario *shape* lowers differently:
 
 * ``members`` — one :class:`~repro.sim.engine.ColocationSim` (single
   member, scalar engine) or one :class:`~repro.sim.batch.
-  BatchColocationSim` (several members, or ``engine: batch``), with a
-  real controller attached per member and injections wrapped around it;
+  BatchColocationSim` (several members, or ``engine: batch``): Heracles
+  members run under the batch's vector controller, baseline members
+  under an object controller on their member adapter, and legacy
+  injections fire from a schedule attached per member;
 * ``sweep`` — a (LC x BE x load) grid of independent constant-load
   runs fanned across :func:`repro.sim.runner.run_sweep` via the
   experiment layer's :func:`~repro.experiments.common.colocation_sweep`
@@ -83,6 +85,13 @@ class InjectionSchedule:
         self._inner = inner
         self._pending = sorted(injections, key=lambda inj: inj.at_s)
         self._applied: List[InjectionSpec] = []
+
+    @property
+    def control_loop(self) -> bool:
+        """Whether a controller runs under the injections.  A bare
+        schedule may share a batch member with the batch's Heracles
+        controller, which steps after it."""
+        return self._inner is not None
 
     @property
     def applied(self) -> List[InjectionSpec]:
@@ -372,69 +381,77 @@ class CompiledScenario:
                 runner grids instead of a single simulation object.
         """
         spec = self.spec
+        if self.kind not in ("single", "batch"):
+            raise ScenarioError(
+                f"scenario {spec.name!r} is a {self.kind} scenario; it "
+                f"lowers to a runner grid — call run() instead of build()")
         spill_dir = spec.checkpoint.spill_dir \
             if spec.checkpoint is not None else None
+        members = spec.members
+        lcs = [make_lc_workload(m.lc, self.machine) for m in members]
+        bes = [make_be_workload(m.be, self.machine) if m.be else None
+               for m in members]
+        traces = [m.trace.build(default_seed=spec.member_seed(i))
+                  for i, m in enumerate(members)]
+        seeds = [spec.member_seed(i) for i in range(len(members))]
         if self.kind == "single":
-            member = spec.members[0]
-            sim = ColocationSim(
-                lc=make_lc_workload(member.lc, self.machine),
-                trace=member.trace.build(default_seed=spec.member_seed(0)),
-                be=(make_be_workload(member.be, self.machine)
-                    if member.be else None),
-                spec=self.machine,
-                seed=spec.member_seed(0),
-                spill_dir=spill_dir)
-            self._attach(sim, member.lc, member.be,
-                         spec.member_controller(0), index=0)
-            chaos = [_chaos_event(inj) for inj in spec.injections
-                     if inj.is_chaos]
-            if chaos:
-                sim.set_chaos_events(chaos)
-            return sim
-        if self.kind == "batch":
-            lcs = [make_lc_workload(m.lc, self.machine)
-                   for m in spec.members]
-            bes = [make_be_workload(m.be, self.machine) if m.be else None
-                   for m in spec.members]
-            traces = [
-                m.trace.build(default_seed=spec.member_seed(i))
-                for i, m in enumerate(spec.members)]
-            seeds = [spec.member_seed(i) for i in range(len(spec.members))]
-            batch = BatchColocationSim(
+            sim = ColocationSim(lc=lcs[0], trace=traces[0], be=bes[0],
+                                spec=self.machine, seed=seeds[0],
+                                spill_dir=spill_dir)
+        else:
+            sim = BatchColocationSim(
                 lc=lcs, trace=traces, bes=bes, spec=self.machine,
-                seeds=seeds, n=len(spec.members), record_history=True,
+                seeds=seeds, n=len(members), record_history=True,
                 spill_dir=spill_dir)
-            for i, member in enumerate(spec.members):
-                self._attach(batch.members[i], member.lc, member.be,
-                             spec.member_controller(i), index=i)
-            chaos = [_chaos_event(inj) for inj in spec.injections
-                     if inj.is_chaos]
-            if chaos:
-                batch.set_chaos_events(chaos)
-            return batch
-        raise ScenarioError(
-            f"scenario {spec.name!r} is a {self.kind} scenario; it lowers "
-            f"to a runner grid — call run() instead of build()")
+        self._attach(sim)
+        chaos = [_chaos_event(inj) for inj in spec.injections
+                 if inj.is_chaos]
+        if chaos:
+            sim.set_chaos_events(chaos)
+        return sim
 
-    def _attach(self, sim, lc_name: str, be_name: Optional[str],
-                controller: str, index: int = 0) -> None:
-        """Attach the member's controller and injection schedule."""
-        if controller == "heracles" and be_name is not None:
-            model = memoized_dram_model(lc_name, self.machine)
-            HeraclesController.for_sim(sim, dram_model=model)
-        elif controller in SCENARIO_BASELINES:
-            baseline_for_sim(controller, sim)
-        # "none" (and "heracles" without a BE to manage): no controller.
-        # Legacy actuator injections keep their end-of-tick controller
-        # wrapper (timing preserved for existing scenarios), filtered by
-        # the optional leaf target; chaos actions lower to engine-level
-        # events (start-of-tick, see repro.sim.chaos) in build().
-        legacy = [inj for inj in self.spec.injections
-                  if not inj.is_chaos
-                  and (inj.leaf is None or inj.leaf == index)]
-        if legacy:
-            sim.attach_controller(InjectionSchedule(
-                sim.actuators, legacy, inner=sim.controller))
+    def _attach(self, sim) -> None:
+        """Attach every member's controller and injection schedule.
+
+        Heracles members (those with a BE to manage) get a
+        ``HeraclesController`` on the scalar engine and share the
+        batch's vector controller on a batch, one offline model segment
+        per member; baselines attach to the member (its adapter on a
+        batch).  Legacy actuator injections keep their end-of-tick
+        controller wrapper (timing preserved for existing scenarios),
+        filtered by the optional leaf target; on a batch, a Heracles
+        member's schedule fires just before the vector controller
+        steps.  Chaos actions lower to engine-level events
+        (start-of-tick, see repro.sim.chaos) in build().
+        """
+        batch = isinstance(sim, BatchColocationSim)
+        segments = []
+        for i, member in enumerate(self.spec.members):
+            controller = self.spec.member_controller(i)
+            if controller == "heracles" and member.be is not None:
+                model = memoized_dram_model(member.lc, self.machine)
+                if batch:
+                    segments.append((slice(i, i + 1), model))
+                else:
+                    HeraclesController.for_sim(sim, dram_model=model)
+            elif controller in SCENARIO_BASELINES:
+                baseline_for_sim(controller,
+                                 sim.members[i] if batch else sim)
+            # "none" (and "heracles" without a BE): no controller.
+        if segments:
+            managed = [False] * sim.n
+            for sl, _ in segments:
+                managed[sl.start] = True
+            sim.attach_vec_heracles(model_segments=segments,
+                                    managed=managed)
+        for i in range(len(self.spec.members)):
+            legacy = [inj for inj in self.spec.injections
+                      if not inj.is_chaos
+                      and (inj.leaf is None or inj.leaf == i)]
+            if legacy:
+                target = sim.members[i] if batch else sim
+                target.attach_controller(InjectionSchedule(
+                    target.actuators, legacy, inner=target.controller))
 
     # -- execution ------------------------------------------------------
 

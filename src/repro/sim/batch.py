@@ -1,8 +1,8 @@
 """Batched multi-server simulation backend.
 
-:class:`BatchColocationSim` advances N homogeneous-hardware servers —
-each hosting one LC workload and (optionally) one BE task group — in a
-single vectorized step per tick.  The contention physics that
+:class:`BatchColocationSim` advances N servers — each hosting one LC
+workload and (optionally) one BE task group — in a single vectorized
+step per tick.  The contention physics that
 :class:`~repro.sim.engine.ColocationSim` resolves object-by-object
 (power/frequency equilibrium, CAT cache occupancy, DRAM channel
 sharing, egress max-min fairness, M/M/k tail latency) is expressed here
@@ -18,31 +18,43 @@ engine, not an approximation: every formula is evaluated with the same
 operation ordering the scalar code uses (the same left-associated
 products, the same 40-iteration power bisection, the same Erlang-B
 recurrence), and tail-latency noise is drawn from one independently
-seeded :class:`numpy.random.Generator` per server, in server order —
-so a batch of N servers produces tick-for-tick the same
+seeded :class:`numpy.random.Generator` per server — so a batch of N
+servers produces tick-for-tick the same
 :class:`~repro.sim.engine.TickRecord` stream as N scalar
 ``ColocationSim`` instances with the same seeds.  The equivalence is
 enforced by ``tests/test_batch_equivalence.py`` and by the cluster
 benchmark (``benchmarks/test_bench_batch.py``).
 
-Controllers are *not* vectorized: each member server keeps a real
-:class:`~repro.sim.actuators.Actuators`, latency/throughput monitors,
-and (optionally) a real :class:`~repro.core.controller.
-HeraclesController` — attached with the unmodified
-``HeraclesController.for_sim`` — observing the batch-resolved state
-through a :class:`CounterBank`-compatible view.  Controller logic is a
-few comparisons per server per period; the physics was the hot path,
-and it is the part that vectorizes.
+One member model
+----------------
+
+Members are array state and nothing else.  Actuator placement (BE
+cores, CAT split, DVFS cap, DRAM throttle, HTB ceiling) is one column
+per field, mutated by masked transcriptions of the
+:class:`~repro.sim.actuators.Actuators` methods; the latency monitor is
+one window of ``(t, tails, loads)`` rows shared by every member; BE
+throughput is a column.  Heracles on a batch is :class:`_VecHeracles`:
+Algorithms 1-4 as one masked array program over the managed members,
+attached with :meth:`BatchColocationSim.attach_vec_heracles`.  Each
+server's Heracles instance is independent (§5.3: no coordination
+between leaves), so the masked program is an exact replica of N
+:class:`~repro.core.controller.HeraclesController` instances.
+
+Object controllers — the baselines, the ``core/mba.py`` and
+``core/hw_dram.py`` extensions, legacy injection schedules, or a
+``HeraclesController.for_sim`` — attach to a :class:`BatchMember` from
+:attr:`BatchColocationSim.members`: a thin adapter, built on first
+access, whose actuators, counters and monitors read and write row
+``i`` of the shared columns.  Object controllers step before the
+vector controller, and a member is driven by one control loop at most.
 
 Typical use::
 
     from repro.sim.batch import BatchColocationSim
-    from repro.core.controller import HeraclesController
 
     batch = BatchColocationSim(lc=lc, trace=trace, bes=[be] * 16,
                                spec=spec, seeds=range(16))
-    for m in batch.members:
-        HeraclesController.for_sim(m, dram_model=shared_model)
+    batch.attach_vec_heracles(dram_model=shared_model)
     batch.run(3600.0)
 """
 
@@ -54,9 +66,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..hardware.cache import CatController
 from ..hardware.counters import CounterBank
-from ..hardware.server import Server
 from ..hardware.spec import MachineSpec
 from ..metrics.columns import BatchColumnStore
 from ..metrics.history import BatchMemberSeries
@@ -69,173 +79,343 @@ from ..workloads.traces import LoadTrace
 from .actuators import BE_COS, Actuators
 from .chaos import PARTITION_TAIL_SLO_MULT, sort_events, trace_chaos_event
 from .engine import Controller, SimHistory, TickRecord, TickSeriesMixin
-from .monitors import LatencyMonitor, ThroughputMonitor
+from .monitors import LatencyMonitor
+
+#: ``enable_be``'s initial cache grant, the :class:`Actuators` default.
+_INITIAL_BE_LLC_FRACTION = 0.10
 
 
-class BatchCounterView(CounterBank):
-    """Per-member :class:`CounterBank` backed by the batch tick arrays.
+def _seq_mean(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Left-to-right mean of sample rows, as ``sample_mean`` computes it.
 
-    Controllers read hardware telemetry through this view exactly as
-    they would through a scalar server's counter bank; every override
-    returns the batch-resolved value for this member's server.
+    ``sum(values) / len(values)`` adds left to right starting from 0
+    (an exact additive identity), so sequential vector adds over the
+    same rows produce bitwise-identical means per member.
+    """
+    acc = rows[0]
+    for row in rows[1:]:
+        acc = acc + row
+    return acc / len(rows)
+
+
+class _VecLatencyMonitor(LatencyMonitor):
+    """Every member's :class:`LatencyMonitor` as one deque of row records.
+
+    Members share the tick clock, so every per-member window holds the
+    same timestamps; one deque of ``(t, tails, loads)`` rows replicates
+    N scalar monitors, and each poll answers for all members at once
+    through the inherited window logic.
     """
 
-    def __init__(self, batch: "BatchColocationSim", index: int,
-                 server: Server):
-        super().__init__(server)
+    _mean = staticmethod(_seq_mean)
+
+    def record(self, t_s: float, tails: np.ndarray,
+               loads: np.ndarray) -> None:
+        self._samples.append((t_s, tails, loads))
+        horizon = max(self.window_s, self.slo_window_s) + 1.0
+        while self._samples and self._samples[0][0] < t_s - horizon:
+            self._samples.popleft()
+
+    def poll(self, now_s: float):
+        """(latency, load) vectors over the control window, or (None,)*2."""
+        window = self._window(now_s, self.window_s)
+        if not window:
+            return None, None
+        return (_seq_mean([s[1] for s in window]),
+                _seq_mean([s[2] for s in window]))
+
+    # Defined on the class itself: the benchmark's tracer wraps it here.
+    recent_latency_ms = LatencyMonitor.recent_latency_ms
+
+
+def _dvfs_ladder(turbo):
+    """The reachable BE DVFS caps plus their lower/raise transitions.
+
+    Returns ``(ladder, down, up)``: ``ladder`` is the ascending array
+    of cap frequencies reachable through
+    :meth:`~repro.sim.actuators.Actuators.lower_be_frequency` /
+    ``raise_be_frequency`` one step at a time, with ``inf`` ("no cap")
+    appended last.  ``down[i]`` / ``up[i]`` map a cap index to its
+    successor under one lower/raise step.  Both tables are computed
+    with the scalar :meth:`TurboSpec.clamp_ghz`, so the vector cascade
+    inherits its exact float semantics by lookup instead of
+    re-deriving them.
+    """
+    chain = []
+    cur = turbo.clamp_ghz(turbo.max_turbo_ghz - turbo.step_ghz)
+    while True:
+        chain.append(cur)
+        nxt = turbo.clamp_ghz(cur - turbo.step_ghz)
+        if nxt == cur:
+            break
+        cur = nxt
+    ladder = sorted(set(chain))
+    index = {v: i for i, v in enumerate(ladder)}
+    none_idx = len(ladder)
+    down = np.empty(none_idx + 1, dtype=np.int64)
+    up = np.empty(none_idx + 1, dtype=np.int64)
+    for i in range(none_idx + 1):
+        cap = None if i == none_idx else ladder[i]
+        current = turbo.max_turbo_ghz if cap is None else cap
+        down[i] = index[turbo.clamp_ghz(current - turbo.step_ghz)]
+        if cap is None:
+            up[i] = none_idx
+        else:
+            raised = cap + turbo.step_ghz
+            if raised >= turbo.max_turbo_ghz - 1e-9:
+                up[i] = none_idx
+            else:
+                up[i] = index[turbo.clamp_ghz(raised)]
+    return np.append(ladder, np.inf), down, up
+
+
+# ----------------------------------------------------------------------
+# The object-controller adapter: row views of the member columns
+# ----------------------------------------------------------------------
+
+
+def _row(column: str, cast):
+    """A property reading and writing row ``self._i`` of a batch column."""
+    def get(self):
+        return cast(getattr(self._batch, column)[self._i])
+
+    def put(self, value):
+        getattr(self._batch, column)[self._i] = value
+    return property(get, put)
+
+
+def _capped(value) -> Optional[float]:
+    """A cap column entry as the scalar classes report it (inf = None)."""
+    return None if value == np.inf else float(value)
+
+
+class _MemberActuators(Actuators):
+    """Row ``i`` of the batch's actuator columns as an :class:`Actuators`.
+
+    The placement fields the scalar class keeps as attributes are
+    properties over the shared columns, so the inherited methods — and
+    any object controller calling them — act on the very state the
+    physics and the vector controller read.  CAT state *is* the way
+    columns and the BE ceiling *is* the ceiling column: there is no
+    server, partition mirror or qdisc (and so no allocation views,
+    which only the scalar engine consumes).
+    """
+
+    _be_cores = _row("_act_cores", int)
+    _be_enabled = _row("_act_enabled", bool)
+    _lc_ways = _row("_act_lc_ways", int)
+    _be_ways = _row("_act_be_ways", int)
+    _be_dram_throttle = _row("_act_throttle", float)
+    min_lc_llc_ways = _row("_min_lc_llc_ways", int)
+
+    def __init__(self, batch: "BatchColocationSim", index: int):
+        self._batch = batch
+        self._i = index
+        self.server = self.htb = None
+        self.spec = batch.spec
+        self.min_lc_cores = batch._min_lc_cores
+        self.initial_be_llc_fraction = _INITIAL_BE_LLC_FRACTION
+
+    @property
+    def _be_dvfs_cap(self) -> Optional[float]:
+        return _capped(self._batch._act_cap[self._i])
+
+    @_be_dvfs_cap.setter
+    def _be_dvfs_cap(self, value: Optional[float]) -> None:
+        self._batch._act_cap[self._i] = np.inf if value is None else value
+
+    def _apply_cat(self) -> None:
+        """Nothing to mirror: the way columns are the partition."""
+
+    def set_be_net_ceil(self, gbps: Optional[float]) -> None:
+        """:meth:`HtbQdisc.set_ceil`'s clamp into [0, member link]."""
+        if gbps is not None:
+            link = self._batch._nic_link
+            gbps = min(max(0.0, gbps),
+                       float(link[self._i]) if np.ndim(link) else link)
+        self._batch._act_ceil[self._i] = np.inf if gbps is None else gbps
+
+    @property
+    def be_net_ceil_gbps(self) -> Optional[float]:
+        return _capped(self._batch._act_ceil[self._i])
+
+
+class _MemberCounters(CounterBank):
+    """Row ``i`` of the batch's tick telemetry as a :class:`CounterBank`.
+
+    Controllers read hardware telemetry through this view exactly as
+    they would through a scalar server's counter bank; capacities come
+    from the per-member DRAM / NIC columns.
+    """
+
+    def __init__(self, batch: "BatchColocationSim", index: int):
         self._batch = batch
         self._i = index
 
-    # -- DRAM ----------------------------------------------------------
+    def _read(self, column: str) -> float:
+        return float(self._batch._tick[column][self._i])
+
+    def _of(self, task: str, lc_column: str, be_column: str, missing):
+        """One task's value: LC column, BE column while BE runs, else
+        ``missing``."""
+        batch, i = self._batch, self._i
+        if task == batch._lcs[i].name:
+            return self._read(lc_column)
+        be = batch._bes[i]
+        if be is not None and task == be.name \
+                and batch._tick["be_running"][i]:
+            return self._read(be_column)
+        return missing
+
+    def _capacity(self, column) -> float:
+        return float(np.ravel(column)[self._i]) if np.ndim(column) \
+            else column
 
     def dram_total_bw_gbps(self) -> float:
-        """Total achieved DRAM bandwidth across sockets (GB/s)."""
-        return float(self._batch._tick["dram_total_gbps"][self._i])
+        return self._read("dram_total_gbps")
+
+    def dram_capacity_gbps(self) -> float:
+        return self._batch.spec.sockets * self.socket_dram_capacity_gbps()
+
+    def socket_dram_capacity_gbps(self) -> float:
+        return self._capacity(self._batch._dram_cap)
 
     def dram_utilization(self) -> float:
-        """Worst per-socket DRAM channel utilization, in [0, 1]."""
-        return float(self._batch._tick["dram_max_util"][self._i])
+        return self._read("dram_max_util")
 
     def worst_socket_dram_bw_gbps(self) -> float:
-        """Achieved DRAM bandwidth of the busiest socket (GB/s)."""
-        return float(self._batch._tick["worst_socket_dram_gbps"][self._i])
+        return self._read("worst_socket_dram_gbps")
 
     def dram_bw_of(self, task: str) -> float:
-        """Achieved DRAM bandwidth of one task by name (GB/s)."""
-        batch, i = self._batch, self._i
-        if task == batch.members[i].lc.name:
-            return float(batch._tick["lc_dram_ach"][i])
-        be = batch.members[i].be
-        if be is not None and task == be.name:
-            if batch._tick["be_running"][i]:
-                return float(batch._tick["be_dram_ach"][i])
-        return 0.0
+        return self._of(task, "lc_dram_ach", "be_dram_ach", 0.0)
 
     def per_task_dram_gbps(self) -> Dict[str, float]:
-        """Achieved DRAM bandwidth of every running task (GB/s)."""
         batch, i = self._batch, self._i
-        out = {batch.members[i].lc.name: float(batch._tick["lc_dram_ach"][i])}
-        be = batch.members[i].be
+        out = {batch._lcs[i].name: self._read("lc_dram_ach")}
+        be = batch._bes[i]
         if be is not None and batch._tick["be_running"][i]:
-            out[be.name] = float(batch._tick["be_dram_ach"][i])
+            out[be.name] = self._read("be_dram_ach")
         return out
 
-    # -- Power / frequency ----------------------------------------------
-
     def socket_power_watts(self, socket: int) -> float:
-        """RAPL-smoothed package power of one socket (W)."""
         return float(self._batch._rapl_watts[self._i, socket])
 
     def power_fraction_of_tdp(self, socket: int) -> float:
-        """One socket's RAPL power as a fraction of its TDP."""
         return (self._batch._rapl_watts[self._i, socket]
-                / self._server.spec.socket.tdp_watts)
+                / self._batch.spec.socket.tdp_watts)
 
     def max_power_fraction_of_tdp(self) -> float:
-        """The hottest socket's power as a fraction of TDP."""
-        return float(max(
-            self.power_fraction_of_tdp(s)
-            for s in range(self._server.spec.sockets)))
+        return float(max(self.power_fraction_of_tdp(s)
+                         for s in range(self._batch.spec.sockets)))
 
     def freq_of(self, task: str) -> Optional[float]:
-        """Core-weighted achieved frequency of a task (GHz), if running."""
-        batch, i = self._batch, self._i
-        if task == batch.members[i].lc.name:
-            return float(batch._tick["lc_freq_ghz"][i])
-        be = batch.members[i].be
-        if be is not None and task == be.name:
-            if batch._tick["be_running"][i]:
-                return float(batch._tick["be_freq_ghz"][i])
-        return None
+        return self._of(task, "lc_freq_ghz", "be_freq_ghz", None)
 
-    # -- Network ---------------------------------------------------------
+    def link_rate_gbps(self) -> float:
+        return self._capacity(self._batch._nic_link)
 
     def tx_gbps_of(self, task: str) -> float:
-        """Achieved egress bandwidth of one task by name (Gb/s)."""
-        batch, i = self._batch, self._i
-        if task == batch.members[i].lc.name:
-            # Plain-float list view: the network subcontroller polls
-            # this every simulated second on every member.
-            return batch._lc_net_of(i)
-        be = batch.members[i].be
-        if be is not None and task == be.name:
-            if batch._tick["be_running"][i]:
-                return float(batch._tick["be_net_ach"][i])
-        return 0.0
+        return self._of(task, "lc_net_ach", "be_net_ach", 0.0)
 
     def link_tx_gbps(self) -> float:
-        """Total achieved egress on the NIC link (Gb/s)."""
-        return float(self._batch._tick["link_tx_gbps"][self._i])
-
-    # -- CPU -------------------------------------------------------------
+        return self._read("link_tx_gbps")
 
     def cpu_utilization(self) -> float:
-        """Fraction of physical cores in use, in [0, 1]."""
-        return float(self._batch._tick["cpu_utilization"][self._i])
+        return self._read("cpu_utilization")
 
 
-class _PassiveCat(CatController):
-    """CAT mirror for batch members: state without re-validation.
+class _RowSamples:
+    """Row ``i`` of a deque of ``(t, tails, loads)`` rows, read as
+    ``(t, tail, load)`` samples without copying the deque: a poll builds
+    only the tuples it touches (the short suffix a window scan reaches,
+    or the last two)."""
 
-    The batch physics reads partition sizes straight from the
-    actuators, so the member server's CAT controllers only mirror
-    state for introspection.  :class:`Actuators` clamps every split to
-    a valid configuration before writing (LC + BE ways always sum to
-    the cache), which makes the scalar ``set_partition`` overflow check
-    pure per-tick overhead on the controllers' LLC-probe hot path.
+    __slots__ = ("_rows", "_i")
+
+    def __init__(self, rows, index: int):
+        self._rows = rows
+        self._i = index
+
+    def _sample(self, row):
+        t, tails, loads = row
+        return t, float(tails[self._i]), float(loads[self._i])
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k: int):
+        return self._sample(self._rows[k])
+
+    def __iter__(self):
+        return map(self._sample, self._rows)
+
+    def __reversed__(self):
+        return map(self._sample, reversed(self._rows))
+
+
+class _MemberLatencyMonitor(LatencyMonitor):
+    """Row ``i`` of the batch's :class:`_VecLatencyMonitor`.
+
+    Presents the shared window as this member's ``(t, tail, load)``
+    samples, so every inherited poll returns exactly what a scalar
+    monitor fed the same samples would.
     """
 
-    def set_partition(self, cos: str, ways: int) -> None:
-        """Record the partition size for ``cos`` without validation."""
-        if ways == 0:
-            self._classes.pop(cos, None)
-        else:
-            self._classes[cos] = ways
+    def __init__(self, batch: "BatchColocationSim", index: int):
+        self._batch = batch
+        self._i = index
+        self.window_s = batch._vmon.window_s
+        self.slo_window_s = batch._vmon.slo_window_s
+
+    @property
+    def _samples(self) -> "_RowSamples":
+        return _RowSamples(self._batch._vmon._samples, self._i)
+
+    def record(self, t_s: float, tail_ms: float, load: float) -> None:
+        raise TypeError("the batch records every member's samples at once")
+
+
+class _MemberThroughput:
+    """Row ``i`` of the batch's BE throughput column, read the way a
+    :class:`~repro.sim.monitors.ThroughputMonitor` reports it."""
+
+    def __init__(self, batch: "BatchColocationSim", index: int):
+        self._batch = batch
+        self._i = index
+
+    @property
+    def last_normalized(self) -> float:
+        """Most recent normalized throughput (instantaneous)."""
+        return float(self._batch._be_last_norm[self._i])
 
 
 class BatchMember:
-    """One server of a batch, presented with the scalar-sim surface.
+    """One member of a batch, with the scalar-sim surface.
 
-    Exposes exactly the attributes :meth:`HeraclesController.for_sim`
-    and the baseline controller factories consume — ``lc``, ``be``,
-    ``actuators``, ``counters``, ``latency_monitor``, ``be_monitor``,
-    ``history``, ``rng`` — so any controller written against
-    :class:`~repro.sim.engine.ColocationSim` attaches unchanged.
+    The adapter object controllers attach to.  It exposes the
+    attributes :meth:`HeraclesController.for_sim` and the baseline
+    factories consume — ``lc``, ``be``, ``actuators``, ``counters``,
+    ``latency_monitor``, ``be_monitor``, ``history`` — as views of row
+    ``index`` of the batch's columns, and owns no state of its own.
     """
 
-    def __init__(self, batch: "BatchColocationSim", index: int,
-                 lc: LatencyCriticalWorkload, trace: LoadTrace,
-                 be: Optional[BestEffortWorkload], seed: int,
-                 min_lc_cores: int):
+    def __init__(self, batch: "BatchColocationSim", index: int):
         self.batch = batch
         self.index = index
-        self.lc = lc
-        self.be = be
-        self.trace = trace
-        self.server = Server(batch.spec)
-        self.server.cat = {
-            s: _PassiveCat(batch.spec.socket.llc_mb,
-                           batch.spec.socket.llc_ways)
-            for s in range(batch.spec.sockets)
-        }
-        self.counters = BatchCounterView(batch, index, self.server)
-        self.actuators = Actuators(self.server, min_lc_cores=min_lc_cores)
-        self.latency_monitor = LatencyMonitor()
-        self.rng = np.random.default_rng(seed)
+        self.lc = batch._lcs[index]
+        self.be = batch._bes[index]
+        self.trace = batch._traces[index]
+        self.actuators = _MemberActuators(batch, index)
+        self.counters = _MemberCounters(batch, index)
+        self.latency_monitor = _MemberLatencyMonitor(batch, index)
+        self.be_monitor = (_MemberThroughput(batch, index)
+                           if self.be is not None else None)
         if batch.record_history:
             # Zero-copy member slice of the batch's (T, N) columns.
             self.history = BatchMemberHistory(batch._store, index)
         else:
-            # The scalar format stays available (and simply empty), as
-            # it was when the batch skipped per-member recording.
+            # The scalar format stays available (and simply empty).
             self.history = SimHistory()
-        self.controller: Optional[Controller] = None
-        if be is not None:
-            reference = reference_throughput_units(be)
-            self.be_monitor: Optional[ThroughputMonitor] = ThroughputMonitor(
-                reference)
-        else:
-            self.be_monitor = None
 
     @property
     def time_s(self) -> float:
@@ -244,12 +424,24 @@ class BatchMember:
 
     @property
     def spec(self) -> MachineSpec:
-        """The batch's (homogeneous) machine description."""
+        """The batch's machine description."""
         return self.batch.spec
 
+    @property
+    def controller(self) -> Optional[Controller]:
+        """This member's object controller, if one is attached."""
+        return self.batch._controllers.get(self.index)
+
     def attach_controller(self, controller: Controller) -> None:
-        """Install the member's per-tick controller."""
-        self.controller = controller
+        """Install the member's object controller.
+
+        Raises:
+            ValueError: the batch's Heracles controller already manages
+                this member and ``controller`` runs a control loop of
+                its own (only an injection schedule without an inner
+                controller may share a member with it).
+        """
+        self.batch._attach_controller(self.index, controller)
 
     @property
     def last_tail_ms(self) -> float:
@@ -260,6 +452,12 @@ class BatchMember:
     def last_emu(self) -> float:
         """This member's EMU at the latest tick."""
         return float(self.batch._tick["emu"][self.index])
+
+
+def _control_loop(controller: Controller) -> bool:
+    """Whether ``controller`` runs a control loop (see
+    :attr:`repro.scenarios.compiler.InjectionSchedule.control_loop`)."""
+    return getattr(controller, "control_loop", True)
 
 
 @dataclass
@@ -389,10 +587,15 @@ class BatchColocationSim:
         seeds: per-server tail-noise seeds (defaults to 0..N-1).
         n: batch size; inferred from the longest sequence argument
             when omitted.
-        record_history: keep a per-member :class:`SimHistory` of full
-            :class:`TickRecord` objects (the scalar engine's format).
-            Disable for large fleets — the compact :class:`BatchHistory`
-            columns are always recorded.
+        min_lc_cores: cores the LC workload always keeps, per member.
+        record_history: keep the full :class:`TickRecord` field set per
+            member (the scalar engine's format, read through
+            ``members[i].history``).  Disable for large fleets — the
+            compact :class:`BatchHistory` columns are always recorded.
+        specs: one machine spec per member, differing from ``spec``
+            only in DRAM bandwidth and NIC link rate (a merged fleet).
+        spill_dir: bound resident history memory by chunked
+            spill-to-disk (see :mod:`repro.metrics.columns`).
     """
 
     def __init__(self,
@@ -422,6 +625,8 @@ class BatchColocationSim:
         seed_list = list(seeds) if seeds is not None else list(range(n))
         if len(seed_list) != n:
             raise ValueError(f"seeds: expected {n} entries")
+        if min_lc_cores < 1:
+            raise ValueError("LC needs at least one core")
 
         self.spec = spec or lcs[0].spec
         self.spec.validate()
@@ -447,31 +652,41 @@ class BatchColocationSim:
                                        spill_dir=spill_dir)
         self.history = BatchHistory(n=n, store=self._store)
 
-        self.members: List[BatchMember] = self._build_members(
-            lcs, traces, be_list, seed_list, min_lc_cores)
-
-        self._shared_trace = traces[0] if all(
-            t is traces[0] for t in traces) else None
+        self._lcs = lcs
+        self._traces = traces
+        self._bes = be_list
+        # Contiguous runs sharing one trace object (the whole batch for
+        # a cluster, one run per cluster in a merged fleet) answer the
+        # offered-load query with a single scalar evaluation per run.
+        self._trace_groups = []
+        start = 0
+        for i in range(1, n + 1):
+            if i == n or traces[i] is not traces[start]:
+                self._trace_groups.append((slice(start, i), traces[start]))
+                start = i
         self._build_static_arrays(lcs, be_list)
+        self._build_member_state(be_list, seed_list, min_lc_cores)
+
+        # Controllers: object controllers by member index (attached
+        # through the ``members`` adapter), and at most one vector
+        # Heracles over the batch.
+        self._controllers: Dict[int, Controller] = {}
+        self._members: Optional[List[BatchMember]] = None
+        self.vec_heracles: Optional[_VecHeracles] = None
 
         # Mutable telemetry state (RAPL-style smoothed power).
         S = self.spec.sockets
         self._rapl_watts = np.zeros((n, S))
         self._rapl_started = False
         self._rapl_smoothing = 0.5
-        # Tail-noise bookkeeping (a no-draw member keeps factor 1.0).
-        self._noise_sigmas = [float(x) for x in self._lc["noise_sigma"]]
-        self._any_noise = any(s > 0 for s in self._noise_sigmas)
-        self._noise_draws = np.ones(n)
-        self._lc_net_list: Optional[List[float]] = [0.0] * n
         self._gathered_be_cores = np.zeros(n, dtype=np.int64)
         self._tick: Dict[str, np.ndarray] = self._empty_tick()
         # Tick-loop constants, hoisted so the hot path spends no
         # dispatches rebuilding run-invariant values.
         self._srange = np.arange(S, dtype=np.int64)
         self._total_cores_i64 = np.int64(self.spec.total_cores)
-        # Engines that collect their own telemetry (the mega fleet
-        # engine) clear this to skip the per-tick column-store append.
+        # Engines that collect their own telemetry (the fleet engine)
+        # clear this to skip the per-tick column-store append.
         self._record_ticks = True
         # Observability (off by default: both stay None unless the
         # REPRO_TRACE / REPRO_PROFILE env toggles are set; the whole
@@ -480,96 +695,206 @@ class BatchColocationSim:
         self._obs_prof = make_profiler()
         self._obs_map: Optional[np.ndarray] = None
 
-    # ------------------------------------------------------------------
-    # Member-surface hooks
-    # ------------------------------------------------------------------
-    #
-    # Everything that touches per-member Python objects goes through
-    # these overridable hooks; the vectorized physics in :meth:`tick`
-    # never does.  The mega fleet engine (:mod:`repro.sim.megabatch`)
-    # subclasses them with pure array-state implementations, sharing
-    # this class's physics code path outright — which is what makes its
-    # bit-identity to the sharded reference hold by construction.
+    def _build_member_state(self, be_list, seed_list,
+                            min_lc_cores: int) -> None:
+        """The per-member control plane, as columns."""
+        n, spec = self.n, self.spec
+        total_ways = spec.socket.llc_ways
+        # Actuator columns: the Actuators field set, one row per member
+        # (an uncapped DVFS cap or HTB ceiling reads inf).
+        self._act_enabled = np.zeros(n, dtype=bool)
+        self._act_cores = np.zeros(n, dtype=np.int64)   # raw _be_cores
+        self._act_lc_ways = np.full(n, total_ways, dtype=np.int64)
+        self._act_be_ways = np.zeros(n, dtype=np.int64)
+        self._act_throttle = np.ones(n)
+        self._act_cap = np.full(n, np.inf)
+        self._act_ceil = np.full(n, np.inf)
+        self._min_lc_llc_ways = np.ones(n, dtype=np.int64)
+        self._min_lc_cores = min_lc_cores
+        self._max_be_cores = spec.total_cores - min_lc_cores
+        self._initial_be_ways = max(1, round(_INITIAL_BE_LLC_FRACTION
+                                             * total_ways))
+        self._cap_ladder, self._cap_down, self._cap_up = _dvfs_ladder(
+            spec.socket.turbo)
 
-    def _build_members(self, lcs, traces, be_list, seed_list,
-                       min_lc_cores) -> List[BatchMember]:
-        """Construct the per-member controller surface."""
-        return [
-            BatchMember(self, i, lcs[i], traces[i], be_list[i],
-                        seed_list[i], min_lc_cores)
-            for i in range(self.n)
-        ]
+        # Monitors: the latency window rows, and BE throughput as the
+        # last normalized value per member.
+        self._vmon = _VecLatencyMonitor()
+        refs = np.zeros(n)
+        memo: Dict[int, float] = {}
+        for i, be in enumerate(be_list):
+            if be is not None:
+                if id(be) not in memo:
+                    memo[id(be)] = reference_throughput_units(be)
+                refs[i] = memo[id(be)]
+        self._be_ref_safe = np.where(refs > 0, refs, 1.0)
+        self._be_last_norm = np.zeros(n)
+
+        # Tail-noise streams (a no-draw member, sigma <= 0, keeps
+        # factor 1.0 and never consumes its stream), prefetched in
+        # chunks.
+        self._noise_sigmas = [float(x) for x in self._lc["noise_sigma"]]
+        self._any_noise = any(s > 0 for s in self._noise_sigmas)
+        self._noise_draws = np.ones(n)
+        self._noise_idx = np.nonzero(np.asarray(self._noise_sigmas) > 0)[0]
+        self._noise_all = len(self._noise_idx) == n
+        self._noise_rngs = [np.random.default_rng(seed_list[i])
+                            for i in self._noise_idx]
+        self._noise_chunk: Optional[np.ndarray] = None
+        self._noise_pos = 0
+
+    # ------------------------------------------------------------------
+    # Controllers
+    # ------------------------------------------------------------------
+
+    @property
+    def members(self) -> List[BatchMember]:
+        """Per-member scalar-sim adapters for object controllers.
+
+        Built on first access; the vectorized tick never reads them.
+        """
+        if self._members is None:
+            self._members = [BatchMember(self, i) for i in range(self.n)]
+        return self._members
+
+    def _attach_controller(self, index: int,
+                           controller: Controller) -> None:
+        vec = self.vec_heracles
+        if vec is not None and vec.manages(index) \
+                and _control_loop(controller):
+            raise ValueError(
+                f"member {index} is managed by the batch's Heracles "
+                f"controller; a member runs one control loop at most")
+        self._controllers[index] = controller
+        self._controllers = dict(sorted(self._controllers.items()))
+
+    def attach_vec_heracles(self, dram_model=None, config=None,
+                            model_segments=None,
+                            managed=None) -> "_VecHeracles":
+        """Attach Heracles: one masked array program over the members.
+
+        Mirrors :meth:`HeraclesController.for_sim` per managed member:
+        same config defaults, same offline guaranteed-frequency
+        measurement, same hot-working-set floor on the LC cache
+        partition, and — given neither ``dram_model`` nor
+        ``model_segments`` — the same offline DRAM profiling of the
+        member's LC workload.  ``model_segments`` are ``(slice,
+        model)`` pairs covering the managed members (one per cluster in
+        a merged fleet, one per member in a mixed scenario); adjacent
+        segments on one model merge.  ``managed`` is a boolean mask of
+        the members Heracles acts on (default: all); an unmanaged
+        member is never touched, exactly as a member with no
+        controller.
+
+        Raises:
+            ValueError: a controller is already attached to the batch,
+                a managed member has no BE task, or a managed member
+                already has an object controller running a control
+                loop.
+        """
+        from ..core.config import HeraclesConfig
+        from ..core.controller import lc_way_floor
+        from ..core.dram_model import profile_lc_dram_model
+        n = self.n
+        man = (np.ones(n, dtype=bool) if managed is None
+               else np.asarray(managed, dtype=bool))
+        if self.vec_heracles is not None:
+            raise ValueError("the batch already has a Heracles controller")
+        no_be = np.nonzero(man & ~self._has_be)[0]
+        if len(no_be):
+            raise ValueError(f"Heracles manages a colocation; member "
+                             f"{int(no_be[0])} has no BE task")
+        clash = [i for i, c in self._controllers.items()
+                 if man[i] and _control_loop(c)]
+        if clash:
+            raise ValueError(f"member {clash[0]} already has a controller; "
+                             f"a member runs one control loop at most")
+        managed_idx = np.nonzero(man)[0]
+        if model_segments is None and dram_model is not None:
+            model_segments = [(slice(0, n), dram_model)]
+        elif model_segments is None:
+            profiled: Dict[int, object] = {}
+            model_segments = []
+            for i in managed_idx:
+                lc = self._lcs[i]
+                if id(lc) not in profiled:
+                    profiled[id(lc)] = profile_lc_dram_model(lc)
+                model_segments.append((slice(i, i + 1), profiled[id(lc)]))
+        segments = []
+        for sl, model in model_segments:
+            if (segments and segments[-1][1] is model
+                    and segments[-1][0].stop == sl.start):
+                segments[-1] = (slice(segments[-1][0].start, sl.stop), model)
+            else:
+                segments.append((sl, model))
+
+        floors: Dict[int, int] = {}
+        for i in managed_idx:
+            w = self._lcs[i]
+            if id(w) not in floors:
+                floors[id(w)] = lc_way_floor(w)
+            self._min_lc_llc_ways[i] = floors[id(w)]
+        self.vec_heracles = _VecHeracles(self, segments,
+                                         config or HeraclesConfig(), man)
+        return self.vec_heracles
+
+    def _step_controllers(self) -> None:
+        """Object controllers in member order, then the vector step.
+
+        The order keeps a member's legacy injection schedule firing
+        ahead of its Heracles step, as a schedule wrapping a scalar
+        controller does.
+        """
+        for controller in self._controllers.values():
+            controller.step(self.time_s)
+        if self.vec_heracles is not None:
+            self.vec_heracles.step(self.time_s)
+
+    # ------------------------------------------------------------------
+    # Member state: load, noise, monitors, actuator operations
+    # ------------------------------------------------------------------
 
     def _offered_load(self) -> np.ndarray:
         """Offered load of every member at the current clock, shape (N,)."""
-        if self._shared_trace is not None:
-            return np.full(self.n, self._shared_trace.clipped(self.time_s))
-        return np.array([m.trace.clipped(self.time_s)
-                         for m in self.members])
-
-    def _gather_actuator_state(self):
-        """Placement state of every member, as 7 parallel (N,) arrays.
-
-        Returns ``(be_enabled, be_eff, lc_ways, be_ways, dvfs_cap,
-        throttle, be_ceil)`` where ``be_eff`` is the ``be_cores``
-        property view (0 while disabled) and uncapped DVFS/ceil values
-        are ``inf``.
-        """
-        n = self.n
-        be_eff = np.empty(n, dtype=np.int64)       # property view (0 if off)
-        lc_ways = np.empty(n, dtype=np.int64)      # raw CAT split
-        be_ways = np.empty(n, dtype=np.int64)
-        be_enabled = np.empty(n, dtype=bool)
-        dvfs_cap = np.empty(n)
-        throttle = np.empty(n)
-        be_ceil = np.empty(n)
-        for i, m in enumerate(self.members):
-            a = m.actuators
-            be_enabled[i] = a._be_enabled
-            be_eff[i] = a._be_cores if a._be_enabled else 0
-            lc_ways[i] = a._lc_ways
-            be_ways[i] = a._be_ways
-            cap = a._be_dvfs_cap
-            dvfs_cap[i] = np.inf if cap is None else cap
-            throttle[i] = a._be_dram_throttle
-            ceil = a.htb.ceil_of(BE_COS)
-            be_ceil[i] = np.inf if ceil is None else ceil
-        return (be_enabled, be_eff, lc_ways, be_ways, dvfs_cap, throttle,
-                be_ceil)
+        out = np.empty(self.n)
+        for sl, trace in self._trace_groups:
+            out[sl] = trace.clipped(self.time_s)
+        return out
 
     def _tail_noise_factors(self) -> Optional[np.ndarray]:
-        """Per-member tail-noise multipliers for this tick, or None.
-
-        Draws are taken per member in member order (a no-draw member —
-        sigma <= 0 — never consumes its stream), so the sequence
-        matches the scalar engine's single-server draws.
-        """
+        """Per-member tail-noise multipliers for this tick, or None."""
         if not self._any_noise:
             return None
-        draws = self._noise_draws
-        for i, sigma in enumerate(self._noise_sigmas):
-            if sigma > 0:
-                draws[i] = self.members[i].rng.lognormal(mean=0.0,
-                                                         sigma=sigma)
+        if self._noise_chunk is None or self._noise_pos >= len(
+                self._noise_chunk):
+            # One chunked draw per member stream: a Generator fills an
+            # array by repeating the scalar sampling routine, so k
+            # prefetched draws consume the stream exactly as k scalar
+            # lognormal() calls by the scalar engine's rng.
+            chunk = np.empty((1024, len(self._noise_idx)))
+            for j, i in enumerate(self._noise_idx):
+                chunk[:, j] = self._noise_rngs[j].lognormal(
+                    mean=0.0, sigma=self._noise_sigmas[i], size=1024)
+            self._noise_chunk = chunk
+            self._noise_pos = 0
+        if self._noise_all:
+            # Every member draws: the chunk row *is* the factor array.
+            draws = self._noise_chunk[self._noise_pos]
+        else:
+            draws = self._noise_draws
+            draws[self._noise_idx] = self._noise_chunk[self._noise_pos]
+        self._noise_pos += 1
         return draws
 
     def _record_members(self, load, tail, be_units, be_running,
                         dt_s) -> np.ndarray:
-        """Feed the per-member monitors; returns be_norm, shape (N,)."""
-        be_norm = np.zeros(self.n)
-        t = self.time_s
-        for i, m in enumerate(self.members):
-            m.latency_monitor.record(t, float(tail[i]), float(load[i]))
-            if be_running[i]:
-                m.be_monitor.record(float(be_units[i]) * dt_s, dt_s)
-                be_norm[i] = m.be_monitor.last_normalized
-        return be_norm
-
-    def _step_controllers(self) -> None:
-        """Run every member's controller at the current clock."""
-        for m in self.members:
-            if m.controller is not None:
-                m.controller.step(self.time_s)
+        """Feed the monitors; returns be_norm, shape (N,)."""
+        self._vmon.record(self.time_s, tail, load)
+        # ThroughputMonitor.record: ((units * dt) / dt) / reference,
+        # updated only where the BE group ran this tick.
+        norm = ((be_units * dt_s) / dt_s) / self._be_ref_safe
+        self._be_last_norm = np.where(be_running, norm, self._be_last_norm)
+        return np.where(be_running, self._be_last_norm, 0.0)
 
     def be_cores_now(self) -> np.ndarray:
         """Every member's current ``be_cores`` property view, shape (N,).
@@ -579,8 +904,43 @@ class BatchColocationSim:
         including any controller mutations from the current tick's
         step — which is what a cluster scheduler polls after a tick.
         """
-        return np.array([m.actuators.be_cores for m in self.members],
-                        dtype=np.int64)
+        return np.where(self._act_enabled, self._act_cores, 0)
+
+    # Masked transcriptions of the Actuators methods.
+
+    def _v_set_split(self, mask: np.ndarray, be_ways) -> None:
+        """set_llc_split under ``mask`` (``be_ways`` scalar or array)."""
+        ways = np.clip(be_ways, 0,
+                       self.spec.socket.llc_ways - self._min_lc_llc_ways)
+        self._act_be_ways[mask] = ways[mask]
+        self._act_lc_ways[mask] = (self.spec.socket.llc_ways
+                                   - self._act_be_ways[mask])
+
+    def _v_enable(self, mask: np.ndarray) -> None:
+        """enable_be under ``mask`` (no-op where already enabled)."""
+        fresh = mask & ~self._act_enabled
+        if not fresh.any():
+            return
+        self._act_enabled[fresh] = True
+        self._act_cores[fresh] = min(1, self._max_be_cores)
+        self._v_set_split(fresh, self._initial_be_ways)
+
+    def _v_disable(self, mask: np.ndarray) -> None:
+        """disable_be under ``mask``."""
+        if not mask.any():
+            return
+        self._act_enabled[mask] = False
+        self._act_cores[mask] = 0
+        self._v_set_split(mask, 0)
+        self._act_cap[mask] = np.inf
+        self._act_throttle[mask] = 1.0
+        self._act_ceil[mask] = np.inf
+
+    def _v_remove_cores(self, mask: np.ndarray, count: np.ndarray) -> None:
+        """remove_be_cores under ``mask`` (``count`` integral array)."""
+        count = np.asarray(count).astype(np.int64)
+        removed = np.minimum(np.maximum(0, count), self._act_cores)
+        self._act_cores[mask] = (self._act_cores - removed)[mask]
 
     # ------------------------------------------------------------------
     # Observability (decision tracing / phase profiling)
@@ -589,8 +949,7 @@ class BatchColocationSim:
     # Off by default: ``_obs_trace`` / ``_obs_prof`` stay None unless
     # the REPRO_TRACE / REPRO_PROFILE toggles are set, and every hook
     # below is gated on one ``is None`` check.  Tracing never mutates
-    # engine state — the post-controller gather restores the
-    # ``_gathered_be_cores`` cache the fleet drivers read.
+    # engine state.
 
     #: Class-level observability defaults (pre-observability pickles
     #: restore with everything off).
@@ -618,30 +977,22 @@ class BatchColocationSim:
         return self._obs_map
 
     def _obs_actuator_state(self):
-        """The traced actuator columns ``(gate, cores, llc, dvfs, ceil)``.
-
-        A pure re-gather through the member-surface hook (so the mega
-        engine's array state reads through its own override), with the
-        ``_gathered_be_cores`` cache restored — the fleet drivers
-        record that cache as the tick's ``be_cores`` row, and tracing
-        must never perturb it.
-        """
-        saved = self._gathered_be_cores
-        (be_enabled, be_eff, _lc_ways, be_ways, dvfs_cap, _throttle,
-         be_ceil) = self._gather_actuator_state()
-        self._gathered_be_cores = saved
-        return (be_enabled, be_eff, np.where(be_enabled, be_ways, 0),
-                dvfs_cap, be_ceil)
+        """The traced actuator columns ``(gate, cores, llc, dvfs, ceil)``
+        (uncapped DVFS / ceiling read ``inf``)."""
+        enabled = self._act_enabled
+        return (enabled, np.where(enabled, self._act_cores, 0),
+                np.where(enabled, self._act_be_ways, 0), self._act_cap,
+                self._act_ceil)
 
     def _obs_emit_decisions(self, pre, slo_fraction, load) -> None:
         """Emit one event per actuator a controller changed this tick.
 
-        ``pre`` is the traced actuator tuple derived from the tick's
-        step-2 gather (post-chaos, pre-controller — chaos mutations
-        carry their own events); attached triggering signals are the
-        tick's observed SLO fraction and offered load.  Uncapped
-        DVFS/ceiling values (``inf``) are emitted as null.  The whole
-        tick goes out as one fused ``(5, N)`` delta append (see
+        ``pre`` is a copy of the traced actuator columns taken after
+        the tick's chaos events and before its controllers (chaos
+        mutations carry their own events); attached triggering signals
+        are the tick's observed SLO fraction and offered load.
+        Uncapped DVFS/ceiling values (``inf``) are emitted as null.  The
+        whole tick goes out as one fused ``(5, N)`` delta append (see
         :meth:`TraceSink.emit_actuator_deltas`) — array-shaped cost,
         no per-event Python calls.
         """
@@ -693,7 +1044,11 @@ class BatchColocationSim:
         self._chaos_part_until = np.full(n, -np.inf)
 
     def _chaos_apply(self) -> None:
-        """Fire due events, then re-pin the BE-off state of dead members."""
+        """Fire due events, then re-pin the BE-off state of dead members.
+
+        The actuator actions are the masked :class:`Actuators`
+        transcriptions above, applied to the targeted members.
+        """
         events = self._chaos
         pos = self._chaos_pos
         while pos < len(events) and events[pos].at_s <= self.time_s:
@@ -706,11 +1061,13 @@ class BatchColocationSim:
             if self._obs_trace is not None:
                 trace_chaos_event(self._obs_trace, self.time_s, ev,
                                   self._obs_members()[idx])
+            mask = np.zeros(self.n, dtype=bool)
+            mask[idx] = True
             if ev.action == "leaf_crash":
                 self._chaos_alive[idx] = False
             elif ev.action == "leaf_restart":
                 self._chaos_alive[idx] = True
-                self._chaos_disable_be(idx)   # rejoin cold
+                self._v_disable(mask)   # rejoin cold
             elif ev.action == "straggler":
                 self._chaos_derate[idx] = float(ev.value)
             elif ev.action == "power_cap":
@@ -719,46 +1076,28 @@ class BatchColocationSim:
                 self._chaos_part_until[idx] = np.maximum(
                     self._chaos_part_until[idx], ev.at_s + float(ev.value))
             elif ev.action == "enable_be":
-                self._chaos_enable_be(idx)
+                self._v_enable(mask)
             elif ev.action == "disable_be":
-                self._chaos_disable_be(idx)
+                self._v_disable(mask)
             elif ev.action == "set_be_cores":
-                self._chaos_set_be_cores(idx, int(ev.value))
+                # Actuators.set_be_cores: an unconditional raw-count
+                # write, clamped to keep the LC core minimum.
+                self._act_cores[mask] = max(
+                    0, min(int(ev.value), self._max_be_cores))
             elif ev.action == "set_llc_split":
-                self._chaos_set_llc_split(idx, int(ev.value))
-            else:  # set_be_net_ceil
-                self._chaos_set_net_ceil(idx, float(ev.value))
+                self._v_set_split(mask, int(ev.value))
+            else:  # set_be_net_ceil: HtbQdisc.set_ceil's clamp
+                link = self._nic_link
+                self._act_ceil[mask] = np.minimum(
+                    np.maximum(0.0, float(ev.value)),
+                    link[mask] if np.ndim(link) else link)
         self._chaos_pos = pos
         dead = ~self._chaos_alive
         if dead.any():
             # Forced off every tick while down: a controller that turns
             # BE back on mid-crash is overridden at the next tick start,
             # exactly as the scalar engine re-pins its single member.
-            self._chaos_disable_be(np.nonzero(dead)[0])
-
-    # Chaos actuator hooks — the member-surface seam.  The mega engine
-    # overrides these with masked array transcriptions of the same
-    # Actuators methods.
-
-    def _chaos_disable_be(self, indices) -> None:
-        for i in indices:
-            self.members[i].actuators.disable_be()
-
-    def _chaos_enable_be(self, indices) -> None:
-        for i in indices:
-            self.members[i].actuators.enable_be()
-
-    def _chaos_set_be_cores(self, indices, value: int) -> None:
-        for i in indices:
-            self.members[i].actuators.set_be_cores(value)
-
-    def _chaos_set_llc_split(self, indices, value: int) -> None:
-        for i in indices:
-            self.members[i].actuators.set_llc_split(value)
-
-    def _chaos_set_net_ceil(self, indices, value: float) -> None:
-        for i in indices:
-            self.members[i].actuators.set_be_net_ceil(value)
+            self._v_disable(dead)
 
     # ------------------------------------------------------------------
     # Static per-member parameter arrays
@@ -882,18 +1221,6 @@ class BatchColocationSim:
         self._bulk_reuse_cat = np.concatenate([self._lc["bulk_reuse"],
                                                self._be["bulk_reuse"]])
 
-    def _lc_net_of(self, i: int) -> float:
-        """Member ``i``'s achieved LC egress as a plain float.
-
-        The per-member float list is materialized from the tick's
-        ``lc_net_ach`` column on first poll and cached for the rest of
-        the tick — engines with no member objects never pay for it.
-        """
-        lst = self._lc_net_list
-        if lst is None:
-            lst = self._lc_net_list = self._tick["lc_net_ach"].tolist()
-        return lst[i]
-
     def _empty_tick(self) -> Dict[str, np.ndarray]:
         n, zeros = self.n, np.zeros(self.n)
         return {
@@ -943,22 +1270,24 @@ class BatchColocationSim:
             # their load held at the root (reads as zero here).
             load = np.where(chaos_dead | chaos_parted, 0.0, load)
 
-        # -- 2. Gather placement state from the actuators -------------------
-        (be_enabled, be_eff, lc_ways, be_ways, dvfs_cap, throttle,
-         be_ceil) = self._gather_actuator_state()
+        # -- 2. Placement state from the actuator columns -------------------
+        # Live columns: controllers mutate them only after the physics
+        # and the telemetry row below have read them.
+        be_enabled = self._act_enabled
+        be_eff = np.where(be_enabled, self._act_cores, 0)
+        lc_ways, be_ways = self._act_lc_ways, self._act_be_ways
+        dvfs_cap, throttle = self._act_cap, self._act_throttle
+        be_ceil = self._act_ceil
         # The gathered be_cores view is the post-step state of the
         # *previous* tick (controllers mutate actuators after physics);
-        # keep it readable so callers can collect controller grants
-        # without a per-member property loop.
+        # keep it readable so callers can collect controller grants.
         self._gathered_be_cores = be_eff
         pre_act = None
         if self._obs_trace is not None:
-            # Copies, not views: the mega engine's gather returns its
-            # live actuator arrays, which controllers mutate in place —
-            # the pre-controller snapshot must not follow them.
-            pre_act = (np.array(be_enabled), np.array(be_eff),
-                       np.where(be_enabled, be_ways, 0),
-                       np.array(dvfs_cap), np.array(be_ceil))
+            # Copies: the pre-controller snapshot must not follow the
+            # live columns.
+            pre_act = tuple(np.array(column)
+                            for column in self._obs_actuator_state())
 
         be_running = self._has_be & be_enabled & (be_eff > 0)
 
@@ -1119,10 +1448,6 @@ class BatchColocationSim:
             "cpu_utilization": (np.minimum(cores_in_use, spec.total_cores)
                                 / spec.total_cores),
         }
-        # Invalidate the members' plain-float egress view; it is
-        # materialized lazily on first poll (never, for engines with no
-        # member objects).
-        self._lc_net_list = None
 
         # -- 11. Member bookkeeping: monitors, history, controllers ---------
         if prof is not None:
@@ -1458,6 +1783,364 @@ class BatchColocationSim:
             "be_ach": alloc_be,
             "total_ach": alloc_lc + alloc_be,
         }
+
+
+# ----------------------------------------------------------------------
+# Heracles on a batch: the vector controller
+# ----------------------------------------------------------------------
+
+
+class _VecHeracles:
+    """Algorithms 1-4 as one masked array program over the membership.
+
+    Every branch of the scalar controllers becomes a boolean member
+    mask; every early ``return`` narrows the mask for the statements
+    below it.  Periods are shared scalars — all members' controllers
+    are created before the first tick and therefore step in lockstep —
+    and every float expression preserves the scalar code's operation
+    order, so the cascade is a bit-identical replica of N independent
+    :class:`HeraclesController` instances.
+    """
+
+    def __init__(self, sim: BatchColocationSim, model_segments, config,
+                 managed: np.ndarray):
+        from ..core.power import guaranteed_frequency_ghz
+        config.validate()
+        self.sim = sim
+        self.cfg = config
+        n = sim.n
+        spec = sim.spec
+        # Members the controller may act on; None means all of them.
+        # An unmanaged member's masks can never reach an actuator,
+        # exactly as a member with no controller.
+        self._man = None if bool(managed.all()) else managed
+        # Per-member control targets (clusters differ in SLO, offline
+        # calibration, and DRAM/NIC capacity; every structural scalar
+        # is shared by the batch's merge contract).  The SLO vector is
+        # the controller's own copy: retargeting it (the cluster
+        # coordinator) moves the goalposts, not the physics'
+        # slo_fraction.
+        self.slo_ms = sim._lc["slo_ms"].copy()
+        g = np.empty(n)
+        memo: Dict[int, float] = {}
+        for i, w in enumerate(sim._lcs):
+            key = id(w)
+            if key not in memo:
+                memo[key] = guaranteed_frequency_ghz(w)
+            g[i] = memo[key]
+        self.guaranteed_ghz = g
+        self.sockets = max(1, spec.sockets)
+        self.total_cores = spec.total_cores
+        self.tdp_watts = spec.socket.tdp_watts
+        self.link_gbps = sim._nic_link  # scalar, or (N,) heterogeneous
+        cap = sim._dram_cap
+        self.dram_limit = (config.dram_limit_fraction
+                           * (cap[:, 0] if np.ndim(cap) else cap))
+        #: ``(slice, LcDramBandwidthModel)`` pairs: the offline model
+        #: each managed member range shares.
+        self.model_segments = list(model_segments)
+        # Plain-array views of the offline model grids (vector twin of
+        # LcDramBandwidthModel.predict_gbps).
+        self._model_grids = [
+            (sl, np.asarray(model.loads, dtype=float),
+             np.asarray(model.ways, dtype=float),
+             np.asarray(model.bandwidth_gbps, dtype=float),
+             model.scale)
+            for sl, model in self.model_segments]
+
+        # ControlState columns.
+        self.slack = np.ones(n)
+        self.load = np.zeros(n)
+        self.growth = np.ones(n, dtype=bool)
+        self.cooldown_until = np.zeros(n)
+        self.phase_llc = np.ones(n, dtype=bool)  # GrowthPhase.GROW_LLC
+        # Subcontroller period clocks (shared: lockstep construction).
+        self._last_poll_s: Optional[float] = None
+        self._last_cm_s: Optional[float] = None
+        self._last_pw_s: Optional[float] = None
+        self._last_net_s: Optional[float] = None
+        # Core & memory internals.
+        self._last_bw = np.zeros(n)
+        self._has_last_bw = False
+        self._bw_deriv = np.zeros(n)
+        self._pending = np.zeros(n, dtype=bool)
+        self._p_prev_ways = np.zeros(n, dtype=np.int64)
+        self._p_thr_before = np.zeros(n)
+        self._p_slack_before = np.zeros(n)
+        self._sbg = np.zeros(n)
+        self._sbg_active = np.zeros(n, dtype=bool)
+        self._last_slack_drop = np.zeros(n)
+        self._llc_slack_drop = np.zeros(n)
+
+    def manages(self, index: int) -> bool:
+        """Whether member ``index`` runs under this controller."""
+        return self._man is None or bool(self._man[index])
+
+    def _gate(self, mask: np.ndarray) -> np.ndarray:
+        """Restrict an actuation mask to managed members.
+
+        Chaos ``enable_be`` events can switch on BE work for unmanaged
+        members, so "has an enabled BE group" does not imply "managed";
+        every controller write must stay off an unmanaged member.
+        """
+        return mask if self._man is None else mask & self._man
+
+    # -- Shared measurements -------------------------------------------
+
+    def _predict_lc_bw(self, load: np.ndarray,
+                       lc_ways: np.ndarray) -> np.ndarray:
+        """Vector twin of ``LcDramBandwidthModel.predict_gbps``.
+
+        Evaluated per model segment (each has its own offline model
+        grid); unmanaged gaps stay 0 and are never read — every
+        consumer mask is gated to managed members.
+        """
+        out = np.zeros(self.sim.n)
+        for sl, gl, gw, table, scale in self._model_grids:
+            lo = np.minimum(gl[-1], np.maximum(gl[0], load[sl]))
+            w = np.minimum(gw[-1],
+                           np.maximum(gw[0], lc_ways[sl].astype(float)))
+            li = np.clip(np.searchsorted(gl, lo, side="left") - 1,
+                         0, len(gl) - 2)
+            wi = np.clip(np.searchsorted(gw, w, side="left") - 1,
+                         0, len(gw) - 2)
+            lf = (lo - gl[li]) / (gl[li + 1] - gl[li])
+            wf = (w - gw[wi]) / (gw[wi + 1] - gw[wi])
+            value = ((1 - lf) * (1 - wf) * table[li, wi]
+                     + lf * (1 - wf) * table[li + 1, wi]
+                     + (1 - lf) * wf * table[li, wi + 1]
+                     + lf * wf * table[li + 1, wi + 1])
+            out[sl] = value * scale
+        return out
+
+    def _current_slack(self, now_s: float) -> np.ndarray:
+        """CoreMemoryController.current_slack, for every member at once."""
+        latency = self.sim._vmon.recent_latency_ms(
+            now_s, span_s=self.cfg.core_mem_period_s)
+        if latency is None:
+            return self.slack
+        return (self.slo_ms - latency) / self.slo_ms
+
+    # -- The grouped control step --------------------------------------
+
+    def step(self, now_s: float) -> None:
+        """One control tick: Algorithms 1-4 in the facade's order."""
+        self._top_level(now_s)
+        self._core_memory(now_s)
+        self._power(now_s)
+        self._network(now_s)
+    def _top_level(self, now_s: float) -> None:
+        cfg = self.cfg
+        if (self._last_poll_s is not None
+                and now_s - self._last_poll_s < cfg.poll_period_s):
+            return
+        self._last_poll_s = now_s
+        latency, load = self.sim._vmon.poll(now_s)
+        if latency is None or load is None:
+            return  # not enough samples yet
+        slack = (self.slo_ms - latency) / self.slo_ms
+        self.slack = slack
+        self.load = load
+
+        sim = self.sim
+        viol = slack < 0
+        sim._v_disable(self._gate(viol))
+        self.growth[viol] = False
+        self.cooldown_until = np.where(
+            viol, np.maximum(self.cooldown_until, now_s + cfg.cooldown_s),
+            self.cooldown_until)
+        rest = ~viol
+        high = rest & (load > cfg.load_disable_threshold)
+        sim._v_disable(self._gate(high))
+        self.growth[high] = False
+        rest = rest & ~high
+        enable = self._gate(rest & (load < cfg.load_enable_threshold)
+                            & ~(now_s < self.cooldown_until))
+        sim._v_enable(enable)
+        # Slack guards (unconditional on load; see top_level.py note).
+        low = rest & (slack < cfg.slack_no_growth)
+        self.growth[low] = False
+        cut = self._gate(low & (slack < cfg.slack_cut_cores)
+                         & sim._act_enabled)
+        if cut.any():
+            excess = sim.be_cores_now() - cfg.be_cores_floor
+            sim._v_remove_cores(cut & (excess > 0), excess)
+        self.growth[rest & ~low] = True
+
+    def _core_memory(self, now_s: float) -> None:
+        cfg = self.cfg
+        if (self._last_cm_s is not None
+                and now_s - self._last_cm_s < cfg.core_mem_period_s):
+            return
+        self._last_cm_s = now_s
+        sim = self.sim
+        tick = sim._tick
+
+        # MeasureDRAMBw(): busiest-socket traffic + derivative.
+        bw = tick["worst_socket_dram_gbps"]
+        if self._has_last_bw:
+            self._bw_deriv = bw - self._last_bw
+        self._last_bw = bw
+        self._has_last_bw = True
+
+        cores = sim.be_cores_now()
+        be_dram = np.where(tick["be_running"], tick["be_dram_ach"], 0.0)
+        safe_cores = np.where(cores > 0, cores, 1)
+        per_core = np.where(cores <= 0, 1.0,
+                            np.maximum(0.1, be_dram / safe_cores))
+
+        # Hard constraint 1: never saturate DRAM.
+        m1 = self._gate((bw > self.dram_limit) & (cores > 0))
+        if m1.any():
+            to_remove = np.maximum(
+                1.0, np.ceil((bw - self.dram_limit) / per_core))
+            sim._v_remove_cores(m1, to_remove)
+            self._pending &= ~m1
+
+        # Hard constraint 2: rising load reclaims LC cores immediately.
+        lc_floor = np.minimum(
+            self.total_cores,
+            np.ceil((self.load * self.total_cores) * 1.08) + 1)
+        budget = np.maximum(0.0, self.total_cores - lc_floor)
+        alive = ~m1
+        over = cores - budget
+        m2 = self._gate(alive & (over > 0))
+        if m2.any():
+            sim._v_remove_cores(m2, over)
+            self._pending &= ~m2
+        alive = alive & ~m2
+
+        cs = self._current_slack(now_s)
+
+        # Finish a pending grow-LLC check; others decay their estimates.
+        was_pending = self._pending
+        mp = alive & was_pending
+        if mp.any():
+            self._pending = self._pending & ~mp
+            self._llc_slack_drop = np.where(
+                mp, np.maximum(0.0, self._p_slack_before - cs),
+                self._llc_slack_drop)
+            rollback = mp & ((cs < cfg.slack_no_growth)
+                             | (self._bw_deriv >= 0))
+            if rollback.any():
+                sim._v_set_split(rollback, self._p_prev_ways)
+                self.phase_llc[rollback] = False
+            checked = mp & ~rollback
+            gain = sim._be_last_norm - self._p_thr_before
+            no_benefit = checked & (gain <= cfg.be_benefit_epsilon
+                                    * np.maximum(1e-9, self._p_thr_before))
+            self.phase_llc[no_benefit] = False
+        decay = alive & ~was_pending
+        self._last_slack_drop[decay] *= 0.8
+        self._llc_slack_drop[decay] *= 0.8
+
+        # CanGrowBE(): enabled, growth allowed, no cooldown.
+        grow = self._gate(alive & sim._act_enabled & self.growth
+                          & ~(now_s < self.cooldown_until))
+        if not grow.any():
+            return
+        cores = sim.be_cores_now()  # hard constraints may have removed
+        lc_model = (self._predict_lc_bw(self.load, sim._act_lc_ways)
+                    / self.sockets)
+        be_bw = be_dram / self.sockets
+
+        # GROW_LLC arm.
+        gl = grow & self.phase_llc
+        if gl.any():
+            slack = np.minimum(self.slack, cs)
+            g1 = gl & ~(slack < cfg.slack_no_growth + cfg.growth_guard)
+            pre = g1 & (slack - 3.0 * self._llc_slack_drop
+                        <= cfg.slack_cut_cores)
+            self.phase_llc[pre] = False
+            g2 = g1 & ~pre
+            predicted = (lc_model + be_bw) + self._bw_deriv
+            blocked = g2 & (predicted > self.dram_limit)
+            self.phase_llc[blocked] = False
+            g3 = g2 & ~blocked
+            if g3.any():
+                prev = sim._act_be_ways.copy()
+                full = g3 & (sim._act_be_ways + 1
+                             > self.sim.spec.socket.llc_ways - 1)
+                self.phase_llc[full] = False
+                ok = g3 & ~full
+                if ok.any():
+                    sim._v_set_split(ok, sim._act_be_ways + 1)
+                    self._pending |= ok
+                    self._p_prev_ways[ok] = prev[ok]
+                    self._p_thr_before[ok] = sim._be_last_norm[ok]
+                    self._p_slack_before[ok] = slack[ok]
+
+        # GROW_CORES arm.
+        gc = grow & ~self.phase_llc & ~gl
+        if gc.any():
+            needed = (lc_model + be_bw) + per_core
+            dram_blocked = gc & (needed > self.dram_limit)
+            self.phase_llc[dram_blocked] = True
+            t = gc & ~dram_blocked
+            if t.any():
+                slack = np.minimum(self.slack, cs)
+                upd = t & self._sbg_active
+                self._last_slack_drop = np.where(
+                    upd, np.maximum(0.0, self._sbg - cs),
+                    self._last_slack_drop)
+                self._sbg_active = self._sbg_active & ~t
+                t1 = t & ~(slack <= cfg.slack_no_growth + cfg.growth_guard)
+                exhausted = t1 & (budget - cores <= 0)
+                self.phase_llc[exhausted] = True
+                t2 = t1 & ~exhausted
+                t3 = t2 & ~(slack - 3.0 * self._last_slack_drop
+                            <= cfg.slack_cut_cores)
+                granted = t3 & (sim._act_cores < sim._max_be_cores)
+                if granted.any():
+                    sim._act_cores[granted] += 1
+                    self._sbg[granted] = cs[granted]
+                    self._sbg_active |= granted
+
+    def _power(self, now_s: float) -> None:
+        cfg = self.cfg
+        if (self._last_pw_s is not None
+                and now_s - self._last_pw_s < cfg.power_period_s):
+            return
+        self._last_pw_s = now_s
+        sim = self.sim
+        # max over sockets of rapl/tdp == rapl.max/tdp (division by a
+        # positive scalar is monotone, so the max commutes bitwise).
+        power_fraction = sim._rapl_watts.max(axis=1) / self.tdp_watts
+        ls_freq = sim._tick["lc_freq_ghz"]
+        threshold = cfg.power_tdp_threshold
+        lower = self._gate((power_fraction > threshold)
+                           & (ls_freq < self.guaranteed_ghz)
+                           & (sim.be_cores_now() > 0))
+        raise_ = self._gate((power_fraction <= threshold)
+                            & (ls_freq >= self.guaranteed_ghz))
+        # Only one-step lowers and raises (and disable_be's reset) ever
+        # reach a managed member's cap, so it sits on the ladder and its
+        # index is an exact lookup.
+        cap = sim._act_cap
+        idx = np.searchsorted(sim._cap_ladder, cap)
+        cap[lower] = sim._cap_ladder[sim._cap_down[idx[lower]]]
+        cap[raise_] = sim._cap_ladder[sim._cap_up[idx[raise_]]]
+
+    def _network(self, now_s: float) -> None:
+        cfg = self.cfg
+        if (self._last_net_s is not None
+                and now_s - self._last_net_s < cfg.network_period_s):
+            return
+        self._last_net_s = now_s
+        sim = self.sim
+        link = self.link_gbps
+        lc_bw = sim._tick["lc_net_ach"]
+        headroom = np.maximum(cfg.net_link_headroom * link,
+                              cfg.net_lc_headroom * lc_bw)
+        budget = (link - lc_bw) - headroom
+        # set_be_net_ceil(max(0, budget)), then the HTB clamp to the
+        # link rate — max(0, max(0, x)) collapses.
+        ceil = np.minimum(np.maximum(0.0, budget), link)
+        if self._man is None:
+            sim._act_ceil = ceil
+        else:
+            sim._act_ceil = np.where(self._man, ceil, sim._act_ceil)
+
 
 
 # ----------------------------------------------------------------------

@@ -7,10 +7,9 @@ defines the one event type every engine consumes:
 :class:`ChaosEvent`, a timed, optionally member-targeted fault.
 
 The contract mirrors the rest of the simulation stack: the scalar
-:class:`~repro.sim.engine.ColocationSim`, the batched
-:class:`~repro.sim.batch.BatchColocationSim`, and the mega
-:class:`~repro.sim.megabatch.MegaClusterSim` all resolve the same
-event schedule to bit-identical histories.  To make that possible the
+:class:`~repro.sim.engine.ColocationSim` and the batched
+:class:`~repro.sim.batch.BatchColocationSim` (which the fleet engine
+runs too) resolve the same event schedule to bit-identical histories.  To make that possible the
 semantics are defined once, here:
 
 * Events fire at the **start** of the tick whose time satisfies
@@ -35,7 +34,9 @@ semantics are defined once, here:
   blackout.  BE work keeps running — only the LC path is cut.
 * The legacy actuator actions (``enable_be`` … ``set_be_net_ceil``)
   are also accepted so fleet scenarios can drive actuators through
-  the same schedule; they call the member's actuator surface.
+  the same schedule; they call the scalar engine's
+  :class:`~repro.sim.actuators.Actuators`, or its masked transcription
+  over the batch's actuator columns.
 """
 
 from __future__ import annotations

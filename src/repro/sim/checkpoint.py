@@ -7,7 +7,7 @@ engine's complete live state mid-run so the run can continue — in this
 process, a new process, or several processes at once (warm-started
 what-if branching: simulate to steady state once, fork many futures).
 
-Snapshot format (version 1)
+Snapshot format (version 2)
 ---------------------------
 
 One engine checkpoint is a single uncompressed ``.npz`` archive:
@@ -62,8 +62,9 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-#: Archive layout version; bumped on any incompatible format change.
-CHECKPOINT_VERSION = 1
+#: Archive layout version; bumped on any incompatible format change
+#: (2: batch members pickle as array state, not per-member objects).
+CHECKPOINT_VERSION = 2
 
 _META_KEY = "__meta__"
 _PICKLE_KEY = "__pickle__"
@@ -96,7 +97,7 @@ def checkpoint_step(at_s: float, duration_s: float, dt_s: float) -> int:
 def save_engine(sim: Any, path: str, kind: str,
                 arrays: Optional[Mapping[str, np.ndarray]] = None,
                 extra_meta: Optional[Mapping[str, Any]] = None) -> str:
-    """Write one engine's full state as a version-1 archive.
+    """Write one engine's full state as a current-version archive.
 
     Args:
         sim: the engine (scalar, batch, or mega group).  Must pickle —

@@ -20,6 +20,10 @@ from ..metrics.windows import sample_mean
 class LatencyMonitor:
     """Sliding-window view of an LC service's tail latency and load."""
 
+    #: The window estimate: a plain sequential mean (the batch engine's
+    #: vector monitor swaps in the same mean over per-member rows).
+    _mean = staticmethod(sample_mean)
+
     def __init__(self, window_s: float = 15.0, slo_window_s: float = 60.0):
         if window_s <= 0 or slo_window_s <= 0:
             raise ValueError("windows must be positive")
@@ -63,7 +67,7 @@ class LatencyMonitor:
         window = self._window(now_s, self.window_s)
         if not window:
             return None
-        return sample_mean([s[1] for s in window])
+        return self._mean([s[1] for s in window])
 
     def recent_latency_ms(self, now_s: float,
                           span_s: float = 2.0) -> Optional[float]:
@@ -97,14 +101,14 @@ class LatencyMonitor:
             window = list(self._samples)[-1:]
         if not window:
             return None
-        return sample_mean([s[1] for s in window])
+        return self._mean([s[1] for s in window])
 
     def poll_load(self, now_s: float) -> Optional[float]:
         """Offered load averaged over the control window."""
         window = self._window(now_s, self.window_s)
         if not window:
             return None
-        return sample_mean([s[2] for s in window])
+        return self._mean([s[2] for s in window])
 
     def worst_window_ms(self, now_s: float) -> Optional[float]:
         """Worst tail estimate inside the SLO reporting window."""

@@ -90,8 +90,11 @@ class TestWebsearchCluster:
 
     def test_be_tasks_alternate(self, short_run):
         cluster, _ = short_run
-        names = [leaf.sim.be.name for leaf in cluster.leaves]
+        batch = cluster.batch
+        names = [member.be.name for member in batch.members]
         assert names == ["brain", "streetview", "brain", "streetview"]
+        # Every leaf's colocation runs under the vector controller.
+        assert all(batch.vec_heracles.manages(i) for i in range(batch.n))
 
     def test_root_slo_above_leaf_slo(self, short_run):
         cluster, _ = short_run
@@ -115,6 +118,7 @@ class TestWebsearchCluster:
 
     def test_shared_dram_model(self, short_run):
         cluster, _ = short_run
-        models = {id(leaf.controller.core_memory.dram_model)
-                  for leaf in cluster.leaves}
-        assert len(models) == 1  # one offline model shared by all leaves
+        segments = cluster.batch.vec_heracles.model_segments
+        # One offline model shared by all leaves: a single segment.
+        assert len(segments) == 1
+        assert segments[0][0] == slice(0, cluster.batch.n)

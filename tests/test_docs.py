@@ -48,3 +48,21 @@ def test_link_checker_catches_breakage(tmp_path):
                    "[ok](https://example.com)\n")
     broken = check_doc_links.broken_links(str(bad))
     assert broken == [(1, "missing_file.md")]
+
+
+def test_src_docstring_citations_resolve():
+    """Every repo path a ``src/`` docstring cites exists."""
+    broken = {path: check_doc_links.broken_citations(path)
+              for path in check_doc_links._expand(
+                  [os.path.join(ROOT, "src")])}
+    assert {path: b for path, b in broken.items() if b} == {}
+
+
+def test_citation_checker_catches_breakage(tmp_path):
+    """The docstring checker flags a dangling citation (meta-test)."""
+    bad = tmp_path / "bad.py"
+    bad.write_text('"""Module.\n\nSee ``benchmarks/nope.py`` and '
+                   'GONE.md, not https://example.com/a.py."""\n\n\n'
+                   'def f():\n    """Bench: ``tests/test_docs.py``."""\n')
+    assert check_doc_links.broken_citations(str(bad)) == [
+        (3, "GONE.md"), (3, "benchmarks/nope.py")]
