@@ -353,99 +353,77 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_shard_leaves(args: argparse.Namespace, command: str) -> None:
-    """Reject non-positive ``--shard-leaves`` before any work starts."""
-    if args.shard_leaves is not None and args.shard_leaves < 1:
-        raise SystemExit(
-            f"{command}: --shard-leaves must be a positive leaf count, "
-            f"got {args.shard_leaves}")
+def _run_fleet_shaped(args: argparse.Namespace, command: str, shape: str,
+                      policy: Optional[str] = None):
+    """Resolve, override and run a fleet- or schedule-shaped scenario.
 
+    The shared body of ``repro fleet`` (``shape="fleet"``) and ``repro
+    sched`` (``shape="schedule"``): the ``--list`` filter, the shape
+    check, the ``--seed``/``--shard-leaves``/``--engine`` overrides on
+    the run's :class:`FleetSpec`, ``policy`` on the schedule stanza,
+    and the checkpoint flags.  A non-positive ``--shard-leaves`` fails
+    before the scenario is even resolved.
 
-def _run_fleet_command(args: argparse.Namespace) -> int:
-    """Handle ``repro fleet [name-or-file] [--list] [--shard-leaves N]``."""
+    Returns:
+        ``(spec, result)``, or ``None`` after printing ``--list``.
+    """
     import dataclasses
 
     from .scenarios import ScenarioError, compile_scenario, registry
     if args.list_scenarios:
         for name in registry.names():
-            if registry.get(name).fleet is not None:
+            if getattr(registry.get(name), shape) is not None:
                 print(f"{name:<16} {registry.description(name)}")
-        return 0
+        return None
     if args.scenario is None:
-        raise SystemExit("fleet: give a registered fleet scenario name or "
-                         "a spec file path (or --list)")
-    _check_shard_leaves(args, "fleet")
+        raise SystemExit(f"{command}: give a registered {shape} scenario "
+                         f"name or a spec file path (or --list)")
+    if args.shard_leaves is not None and args.shard_leaves < 1:
+        raise SystemExit(
+            f"{command}: --shard-leaves must be a positive leaf count, "
+            f"got {args.shard_leaves}")
     try:
         spec = _resolve_scenario_spec(args.scenario)
-        if spec.fleet is None:
-            hint = "run it with the 'sched' command instead" \
-                if spec.schedule is not None \
-                else "run it with the 'scenario' command instead"
+        if getattr(spec, shape) is None:
+            other = "sched" if spec.schedule is not None else (
+                "fleet" if spec.fleet is not None else "scenario")
             raise SystemExit(
-                f"fleet: scenario {spec.name!r} is not fleet-shaped; "
-                f"{hint}")
+                f"{command}: scenario {spec.name!r} is not {shape}-shaped; "
+                f"run it with the {other!r} command instead")
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
-        if args.shard_leaves is not None:
-            spec = dataclasses.replace(
-                spec, fleet=dataclasses.replace(
-                    spec.fleet, shard_leaves=args.shard_leaves))
-        if args.engine is not None:
-            spec = dataclasses.replace(
-                spec, fleet=dataclasses.replace(spec.fleet,
-                                                engine=args.engine))
-        spec = _apply_checkpoint_args(args, spec)
-        result = compile_scenario(spec).run()
+        fleet_overrides = {name: value for name, value in (
+            ("shard_leaves", args.shard_leaves), ("engine", args.engine))
+            if value is not None}
+        stanza = getattr(spec, shape)
+        if shape == "schedule":
+            stanza = dataclasses.replace(
+                stanza, fleet=dataclasses.replace(stanza.fleet,
+                                                  **fleet_overrides),
+                policy=policy or stanza.policy)
+        else:
+            stanza = dataclasses.replace(stanza, **fleet_overrides)
+        spec = _apply_checkpoint_args(
+            args, dataclasses.replace(spec, **{shape: stanza}))
+        return spec, compile_scenario(spec).run()
     except ScenarioError as exc:
-        raise SystemExit(f"fleet: {exc}") from exc
-    _emit_scenario_result(args, result)
+        raise SystemExit(f"{command}: {exc}") from exc
+
+
+def _run_fleet_command(args: argparse.Namespace) -> int:
+    """Handle ``repro fleet [name-or-file] [--list] [--shard-leaves N]``."""
+    ran = _run_fleet_shaped(args, "fleet", "fleet")
+    if ran is not None:
+        _emit_scenario_result(args, ran[1])
     return 0
 
 
 def _run_sched_command(args: argparse.Namespace) -> int:
     """Handle ``repro sched [name-or-file] [--policy P] [...]``."""
-    import dataclasses
-
-    from .scenarios import ScenarioError, compile_scenario, registry
-    if args.list_scenarios:
-        for name in registry.names():
-            if registry.get(name).schedule is not None:
-                print(f"{name:<16} {registry.description(name)}")
+    ran = _run_fleet_shaped(args, "sched", "schedule", policy=args.policy)
+    if ran is None:
         return 0
-    if args.scenario is None:
-        raise SystemExit("sched: give a registered schedule scenario name "
-                         "or a spec file path (or --list)")
-    _check_shard_leaves(args, "sched")
-    try:
-        spec = _resolve_scenario_spec(args.scenario)
-        if spec.schedule is None:
-            hint = "run it with the 'fleet' command instead" \
-                if spec.fleet is not None \
-                else "run it with the 'scenario' command instead"
-            raise SystemExit(
-                f"sched: scenario {spec.name!r} is not schedule-shaped; "
-                f"{hint}")
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
-        overrides = {}
-        fleet_overrides = {}
-        if args.shard_leaves is not None:
-            fleet_overrides["shard_leaves"] = args.shard_leaves
-        if args.engine is not None:
-            fleet_overrides["engine"] = args.engine
-        if fleet_overrides:
-            overrides["fleet"] = dataclasses.replace(
-                spec.schedule.fleet, **fleet_overrides)
-        if args.policy is not None:
-            overrides["policy"] = args.policy
-        if overrides:
-            spec = dataclasses.replace(
-                spec, schedule=dataclasses.replace(spec.schedule,
-                                                   **overrides))
-        spec = _apply_checkpoint_args(args, spec)
-        result = compile_scenario(spec).run()
-    except ScenarioError as exc:
-        raise SystemExit(f"sched: {exc}") from exc
+    spec, result = ran
     outcomes = None
     if not args.no_compare and spec.schedule.jobs \
             and result.schedule.policy != "static":

@@ -7,10 +7,13 @@ dataclasses built from dicts (hand-written, loaded from JSON/YAML
 files, or constructed in code); :mod:`repro.scenarios.compiler` lowers
 a validated spec onto the engine/batch/runner stack.
 
-Every ``from_dict`` constructor rejects unknown fields and validates
-values eagerly, so a typo'd spec fails at load time with a message
-naming the offending field — never as a silent default deep inside a
-multi-hour run.
+One decoder reads every spec: ``from_dict`` walks the dataclass's own
+fields and type annotations (``float``, ``int``, ``bool``, ``str``,
+``Tuple[X, ...]``, ``Optional[X]`` and nested specs), rejects unknown
+and missing fields, and then validates the whole tree once, at the
+level it was called on.  A typo'd spec fails at load time with a
+message naming the offending field by its dotted path — never as a
+silent default deep inside a multi-hour run.
 
 The schema is documented field-by-field in ``docs/scenarios.md``.
 """
@@ -18,11 +21,15 @@ The schema is documented field-by-field in ``docs/scenarios.md``.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import math
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..hardware.spec import MachineSpec, default_machine_spec
+from ..hardware.spec import (MachineSpec, NicSpec, SocketSpec, TurboSpec,
+                             default_machine_spec)
 from ..workloads.best_effort import BE_PROFILES
 from ..workloads.latency_critical import LC_PROFILES
 from ..workloads.traces import (ConstantLoad, DiurnalTrace, LoadSpike,
@@ -81,8 +88,94 @@ def _number(value: Any, ctx: str) -> float:
     return float(value)
 
 
+def _choose(value: Any, allowed, ctx: str, what: str) -> None:
+    """Raise :class:`ScenarioError` unless ``value`` is one of ``allowed``."""
+    if value not in allowed:
+        raise ScenarioError(f"{ctx}: unknown {what} {value!r}; choose from "
+                            f"{', '.join(allowed)}")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls: type) -> Dict[str, Any]:
+    """The resolved type annotation of every field of a spec class."""
+    return typing.get_type_hints(cls)
+
+
+def _decode(tp: Any, value: Any, ctx: str) -> Any:
+    """Decode plain data ``value`` into the annotated type ``tp``.
+
+    Handles the annotation kinds the spec classes use: ``float``,
+    ``int``, ``bool``, ``str``, ``Tuple[X, ...]``, ``Optional[X]`` and
+    nested :class:`_Spec` dataclasses.  Decoding only checks types;
+    value ranges are each spec's ``validate``.
+    """
+    origin = typing.get_origin(tp)
+    if origin is Union:
+        if value is None:
+            return None
+        (inner,) = [arg for arg in typing.get_args(tp)
+                    if arg is not type(None)]
+        return _decode(inner, value, ctx)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(f"{ctx}: expected a list, got {value!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_decode(item, v, f"{ctx}[{i}]")
+                     for i, v in enumerate(value))
+    if tp is float:
+        return _number(value, ctx)
+    if tp is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"{ctx}: expected an integer, got "
+                                f"{value!r}")
+        return value
+    if tp is bool or tp is str:
+        if not isinstance(value, tp):
+            kind = "a bool" if tp is bool else "a string"
+            raise ScenarioError(f"{ctx}: expected {kind}, got {value!r}")
+        return value
+    assert issubclass(tp, _Spec), f"unsupported spec annotation {tp!r}"
+    data = _require_mapping(value, ctx)
+    _reject_unknown(data, tp._allowed_fields(data, ctx), ctx)
+    fields = dataclasses.fields(tp)
+    for f in fields:
+        if (f.name not in data and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ScenarioError(f"{ctx}: missing required field {f.name!r}")
+    types = _field_types(tp)
+    return tp(**{f.name: _decode(types[f.name], data[f.name],
+                                 f"{ctx}.{f.name}")
+                 for f in fields if f.name in data})
+
+
+class _Spec:
+    """Base of the spec dataclasses: the one ``from_dict``."""
+
+    @classmethod
+    def from_dict(cls, data: Any, ctx: Optional[str] = None):
+        """Build the spec from a (possibly nested) mapping.
+
+        Decodes every level by its field annotations — rejecting
+        unknown fields, missing required fields and mistyped values —
+        then validates the result once.  ``ctx`` (default: the
+        ``validate`` default, e.g. ``"scenario"``) prefixes every error
+        path.
+        """
+        if ctx is None:
+            ctx = inspect.signature(cls.validate).parameters["ctx"].default
+        spec = _decode(cls, data, ctx)
+        spec.validate(ctx)
+        return spec
+
+    @classmethod
+    def _allowed_fields(cls, data: Mapping[str, Any],
+                        ctx: str) -> Tuple[str, ...]:
+        """The keys a mapping for this spec may hold."""
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+
 @dataclass(frozen=True)
-class ServerSpec:
+class ServerSpec(_Spec):
     """Hardware overrides applied to the paper's default server.
 
     Every field is optional; ``None`` keeps the corresponding value of
@@ -106,97 +199,54 @@ class ServerSpec:
     all_core_turbo_ghz: Optional[float] = None
     min_ghz: Optional[float] = None
 
-    _FIELDS = ("sockets", "cores", "threads_per_core", "llc_mb", "llc_ways",
-               "dram_bw_gbps", "tdp_watts", "idle_watts", "link_gbps",
-               "nominal_ghz", "max_turbo_ghz", "all_core_turbo_ghz",
-               "min_ghz")
-    _INT_FIELDS = ("sockets", "cores", "threads_per_core", "llc_ways")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "server") -> "ServerSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        kwargs: Dict[str, Any] = {}
-        for name, value in data.items():
-            if value is None:
-                continue
-            if name in cls._INT_FIELDS:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ScenarioError(f"{ctx}.{name}: expected an "
-                                        f"integer, got {value!r}")
-                kwargs[name] = value
-            else:
-                kwargs[name] = _number(value, f"{ctx}.{name}")
-        return cls(**kwargs)
+    def validate(self, ctx: str = "server") -> None:
+        """Check that the overrides compose into a valid machine."""
+        self.to_machine_spec(ctx)
 
     def is_default(self) -> bool:
         """True when no override is set (the paper's stock server)."""
-        return all(getattr(self, name) is None for name in self._FIELDS)
+        return all(getattr(self, f.name) is None
+                   for f in dataclasses.fields(self))
 
-    def to_machine_spec(self) -> MachineSpec:
-        """Compose the overrides onto the default machine and validate."""
+    def _overrides(self, target: type) -> Dict[str, Any]:
+        """The set overrides that are fields of hardware class ``target``."""
+        names = {f.name for f in dataclasses.fields(target)}
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)
+                if f.name in names and getattr(self, f.name) is not None}
+
+    def to_machine_spec(self, ctx: str = "server") -> MachineSpec:
+        """Compose the overrides onto the default machine and validate.
+
+        Each override lands on the hardware class that has a field of
+        the same name: :class:`TurboSpec`, :class:`SocketSpec`,
+        :class:`NicSpec` or :class:`MachineSpec`.
+        """
         base = default_machine_spec()
-        turbo_over = {k: v for k, v in (
-            ("nominal_ghz", self.nominal_ghz),
-            ("max_turbo_ghz", self.max_turbo_ghz),
-            ("all_core_turbo_ghz", self.all_core_turbo_ghz),
-            ("min_ghz", self.min_ghz)) if v is not None}
-        socket_over = {k: v for k, v in (
-            ("cores", self.cores),
-            ("threads_per_core", self.threads_per_core),
-            ("llc_mb", self.llc_mb),
-            ("llc_ways", self.llc_ways),
-            ("dram_bw_gbps", self.dram_bw_gbps),
-            ("tdp_watts", self.tdp_watts),
-            ("idle_watts", self.idle_watts)) if v is not None}
-        socket = base.socket
-        if turbo_over:
-            socket = dataclasses.replace(
-                socket, turbo=dataclasses.replace(socket.turbo, **turbo_over))
-        if socket_over:
-            socket = dataclasses.replace(socket, **socket_over)
-        machine_over: Dict[str, Any] = {"socket": socket}
-        if self.sockets is not None:
-            machine_over["sockets"] = self.sockets
-        if self.link_gbps is not None:
-            machine_over["nic"] = dataclasses.replace(
-                base.nic, link_gbps=self.link_gbps)
-        spec = dataclasses.replace(base, **machine_over)
+        socket = dataclasses.replace(
+            base.socket, turbo=dataclasses.replace(
+                base.socket.turbo, **self._overrides(TurboSpec)),
+            **self._overrides(SocketSpec))
+        spec = dataclasses.replace(
+            base, socket=socket,
+            nic=dataclasses.replace(base.nic, **self._overrides(NicSpec)),
+            **self._overrides(MachineSpec))
         try:
             spec.validate()
         except ValueError as exc:
-            raise ScenarioError(f"server: invalid hardware override "
+            raise ScenarioError(f"{ctx}: invalid hardware override "
                                 f"({exc})") from exc
         return spec
 
 
 @dataclass(frozen=True)
-class SpikeSpec:
+class SpikeSpec(_Spec):
     """One injected load spike (see :class:`~repro.workloads.traces.
     LoadSpike`): hold ``load`` from ``at_s`` for ``duration_s``."""
 
     at_s: float
     duration_s: float
     load: float
-
-    _FIELDS = ("at_s", "duration_s", "load")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "spike") -> "SpikeSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        for name in cls._FIELDS:
-            if name not in data:
-                raise ScenarioError(f"{ctx}: missing required field "
-                                    f"{name!r}")
-        spike = cls(at_s=_number(data["at_s"], f"{ctx}.at_s"),
-                    duration_s=_number(data["duration_s"],
-                                       f"{ctx}.duration_s"),
-                    load=_number(data["load"], f"{ctx}.load"))
-        spike.validate(ctx)
-        return spike
 
     def validate(self, ctx: str = "spike") -> None:
         """Check value ranges (delegates to :class:`LoadSpike`)."""
@@ -211,7 +261,8 @@ class SpikeSpec:
                          load=self.load)
 
 
-#: Allowed fields per trace kind (beyond ``kind`` and ``spikes``).
+#: Allowed fields per trace kind (beyond ``kind``, ``spikes`` and
+#: ``phase_s``).
 _TRACE_KIND_FIELDS = {
     "constant": ("load",),
     "diurnal": ("low", "high", "period_s", "noise_sigma", "seed"),
@@ -221,7 +272,7 @@ _TRACE_KIND_FIELDS = {
 
 
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(_Spec):
     """Declarative load trace: a kind plus its parameters.
 
     Kinds mirror :mod:`repro.workloads.traces`: ``constant`` (fields
@@ -250,50 +301,19 @@ class TraceSpec:
     phase_s: float = 0.0
 
     @classmethod
-    def from_dict(cls, data: Any, ctx: str = "trace") -> "TraceSpec":
-        """Build from a mapping; fields must match the trace ``kind``."""
-        data = _require_mapping(data, ctx)
+    def _allowed_fields(cls, data: Mapping[str, Any],
+                        ctx: str) -> Tuple[str, ...]:
+        """Only the fields of the mapping's trace ``kind`` are allowed."""
         kind = data.get("kind", "constant")
-        if kind not in _TRACE_KIND_FIELDS:
-            raise ScenarioError(
-                f"{ctx}.kind: unknown trace kind {kind!r}; choose from "
-                f"{', '.join(sorted(_TRACE_KIND_FIELDS))}")
-        allowed = ("kind", "spikes", "phase_s") + _TRACE_KIND_FIELDS[kind]
-        _reject_unknown(data, allowed, ctx)
-        kwargs: Dict[str, Any] = {"kind": kind}
-        if "phase_s" in data:
-            kwargs["phase_s"] = _number(data["phase_s"], f"{ctx}.phase_s")
-        for name in _TRACE_KIND_FIELDS[kind]:
-            if name not in data:
-                continue
-            value = data[name]
-            if name == "seed":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ScenarioError(f"{ctx}.seed: expected an integer, "
-                                        f"got {value!r}")
-                kwargs[name] = value
-            elif name in ("times_s", "loads", "samples"):
-                if not isinstance(value, (list, tuple)):
-                    raise ScenarioError(f"{ctx}.{name}: expected a list, "
-                                        f"got {value!r}")
-                kwargs[name] = tuple(
-                    _number(v, f"{ctx}.{name}[{i}]")
-                    for i, v in enumerate(value))
-            else:
-                kwargs[name] = _number(value, f"{ctx}.{name}")
-        raw_spikes = data.get("spikes", ())
-        if not isinstance(raw_spikes, (list, tuple)):
-            raise ScenarioError(f"{ctx}.spikes: expected a list, got "
-                                f"{raw_spikes!r}")
-        kwargs["spikes"] = tuple(
-            SpikeSpec.from_dict(s, f"{ctx}.spikes[{i}]")
-            for i, s in enumerate(raw_spikes))
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
+        _choose(kind, sorted(_TRACE_KIND_FIELDS), f"{ctx}.kind",
+                "trace kind")
+        return ("kind", "spikes", "phase_s") + _TRACE_KIND_FIELDS[kind]
 
     def validate(self, ctx: str = "trace") -> None:
-        """Validate by building the trace (traces self-validate)."""
+        """Validate the spikes, then build the trace (traces
+        self-validate)."""
+        for i, spike in enumerate(self.spikes):
+            spike.validate(f"{ctx}.spikes[{i}]")
         try:
             self.build(default_seed=0)
         except ScenarioError:
@@ -336,7 +356,7 @@ class TraceSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_Spec):
     """One colocation member: an LC service plus an optional BE task.
 
     Args:
@@ -357,50 +377,19 @@ class WorkloadSpec:
     seed: Optional[int] = None
     controller: Optional[str] = None
 
-    _FIELDS = ("lc", "be", "trace", "seed", "controller")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "member") -> "WorkloadSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        if "lc" not in data:
-            raise ScenarioError(f"{ctx}: missing required field 'lc'")
-        kwargs: Dict[str, Any] = {"lc": data["lc"], "be": data.get("be")}
-        if "trace" in data:
-            kwargs["trace"] = TraceSpec.from_dict(data["trace"],
-                                                  f"{ctx}.trace")
-        if data.get("seed") is not None:
-            seed = data["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ScenarioError(f"{ctx}.seed: expected an integer, "
-                                    f"got {seed!r}")
-            kwargs["seed"] = seed
-        if data.get("controller") is not None:
-            kwargs["controller"] = data["controller"]
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "member") -> None:
         """Check workload names and the controller override."""
-        if self.lc not in LC_PROFILES:
-            raise ScenarioError(
-                f"{ctx}.lc: unknown LC workload {self.lc!r}; choose from "
-                f"{', '.join(sorted(LC_PROFILES))}")
-        if self.be is not None and self.be not in BE_PROFILES:
-            raise ScenarioError(
-                f"{ctx}.be: unknown BE workload {self.be!r}; choose from "
-                f"{', '.join(sorted(BE_PROFILES))}")
-        if self.controller is not None and self.controller not in CONTROLLERS:
-            raise ScenarioError(
-                f"{ctx}.controller: unknown controller "
-                f"{self.controller!r}; choose from {', '.join(CONTROLLERS)}")
+        _choose(self.lc, sorted(LC_PROFILES), f"{ctx}.lc", "LC workload")
+        if self.be is not None:
+            _choose(self.be, sorted(BE_PROFILES), f"{ctx}.be", "BE workload")
+        if self.controller is not None:
+            _choose(self.controller, CONTROLLERS, f"{ctx}.controller",
+                    "controller")
         self.trace.validate(f"{ctx}.trace")
 
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Spec):
     """A (LC task x BE task x load) grid, fanned across the runner.
 
     Each cell is one independent constant-load colocation run (the
@@ -413,53 +402,17 @@ class SweepSpec:
     loads: Tuple[float, ...] = (0.25, 0.50, 0.75)
     include_baseline: bool = True
 
-    _FIELDS = ("lc_tasks", "be_tasks", "loads", "include_baseline")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "sweep") -> "SweepSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        kwargs: Dict[str, Any] = {}
-        for name in ("lc_tasks", "be_tasks"):
-            if name in data:
-                value = data[name]
-                if (not isinstance(value, (list, tuple))
-                        or not all(isinstance(v, str) for v in value)):
-                    raise ScenarioError(f"{ctx}.{name}: expected a list of "
-                                        f"names, got {value!r}")
-                kwargs[name] = tuple(value)
-        if "loads" in data:
-            value = data["loads"]
-            if not isinstance(value, (list, tuple)):
-                raise ScenarioError(f"{ctx}.loads: expected a list, got "
-                                    f"{value!r}")
-            kwargs["loads"] = tuple(_number(v, f"{ctx}.loads[{i}]")
-                                    for i, v in enumerate(value))
-        if "include_baseline" in data:
-            if not isinstance(data["include_baseline"], bool):
-                raise ScenarioError(f"{ctx}.include_baseline: expected a "
-                                    f"bool, got {data['include_baseline']!r}")
-            kwargs["include_baseline"] = data["include_baseline"]
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "sweep") -> None:
         """Check axis names and load ranges."""
         if not self.lc_tasks or not self.be_tasks or not self.loads:
             raise ScenarioError(f"{ctx}: lc_tasks, be_tasks and loads must "
                                 f"all be non-empty")
         for name in self.lc_tasks:
-            if name not in LC_PROFILES:
-                raise ScenarioError(
-                    f"{ctx}.lc_tasks: unknown LC workload {name!r}; choose "
-                    f"from {', '.join(sorted(LC_PROFILES))}")
+            _choose(name, sorted(LC_PROFILES), f"{ctx}.lc_tasks",
+                    "LC workload")
         for name in self.be_tasks:
-            if name not in BE_PROFILES:
-                raise ScenarioError(
-                    f"{ctx}.be_tasks: unknown BE workload {name!r}; choose "
-                    f"from {', '.join(sorted(BE_PROFILES))}")
+            _choose(name, sorted(BE_PROFILES), f"{ctx}.be_tasks",
+                    "BE workload")
         for load in self.loads:
             if not 0.0 < load <= 1.0:
                 raise ScenarioError(f"{ctx}.loads: load {load!r} outside "
@@ -467,7 +420,7 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class ClusterSpec:
+class ClusterSpec(_Spec):
     """A websearch minicluster run (the §5.3 / Figure 8 shape).
 
     Arms (``managed`` = Heracles on every leaf, ``baseline`` = no
@@ -481,36 +434,6 @@ class ClusterSpec:
         noise_sigma=0.02))
     engine: str = "batch"
 
-    _FIELDS = ("leaves", "arms", "trace", "engine")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "cluster") -> "ClusterSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        kwargs: Dict[str, Any] = {}
-        if "leaves" in data:
-            leaves = data["leaves"]
-            if isinstance(leaves, bool) or not isinstance(leaves, int):
-                raise ScenarioError(f"{ctx}.leaves: expected an integer, "
-                                    f"got {leaves!r}")
-            kwargs["leaves"] = leaves
-        if "arms" in data:
-            arms = data["arms"]
-            if (not isinstance(arms, (list, tuple))
-                    or not all(isinstance(a, str) for a in arms)):
-                raise ScenarioError(f"{ctx}.arms: expected a list of arm "
-                                    f"names, got {arms!r}")
-            kwargs["arms"] = tuple(arms)
-        if "trace" in data:
-            kwargs["trace"] = TraceSpec.from_dict(data["trace"],
-                                                  f"{ctx}.trace")
-        if "engine" in data:
-            kwargs["engine"] = data["engine"]
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "cluster") -> None:
         """Check leaf count, arm names and the engine choice."""
         if self.leaves < 2:
@@ -519,17 +442,13 @@ class ClusterSpec:
         if not self.arms:
             raise ScenarioError(f"{ctx}.arms: need at least one arm")
         for arm in self.arms:
-            if arm not in ("managed", "baseline"):
-                raise ScenarioError(f"{ctx}.arms: unknown arm {arm!r}; "
-                                    f"choose from managed, baseline")
-        if self.engine not in ("batch", "scalar"):
-            raise ScenarioError(f"{ctx}.engine: unknown engine "
-                                f"{self.engine!r}; choose batch or scalar")
+            _choose(arm, ("managed", "baseline"), f"{ctx}.arms", "arm")
+        _choose(self.engine, ("batch", "scalar"), f"{ctx}.engine", "engine")
         self.trace.validate(f"{ctx}.trace")
 
 
 @dataclass(frozen=True)
-class ShardSpec:
+class ShardSpec(_Spec):
     """One homogeneous cluster of a fleet scenario.
 
     A fleet is a set of these: each declares one homogeneous leaf
@@ -562,80 +481,28 @@ class ShardSpec:
     managed: bool = True
     seed: Optional[int] = None
 
-    _FIELDS = ("name", "leaves", "lc", "be_mix", "server", "trace",
-               "managed", "seed")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "cluster") -> "ShardSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        for required in ("name", "leaves"):
-            if required not in data:
-                raise ScenarioError(f"{ctx}: missing required field "
-                                    f"{required!r}")
-        if not isinstance(data["name"], str) or not data["name"]:
-            raise ScenarioError(f"{ctx}.name: expected a non-empty string")
-        leaves = data["leaves"]
-        if isinstance(leaves, bool) or not isinstance(leaves, int):
-            raise ScenarioError(f"{ctx}.leaves: expected an integer, got "
-                                f"{leaves!r}")
-        kwargs: Dict[str, Any] = {"name": data["name"], "leaves": leaves}
-        if "lc" in data:
-            kwargs["lc"] = data["lc"]
-        if "be_mix" in data:
-            mix = data["be_mix"]
-            if (not isinstance(mix, (list, tuple))
-                    or not all(isinstance(b, str) for b in mix)):
-                raise ScenarioError(f"{ctx}.be_mix: expected a list of BE "
-                                    f"task names, got {mix!r}")
-            kwargs["be_mix"] = tuple(mix)
-        if "server" in data:
-            kwargs["server"] = ServerSpec.from_dict(data["server"],
-                                                    f"{ctx}.server")
-        if "trace" in data:
-            kwargs["trace"] = TraceSpec.from_dict(data["trace"],
-                                                  f"{ctx}.trace")
-        if "managed" in data:
-            if not isinstance(data["managed"], bool):
-                raise ScenarioError(f"{ctx}.managed: expected a bool, got "
-                                    f"{data['managed']!r}")
-            kwargs["managed"] = data["managed"]
-        if data.get("seed") is not None:
-            seed = data["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ScenarioError(f"{ctx}.seed: expected an integer, got "
-                                    f"{seed!r}")
-            kwargs["seed"] = seed
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "cluster") -> None:
-        """Check leaf count, workload names, hardware, and the trace."""
+        """Check name, leaf count, workload names, hardware, and the
+        trace."""
+        if not self.name:
+            raise ScenarioError(f"{ctx}.name: expected a non-empty string")
         if self.leaves < 2:
             raise ScenarioError(
                 f"{ctx}.leaves: got {self.leaves} — a fleet cluster needs "
                 f"at least two leaves (zero or negative counts are "
                 f"invalid)")
-        if self.lc not in LC_PROFILES:
-            raise ScenarioError(
-                f"{ctx}.lc: unknown LC workload {self.lc!r}; choose from "
-                f"{', '.join(sorted(LC_PROFILES))}")
+        _choose(self.lc, sorted(LC_PROFILES), f"{ctx}.lc", "LC workload")
         if not self.be_mix:
             raise ScenarioError(f"{ctx}.be_mix: must name at least one BE "
                                 f"task")
         for be in self.be_mix:
-            if be not in BE_PROFILES:
-                raise ScenarioError(
-                    f"{ctx}.be_mix: unknown BE workload {be!r}; choose "
-                    f"from {', '.join(sorted(BE_PROFILES))}")
-        self.server.to_machine_spec()
+            _choose(be, sorted(BE_PROFILES), f"{ctx}.be_mix", "BE workload")
+        self.server.validate(f"{ctx}.server")
         self.trace.validate(f"{ctx}.trace")
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(_Spec):
     """A sharded multi-cluster fleet (the scenario's fourth shape).
 
     Args:
@@ -659,44 +526,10 @@ class FleetSpec:
     record_period_s: float = 30.0
     engine: str = "sharded"
 
-    _FIELDS = ("clusters", "shard_leaves", "record_period_s", "engine")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "fleet") -> "FleetSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        if "clusters" not in data:
-            raise ScenarioError(f"{ctx}: missing required field 'clusters'")
-        clusters = data["clusters"]
-        if not isinstance(clusters, (list, tuple)):
-            raise ScenarioError(f"{ctx}.clusters: expected a list of "
-                                f"cluster mappings, got {clusters!r}")
-        kwargs: Dict[str, Any] = {"clusters": tuple(
-            ShardSpec.from_dict(c, f"{ctx}.clusters[{i}]")
-            for i, c in enumerate(clusters))}
-        if "shard_leaves" in data:
-            shard_leaves = data["shard_leaves"]
-            if isinstance(shard_leaves, bool) or not isinstance(
-                    shard_leaves, int):
-                raise ScenarioError(f"{ctx}.shard_leaves: expected an "
-                                    f"integer, got {shard_leaves!r}")
-            kwargs["shard_leaves"] = shard_leaves
-        if "record_period_s" in data:
-            kwargs["record_period_s"] = _number(data["record_period_s"],
-                                                f"{ctx}.record_period_s")
-        if "engine" in data:
-            kwargs["engine"] = data["engine"]
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "fleet") -> None:
         """Check the cluster list, shard size, and record cadence."""
-        if self.engine not in ("sharded", "mega"):
-            raise ScenarioError(
-                f"{ctx}.engine: unknown fleet engine {self.engine!r}; "
-                f"choose 'sharded' or 'mega'")
+        _choose(self.engine, ("sharded", "mega"), f"{ctx}.engine",
+                "fleet engine")
         if not self.clusters:
             raise ScenarioError(f"{ctx}.clusters: a fleet needs at least "
                                 f"one cluster")
@@ -746,7 +579,7 @@ class FleetSpec:
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(_Spec):
     """One typed best-effort job (or a batch of identical ones).
 
     Lowered onto :class:`~repro.sched.jobs.BeJob`: demand is measured
@@ -773,40 +606,6 @@ class JobSpec:
     priority: int = 0
     arrival_s: float = 0.0
     count: int = 1
-
-    _FIELDS = ("name", "demand_core_s", "max_cores", "priority",
-               "arrival_s", "count")
-    _INT_FIELDS = ("max_cores", "priority", "count")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "job") -> "JobSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        for required in ("name", "demand_core_s"):
-            if required not in data:
-                raise ScenarioError(f"{ctx}: missing required field "
-                                    f"{required!r}")
-        if not isinstance(data["name"], str) or not data["name"]:
-            raise ScenarioError(f"{ctx}.name: expected a non-empty string")
-        kwargs: Dict[str, Any] = {
-            "name": data["name"],
-            "demand_core_s": _number(data["demand_core_s"],
-                                     f"{ctx}.demand_core_s"),
-        }
-        for name in cls._INT_FIELDS:
-            if name in data:
-                value = data[name]
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ScenarioError(f"{ctx}.{name}: expected an "
-                                        f"integer, got {value!r}")
-                kwargs[name] = value
-        if "arrival_s" in data:
-            kwargs["arrival_s"] = _number(data["arrival_s"],
-                                          f"{ctx}.arrival_s")
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
 
     def validate(self, ctx: str = "job") -> None:
         """Check demand, limits, arrival, and the batch count."""
@@ -848,7 +647,7 @@ class JobSpec:
 
 
 @dataclass(frozen=True)
-class ScheduleSpec:
+class ScheduleSpec(_Spec):
     """A scheduled fleet (the scenario's fifth shape).
 
     Wraps a :class:`FleetSpec` — the machines the scheduler places
@@ -875,47 +674,11 @@ class ScheduleSpec:
     epoch_s: float = 60.0
     queue_limit: int = 0
 
-    _FIELDS = ("fleet", "jobs", "policy", "epoch_s", "queue_limit")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "schedule") -> "ScheduleSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        if "fleet" not in data:
-            raise ScenarioError(f"{ctx}: missing required field 'fleet'")
-        kwargs: Dict[str, Any] = {
-            "fleet": FleetSpec.from_dict(data["fleet"], f"{ctx}.fleet")}
-        if "jobs" in data:
-            jobs = data["jobs"]
-            if not isinstance(jobs, (list, tuple)):
-                raise ScenarioError(f"{ctx}.jobs: expected a list of job "
-                                    f"mappings, got {jobs!r}")
-            kwargs["jobs"] = tuple(
-                JobSpec.from_dict(j, f"{ctx}.jobs[{i}]")
-                for i, j in enumerate(jobs))
-        if "policy" in data:
-            kwargs["policy"] = data["policy"]
-        if "epoch_s" in data:
-            kwargs["epoch_s"] = _number(data["epoch_s"], f"{ctx}.epoch_s")
-        if "queue_limit" in data:
-            limit = data["queue_limit"]
-            if isinstance(limit, bool) or not isinstance(limit, int):
-                raise ScenarioError(f"{ctx}.queue_limit: expected an "
-                                    f"integer, got {limit!r}")
-            kwargs["queue_limit"] = limit
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "schedule") -> None:
         """Check the fleet, the job queue, and the scheduling knobs."""
         from ..sched.policies import POLICIES
         self.fleet.validate(f"{ctx}.fleet")
-        if self.policy not in POLICIES:
-            raise ScenarioError(
-                f"{ctx}.policy: unknown scheduling policy "
-                f"{self.policy!r}; choose from {', '.join(POLICIES)}")
+        _choose(self.policy, POLICIES, f"{ctx}.policy", "scheduling policy")
         if self.epoch_s <= 0:
             raise ScenarioError(f"{ctx}.epoch_s: must be positive")
         if self.queue_limit < 0:
@@ -941,7 +704,7 @@ class ScheduleSpec:
 
 
 @dataclass(frozen=True)
-class CheckpointSpec:
+class CheckpointSpec(_Spec):
     """Checkpoint/resume and telemetry-spill controls for a run.
 
     One stanza drives three independent long-horizon knobs (give at
@@ -974,35 +737,18 @@ class CheckpointSpec:
     resume: Optional[str] = None
     spill_dir: Optional[str] = None
 
-    _FIELDS = ("save", "at_s", "resume", "spill_dir")
-    _PATH_FIELDS = ("save", "resume", "spill_dir")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "checkpoint") -> "CheckpointSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        kwargs: Dict[str, Any] = {}
-        for name in cls._PATH_FIELDS:
-            value = data.get(name)
-            if value is None:
-                continue
-            if not isinstance(value, str) or not value:
-                raise ScenarioError(f"{ctx}.{name}: expected a non-empty "
-                                    f"path string, got {value!r}")
-            kwargs[name] = value
-        if data.get("at_s") is not None:
-            kwargs["at_s"] = _number(data["at_s"], f"{ctx}.at_s")
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "checkpoint") -> None:
-        """Check the save/at_s pairing and value ranges."""
-        if all(getattr(self, name) is None for name in self._FIELDS):
+        """Check the save/at_s pairing, the paths, and value ranges."""
+        values = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(self)}
+        if all(value is None for value in values.values()):
             raise ScenarioError(
                 f"{ctx}: an empty checkpoint stanza does nothing; give "
                 f"'save' + 'at_s', 'resume', and/or 'spill_dir'")
+        for name, value in values.items():
+            if value == "":
+                raise ScenarioError(f"{ctx}.{name}: expected a non-empty "
+                                    f"path string, got ''")
         if (self.save is None) != (self.at_s is None):
             raise ScenarioError(
                 f"{ctx}: 'save' and 'at_s' go together — give both to "
@@ -1014,7 +760,7 @@ class CheckpointSpec:
 
 
 @dataclass(frozen=True)
-class InjectionSpec:
+class InjectionSpec(_Spec):
     """A timed event applied mid-run to members or fleet leaves.
 
     Injections model events the controller must *react* to — a BE
@@ -1052,38 +798,10 @@ class InjectionSpec:
     cluster: Optional[str] = None
     leaf: Optional[int] = None
 
-    _FIELDS = ("at_s", "action", "value", "cluster", "leaf")
     _VALUE_ACTIONS = ("set_be_cores", "set_llc_split", "set_be_net_ceil",
                       "straggler", "power_cap", "partition")
     #: value must lie in (0, 1] for these actions (derate fractions).
     _FRACTION_ACTIONS = ("straggler", "power_cap")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "injection") -> "InjectionSpec":
-        """Build from a mapping, rejecting unknown fields."""
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        for name in ("at_s", "action"):
-            if name not in data:
-                raise ScenarioError(f"{ctx}: missing required field "
-                                    f"{name!r}")
-        value = data.get("value")
-        leaf = data.get("leaf")
-        if leaf is not None and (isinstance(leaf, bool)
-                                 or not isinstance(leaf, int)):
-            raise ScenarioError(f"{ctx}.leaf: expected an integer leaf "
-                                f"index, got {leaf!r}")
-        cluster = data.get("cluster")
-        if cluster is not None and not isinstance(cluster, str):
-            raise ScenarioError(f"{ctx}.cluster: expected a cluster name "
-                                f"string, got {cluster!r}")
-        spec = cls(at_s=_number(data["at_s"], f"{ctx}.at_s"),
-                   action=data["action"],
-                   value=None if value is None
-                   else _number(value, f"{ctx}.value"),
-                   cluster=cluster, leaf=leaf)
-        spec.validate(ctx)
-        return spec
 
     def validate(self, ctx: str = "injection") -> None:
         """Check the action name, value requirements, and targeting."""
@@ -1092,10 +810,7 @@ class InjectionSpec:
                                 f"{self.at_s!r}")
         if self.at_s < 0:
             raise ScenarioError(f"{ctx}.at_s: must be >= 0")
-        if self.action not in INJECTION_ACTIONS:
-            raise ScenarioError(
-                f"{ctx}.action: unknown action {self.action!r}; choose "
-                f"from {', '.join(INJECTION_ACTIONS)}")
+        _choose(self.action, INJECTION_ACTIONS, f"{ctx}.action", "action")
         if self.action in self._VALUE_ACTIONS and self.value is None:
             raise ScenarioError(f"{ctx}: action {self.action!r} requires "
                                 f"a 'value'")
@@ -1125,7 +840,7 @@ class InjectionSpec:
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Spec):
     """A complete, self-contained experiment description.
 
     Exactly one of ``members`` (explicit servers), ``sweep`` (a grid of
@@ -1174,75 +889,6 @@ class ScenarioSpec:
     injections: Tuple[InjectionSpec, ...] = ()
     checkpoint: Optional[CheckpointSpec] = None
 
-    _FIELDS = ("name", "description", "server", "controller", "duration_s",
-               "dt_s", "warmup_s", "seed", "engine", "members", "sweep",
-               "cluster", "fleet", "schedule", "injections", "checkpoint")
-
-    @classmethod
-    def from_dict(cls, data: Any, ctx: str = "scenario") -> "ScenarioSpec":
-        """Build a full scenario from a (possibly nested) mapping.
-
-        Rejects unknown fields at every level and validates the result;
-        this is the single entry point the loader and the registry use.
-        """
-        data = _require_mapping(data, ctx)
-        _reject_unknown(data, cls._FIELDS, ctx)
-        if "name" not in data or not isinstance(data["name"], str):
-            raise ScenarioError(f"{ctx}: a scenario needs a string 'name'")
-        kwargs: Dict[str, Any] = {"name": data["name"]}
-        if "description" in data:
-            if not isinstance(data["description"], str):
-                raise ScenarioError(f"{ctx}.description: expected a string")
-            kwargs["description"] = data["description"]
-        if "server" in data:
-            kwargs["server"] = ServerSpec.from_dict(data["server"],
-                                                    f"{ctx}.server")
-        if "controller" in data:
-            kwargs["controller"] = data["controller"]
-        for name in ("duration_s", "dt_s", "warmup_s"):
-            if name in data:
-                kwargs[name] = _number(data[name], f"{ctx}.{name}")
-        if "seed" in data:
-            seed = data["seed"]
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ScenarioError(f"{ctx}.seed: expected an integer, "
-                                    f"got {seed!r}")
-            kwargs["seed"] = seed
-        if "engine" in data:
-            kwargs["engine"] = data["engine"]
-        if "members" in data:
-            members = data["members"]
-            if not isinstance(members, (list, tuple)):
-                raise ScenarioError(f"{ctx}.members: expected a list")
-            kwargs["members"] = tuple(
-                WorkloadSpec.from_dict(m, f"{ctx}.members[{i}]")
-                for i, m in enumerate(members))
-        if "sweep" in data and data["sweep"] is not None:
-            kwargs["sweep"] = SweepSpec.from_dict(data["sweep"],
-                                                  f"{ctx}.sweep")
-        if "cluster" in data and data["cluster"] is not None:
-            kwargs["cluster"] = ClusterSpec.from_dict(data["cluster"],
-                                                      f"{ctx}.cluster")
-        if "fleet" in data and data["fleet"] is not None:
-            kwargs["fleet"] = FleetSpec.from_dict(data["fleet"],
-                                                  f"{ctx}.fleet")
-        if "schedule" in data and data["schedule"] is not None:
-            kwargs["schedule"] = ScheduleSpec.from_dict(data["schedule"],
-                                                        f"{ctx}.schedule")
-        if "injections" in data:
-            injections = data["injections"]
-            if not isinstance(injections, (list, tuple)):
-                raise ScenarioError(f"{ctx}.injections: expected a list")
-            kwargs["injections"] = tuple(
-                InjectionSpec.from_dict(inj, f"{ctx}.injections[{i}]")
-                for i, inj in enumerate(injections))
-        if "checkpoint" in data and data["checkpoint"] is not None:
-            kwargs["checkpoint"] = CheckpointSpec.from_dict(
-                data["checkpoint"], f"{ctx}.checkpoint")
-        spec = cls(**kwargs)
-        spec.validate(ctx)
-        return spec
-
     def validate(self, ctx: str = "scenario") -> None:
         """Validate the whole spec tree (shape, ranges, nested specs)."""
         shapes = [s for s in ("members", "sweep", "cluster", "fleet",
@@ -1253,14 +899,9 @@ class ScenarioSpec:
                 f"{ctx}: exactly one of 'members', 'sweep', 'cluster', "
                 f"'fleet' or 'schedule' must be given "
                 f"(got {shapes or 'none'})")
-        if self.controller not in CONTROLLERS:
-            raise ScenarioError(
-                f"{ctx}.controller: unknown controller "
-                f"{self.controller!r}; choose from {', '.join(CONTROLLERS)}")
-        if self.engine not in ENGINES:
-            raise ScenarioError(f"{ctx}.engine: unknown engine "
-                                f"{self.engine!r}; choose from "
-                                f"{', '.join(ENGINES)}")
+        _choose(self.controller, CONTROLLERS, f"{ctx}.controller",
+                "controller")
+        _choose(self.engine, ENGINES, f"{ctx}.engine", "engine")
         if self.duration_s <= 0:
             raise ScenarioError(f"{ctx}.duration_s: must be positive")
         if self.dt_s <= 0:
@@ -1321,7 +962,7 @@ class ScenarioSpec:
                 f"{ctx}.controller: fleet scenarios run Heracles on "
                 f"managed clusters and nothing on baseline ones; set "
                 f"'managed: false' per cluster instead of a controller")
-        self.server.to_machine_spec()
+        self.server.validate(f"{ctx}.server")
         for i, member in enumerate(self.members):
             member.validate(f"{ctx}.members[{i}]")
         if self.sweep is not None:
@@ -1402,27 +1043,20 @@ class ScenarioSpec:
 def _spec_to_data(obj: Any) -> Any:
     """Recursive worker behind :meth:`ScenarioSpec.to_data`.
 
-    Walks each spec dataclass's ``_FIELDS``, dropping ``None`` and
-    empty-sequence values (the loader's defaults recreate them) so the
-    emitted mapping passes every ``_reject_unknown`` check on the way
-    back in.  :class:`TraceSpec` additionally emits only the fields its
-    ``kind`` accepts.
+    Walks each spec dataclass's fields, dropping ``None`` and
+    empty-sequence values (the decoder's defaults recreate them) and
+    emitting only the fields the spec accepts back
+    (:class:`TraceSpec`: those of its ``kind``).
     """
-    if isinstance(obj, TraceSpec):
-        allowed = (("kind",) + _TRACE_KIND_FIELDS[obj.kind]
-                   + ("phase_s", "spikes"))
-        return {name: _spec_to_data(getattr(obj, name))
-                for name in allowed
-                if getattr(obj, name) is not None
-                and (getattr(obj, name) or name not in ("phase_s",
-                                                        "spikes"))}
     if dataclasses.is_dataclass(obj):
+        allowed = obj._allowed_fields(vars(obj), "")
         data = {}
-        for name in obj._FIELDS:
-            value = getattr(obj, name)
-            if value is None or (isinstance(value, tuple) and not value):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if f.name not in allowed or value is None or (
+                    isinstance(value, tuple) and not value):
                 continue
-            data[name] = _spec_to_data(value)
+            data[f.name] = _spec_to_data(value)
         return data
     if isinstance(obj, (list, tuple)):
         return [_spec_to_data(item) for item in obj]

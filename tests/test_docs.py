@@ -8,6 +8,7 @@ the tier-1 suite means a doc-breaking change fails locally too.
 import doctest
 import glob
 import os
+import re
 import sys
 
 import pytest
@@ -66,3 +67,58 @@ def test_citation_checker_catches_breakage(tmp_path):
                    'def f():\n    """Bench: ``tests/test_docs.py``."""\n')
     assert check_doc_links.broken_citations(str(bad)) == [
         (3, "GONE.md"), (3, "benchmarks/nope.py")]
+
+
+def _doc_tables(path):
+    """``{spec class name: [table, ...]}`` for each `` `XSpec` `` section
+    of a markdown file; a table is its rows, each a list of cells."""
+    sections, tables, table = {}, None, None
+    with open(path) as handle:
+        for line in handle:
+            if line.startswith("#"):
+                match = re.search(r"`(\w+Spec)`", line)
+                tables = sections.setdefault(match.group(1), []) \
+                    if match else None
+                table = None
+            elif line.startswith("|") and tables is not None:
+                if table is None:
+                    table = []
+                    tables.append(table)
+                cells = [c.strip() for c in line.strip().strip("|")
+                         .split("|")]
+                if not set(cells[0]) <= set("-"):
+                    table.append(cells)
+            else:
+                table = None
+    return sections
+
+
+def _first_column(table):
+    """The backticked names in a table's first column (header dropped)."""
+    return [row[0].strip("`") for row in table[1:]]
+
+
+def test_scenarios_doc_schema_matches_spec_fields():
+    """Each spec section's ``| field |`` table lists exactly the spec's
+    dataclass fields, in order; the trace-kind and injection-action
+    tables match their constants."""
+    import dataclasses
+
+    from repro.scenarios import spec as spec_module
+    sections = _doc_tables(os.path.join(ROOT, "docs", "scenarios.md"))
+    checked = set()
+    for name, tables in sections.items():
+        for table in tables:
+            if table[0][0] == "field":
+                fields = dataclasses.fields(getattr(spec_module, name))
+                assert _first_column(table) == [f.name for f in fields], \
+                    name
+                checked.add(name)
+    specs = {cls.__name__ for cls in spec_module._Spec.__subclasses__()}
+    assert checked == specs - {"SpikeSpec", "TraceSpec"}
+    kinds = next(t for t in sections["TraceSpec"] if t[0][0] == "kind")
+    assert {row[0].strip("`"): tuple(re.findall(r"`(\w+)`", row[1]))
+            for row in kinds[1:]} == spec_module._TRACE_KIND_FIELDS
+    actions = next(t for t in sections["InjectionSpec"]
+                   if t[0][0] == "action")
+    assert tuple(_first_column(actions)) == spec_module.INJECTION_ACTIONS

@@ -7,14 +7,17 @@ spec files, and the golden-parity guarantee that the fig4 scenario
 reproduces the hand-wired sweep numbers.
 """
 
+import collections
 import dataclasses
 import glob
+import json
 import os
 
 import pytest
 
-from repro.scenarios import (ClusterSpec, ScenarioError, ScenarioSpec,
-                             ServerSpec, SweepSpec, TraceSpec, WorkloadSpec,
+from repro.scenarios import (ClusterSpec, FleetSpec, ScenarioError,
+                             ScenarioSpec, ServerSpec, ShardSpec, SweepSpec,
+                             TraceSpec, WorkloadSpec,
                              compile_scenario, load_scenario, loads_scenario,
                              parse_simple_yaml, registry, run_scenario)
 from repro.scenarios.library import fig4_scenario, fig8_scenario
@@ -59,6 +62,20 @@ class TestSpecRoundTrip:
         assert machine.nic.link_gbps == 40.0
         # Untouched fields keep the paper's defaults.
         assert machine.socket.cores == 18
+
+    def test_every_server_override_reaches_the_machine(self):
+        overrides = {"sockets": 1, "cores": 16, "threads_per_core": 1,
+                     "llc_mb": 40.0, "llc_ways": 16, "dram_bw_gbps": 50.0,
+                     "tdp_watts": 100.0, "idle_watts": 15.0,
+                     "link_gbps": 40.0, "nominal_ghz": 2.2,
+                     "max_turbo_ghz": 3.0, "all_core_turbo_ghz": 2.6,
+                     "min_ghz": 1.1}
+        assert set(overrides) == {
+            f.name for f in dataclasses.fields(ServerSpec)}
+        stock = ServerSpec().to_machine_spec()
+        for name, value in overrides.items():
+            machine = ServerSpec(**{name: value}).to_machine_spec()
+            assert machine != stock, name
 
     def test_full_tree_from_dict(self):
         spec = load_scenario({
@@ -177,6 +194,72 @@ class TestSpecRejection:
         with pytest.raises(ScenarioError, match="expected a number"):
             load_scenario({"name": "t", "duration_s": "long",
                            "members": [{"lc": "websearch"}]})
+
+
+def _fleet_data(**cluster):
+    """A minimal fleet scenario mapping with one cluster's fields."""
+    return {"name": "t", "duration_s": 60, "warmup_s": 0,
+            "fleet": {"clusters": [dict({"name": "a", "leaves": 8},
+                                        **cluster)]}}
+
+
+#: One bad-input row per annotation kind the decoder handles, each at a
+#: nested path: (id, scenario data, dotted path, kind word).
+DECODER_REJECTS = [
+    ("int", _fleet_data(leaves="8"),
+     "scenario.fleet.clusters[0].leaves", "expected an integer, got '8'"),
+    ("float", {"name": "t", "members": [
+        {"lc": "websearch", "trace": {"kind": "constant", "load": "hi"}}]},
+     "scenario.members[0].trace.load", "expected a number"),
+    ("bool", _fleet_data(managed="yes"),
+     "scenario.fleet.clusters[0].managed", "expected a bool"),
+    ("str", {"name": "t", "members": [{"lc": 5}]},
+     "scenario.members[0].lc", "expected a string"),
+    ("list", {"name": "t", "sweep": {"loads": 0.5}},
+     "scenario.sweep.loads", "expected a list"),
+    ("list-element", _fleet_data(be_mix=["brain", 7]),
+     "scenario.fleet.clusters[0].be_mix[1]", "expected a string"),
+    ("nested-spec", _fleet_data(server=["sockets", 1]),
+     "scenario.fleet.clusters[0].server", "expected a mapping"),
+    ("missing-required", {"name": "t", "fleet": {"clusters": [
+        {"name": "a"}]}},
+     "scenario.fleet.clusters[0]", "missing required field 'leaves'"),
+]
+
+
+class TestDecoder:
+    """The one spec decoder: annotations drive decoding, and every spec
+    in a loaded tree is validated exactly once."""
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_registered_scenarios_round_trip(self, name):
+        spec = registry.get(name)
+        data = json.loads(json.dumps(spec.to_data()))
+        assert ScenarioSpec.from_dict(data) == spec
+
+    @pytest.mark.parametrize("data,path,kind",
+                             [row[1:] for row in DECODER_REJECTS],
+                             ids=[row[0] for row in DECODER_REJECTS])
+    def test_bad_input_names_path_and_kind(self, data, path, kind):
+        with pytest.raises(ScenarioError) as info:
+            ScenarioSpec.from_dict(data)
+        assert str(info.value).startswith(f"{path}: ")
+        assert kind in str(info.value)
+
+    def test_each_spec_validated_once(self, monkeypatch):
+        data = json.loads(json.dumps(
+            registry.get("mixed-fleet-1k").to_data()))
+        calls = collections.Counter()
+        for cls in (TraceSpec, ShardSpec, FleetSpec):
+            def counted(self, ctx, _validate=cls.validate,
+                        _name=cls.__name__):
+                calls[_name] += 1
+                _validate(self, ctx)
+            monkeypatch.setattr(cls, "validate", counted)
+        spec = ScenarioSpec.from_dict(data)
+        clusters = spec.fleet.clusters
+        assert calls == {"TraceSpec": len(clusters),
+                         "ShardSpec": len(clusters), "FleetSpec": 1}
 
 
 SAMPLE_YAML = """
