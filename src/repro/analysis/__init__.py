@@ -1,13 +1,9 @@
-"""Metrics and reporting: EMU, the TCO model, and table rendering."""
+"""Reporting: the TCO model and table rendering."""
 
-from .emu import EmuSummary, cluster_emu, effective_machine_utilization
-from .tables import (format_percent, render_load_series_table, render_series,
-                     render_table)
+from .tables import render_load_series_table, render_table
 from .tco import TcoModel, TcoParameters
 
 __all__ = [
-    "EmuSummary", "cluster_emu", "effective_machine_utilization",
-    "format_percent", "render_load_series_table", "render_series",
-    "render_table",
+    "render_load_series_table", "render_table",
     "TcoModel", "TcoParameters",
 ]

@@ -1,20 +1,13 @@
-"""Plain-text rendering of result tables and series.
+"""Plain-text rendering of result tables.
 
 The paper's artefacts are figures; a terminal reproduction renders the
-same data as aligned text tables and simple sparkline-style series,
-which the experiment harnesses print next to the paper's values.
+same data as aligned text tables, which the experiment harnesses print
+next to the paper's values.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
-
-
-def format_percent(value: float, saturate_at: float = 3.0) -> str:
-    """Format an SLO fraction the way Figure 1 prints cells."""
-    if value > saturate_at:
-        return f">{saturate_at * 100:.0f}%"
-    return f"{value * 100:.0f}%"
 
 
 def render_table(headers: Sequence[str],
@@ -39,20 +32,6 @@ def render_table(headers: Sequence[str],
         lines.append("  ".join(str(c).ljust(widths[i])
                                for i, c in enumerate(row)))
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Sequence[float], ys: Sequence[float],
-                  x_format: str = "{:.0%}", y_format: str = "{:.2f}") -> str:
-    """One labelled (x, y) series as two aligned rows."""
-    if len(xs) != len(ys):
-        raise ValueError("x and y lengths differ")
-    x_cells = [x_format.format(x) for x in xs]
-    y_cells = [y_format.format(y) for y in ys]
-    width = max((max(len(a), len(b)) for a, b in zip(x_cells, y_cells)),
-                default=1)
-    header = " ".join(c.rjust(width) for c in x_cells)
-    values = " ".join(c.rjust(width) for c in y_cells)
-    return f"{name}\n  x: {header}\n  y: {values}"
 
 
 def render_load_series_table(series_by_name: Dict[str, Sequence[float]],

@@ -1,6 +1,6 @@
-"""Baseline policies Heracles is compared against."""
+"""Baseline policies Heracles is compared against: OS isolation and
+static partitions."""
 
-from .energy_prop import EnergyProportionalController, tco_comparison
 from .os_isolation import (OsIsolationPoint, os_isolation_sweep,
                            violates_everywhere)
 from .static import (StaticPartitionController, conservative_static,
@@ -38,7 +38,6 @@ def baseline_for_sim(name: str, sim) -> StaticPartitionController:
 
 
 __all__ = [
-    "EnergyProportionalController", "tco_comparison",
     "OsIsolationPoint", "os_isolation_sweep", "violates_everywhere",
     "StaticPartitionController", "conservative_static", "optimistic_static",
     "SCENARIO_BASELINES", "baseline_for_sim",

@@ -28,7 +28,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.config import HeraclesConfig
 from ..metrics.history import ColumnarHistory
 from ..core.dram_model import profile_lc_dram_model
 from ..hardware.spec import MachineSpec, default_machine_spec
@@ -38,6 +37,10 @@ from ..workloads.latency_critical import make_lc_workload
 from ..workloads.traces import LoadTrace, websearch_cluster_trace
 from .leaf import Leaf, LeafConfig, make_leaf_lc
 from .root import RootAggregator
+
+#: Cluster record cadence in simulated seconds (the paper's 30 s
+#: reporting window).
+RECORD_PERIOD_S = 30.0
 
 
 @dataclass
@@ -130,9 +133,7 @@ class WebsearchCluster:
                  leaves: int = 20,
                  spec: Optional[MachineSpec] = None,
                  trace: Optional[LoadTrace] = None,
-                 heracles_config: Optional[HeraclesConfig] = None,
                  managed: bool = True,
-                 record_period_s: float = 30.0,
                  seed: int = 0,
                  engine: str = "batch"):
         if leaves < 2:
@@ -141,7 +142,6 @@ class WebsearchCluster:
             raise ValueError(f"unknown engine {engine!r}")
         self.spec = spec or default_machine_spec()
         self.trace = trace or websearch_cluster_trace(seed=seed)
-        self.record_period_s = record_period_s
         self.managed = managed
         self.engine = engine
 
@@ -174,14 +174,11 @@ class WebsearchCluster:
                 spec=self.spec, seeds=[c.seed for c in configs],
                 record_history=False)
             if managed:
-                self.batch.attach_vec_heracles(config=heracles_config,
-                                               dram_model=shared_model)
+                self.batch.attach_vec_heracles(dram_model=shared_model)
         else:
             self.leaves = [
                 Leaf(config, trace=self.trace, spec=self.spec,
-                     shared_dram_model=shared_model,
-                     heracles_config=heracles_config,
-                     managed=managed)
+                     shared_dram_model=shared_model, managed=managed)
                 for config in configs
             ]
 
@@ -195,7 +192,7 @@ class WebsearchCluster:
     def tick(self, dt_s: float = 1.0) -> None:
         """Advance the whole cluster by one interval.
 
-        Cluster records are appended every ``record_period_s`` of
+        Cluster records are appended every :data:`RECORD_PERIOD_S` of
         simulated time, derived from the actual tick size (the cadence
         is tick-counted, so it stays correct for any ``dt_s``, not just
         the historical 1-second tick).
@@ -214,7 +211,7 @@ class WebsearchCluster:
                 tails.append(record.tail_latency_ms)
                 emus.append(record.emu)
         self.root.record(self.time_s, tails)
-        record_every = max(1, int(round(self.record_period_s / dt_s)))
+        record_every = max(1, int(round(RECORD_PERIOD_S / dt_s)))
         if self._tick_index % record_every == 0:
             windowed = self.root.windowed_latency_ms()
             self.history.append(ClusterRecord(

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.config import HeraclesConfig
 from ..core.controller import HeraclesController
 from ..core.dram_model import LcDramBandwidthModel
 from ..hardware.spec import MachineSpec
@@ -51,14 +50,12 @@ class Leaf:
         trace: shared cluster load trace.
         spec: machine description.
         shared_dram_model: the one offline model all leaves share.
-        heracles_config: controller tunables.
         managed: attach a Heracles instance (False = baseline leaf).
     """
 
     def __init__(self, config: LeafConfig, trace: LoadTrace,
                  spec: MachineSpec,
                  shared_dram_model: Optional[LcDramBandwidthModel] = None,
-                 heracles_config: Optional[HeraclesConfig] = None,
                  managed: bool = True):
         self.config = config
         self.sim = ColocationSim(
@@ -66,17 +63,13 @@ class Leaf:
             be=make_be_workload(config.be_name, spec), spec=spec,
             seed=config.seed)
         self.controller = (HeraclesController.for_sim(
-            self.sim, config=heracles_config, dram_model=shared_dram_model)
+            self.sim, dram_model=shared_dram_model)
             if managed else None)
 
     def tick(self) -> TickRecord:
         """Advance this leaf by one second."""
         self.sim.tick()
         return self.sim.history.last()
-
-    @property
-    def last_tail_ms(self) -> float:
-        return self.sim.history.last().tail_latency_ms
 
     @property
     def last_emu(self) -> float:

@@ -37,7 +37,6 @@ class HeraclesConfig:
     core_mem_period_s: float = 2.0
     dram_limit_fraction: float = 0.90
     be_benefit_epsilon: float = 0.01  # min relative gain to count as benefit
-    initial_be_llc_fraction: float = 0.10
     # Extra slack required before *growing* BE, on top of the no-growth
     # band: "Heracles maintains a small latency slack as a guard band to
     # avoid spikes and control instability" (§5.2).  Growth stops at

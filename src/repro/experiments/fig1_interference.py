@@ -53,9 +53,6 @@ class InterferenceTable:
     def cell(self, antagonist: str, load: float) -> float:
         return self.rows[antagonist][self.loads.index(load)]
 
-    def category(self, antagonist: str, load: float) -> str:
-        return classify(self.cell(antagonist, load))
-
     def render(self) -> str:
         """Plain-text rendering in the paper's layout."""
         width = max(len(name) for name in self.rows) + 2

@@ -33,27 +33,11 @@ class ConvexitySurface:
     way_counts: List[int]
     max_load: np.ndarray  # shape (len(core_counts), len(way_counts))
 
-    def core_slice(self, way_index: int) -> np.ndarray:
-        return self.max_load[:, way_index]
-
-    def way_slice(self, core_index: int) -> np.ndarray:
-        return self.max_load[core_index, :]
-
     def is_monotone_nondecreasing(self, tolerance: float = 1e-6) -> bool:
         """More resources never reduce the achievable load."""
         rows_ok = bool(np.all(np.diff(self.max_load, axis=0) >= -tolerance))
         cols_ok = bool(np.all(np.diff(self.max_load, axis=1) >= -tolerance))
         return rows_ok and cols_ok
-
-    def has_diminishing_returns(self, axis: int = 0,
-                                tolerance: float = 0.05) -> bool:
-        """Concavity along an axis (the "convex performance function" of
-        the paper means gradient descent over resource *grants* sees
-        diminishing marginal gains — no local optima)."""
-        diffs = np.diff(self.max_load, axis=axis)
-        second = np.diff(diffs, axis=axis)
-        return bool(np.mean(second <= tolerance) >= 0.9)
-
 
 def max_load_under_slo(lc: LatencyCriticalWorkload, cores: int, ways: int,
                        spec: Optional[MachineSpec] = None,

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..hardware.spec import MachineSpec
 from ..scenarios import compile_scenario, registry
 from ..scenarios.library import (DEFAULT_LOADS,  # noqa: F401  (re-export)
                                  FIG4_BE_TASKS, fig4_scenario)
@@ -62,7 +61,6 @@ def run_sweep(lc_name: str,
               be_tasks: Sequence[str] = FIG4_BE_TASKS,
               loads: Sequence[float] = DEFAULT_LOADS,
               duration_s: float = 900.0,
-              spec: Optional[MachineSpec] = None,
               seed: int = 0,
               processes: Optional[int] = None) -> ColocationSweep:
     """Run the Heracles colocation grid for one LC workload.
@@ -77,10 +75,6 @@ def run_sweep(lc_name: str,
         be_tasks / loads: grid axes.
         duration_s: per-cell run length (warm-up stays the paper's
             240 s).
-        spec: machine override.  ``None`` uses the paper's server; a
-            non-default machine bypasses the scenario layer (scenario
-            hardware is expressed as ``ServerSpec`` overrides) and
-            calls the sweep machinery directly.
         seed / processes: forwarded to every cell / the runner.
 
     Returns:
@@ -88,17 +82,6 @@ def run_sweep(lc_name: str,
     """
     if lc_name not in LC_PROFILES:
         raise KeyError(f"unknown LC workload {lc_name!r}")
-    if spec is not None:
-        from ..workloads.latency_critical import make_lc_workload
-        from .common import baseline_cell, colocation_sweep
-        sweep = ColocationSweep(lc_name=lc_name, loads=list(loads))
-        lc = make_lc_workload(lc_name, spec)
-        sweep.baseline_slo = [baseline_cell(lc, load, spec)
-                              for load in loads]
-        sweep.results = colocation_sweep(
-            lc_name, be_tasks, loads, duration_s=duration_s, spec=spec,
-            seed=seed, processes=processes)
-        return sweep
     # The paper's 240 s warm-up, clamped so short smoke runs (which the
     # pre-scenario harness allowed) still validate instead of tripping
     # the spec's warmup < duration check.

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..cluster.cluster import ClusterHistory
-from ..hardware.spec import MachineSpec
 from ..scenarios import compile_scenario, registry
 from ..scenarios.library import fig8_scenario
 
@@ -69,7 +68,6 @@ class Fig8Result:
 def run_fig8(leaves: int = 12,
              duration_s: float = 12 * 3600.0,
              time_compression: float = 1.0,
-             spec: Optional[MachineSpec] = None,
              seed: int = 7,
              engine: str = "batch",
              processes: Optional[int] = None) -> Fig8Result:
@@ -84,34 +82,11 @@ def run_fig8(leaves: int = 12,
     Args:
         leaves / duration_s / time_compression / seed / engine:
             forwarded to :func:`repro.scenarios.library.fig8_scenario`.
-        spec: optional machine override (``None`` = the paper's
-            server).  A non-default machine runs the cluster driver
-            directly, outside the scenario layer.
         processes: runner worker count (``None`` = auto).
 
     Returns:
         The populated :class:`Fig8Result`.
     """
-    if spec is not None:
-        from ..cluster.cluster import run_cluster_arm
-        from ..sim.runner import run_sweep
-        from ..workloads.traces import DiurnalTrace
-        if time_compression < 1.0:
-            raise ValueError("compression must be >= 1")
-        period = 12 * 3600.0 / time_compression
-        arms = [
-            dict(leaves=leaves, spec=spec,
-                 trace=DiurnalTrace(low=0.20, high=0.90, period_s=period,
-                                    noise_sigma=0.02, seed=seed),
-                 managed=managed, seed=seed, engine=engine,
-                 duration=duration_s / time_compression)
-            for managed in (True, False)
-        ]
-        (managed_history, root_slo_ms), (baseline_history, _) = run_sweep(
-            run_cluster_arm, arms, processes=processes)
-        return Fig8Result(managed=managed_history,
-                          baseline=baseline_history,
-                          root_slo_ms=root_slo_ms)
     scenario = fig8_scenario(leaves=leaves, duration_s=duration_s,
                              time_compression=time_compression, seed=seed,
                              engine=engine)

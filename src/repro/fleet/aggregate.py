@@ -233,13 +233,6 @@ class FleetSlackView:
         """Total fleet leaf population."""
         return self.harvest_core_s.shape[1]
 
-    def cluster_view(self, name: str) -> LeafSlackView:
-        """Look up one cluster's slack view by name."""
-        for view in self.views:
-            if view.cluster == name:
-                return view
-        raise KeyError(f"no cluster named {name!r} in this slack view")
-
 
 def rollup_cluster(times_s: np.ndarray,
                    tails_ms: np.ndarray,
@@ -331,11 +324,6 @@ class FleetTelemetry:
     def column(self, name: str) -> np.ndarray:
         """One per-cluster field as a (T, C) float column."""
         return self._store.column(name)
-
-    def cluster_column(self, name: str, cluster: str) -> np.ndarray:
-        """One cluster's (T,) slice of a per-cluster field."""
-        index = self.cluster_names.index(cluster)
-        return self._store.member_column(name, index)
 
     def fleet_column(self, name: str) -> np.ndarray:
         """One derived fleet-wide field as a (T,) float column."""

@@ -9,7 +9,6 @@ behaviour.
 
 from .cache import CacheDemand, CacheShare, CatController, resolve_occupancy
 from .counters import CounterBank
-from .cpu import CoreId, CpuTopology, DvfsState
 from .memory import MemoryController, MemoryDemand, MemoryGrant, MemoryResolution
 from .network import EgressLink, FlowDemand, FlowGrant, LinkResolution
 from .power import CorePowerRequest, PowerResolution, RaplMeter, SocketPowerModel
@@ -20,7 +19,6 @@ from .spec import MachineSpec, NicSpec, SocketSpec, TurboSpec, default_machine_s
 __all__ = [
     "CacheDemand", "CacheShare", "CatController", "resolve_occupancy",
     "CounterBank",
-    "CoreId", "CpuTopology", "DvfsState",
     "MemoryController", "MemoryDemand", "MemoryGrant", "MemoryResolution",
     "EgressLink", "FlowDemand", "FlowGrant", "LinkResolution",
     "CorePowerRequest", "PowerResolution", "RaplMeter", "SocketPowerModel",

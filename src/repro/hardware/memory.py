@@ -138,11 +138,6 @@ class MemoryController:
         oversub = max(0.0, demand_gbps / self.capacity_gbps - 1.0)
         return factor + 6.0 * oversub
 
-    @property
-    def last_resolution(self) -> MemoryResolution:
-        """Most recent resolution (what the bandwidth registers report)."""
-        return self._last
-
     def measured_bw_gbps(self) -> float:
         """Counter read: total achieved bandwidth last interval."""
         return self._last.total_achieved_gbps

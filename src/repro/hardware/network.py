@@ -144,10 +144,6 @@ class EgressLink:
         )
         return self._last
 
-    @property
-    def last_resolution(self) -> LinkResolution:
-        return self._last
-
     def measured_tx_gbps(self) -> float:
         """Counter read: total transmit bandwidth last interval."""
         return self._last.total_achieved_gbps

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .cache import CacheDemand, CatController, resolve_occupancy
-from .cpu import CpuTopology
 from .memory import MemoryController, MemoryDemand
 from .network import EgressLink, FlowDemand
 from .power import CorePowerRequest, RaplMeter, SocketPowerModel
@@ -147,7 +146,6 @@ class Server:
     def __init__(self, spec: Optional[MachineSpec] = None):
         self.spec = spec or default_machine_spec()
         self.spec.validate()
-        self.topology = CpuTopology(self.spec)
         self.cat: Dict[int, CatController] = {
             s: CatController(self.spec.socket.llc_mb, self.spec.socket.llc_ways)
             for s in range(self.spec.sockets)

@@ -1,18 +1,15 @@
-"""Simulated OS mechanisms: cgroups, CFS, NUMA binding, traffic control.
+"""Simulated OS mechanisms: HTB traffic control and the CFS model.
 
-These are the *software* isolation mechanisms Heracles coordinates
-(cpuset pinning and HTB network shaping) plus the CFS time-sharing model
-used by the OS-isolation baseline the paper measures against.
+HTB network shaping is the *software* isolation mechanism Heracles
+coordinates (cpuset core placement is modelled as core counts in
+:class:`~repro.sim.actuators.Actuators`); the CFS time-sharing model
+serves the OS-isolation baseline the paper measures against.
 """
 
-from .cgroups import Cgroup, CgroupManager
-from .numa import NumaBinding, NumaPolicy
 from .scheduler import CfsModelParams, CfsSharedCoreModel
 from .traffic_control import HtbClass, HtbQdisc
 
 __all__ = [
-    "Cgroup", "CgroupManager",
-    "NumaBinding", "NumaPolicy",
     "CfsModelParams", "CfsSharedCoreModel",
     "HtbClass", "HtbQdisc",
 ]

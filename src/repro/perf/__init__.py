@@ -1,13 +1,12 @@
-"""Performance models: queueing tails, saturation knees, interference."""
+"""Performance models: queueing tails, the saturation knee, interference."""
 
 from .interference import (InterferenceSensitivity, be_throughput_efficiency,
                            network_latency_factor, service_inflation)
-from .queueing import QueueModel, erlang_c, solve_service_time_ms
-from .saturation import headroom_fraction, knee_penalty, soft_clip
+from .queueing import QueueModel, erlang_c
+from .saturation import knee_penalty
 
 __all__ = [
     "InterferenceSensitivity", "be_throughput_efficiency",
     "network_latency_factor", "service_inflation",
-    "QueueModel", "erlang_c", "solve_service_time_ms",
-    "headroom_fraction", "knee_penalty", "soft_clip",
+    "QueueModel", "erlang_c", "knee_penalty",
 ]

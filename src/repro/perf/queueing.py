@@ -185,40 +185,3 @@ def solve_peak_qps(servers: int, service_ms: float, target_tail_ms: float,
         if hi - lo < max(tol, 1e-12 * hi):
             break
     return (lo + hi) / 2.0
-
-
-def solve_service_time_ms(servers: int, qps: float, target_tail_ms: float,
-                          service_tail_mult: float = 3.0,
-                          percentile: float = 0.99,
-                          pool_size: Optional[int] = None,
-                          tol: float = 1e-6) -> float:
-    """Find the mean service time such that the model's tail latency at
-    ``qps`` equals ``target_tail_ms``.  Monotone in service time, so
-    bisection.  (Kept for calibration experiments; the workload profiles
-    use :func:`solve_peak_qps` instead.)
-    """
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    if target_tail_ms <= 0:
-        raise ValueError("target tail must be positive")
-    # Upper bound: service time that saturates (rho = 1) at this qps.
-    hi = servers / (qps / 1000.0) * 0.999
-    lo = hi * 1e-6
-
-    def tail(service_ms: float) -> float:
-        model = QueueModel(servers=servers, service_ms=service_ms,
-                           service_tail_mult=service_tail_mult,
-                           percentile=percentile, pool_size=pool_size)
-        return model.tail_latency_ms(qps)
-
-    if tail(hi) < target_tail_ms:
-        return hi
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        if tail(mid) > target_tail_ms:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol * hi:
-            break
-    return (lo + hi) / 2.0

@@ -42,19 +42,3 @@ def knee_penalty(utilization: float, knee: float = 0.8,
         # overloads always read as strictly worse.
         penalty += gain * 8.0 * (utilization - 1.0)
     return penalty
-
-
-def soft_clip(value: float, limit: float) -> float:
-    """Smoothly clamp ``value`` to at most ``limit`` (both positive)."""
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    if value <= 0:
-        return 0.0
-    return limit * value / (value + limit)
-
-
-def headroom_fraction(used: float, capacity: float) -> float:
-    """Remaining fraction of a resource, clamped to [0, 1]."""
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    return min(1.0, max(0.0, 1.0 - used / capacity))

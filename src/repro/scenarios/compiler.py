@@ -84,7 +84,6 @@ class InjectionSchedule:
         self._actuators = actuators
         self._inner = inner
         self._pending = sorted(injections, key=lambda inj: inj.at_s)
-        self._applied: List[InjectionSpec] = []
 
     @property
     def control_loop(self) -> bool:
@@ -93,17 +92,11 @@ class InjectionSchedule:
         controller, which steps after it."""
         return self._inner is not None
 
-    @property
-    def applied(self) -> List[InjectionSpec]:
-        """Injections fired so far (oldest first)."""
-        return list(self._applied)
-
     def step(self, now_s: float) -> None:
         """Fire due injections, then step the wrapped controller."""
         while self._pending and self._pending[0].at_s <= now_s:
             injection = self._pending.pop(0)
             self._apply(injection)
-            self._applied.append(injection)
         if self._inner is not None:
             self._inner.step(now_s)
 

@@ -16,7 +16,7 @@ Placement invariants enforced here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..hardware.server import Server
 from ..hardware.spec import MachineSpec
@@ -27,26 +27,26 @@ from ..workloads.base import Allocation
 LC_COS = "lc"
 BE_COS = "be"
 
+#: Cores the LC workload always keeps.
+MIN_LC_CORES = 1
+#: BE share of the LLC on (re)admission: "one core and 10% of the LLC"
+#: (§4.3).
+INITIAL_BE_LLC_FRACTION = 0.10
+
 
 class Actuators:
     """Mutable placement state for one LC + one BE group on a server."""
 
-    def __init__(self, server: Server, min_lc_cores: int = 1,
-                 min_lc_llc_ways: int = 1,
-                 initial_be_llc_fraction: float = 0.10):
+    def __init__(self, server: Server, min_lc_llc_ways: int = 1):
         self.server = server
         self.spec: MachineSpec = server.spec
-        if min_lc_cores < 1:
-            raise ValueError("LC needs at least one core")
         if not 1 <= min_lc_llc_ways <= server.spec.socket.llc_ways - 1:
             raise ValueError("LC way floor must leave at least one way "
                              "for BE")
-        self.min_lc_cores = min_lc_cores
         # Floor on the LC cache partition, normally derived from the
         # offline profile (enough ways to keep the hot working set —
         # instructions and hot data — resident).
         self.min_lc_llc_ways = min_lc_llc_ways
-        self.initial_be_llc_fraction = initial_be_llc_fraction
         self.htb = HtbQdisc(self.spec.nic.link_gbps)
         self.htb.add_class(LC_COS, ceil_gbps=None)
         self.htb.add_class(BE_COS, ceil_gbps=None)
@@ -74,13 +74,13 @@ class Actuators:
 
     def set_be_cores(self, count: int) -> int:
         """Set the BE core count, clamped to keep the LC minimum."""
-        maximum = self.spec.total_cores - self.min_lc_cores
+        maximum = self.spec.total_cores - MIN_LC_CORES
         self._be_cores = max(0, min(int(count), maximum))
         return self._be_cores
 
     def add_be_core(self) -> bool:
         """Move one core from LC to BE; False if LC is at its minimum."""
-        if self._be_cores >= self.spec.total_cores - self.min_lc_cores:
+        if self._be_cores >= self.spec.total_cores - MIN_LC_CORES:
             return False
         self._be_cores += 1
         return True
@@ -216,7 +216,7 @@ class Actuators:
             return
         self._be_enabled = True
         self.set_be_cores(1)
-        initial_ways = max(1, round(self.initial_be_llc_fraction
+        initial_ways = max(1, round(INITIAL_BE_LLC_FRACTION
                                     * self.spec.socket.llc_ways))
         self.set_llc_split(initial_ways)
 

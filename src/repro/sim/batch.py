@@ -76,13 +76,10 @@ from ..workloads.best_effort import (BestEffortWorkload,
                                      reference_throughput_units)
 from ..workloads.latency_critical import LatencyCriticalWorkload
 from ..workloads.traces import LoadTrace
-from .actuators import BE_COS, Actuators
+from .actuators import INITIAL_BE_LLC_FRACTION, MIN_LC_CORES, Actuators
 from .chaos import PARTITION_TAIL_SLO_MULT, sort_events, trace_chaos_event
 from .engine import Controller, SimHistory, TickRecord, TickSeriesMixin
 from .monitors import LatencyMonitor
-
-#: ``enable_be``'s initial cache grant, the :class:`Actuators` default.
-_INITIAL_BE_LLC_FRACTION = 0.10
 
 
 def _seq_mean(rows: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,8 +210,6 @@ class _MemberActuators(Actuators):
         self._i = index
         self.server = self.htb = None
         self.spec = batch.spec
-        self.min_lc_cores = batch._min_lc_cores
-        self.initial_be_llc_fraction = _INITIAL_BE_LLC_FRACTION
 
     @property
     def _be_dvfs_cap(self) -> Optional[float]:
@@ -444,11 +439,6 @@ class BatchMember:
         self.batch._attach_controller(self.index, controller)
 
     @property
-    def last_tail_ms(self) -> float:
-        """This member's tail latency at the latest tick (ms)."""
-        return float(self.batch._tick["tail_ms"][self.index])
-
-    @property
     def last_emu(self) -> float:
         """This member's EMU at the latest tick."""
         return float(self.batch._tick["emu"][self.index])
@@ -587,7 +577,6 @@ class BatchColocationSim:
         seeds: per-server tail-noise seeds (defaults to 0..N-1).
         n: batch size; inferred from the longest sequence argument
             when omitted.
-        min_lc_cores: cores the LC workload always keeps, per member.
         record_history: keep the full :class:`TickRecord` field set per
             member (the scalar engine's format, read through
             ``members[i].history``).  Disable for large fleets — the
@@ -607,7 +596,6 @@ class BatchColocationSim:
                  spec: Optional[MachineSpec] = None,
                  seeds: Optional[Sequence[int]] = None,
                  n: Optional[int] = None,
-                 min_lc_cores: int = 1,
                  record_history: bool = True,
                  specs: Optional[Sequence[MachineSpec]] = None,
                  spill_dir: Optional[str] = None):
@@ -625,8 +613,6 @@ class BatchColocationSim:
         seed_list = list(seeds) if seeds is not None else list(range(n))
         if len(seed_list) != n:
             raise ValueError(f"seeds: expected {n} entries")
-        if min_lc_cores < 1:
-            raise ValueError("LC needs at least one core")
 
         self.spec = spec or lcs[0].spec
         self.spec.validate()
@@ -665,7 +651,7 @@ class BatchColocationSim:
                 self._trace_groups.append((slice(start, i), traces[start]))
                 start = i
         self._build_static_arrays(lcs, be_list)
-        self._build_member_state(be_list, seed_list, min_lc_cores)
+        self._build_member_state(be_list, seed_list)
 
         # Controllers: object controllers by member index (attached
         # through the ``members`` adapter), and at most one vector
@@ -695,8 +681,7 @@ class BatchColocationSim:
         self._obs_prof = make_profiler()
         self._obs_map: Optional[np.ndarray] = None
 
-    def _build_member_state(self, be_list, seed_list,
-                            min_lc_cores: int) -> None:
+    def _build_member_state(self, be_list, seed_list) -> None:
         """The per-member control plane, as columns."""
         n, spec = self.n, self.spec
         total_ways = spec.socket.llc_ways
@@ -710,9 +695,8 @@ class BatchColocationSim:
         self._act_cap = np.full(n, np.inf)
         self._act_ceil = np.full(n, np.inf)
         self._min_lc_llc_ways = np.ones(n, dtype=np.int64)
-        self._min_lc_cores = min_lc_cores
-        self._max_be_cores = spec.total_cores - min_lc_cores
-        self._initial_be_ways = max(1, round(_INITIAL_BE_LLC_FRACTION
+        self._max_be_cores = spec.total_cores - MIN_LC_CORES
+        self._initial_be_ways = max(1, round(INITIAL_BE_LLC_FRACTION
                                              * total_ways))
         self._cap_ladder, self._cap_down, self._cap_up = _dvfs_ladder(
             spec.socket.turbo)

@@ -66,6 +66,10 @@ class TickRecord:
     be_dvfs_cap_ghz: Optional[float]
     be_net_ceil_gbps: Optional[float]
     be_enabled: bool
+    # Effective Machine Utilization (§5.1): "EMU = LC Throughput + BE
+    # Throughput", the LC load as a fraction of peak plus the BE rate
+    # normalized to the BE task alone on one server.  It "can be above
+    # 100% due to better binpacking of shared resources".
     emu: float
     dram_bw_gbps: float
     dram_utilization: float
@@ -156,14 +160,13 @@ class ColocationSim:
                  be: Optional[BestEffortWorkload] = None,
                  spec: Optional[MachineSpec] = None,
                  seed: int = 0,
-                 min_lc_cores: int = 1,
                  spill_dir: Optional[str] = None):
         self.lc = lc
         self.be = be
         self.trace = trace
         self.server = Server(spec or lc.spec)
         self.counters = CounterBank(self.server)
-        self.actuators = Actuators(self.server, min_lc_cores=min_lc_cores)
+        self.actuators = Actuators(self.server)
         self.latency_monitor = LatencyMonitor()
         self.rng = np.random.default_rng(seed)
         self.time_s = 0.0
@@ -221,20 +224,10 @@ class ColocationSim:
     #: pre-observability pickles keep working with everything off).
     _obs_trace = None
     _obs_prof = None
-    _obs_base = 0
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-
-    def obs_set_base(self, base: int) -> None:
-        """Set the *global* (fleet-wide) index of this sim's one member.
-
-        Trace events carry global member indices so merged traces are
-        invariant under any shard partition; a standalone sim keeps the
-        default base 0.
-        """
-        self._obs_base = int(base)
 
     def _obs_actuator_state(self):
         """The traced actuator tuple (pure reads, never perturbing)."""
@@ -249,19 +242,19 @@ class ColocationSim:
         ``pre`` is the actuator tuple gathered before the controller
         stepped (but after chaos resolution — chaos mutations carry
         their own events); the triggering signals attached are the
-        tick's observed SLO fraction and offered load.
+        tick's observed SLO fraction and offered load.  A scalar sim
+        has one member, traced as member 0.
         """
         post = self._obs_actuator_state()
         if post == pre:
             return
         sink = self._obs_trace
-        member = self._obs_base
         t_s, slo, load = record.t_s, record.slo_fraction, record.load
         for kind, old, new in zip(("be_gate", "cores", "llc", "dvfs",
                                    "net_ceil"), pre, post):
             if old is new or old == new:
                 continue
-            sink.emit(t_s, member, "controller", kind,
+            sink.emit(t_s, 0, "controller", kind,
                       a=(None if old is None else float(old)),
                       b=(None if new is None else float(new)),
                       slo=slo, load=load)
@@ -277,7 +270,7 @@ class ColocationSim:
                 continue
             if self._obs_trace is not None:
                 trace_chaos_event(self._obs_trace, self.time_s, event,
-                                  (self._obs_base,))
+                                  (0,))
             action = event.action
             if action == "leaf_crash":
                 self._chaos_alive = False

@@ -2,8 +2,8 @@
 
 from .antagonists import (AntagonistSpec, Placement, antagonist_by_label,
                           figure1_antagonists, make_antagonist)
-from .base import (Allocation, cache_demand_for, pack_cores,
-                   split_across_sockets, spread_cores)
+from .base import (Allocation, cache_demand_for, split_across_sockets,
+                   spread_cores)
 from .best_effort import (BE_PROFILES, BRAIN, CPU_PWR, IPERF, STREAM_DRAM,
                           STREAM_LLC, STREETVIEW, BestEffortWorkload,
                           BeWorkloadProfile, make_be_workload,
@@ -18,8 +18,7 @@ from .traces import (ConstantLoad, DiurnalTrace, LoadSpike, LoadTrace,
 __all__ = [
     "AntagonistSpec", "Placement", "antagonist_by_label",
     "figure1_antagonists", "make_antagonist",
-    "Allocation", "cache_demand_for", "pack_cores", "split_across_sockets",
-    "spread_cores",
+    "Allocation", "cache_demand_for", "split_across_sockets", "spread_cores",
     "BE_PROFILES", "BRAIN", "CPU_PWR", "IPERF", "STREAM_DRAM", "STREAM_LLC",
     "STREETVIEW", "BestEffortWorkload", "BeWorkloadProfile",
     "make_be_workload", "reference_throughput_units",

@@ -13,7 +13,6 @@ mutated by whatever controller is in charge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
@@ -76,21 +75,6 @@ def spread_cores(total_cores: int, spec: MachineSpec) -> Dict[int, int]:
     base = total_cores // spec.sockets
     extra = total_cores % spec.sockets
     return {s: base + (1 if s < extra else 0) for s in range(spec.sockets)}
-
-
-def pack_cores(total_cores: int, spec: MachineSpec) -> Dict[int, int]:
-    """Fill socket 0 first, then socket 1, ... (the BE NUMA policy)."""
-    if total_cores < 0:
-        raise ValueError("core count must be non-negative")
-    if total_cores > spec.total_cores:
-        raise ValueError(f"machine has only {spec.total_cores} cores")
-    out = {}
-    left = total_cores
-    for s in range(spec.sockets):
-        take = min(left, spec.socket.cores)
-        out[s] = take
-        left -= take
-    return out
 
 
 def cache_demand_for(task: str, alloc: Allocation, spec: MachineSpec,

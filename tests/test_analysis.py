@@ -1,40 +1,9 @@
-"""Tests for repro.analysis: EMU, TCO model, table rendering."""
+"""Tests for repro.analysis: TCO model, table rendering."""
 
 import pytest
 
-from repro.analysis.emu import (EmuSummary, cluster_emu,
-                                effective_machine_utilization)
-from repro.analysis.tables import (format_percent, render_load_series_table,
-                                   render_series, render_table)
+from repro.analysis.tables import render_load_series_table, render_table
 from repro.analysis.tco import TcoModel, TcoParameters
-
-
-class TestEmu:
-    def test_sum(self):
-        assert effective_machine_utilization(0.5, 0.4) == pytest.approx(0.9)
-
-    def test_can_exceed_one(self):
-        # "EMU can be above 100% due to better binpacking" (§5.1).
-        assert effective_machine_utilization(0.7, 0.5) > 1.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            effective_machine_utilization(-0.1, 0.5)
-
-    def test_summary(self):
-        s = EmuSummary.from_series([0.8, 0.9, 1.0])
-        assert s.mean == pytest.approx(0.9)
-        assert s.minimum == pytest.approx(0.8)
-        assert s.maximum == pytest.approx(1.0)
-
-    def test_summary_empty(self):
-        with pytest.raises(ValueError):
-            EmuSummary.from_series([])
-
-    def test_cluster_emu(self):
-        assert cluster_emu([0.8, 1.0]) == pytest.approx(0.9)
-        with pytest.raises(ValueError):
-            cluster_emu([])
 
 
 class TestTcoModel:
@@ -89,10 +58,6 @@ class TestTcoModel:
 
 
 class TestTables:
-    def test_format_percent(self):
-        assert format_percent(0.87) == "87%"
-        assert format_percent(5.0) == ">300%"
-
     def test_render_table_alignment(self):
         out = render_table(["a", "bb"], [["1", "2"], ["333", "4"]],
                            title="t")
@@ -106,13 +71,6 @@ class TestTables:
             render_table([], [])
         with pytest.raises(ValueError):
             render_table(["a"], [["1", "2"]])
-
-    def test_render_series(self):
-        out = render_series("emu", [0.1, 0.5], [0.8, 0.9])
-        assert "emu" in out
-        assert "10%" in out
-        with pytest.raises(ValueError):
-            render_series("x", [1], [1, 2])
 
     def test_render_load_series_table(self):
         out = render_load_series_table({"a": [1.0, 2.0]}, [0.1, 0.5])

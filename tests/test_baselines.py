@@ -1,17 +1,12 @@
-"""Tests for repro.baselines: OS isolation, static splits, energy prop."""
+"""Tests for repro.baselines: OS isolation, static splits."""
 
 import pytest
 
 import repro
-from repro.baselines.energy_prop import (EnergyProportionalController,
-                                         tco_comparison)
 from repro.baselines.os_isolation import (os_isolation_sweep,
                                           violates_everywhere)
 from repro.baselines.static import (StaticPartitionController,
                                     conservative_static, optimistic_static)
-from repro.sim.engine import ColocationSim
-from repro.workloads.latency_critical import make_lc_workload
-from repro.workloads.traces import ConstantLoad
 
 
 class TestOsIsolation:
@@ -83,43 +78,3 @@ class TestStaticPartition:
         with pytest.raises(ValueError):
             StaticPartitionController(sim.actuators, be_cores=-1,
                                       be_llc_ways=0)
-
-
-class TestEnergyProportional:
-    def test_lowers_frequency_at_low_load(self):
-        sim = ColocationSim(lc=make_lc_workload("websearch"),
-                            trace=ConstantLoad(0.2), seed=1)
-        controller = EnergyProportionalController(
-            sim.actuators, sim.latency_monitor,
-            slo_target_ms=sim.lc.profile.slo_latency_ms)
-        sim.attach_controller(controller)
-        sim.run(300)
-        assert controller.lc_cap_ghz is not None
-        assert controller.lc_cap_ghz < sim.lc.spec.socket.turbo.max_turbo_ghz
-
-    def test_never_enables_be(self):
-        sim = repro.build_colocation("websearch", "brain", load=0.2, seed=1)
-        controller = EnergyProportionalController(
-            sim.actuators, sim.latency_monitor,
-            slo_target_ms=sim.lc.profile.slo_latency_ms)
-        sim.attach_controller(controller)
-        history = sim.run(300)
-        assert all(not r.be_enabled for r in history.records)
-
-    def test_validation(self):
-        sim = repro.build_colocation("websearch", "brain", load=0.2)
-        with pytest.raises(ValueError):
-            EnergyProportionalController(sim.actuators, sim.latency_monitor,
-                                         slo_target_ms=0.0)
-        with pytest.raises(ValueError):
-            EnergyProportionalController(sim.actuators, sim.latency_monitor,
-                                         slo_target_ms=10.0,
-                                         lower_slack=0.1, raise_slack=0.2)
-
-    def test_tco_comparison_matches_paper(self):
-        low = tco_comparison(0.20)
-        assert low["heracles_gain"] == pytest.approx(3.06, abs=0.25)
-        assert low["energy_proportionality_gain"] < 0.07
-        high = tco_comparison(0.75)
-        assert high["heracles_gain"] == pytest.approx(0.15, abs=0.05)
-        assert high["energy_proportionality_gain"] < 0.05

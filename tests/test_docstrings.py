@@ -30,6 +30,13 @@ ALL_EXPORT_MODULES = (
     "repro.scenarios",
     "repro.fleet",
     "repro.sched",
+    "repro.hardware",
+    "repro.oslayer",
+    "repro.analysis",
+    "repro.perf",
+    "repro.core",
+    "repro.cluster",
+    "repro.obs",
 )
 
 #: Modules checked member-by-member (every public class/function defined

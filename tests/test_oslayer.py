@@ -1,84 +1,9 @@
-"""Tests for repro.oslayer: cgroups, CFS model, NUMA, traffic control."""
+"""Tests for repro.oslayer: CFS model, traffic control."""
 
 import pytest
 
-from repro.hardware.cpu import CoreId, CpuTopology
-from repro.hardware.spec import default_machine_spec
-from repro.oslayer.cgroups import CgroupManager
-from repro.oslayer.numa import NumaPolicy
 from repro.oslayer.scheduler import CfsModelParams, CfsSharedCoreModel
 from repro.oslayer.traffic_control import HtbQdisc
-
-
-@pytest.fixture
-def topology():
-    return CpuTopology(default_machine_spec())
-
-
-@pytest.fixture
-def manager(topology):
-    return CgroupManager(topology)
-
-
-class TestCgroups:
-    def test_create_and_get(self, manager):
-        manager.create("lc", [CoreId(0, 0, 0)], shares=2048)
-        group = manager.get("lc")
-        assert group.shares == 2048
-        assert CoreId(0, 0, 0) in group.cpuset
-
-    def test_duplicate_rejected(self, manager):
-        manager.create("lc")
-        with pytest.raises(ValueError):
-            manager.create("lc")
-
-    def test_unknown_thread_rejected(self, manager):
-        with pytest.raises(ValueError):
-            manager.create("x", [CoreId(9, 9, 9)])
-
-    def test_remove(self, manager):
-        manager.create("x")
-        manager.remove("x")
-        assert not manager.exists("x")
-        with pytest.raises(KeyError):
-            manager.remove("x")
-
-    def test_set_shares_validates(self, manager):
-        manager.create("x")
-        with pytest.raises(ValueError):
-            manager.set_shares("x", 1)
-
-    def test_cores_by_socket(self, manager, topology):
-        manager.create("lc", [CoreId(0, 0, 0), CoreId(0, 0, 1),
-                              CoreId(1, 3, 0)])
-        counts = manager.get("lc").cores_by_socket(topology)
-        assert counts == {0: 1, 1: 1}
-
-    def test_exclusive_physical_cores(self, manager):
-        manager.create("lc", [CoreId(0, 0, 0), CoreId(0, 1, 0)])
-        manager.create("be", [CoreId(0, 1, 1)])
-        exclusive = manager.exclusive_physical_cores("lc")
-        assert exclusive == {(0, 0)}
-
-    def test_ht_share_fraction_disjoint(self, manager):
-        manager.create("lc", [CoreId(0, 0, 0), CoreId(0, 0, 1)])
-        manager.create("be", [CoreId(0, 1, 0), CoreId(0, 1, 1)])
-        assert manager.ht_share_fraction("lc") == pytest.approx(0.0)
-
-    def test_ht_share_fraction_siblings(self, manager):
-        manager.create("lc", [CoreId(0, 0, 0), CoreId(0, 1, 0)])
-        manager.create("be", [CoreId(0, 0, 1)])
-        assert manager.ht_share_fraction("lc") == pytest.approx(0.5)
-
-    def test_share_fraction(self, manager):
-        manager.create("lc", shares=900)
-        manager.create("be", shares=100)
-        assert manager.share_fraction("lc") == pytest.approx(0.9)
-
-    def test_overlapping_cores(self, manager):
-        manager.create("a", [CoreId(0, 0, 0), CoreId(0, 1, 0)])
-        manager.create("b", [CoreId(0, 1, 1)])
-        assert manager.overlapping_physical_cores("a", "b") == {(0, 1)}
 
 
 class TestCfsModel:
@@ -116,52 +41,6 @@ class TestCfsModel:
     def test_throughput_share_zero_demand(self):
         cfs = CfsSharedCoreModel()
         assert cfs.throughput_share(6, 0, 36, 0.98) == 0.0
-
-
-class TestNumaPolicy:
-    def test_bind_and_query(self, topology):
-        policy = NumaPolicy(topology)
-        policy.bind_single_socket("be", 1)
-        binding = policy.binding_of("be")
-        assert binding.allows(1)
-        assert not binding.allows(0)
-
-    def test_bind_validates_socket(self, topology):
-        policy = NumaPolicy(topology)
-        with pytest.raises(ValueError):
-            policy.bind("x", [5])
-        with pytest.raises(ValueError):
-            policy.bind("x", [])
-
-    def test_unbind(self, topology):
-        policy = NumaPolicy(topology)
-        policy.bind("x", [0])
-        policy.unbind("x")
-        assert policy.binding_of("x") is None
-
-    def test_least_loaded_socket(self, topology):
-        policy = NumaPolicy(topology)
-        assert policy.least_loaded_socket({0: 10, 1: 3}) == 1
-        assert policy.least_loaded_socket({}) == 0
-
-    def test_pick_cores_within_binding(self, topology):
-        policy = NumaPolicy(topology)
-        policy.bind_single_socket("be", 1)
-        cores = policy.pick_cores("be", 4)
-        assert len(cores) == 4
-        assert all(c.socket == 1 and c.thread == 0 for c in cores)
-
-    def test_pick_cores_avoids_occupied(self, topology):
-        policy = NumaPolicy(topology)
-        occupied = [CoreId(0, i, 0) for i in range(18)]
-        cores = policy.pick_cores("x", 2, occupied=occupied)
-        assert all(c.socket == 1 for c in cores)
-
-    def test_pick_cores_overflow(self, topology):
-        policy = NumaPolicy(topology)
-        policy.bind_single_socket("be", 0)
-        with pytest.raises(ValueError):
-            policy.pick_cores("be", 19)
 
 
 class TestHtbQdisc:

@@ -7,7 +7,7 @@ from repro.perf.interference import (InterferenceSensitivity,
                                      be_throughput_efficiency,
                                      network_latency_factor,
                                      service_inflation)
-from repro.perf.saturation import headroom_fraction, knee_penalty, soft_clip
+from repro.perf.saturation import knee_penalty
 
 
 def usage(freq=2.3, hit=1.0, hot=1.0, bulk=1.0, occ=20.0, mem_delay=1.0,
@@ -173,15 +173,3 @@ class TestSaturationCurves:
         with pytest.raises(ValueError):
             knee_penalty(0.5, knee=1.5)
 
-    def test_soft_clip(self):
-        assert soft_clip(0.0, 5.0) == 0.0
-        assert soft_clip(5.0, 5.0) == pytest.approx(2.5)
-        assert soft_clip(1e9, 5.0) < 5.0
-        with pytest.raises(ValueError):
-            soft_clip(1.0, 0.0)
-
-    def test_headroom(self):
-        assert headroom_fraction(30.0, 60.0) == pytest.approx(0.5)
-        assert headroom_fraction(90.0, 60.0) == 0.0
-        with pytest.raises(ValueError):
-            headroom_fraction(1.0, 0.0)

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.perf.queueing import (QueueModel, erlang_c, solve_peak_qps,
-                                 solve_service_time_ms)
+from repro.perf.queueing import QueueModel, erlang_c, solve_peak_qps
 
 
 class TestErlangC:
@@ -124,16 +123,6 @@ class TestSolvers:
         with pytest.raises(ValueError):
             solve_peak_qps(servers=4, service_ms=10.0, target_tail_ms=5.0)
 
-    def test_solve_service_time_roundtrip(self):
-        service = solve_service_time_ms(servers=36, qps=5000.0,
-                                        target_tail_ms=20.0, pool_size=6)
-        m = QueueModel(servers=36, service_ms=service, pool_size=6)
-        assert m.tail_latency_ms(5000.0) == pytest.approx(20.0, rel=1e-3)
-
     def test_solver_validation(self):
         with pytest.raises(ValueError):
             solve_peak_qps(4, 1.0, -1.0)
-        with pytest.raises(ValueError):
-            solve_service_time_ms(4, 0.0, 5.0)
-        with pytest.raises(ValueError):
-            solve_service_time_ms(4, 10.0, 0.0)

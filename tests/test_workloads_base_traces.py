@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.spec import default_machine_spec
-from repro.workloads.base import (Allocation, cache_demand_for, pack_cores,
+from repro.workloads.base import (Allocation, cache_demand_for,
                                   split_across_sockets, spread_cores)
 from repro.workloads.traces import (ConstantLoad, DiurnalTrace, ReplayTrace,
                                     StepLoad, load_sweep,
@@ -44,14 +44,6 @@ class TestCoreSplitting:
             spread_cores(-1, spec)
         with pytest.raises(ValueError):
             spread_cores(37, spec)
-
-    def test_pack_fills_socket_zero_first(self, spec):
-        assert pack_cores(5, spec) == {0: 5, 1: 0}
-        assert pack_cores(20, spec) == {0: 18, 1: 2}
-
-    def test_pack_bounds(self, spec):
-        with pytest.raises(ValueError):
-            pack_cores(40, spec)
 
     def test_split_across_sockets_weighted(self):
         alloc = Allocation(cores_by_socket={0: 3, 1: 1})
