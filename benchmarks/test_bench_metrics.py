@@ -30,7 +30,6 @@ import time
 import numpy as np
 from conftest import OUT_DIR, regenerate
 
-from repro.core.controller import HeraclesController
 from repro.core.dram_model import profile_lc_dram_model
 from repro.sim.batch import BatchColocationSim
 from repro.workloads.best_effort import make_be_workload
@@ -57,9 +56,7 @@ def _run_batch():
         lc=lc, trace=websearch_cluster_trace(seed=SEED), bes=bes,
         spec=spec, seeds=[SEED * 1000 + i for i in range(LEAVES)],
         record_history=True)
-    shared_model = profile_lc_dram_model(lc)
-    for member in batch.members:
-        HeraclesController.for_sim(member, dram_model=shared_model)
+    batch.attach_vec_heracles(dram_model=profile_lc_dram_model(lc))
     batch.run(DURATION_S)
     return batch
 

@@ -155,24 +155,14 @@ def run_colocation(lc_name: str, be_name: str, load: float,
                    config: Optional[HeraclesConfig] = None,
                    dram_model: Optional[LcDramBandwidthModel] = None,
                    trace: Optional[LoadTrace] = None,
-                   seed: int = 0,
-                   controller_factory=None) -> ColocationResult:
-    """Run one LC x BE colocation under Heracles (or a custom controller).
-
-    Args:
-        controller_factory: callable(sim) -> controller; defaults to
-            :meth:`HeraclesController.for_sim`.  Pass a baseline factory
-            for comparison runs.
-    """
+                   seed: int = 0) -> ColocationResult:
+    """Run one LC x BE colocation under Heracles."""
     spec = spec or default_machine_spec()
     lc = make_lc_workload(lc_name, spec)
     be = make_be_workload(be_name, spec)
     sim = ColocationSim(lc=lc, trace=trace or ConstantLoad(load), be=be,
                         spec=spec, seed=seed)
-    if controller_factory is None:
-        HeraclesController.for_sim(sim, config=config, dram_model=dram_model)
-    else:
-        sim.attach_controller(controller_factory(sim))
+    HeraclesController.for_sim(sim, config=config, dram_model=dram_model)
     history = sim.run(duration_s)
     # One timestamp-filter pass over the columnar store covers every
     # steady-state mean the figures report.

@@ -92,6 +92,7 @@ KINDS = (
     "chaos_disable_be",
     "chaos_set_be_cores",
     "chaos_set_llc_split",
+    "chaos_lower_be_frequency",
     "chaos_set_be_net_ceil",
     "place",          # scheduler placed job cores on a leaf
     "evict",          # scheduler evicted a job from a latched leaf

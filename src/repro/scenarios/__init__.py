@@ -25,23 +25,21 @@ Schema reference: ``docs/scenarios.md``.  CLI:
 
 from . import library  # noqa: F401  (registers the shipped scenarios)
 from . import registry
-from .compiler import (CompiledScenario, InjectionSchedule, MemberResult,
-                       ScenarioResult, SweepGrid, compile_scenario,
-                       run_scenario)
+from .compiler import (CompiledScenario, MemberResult, ScenarioResult,
+                       SweepGrid, compile_scenario, run_scenario)
 from .loader import load_scenario, loads_scenario, parse_simple_yaml
-from .spec import (CONTROLLERS, ENGINES, INJECTION_ACTIONS,
-                   CheckpointSpec, ClusterSpec, FleetSpec, InjectionSpec,
-                   JobSpec, ScenarioError, ScenarioSpec, ScheduleSpec,
-                   ServerSpec, ShardSpec, SpikeSpec, SweepSpec, TraceSpec,
-                   WorkloadSpec)
+from .spec import (CONTROLLERS, ENGINES, CheckpointSpec, ClusterSpec,
+                   FleetSpec, InjectionSpec, JobSpec, ScenarioError,
+                   ScenarioSpec, ScheduleSpec, ServerSpec, ShardSpec,
+                   SpikeSpec, SweepSpec, TraceSpec, WorkloadSpec)
 
 __all__ = [
-    "CONTROLLERS", "ENGINES", "INJECTION_ACTIONS",
+    "CONTROLLERS", "ENGINES",
     "CheckpointSpec", "ClusterSpec", "FleetSpec", "InjectionSpec",
     "JobSpec",
     "ScenarioError", "ScenarioSpec", "ScheduleSpec", "ServerSpec",
     "ShardSpec", "SpikeSpec", "SweepSpec", "TraceSpec", "WorkloadSpec",
-    "CompiledScenario", "InjectionSchedule", "MemberResult",
+    "CompiledScenario", "MemberResult",
     "ScenarioResult", "SweepGrid", "compile_scenario", "run_scenario",
     "load_scenario", "loads_scenario", "parse_simple_yaml",
     "registry",

@@ -6,9 +6,10 @@ execution layers below it.  Each scenario *shape* lowers differently:
 * ``members`` — one :class:`~repro.sim.engine.ColocationSim` (single
   member, scalar engine) or one :class:`~repro.sim.batch.
   BatchColocationSim` (several members, or ``engine: batch``): Heracles
-  members run under the batch's vector controller, baseline members
-  under an object controller on their member adapter, and legacy
-  injections fire from a schedule attached per member;
+  members run under a ``HeraclesController`` (scalar) or the batch's
+  vector controller, and a static baseline's grant and every injection
+  go on the engine's event schedule (start of tick, see
+  :mod:`repro.sim.chaos`);
 * ``sweep`` — a (LC x BE x load) grid of independent constant-load
   runs fanned across :func:`repro.sim.runner.run_sweep` via the
   experiment layer's :func:`~repro.experiments.common.colocation_sweep`
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..baselines import SCENARIO_BASELINES, baseline_for_sim
+from ..baselines import SCENARIO_BASELINES
 from ..cluster.cluster import ClusterHistory, run_cluster_arm
 from ..core.controller import HeraclesController
 from ..experiments.common import (ColocationResult, baseline_cell,
@@ -46,13 +47,12 @@ from ..experiments.common import (ColocationResult, baseline_cell,
 from ..fleet import ClusterPlan, FleetResult, ShardedFleetSim
 from ..obs.trace import concat_payloads
 from ..sched import ScheduleOutcome, run_schedule, tco_summary
-from ..sim.actuators import Actuators
 from ..sim.batch import BatchColocationSim
 from ..sim.chaos import ChaosEvent
 from ..sim.checkpoint import (checkpoint_step, completed_steps, load_engine,
                               run_ticks, save_engine,
                               trace_checkpoint_save)
-from ..sim.engine import ColocationSim, Controller, SimHistory
+from ..sim.engine import ColocationSim, SimHistory
 from ..sim.runner import memoized_dram_model, run_sweep
 from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
@@ -65,57 +65,6 @@ def _chaos_event(injection: InjectionSpec) -> ChaosEvent:
         at_s=injection.at_s, action=injection.action,
         value=injection.value,
         members=None if injection.leaf is None else (injection.leaf,))
-
-
-class InjectionSchedule:
-    """Controller wrapper that fires timed injections, then delegates.
-
-    Implements the engine's ``Controller`` protocol.  Pending
-    injections whose timestamp has arrived are applied to the member's
-    :class:`Actuators` *before* the wrapped controller's step, so the
-    controller reacts to the injected state within the same tick — an
-    antagonist arriving mid-run looks to Heracles exactly like a real
-    task launch.
-    """
-
-    def __init__(self, actuators: Actuators,
-                 injections: List[InjectionSpec],
-                 inner: Optional[Controller] = None):
-        self._actuators = actuators
-        self._inner = inner
-        self._pending = sorted(injections, key=lambda inj: inj.at_s)
-
-    @property
-    def control_loop(self) -> bool:
-        """Whether a controller runs under the injections.  A bare
-        schedule may share a batch member with the batch's Heracles
-        controller, which steps after it."""
-        return self._inner is not None
-
-    def step(self, now_s: float) -> None:
-        """Fire due injections, then step the wrapped controller."""
-        while self._pending and self._pending[0].at_s <= now_s:
-            injection = self._pending.pop(0)
-            self._apply(injection)
-        if self._inner is not None:
-            self._inner.step(now_s)
-
-    def _apply(self, injection: InjectionSpec) -> None:
-        """Translate one injection into an actuator call."""
-        a = self._actuators
-        if injection.action == "enable_be":
-            a.enable_be()
-        elif injection.action == "disable_be":
-            a.disable_be()
-        elif injection.action == "set_be_cores":
-            a.set_be_cores(int(injection.value))
-        elif injection.action == "set_llc_split":
-            a.set_llc_split(int(injection.value))
-        elif injection.action == "set_be_net_ceil":
-            a.set_be_net_ceil(injection.value)
-        else:  # pragma: no cover - spec validation is exhaustive
-            raise ScenarioError(f"unknown injection action "
-                                f"{injection.action!r}")
 
 
 @dataclass
@@ -366,8 +315,9 @@ class CompiledScenario:
         """Materialize the simulation for a member scenario.
 
         Returns a fully wired :class:`ColocationSim` (kind ``single``)
-        or :class:`BatchColocationSim` (kind ``batch``) with
-        controllers attached and injections scheduled, but not yet run.
+        or :class:`BatchColocationSim` (kind ``batch``) with Heracles
+        attached and baseline grants and injections scheduled, but not
+        yet run.
 
         Raises:
             ScenarioError: for sweep/cluster scenarios, which lower to
@@ -396,29 +346,26 @@ class CompiledScenario:
                 lc=lcs, trace=traces, bes=bes, spec=self.machine,
                 seeds=seeds, n=len(members), record_history=True,
                 spill_dir=spill_dir)
-        self._attach(sim)
-        chaos = [_chaos_event(inj) for inj in spec.injections
-                 if inj.is_chaos]
-        if chaos:
-            sim.set_chaos_events(chaos)
+        events = self._attach(sim)
+        events += [_chaos_event(inj) for inj in spec.injections]
+        if events:
+            sim.set_chaos_events(events)
         return sim
 
-    def _attach(self, sim) -> None:
-        """Attach every member's controller and injection schedule.
+    def _attach(self, sim) -> List[ChaosEvent]:
+        """Attach Heracles; return the static baselines' grant events.
 
         Heracles members (those with a BE to manage) get a
         ``HeraclesController`` on the scalar engine and share the
         batch's vector controller on a batch, one offline model segment
-        per member; baselines attach to the member (its adapter on a
-        batch).  Legacy actuator injections keep their end-of-tick
-        controller wrapper (timing preserved for existing scenarios),
-        filtered by the optional leaf target; on a batch, a Heracles
-        member's schedule fires just before the vector controller
-        steps.  Chaos actions lower to engine-level events
-        (start-of-tick, see repro.sim.chaos) in build().
+        per member.  A static baseline member's grant is returned as
+        start-up events aimed at that member; they go ahead of the
+        injections on the schedule, so an injection at ``t=0`` acts on
+        the granted state.
         """
         batch = isinstance(sim, BatchColocationSim)
         segments = []
+        grants: List[ChaosEvent] = []
         for i, member in enumerate(self.spec.members):
             controller = self.spec.member_controller(i)
             if controller == "heracles" and member.be is not None:
@@ -428,8 +375,8 @@ class CompiledScenario:
                 else:
                     HeraclesController.for_sim(sim, dram_model=model)
             elif controller in SCENARIO_BASELINES:
-                baseline_for_sim(controller,
-                                 sim.members[i] if batch else sim)
+                grants += SCENARIO_BASELINES[controller](
+                    self.machine).events(members=(i,))
             # "none" (and "heracles" without a BE): no controller.
         if segments:
             managed = [False] * sim.n
@@ -437,14 +384,7 @@ class CompiledScenario:
                 managed[sl.start] = True
             sim.attach_vec_heracles(model_segments=segments,
                                     managed=managed)
-        for i in range(len(self.spec.members)):
-            legacy = [inj for inj in self.spec.injections
-                      if not inj.is_chaos
-                      and (inj.leaf is None or inj.leaf == i)]
-            if legacy:
-                target = sim.members[i] if batch else sim
-                target.attach_controller(InjectionSchedule(
-                    target.actuators, legacy, inner=target.controller))
+        return grants
 
     # -- execution ------------------------------------------------------
 
@@ -565,9 +505,7 @@ class CompiledScenario:
         — the root of the empty-queue bit-identity gate.
         """
         spec = self.spec
-        # Fleet injections all lower to engine-level chaos events (the
-        # fleet path has no per-member controller wrappers): a
-        # cluster-less injection reaches every cluster; a leaf target
+        # A cluster-less injection reaches every cluster; a leaf target
         # stays cluster-local.  Schedule order is preserved per cluster
         # — it is the engines' tie-break for same-timestamp events.
         plans = [

@@ -30,6 +30,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..hardware.spec import (MachineSpec, NicSpec, SocketSpec, TurboSpec,
                              default_machine_spec)
+from ..sim.chaos import CHAOS_EVENT_ACTIONS, CHAOS_VALUELESS_ACTIONS
 from ..workloads.best_effort import BE_PROFILES
 from ..workloads.latency_critical import LC_PROFILES
 from ..workloads.traces import (ConstantLoad, DiurnalTrace, LoadSpike,
@@ -43,19 +44,6 @@ CONTROLLERS = ("heracles", "none", "static-conservative",
 #: Execution backends.  ``auto`` picks scalar for a single member and
 #: batch for multi-member scenarios.
 ENGINES = ("auto", "scalar", "batch")
-
-#: Mid-run injection actions (see :class:`InjectionSpec`).  The first
-#: five are per-member actuator pokes; the last five are *chaos* events
-#: resolved inside the engines (see :mod:`repro.sim.chaos`).
-INJECTION_ACTIONS = ("enable_be", "disable_be", "set_be_cores",
-                     "set_llc_split", "set_be_net_ceil",
-                     "leaf_crash", "leaf_restart", "straggler",
-                     "power_cap", "partition")
-
-#: The subset of :data:`INJECTION_ACTIONS` lowered to engine-level
-#: chaos events (masked column updates) rather than actuator calls.
-CHAOS_ACTIONS = ("leaf_crash", "leaf_restart", "straggler", "power_cap",
-                 "partition")
 
 
 class ScenarioError(ValueError):
@@ -766,12 +754,19 @@ class InjectionSpec(_Spec):
     Injections model events the controller must *react* to — a BE
     antagonist arriving at ``t=600``, an operator forcing cores away,
     a leaf crashing — as opposed to load spikes, which live on the
-    trace.  The first five actions map directly onto
-    :class:`~repro.sim.actuators.Actuators` calls: ``enable_be``,
-    ``disable_be``, ``set_be_cores``, ``set_llc_split``,
-    ``set_be_net_ceil`` (the last three take ``value``).  The five
-    *chaos* actions are resolved inside the simulation engines as
-    masked column updates (bit-identical across scalar/batch/mega):
+    trace.  Every injection lowers to one
+    :class:`~repro.sim.chaos.ChaosEvent` and fires at the start of the
+    first tick at or after ``at_s``, before that tick's physics and
+    controller step, in every scenario shape and on every engine.
+    ``action`` is one of :data:`~repro.sim.chaos.CHAOS_EVENT_ACTIONS`.
+    The six actuator actions call the
+    :class:`~repro.sim.actuators.Actuators` method of the same name:
+    ``enable_be``, ``disable_be``, ``set_be_cores``, ``set_llc_split``,
+    ``lower_be_frequency`` (``value`` DVFS steps down from the current
+    cap, a whole number >= 1) and ``set_be_net_ceil`` (all but the
+    first two take ``value``).  The five fault actions are resolved
+    inside the simulation engines as masked column updates
+    (bit-identical across scalar/batch/mega):
 
     * ``leaf_crash`` — the leaf drops out of physics and telemetry
       (zero load, zero tail, BE force-disabled); no value.
@@ -798,8 +793,6 @@ class InjectionSpec(_Spec):
     cluster: Optional[str] = None
     leaf: Optional[int] = None
 
-    _VALUE_ACTIONS = ("set_be_cores", "set_llc_split", "set_be_net_ceil",
-                      "straggler", "power_cap", "partition")
     #: value must lie in (0, 1] for these actions (derate fractions).
     _FRACTION_ACTIONS = ("straggler", "power_cap")
 
@@ -810,11 +803,13 @@ class InjectionSpec(_Spec):
                                 f"{self.at_s!r}")
         if self.at_s < 0:
             raise ScenarioError(f"{ctx}.at_s: must be >= 0")
-        _choose(self.action, INJECTION_ACTIONS, f"{ctx}.action", "action")
-        if self.action in self._VALUE_ACTIONS and self.value is None:
+        _choose(self.action, CHAOS_EVENT_ACTIONS, f"{ctx}.action",
+                "action")
+        needs_value = self.action not in CHAOS_VALUELESS_ACTIONS
+        if needs_value and self.value is None:
             raise ScenarioError(f"{ctx}: action {self.action!r} requires "
                                 f"a 'value'")
-        if self.action not in self._VALUE_ACTIONS and self.value is not None:
+        if not needs_value and self.value is not None:
             raise ScenarioError(f"{ctx}: action {self.action!r} takes no "
                                 f"'value'")
         if self.value is not None and not math.isfinite(self.value):
@@ -827,16 +822,16 @@ class InjectionSpec(_Spec):
         if self.action == "partition" and self.value <= 0:
             raise ScenarioError(f"{ctx}.value: 'partition' takes a "
                                 f"positive blackout duration in seconds")
+        if self.action == "lower_be_frequency" and not (
+                self.value >= 1 and self.value == int(self.value)):
+            raise ScenarioError(f"{ctx}.value: 'lower_be_frequency' takes "
+                                f"a whole number of DVFS steps >= 1, got "
+                                f"{self.value!r}")
         if self.leaf is not None and self.leaf < 0:
             raise ScenarioError(f"{ctx}.leaf: must be >= 0")
         if self.cluster is not None and not self.cluster:
             raise ScenarioError(f"{ctx}.cluster: must be a non-empty "
                                 f"cluster name")
-
-    @property
-    def is_chaos(self) -> bool:
-        """True for engine-level chaos actions (vs actuator pokes)."""
-        return self.action in CHAOS_ACTIONS
 
 
 @dataclass(frozen=True)
@@ -864,9 +859,10 @@ class ScenarioSpec(_Spec):
         engine: ``auto`` | ``scalar`` | ``batch`` for member scenarios.
         members / sweep / cluster / fleet / schedule: the scenario
             shape (exactly one).
-        injections: timed actuator pokes and chaos events, applied to
-            members (member scenarios) or fleet leaves (fleet/schedule
-            scenarios), optionally targeted via ``cluster``/``leaf``.
+        injections: timed actuator and fault events, fired at the start
+            of a tick on members (member scenarios) or fleet leaves
+            (fleet/schedule scenarios), optionally targeted via
+            ``cluster``/``leaf``.
         checkpoint: checkpoint/resume and telemetry-spill controls
             (member, fleet, and schedule scenarios; sweeps and
             miniclusters reject the stanza rather than ignore it).
@@ -965,6 +961,11 @@ class ScenarioSpec(_Spec):
         self.server.validate(f"{ctx}.server")
         for i, member in enumerate(self.members):
             member.validate(f"{ctx}.members[{i}]")
+            controller = self.member_controller(i)
+            if controller.startswith("static-") and member.be is None:
+                raise ScenarioError(
+                    f"{ctx}.members[{i}]: controller {controller!r} grants "
+                    f"resources to a BE task, and the member has no 'be'")
         if self.sweep is not None:
             self.sweep.validate(f"{ctx}.sweep")
         if self.cluster is not None:

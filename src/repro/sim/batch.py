@@ -40,13 +40,12 @@ server's Heracles instance is independent (§5.3: no coordination
 between leaves), so the masked program is an exact replica of N
 :class:`~repro.core.controller.HeraclesController` instances.
 
-Object controllers — the baselines, the ``core/mba.py`` and
-``core/hw_dram.py`` extensions, legacy injection schedules, or a
-``HeraclesController.for_sim`` — attach to a :class:`BatchMember` from
-:attr:`BatchColocationSim.members`: a thin adapter, built on first
-access, whose actuators, counters and monitors read and write row
-``i`` of the shared columns.  Object controllers step before the
-vector controller, and a member is driven by one control loop at most.
+Every other actuation — a scenario injection, a static baseline's
+start-up grant — is a :class:`~repro.sim.chaos.ChaosEvent` on the
+batch's schedule (:meth:`BatchColocationSim.set_chaos_events`), fired
+at the start of the tick through the same masked transcriptions.
+:attr:`BatchColocationSim.members` reads each member's workloads and
+history back; it is not a control surface.
 
 Typical use::
 
@@ -66,7 +65,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..hardware.counters import CounterBank
 from ..hardware.spec import MachineSpec
 from ..metrics.columns import BatchColumnStore
 from ..metrics.history import BatchMemberSeries
@@ -76,9 +74,9 @@ from ..workloads.best_effort import (BestEffortWorkload,
                                      reference_throughput_units)
 from ..workloads.latency_critical import LatencyCriticalWorkload
 from ..workloads.traces import LoadTrace
-from .actuators import INITIAL_BE_LLC_FRACTION, MIN_LC_CORES, Actuators
+from .actuators import INITIAL_BE_LLC_FRACTION, MIN_LC_CORES
 from .chaos import PARTITION_TAIL_SLO_MULT, sort_events, trace_chaos_event
-from .engine import Controller, SimHistory, TickRecord, TickSeriesMixin
+from .engine import SimHistory, TickRecord, TickSeriesMixin
 from .monitors import LatencyMonitor
 
 
@@ -166,288 +164,24 @@ def _dvfs_ladder(turbo):
     return np.append(ladder, np.inf), down, up
 
 
-# ----------------------------------------------------------------------
-# The object-controller adapter: row views of the member columns
-# ----------------------------------------------------------------------
-
-
-def _row(column: str, cast):
-    """A property reading and writing row ``self._i`` of a batch column."""
-    def get(self):
-        return cast(getattr(self._batch, column)[self._i])
-
-    def put(self, value):
-        getattr(self._batch, column)[self._i] = value
-    return property(get, put)
-
-
-def _capped(value) -> Optional[float]:
-    """A cap column entry as the scalar classes report it (inf = None)."""
-    return None if value == np.inf else float(value)
-
-
-class _MemberActuators(Actuators):
-    """Row ``i`` of the batch's actuator columns as an :class:`Actuators`.
-
-    The placement fields the scalar class keeps as attributes are
-    properties over the shared columns, so the inherited methods — and
-    any object controller calling them — act on the very state the
-    physics and the vector controller read.  CAT state *is* the way
-    columns and the BE ceiling *is* the ceiling column: there is no
-    server, partition mirror or qdisc (and so no allocation views,
-    which only the scalar engine consumes).
-    """
-
-    _be_cores = _row("_act_cores", int)
-    _be_enabled = _row("_act_enabled", bool)
-    _lc_ways = _row("_act_lc_ways", int)
-    _be_ways = _row("_act_be_ways", int)
-    _be_dram_throttle = _row("_act_throttle", float)
-    min_lc_llc_ways = _row("_min_lc_llc_ways", int)
-
-    def __init__(self, batch: "BatchColocationSim", index: int):
-        self._batch = batch
-        self._i = index
-        self.server = self.htb = None
-        self.spec = batch.spec
-
-    @property
-    def _be_dvfs_cap(self) -> Optional[float]:
-        return _capped(self._batch._act_cap[self._i])
-
-    @_be_dvfs_cap.setter
-    def _be_dvfs_cap(self, value: Optional[float]) -> None:
-        self._batch._act_cap[self._i] = np.inf if value is None else value
-
-    def _apply_cat(self) -> None:
-        """Nothing to mirror: the way columns are the partition."""
-
-    def set_be_net_ceil(self, gbps: Optional[float]) -> None:
-        """:meth:`HtbQdisc.set_ceil`'s clamp into [0, member link]."""
-        if gbps is not None:
-            link = self._batch._nic_link
-            gbps = min(max(0.0, gbps),
-                       float(link[self._i]) if np.ndim(link) else link)
-        self._batch._act_ceil[self._i] = np.inf if gbps is None else gbps
-
-    @property
-    def be_net_ceil_gbps(self) -> Optional[float]:
-        return _capped(self._batch._act_ceil[self._i])
-
-
-class _MemberCounters(CounterBank):
-    """Row ``i`` of the batch's tick telemetry as a :class:`CounterBank`.
-
-    Controllers read hardware telemetry through this view exactly as
-    they would through a scalar server's counter bank; capacities come
-    from the per-member DRAM / NIC columns.
-    """
-
-    def __init__(self, batch: "BatchColocationSim", index: int):
-        self._batch = batch
-        self._i = index
-
-    def _read(self, column: str) -> float:
-        return float(self._batch._tick[column][self._i])
-
-    def _of(self, task: str, lc_column: str, be_column: str, missing):
-        """One task's value: LC column, BE column while BE runs, else
-        ``missing``."""
-        batch, i = self._batch, self._i
-        if task == batch._lcs[i].name:
-            return self._read(lc_column)
-        be = batch._bes[i]
-        if be is not None and task == be.name \
-                and batch._tick["be_running"][i]:
-            return self._read(be_column)
-        return missing
-
-    def _capacity(self, column) -> float:
-        return float(np.ravel(column)[self._i]) if np.ndim(column) \
-            else column
-
-    def dram_total_bw_gbps(self) -> float:
-        return self._read("dram_total_gbps")
-
-    def dram_capacity_gbps(self) -> float:
-        return self._batch.spec.sockets * self.socket_dram_capacity_gbps()
-
-    def socket_dram_capacity_gbps(self) -> float:
-        return self._capacity(self._batch._dram_cap)
-
-    def dram_utilization(self) -> float:
-        return self._read("dram_max_util")
-
-    def worst_socket_dram_bw_gbps(self) -> float:
-        return self._read("worst_socket_dram_gbps")
-
-    def dram_bw_of(self, task: str) -> float:
-        return self._of(task, "lc_dram_ach", "be_dram_ach", 0.0)
-
-    def per_task_dram_gbps(self) -> Dict[str, float]:
-        batch, i = self._batch, self._i
-        out = {batch._lcs[i].name: self._read("lc_dram_ach")}
-        be = batch._bes[i]
-        if be is not None and batch._tick["be_running"][i]:
-            out[be.name] = self._read("be_dram_ach")
-        return out
-
-    def socket_power_watts(self, socket: int) -> float:
-        return float(self._batch._rapl_watts[self._i, socket])
-
-    def power_fraction_of_tdp(self, socket: int) -> float:
-        return (self._batch._rapl_watts[self._i, socket]
-                / self._batch.spec.socket.tdp_watts)
-
-    def max_power_fraction_of_tdp(self) -> float:
-        return float(max(self.power_fraction_of_tdp(s)
-                         for s in range(self._batch.spec.sockets)))
-
-    def freq_of(self, task: str) -> Optional[float]:
-        return self._of(task, "lc_freq_ghz", "be_freq_ghz", None)
-
-    def link_rate_gbps(self) -> float:
-        return self._capacity(self._batch._nic_link)
-
-    def tx_gbps_of(self, task: str) -> float:
-        return self._of(task, "lc_net_ach", "be_net_ach", 0.0)
-
-    def link_tx_gbps(self) -> float:
-        return self._read("link_tx_gbps")
-
-    def cpu_utilization(self) -> float:
-        return self._read("cpu_utilization")
-
-
-class _RowSamples:
-    """Row ``i`` of a deque of ``(t, tails, loads)`` rows, read as
-    ``(t, tail, load)`` samples without copying the deque: a poll builds
-    only the tuples it touches (the short suffix a window scan reaches,
-    or the last two)."""
-
-    __slots__ = ("_rows", "_i")
-
-    def __init__(self, rows, index: int):
-        self._rows = rows
-        self._i = index
-
-    def _sample(self, row):
-        t, tails, loads = row
-        return t, float(tails[self._i]), float(loads[self._i])
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, k: int):
-        return self._sample(self._rows[k])
-
-    def __iter__(self):
-        return map(self._sample, self._rows)
-
-    def __reversed__(self):
-        return map(self._sample, reversed(self._rows))
-
-
-class _MemberLatencyMonitor(LatencyMonitor):
-    """Row ``i`` of the batch's :class:`_VecLatencyMonitor`.
-
-    Presents the shared window as this member's ``(t, tail, load)``
-    samples, so every inherited poll returns exactly what a scalar
-    monitor fed the same samples would.
-    """
-
-    def __init__(self, batch: "BatchColocationSim", index: int):
-        self._batch = batch
-        self._i = index
-        self.window_s = batch._vmon.window_s
-        self.slo_window_s = batch._vmon.slo_window_s
-
-    @property
-    def _samples(self) -> "_RowSamples":
-        return _RowSamples(self._batch._vmon._samples, self._i)
-
-    def record(self, t_s: float, tail_ms: float, load: float) -> None:
-        raise TypeError("the batch records every member's samples at once")
-
-
-class _MemberThroughput:
-    """Row ``i`` of the batch's BE throughput column, read the way a
-    :class:`~repro.sim.monitors.ThroughputMonitor` reports it."""
-
-    def __init__(self, batch: "BatchColocationSim", index: int):
-        self._batch = batch
-        self._i = index
-
-    @property
-    def last_normalized(self) -> float:
-        """Most recent normalized throughput (instantaneous)."""
-        return float(self._batch._be_last_norm[self._i])
-
-
 class BatchMember:
-    """One member of a batch, with the scalar-sim surface.
+    """One member of a batch, as a scenario reads it back.
 
-    The adapter object controllers attach to.  It exposes the
-    attributes :meth:`HeraclesController.for_sim` and the baseline
-    factories consume — ``lc``, ``be``, ``actuators``, ``counters``,
-    ``latency_monitor``, ``be_monitor``, ``history`` — as views of row
-    ``index`` of the batch's columns, and owns no state of its own.
+    ``lc`` and ``be`` are the member's workloads and ``history`` its
+    zero-copy :class:`BatchMemberHistory` slice of the batch's columns
+    (an empty :class:`~repro.sim.engine.SimHistory` when the batch keeps
+    no per-member history).  A member owns no state and no control
+    surface: Heracles is the batch's vector controller, and every other
+    actuation is an event on the batch's schedule.
     """
 
     def __init__(self, batch: "BatchColocationSim", index: int):
-        self.batch = batch
-        self.index = index
         self.lc = batch._lcs[index]
         self.be = batch._bes[index]
-        self.trace = batch._traces[index]
-        self.actuators = _MemberActuators(batch, index)
-        self.counters = _MemberCounters(batch, index)
-        self.latency_monitor = _MemberLatencyMonitor(batch, index)
-        self.be_monitor = (_MemberThroughput(batch, index)
-                           if self.be is not None else None)
         if batch.record_history:
-            # Zero-copy member slice of the batch's (T, N) columns.
             self.history = BatchMemberHistory(batch._store, index)
         else:
-            # The scalar format stays available (and simply empty).
             self.history = SimHistory()
-
-    @property
-    def time_s(self) -> float:
-        """The batch clock (shared by every member)."""
-        return self.batch.time_s
-
-    @property
-    def spec(self) -> MachineSpec:
-        """The batch's machine description."""
-        return self.batch.spec
-
-    @property
-    def controller(self) -> Optional[Controller]:
-        """This member's object controller, if one is attached."""
-        return self.batch._controllers.get(self.index)
-
-    def attach_controller(self, controller: Controller) -> None:
-        """Install the member's object controller.
-
-        Raises:
-            ValueError: the batch's Heracles controller already manages
-                this member and ``controller`` runs a control loop of
-                its own (only an injection schedule without an inner
-                controller may share a member with it).
-        """
-        self.batch._attach_controller(self.index, controller)
-
-    @property
-    def last_emu(self) -> float:
-        """This member's EMU at the latest tick."""
-        return float(self.batch._tick["emu"][self.index])
-
-
-def _control_loop(controller: Controller) -> bool:
-    """Whether ``controller`` runs a control loop (see
-    :attr:`repro.scenarios.compiler.InjectionSchedule.control_loop`)."""
-    return getattr(controller, "control_loop", True)
 
 
 @dataclass
@@ -653,10 +387,8 @@ class BatchColocationSim:
         self._build_static_arrays(lcs, be_list)
         self._build_member_state(be_list, seed_list)
 
-        # Controllers: object controllers by member index (attached
-        # through the ``members`` adapter), and at most one vector
-        # Heracles over the batch.
-        self._controllers: Dict[int, Controller] = {}
+        # Control: at most one vector Heracles over the batch (every
+        # other actuation is an event on the chaos schedule).
         self._members: Optional[List[BatchMember]] = None
         self.vec_heracles: Optional[_VecHeracles] = None
 
@@ -733,24 +465,13 @@ class BatchColocationSim:
 
     @property
     def members(self) -> List[BatchMember]:
-        """Per-member scalar-sim adapters for object controllers.
+        """Every member's workloads and history (see :class:`BatchMember`).
 
         Built on first access; the vectorized tick never reads them.
         """
         if self._members is None:
             self._members = [BatchMember(self, i) for i in range(self.n)]
         return self._members
-
-    def _attach_controller(self, index: int,
-                           controller: Controller) -> None:
-        vec = self.vec_heracles
-        if vec is not None and vec.manages(index) \
-                and _control_loop(controller):
-            raise ValueError(
-                f"member {index} is managed by the batch's Heracles "
-                f"controller; a member runs one control loop at most")
-        self._controllers[index] = controller
-        self._controllers = dict(sorted(self._controllers.items()))
 
     def attach_vec_heracles(self, dram_model=None, config=None,
                             model_segments=None,
@@ -772,9 +493,7 @@ class BatchColocationSim:
 
         Raises:
             ValueError: a controller is already attached to the batch,
-                a managed member has no BE task, or a managed member
-                already has an object controller running a control
-                loop.
+                or a managed member has no BE task.
         """
         from ..core.config import HeraclesConfig
         from ..core.controller import lc_way_floor
@@ -788,11 +507,6 @@ class BatchColocationSim:
         if len(no_be):
             raise ValueError(f"Heracles manages a colocation; member "
                              f"{int(no_be[0])} has no BE task")
-        clash = [i for i, c in self._controllers.items()
-                 if man[i] and _control_loop(c)]
-        if clash:
-            raise ValueError(f"member {clash[0]} already has a controller; "
-                             f"a member runs one control loop at most")
         managed_idx = np.nonzero(man)[0]
         if model_segments is None and dram_model is not None:
             model_segments = [(slice(0, n), dram_model)]
@@ -821,18 +535,6 @@ class BatchColocationSim:
         self.vec_heracles = _VecHeracles(self, segments,
                                          config or HeraclesConfig(), man)
         return self.vec_heracles
-
-    def _step_controllers(self) -> None:
-        """Object controllers in member order, then the vector step.
-
-        The order keeps a member's legacy injection schedule firing
-        ahead of its Heracles step, as a schedule wrapping a scalar
-        controller does.
-        """
-        for controller in self._controllers.values():
-            controller.step(self.time_s)
-        if self.vec_heracles is not None:
-            self.vec_heracles.step(self.time_s)
 
     # ------------------------------------------------------------------
     # Member state: load, noise, monitors, actuator operations
@@ -919,6 +621,21 @@ class BatchColocationSim:
         self._act_cap[mask] = np.inf
         self._act_throttle[mask] = 1.0
         self._act_ceil[mask] = np.inf
+
+    def _v_lower_frequency(self, mask: np.ndarray, steps: int) -> None:
+        """lower_be_frequency(steps) under ``mask``.
+
+        Per member, with the scalar :meth:`TurboSpec.clamp_ghz`, so each
+        lands on the exact float the scalar method computes (and, for
+        ``steps >= 1``, on the cap ladder the vector power loop
+        indexes); an event fires once, so the loop is off the hot path.
+        """
+        turbo = self.spec.socket.turbo
+        for i in np.nonzero(mask)[0]:
+            cap = float(self._act_cap[i])
+            current = turbo.max_turbo_ghz if cap == np.inf else cap
+            self._act_cap[i] = turbo.clamp_ghz(
+                current - steps * turbo.step_ghz)
 
     def _v_remove_cores(self, mask: np.ndarray, count: np.ndarray) -> None:
         """remove_be_cores under ``mask`` (``count`` integral array)."""
@@ -1030,8 +747,9 @@ class BatchColocationSim:
     def _chaos_apply(self) -> None:
         """Fire due events, then re-pin the BE-off state of dead members.
 
-        The actuator actions are the masked :class:`Actuators`
-        transcriptions above, applied to the targeted members.
+        The actuator actions are the masked
+        :class:`~repro.sim.actuators.Actuators` transcriptions above,
+        applied to the targeted members.
         """
         events = self._chaos
         pos = self._chaos_pos
@@ -1070,6 +788,8 @@ class BatchColocationSim:
                     0, min(int(ev.value), self._max_be_cores))
             elif ev.action == "set_llc_split":
                 self._v_set_split(mask, int(ev.value))
+            elif ev.action == "lower_be_frequency":
+                self._v_lower_frequency(mask, int(ev.value))
             else:  # set_be_net_ceil: HtbQdisc.set_ceil's clamp
                 link = self._nic_link
                 self._act_ceil[mask] = np.minimum(
@@ -1486,7 +1206,8 @@ class BatchColocationSim:
             prof.add("telemetry", now - mark)
             mark = now
 
-        self._step_controllers()
+        if self.vec_heracles is not None:
+            self.vec_heracles.step(self.time_s)
         if pre_act is not None:
             self._obs_emit_decisions(pre_act, slo_fraction, load)
         if prof is not None:
@@ -2097,9 +1818,10 @@ class _VecHeracles:
                            & (sim.be_cores_now() > 0))
         raise_ = self._gate((power_fraction <= threshold)
                             & (ls_freq >= self.guaranteed_ghz))
-        # Only one-step lowers and raises (and disable_be's reset) ever
-        # reach a managed member's cap, so it sits on the ladder and its
-        # index is an exact lookup.
+        # Every cap write below max turbo — a one-step lower or raise
+        # here, a lower_be_frequency event — is a TurboSpec.clamp_ghz
+        # result, so the cap sits on the ladder and its index is an
+        # exact lookup.
         cap = sim._act_cap
         idx = np.searchsorted(sim._cap_ladder, cap)
         cap[lower] = sim._cap_ladder[sim._cap_down[idx[lower]]]

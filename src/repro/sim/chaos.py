@@ -32,11 +32,13 @@ semantics are defined once, here:
   offered load is held at the root (reads as zero at the leaf) and
   the member's tail latency is pinned at 10x its SLO for the
   blackout.  BE work keeps running — only the LC path is cut.
-* The legacy actuator actions (``enable_be`` … ``set_be_net_ceil``)
-  are also accepted so fleet scenarios can drive actuators through
-  the same schedule; they call the scalar engine's
-  :class:`~repro.sim.actuators.Actuators`, or its masked transcription
-  over the batch's actuator columns.
+* The actuator actions (``enable_be`` … ``set_be_net_ceil``) are the
+  :class:`~repro.sim.actuators.Actuators` methods of the same name,
+  called with ``value`` as their argument: the scalar engine calls
+  the methods, the batch applies their masked transcriptions to its
+  actuator columns.  Scenario injections and the static baselines'
+  start-up grants (events at ``at_s=0``) are actuator events, so every
+  timed actuation fires at this one phase on every engine.
 """
 
 from __future__ import annotations
@@ -54,11 +56,17 @@ PARTITION_TAIL_SLO_MULT = 10.0
 CHAOS_STATE_ACTIONS = ("leaf_crash", "leaf_restart", "straggler",
                        "power_cap", "partition")
 
-#: Actuator-surface actions the chaos schedule also accepts.
+#: Actions that call the :class:`~repro.sim.actuators.Actuators` method
+#: of the same name (``lower_be_frequency`` takes a step count).
 CHAOS_ACTUATOR_ACTIONS = ("enable_be", "disable_be", "set_be_cores",
-                          "set_llc_split", "set_be_net_ceil")
+                          "set_llc_split", "lower_be_frequency",
+                          "set_be_net_ceil")
 
-CHAOS_EVENT_ACTIONS = CHAOS_STATE_ACTIONS + CHAOS_ACTUATOR_ACTIONS
+CHAOS_EVENT_ACTIONS = CHAOS_ACTUATOR_ACTIONS + CHAOS_STATE_ACTIONS
+
+#: Actions that take no ``value``; every other action requires one.
+CHAOS_VALUELESS_ACTIONS = ("enable_be", "disable_be", "leaf_crash",
+                           "leaf_restart")
 
 
 @dataclass(frozen=True)
@@ -90,9 +98,7 @@ class ChaosEvent:
                              f"choose from {', '.join(CHAOS_EVENT_ACTIONS)}")
         if self.at_s < 0:
             raise ValueError("chaos events cannot fire before t=0")
-        needs_value = self.action not in ("leaf_crash", "leaf_restart",
-                                          "enable_be", "disable_be")
-        if needs_value and self.value is None:
+        if self.action not in CHAOS_VALUELESS_ACTIONS and self.value is None:
             raise ValueError(f"chaos action {self.action!r} requires a "
                              f"value")
 

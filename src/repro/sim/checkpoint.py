@@ -7,7 +7,7 @@ engine's complete live state mid-run so the run can continue — in this
 process, a new process, or several processes at once (warm-started
 what-if branching: simulate to steady state once, fork many futures).
 
-Snapshot format (version 2)
+Snapshot format (version 3)
 ---------------------------
 
 One engine checkpoint is a single uncompressed ``.npz`` archive:
@@ -25,8 +25,9 @@ One engine checkpoint is a single uncompressed ``.npz`` archive:
     makes the next tick bit-identical rides in here: physics columns
     (via :class:`~repro.metrics.columns.ColumnStore`'s pickle support,
     which trims preallocated capacity and folds spilled chunks back
-    in), actuator / monitor / controller state, the chaos schedule
-    cursor, and every ``np.random.default_rng`` stream's bit-generator
+    in), actuator / monitor / controller state, the event schedule
+    (injections and static-baseline grants included) with its cursor,
+    and every ``np.random.default_rng`` stream's bit-generator
     state (NumPy ``Generator`` objects pickle exactly).
 
 ``array:<name>``
@@ -63,8 +64,10 @@ from zipfile import BadZipFile
 import numpy as np
 
 #: Archive layout version; bumped on any incompatible format change
-#: (2: batch members pickle as array state, not per-member objects).
-CHECKPOINT_VERSION = 2
+#: (2: batch members pickle as array state, not per-member objects;
+#: 3: a batch carries no object controllers — baseline grants and
+#: injections live in its event schedule).
+CHECKPOINT_VERSION = 3
 
 _META_KEY = "__meta__"
 _PICKLE_KEY = "__pickle__"

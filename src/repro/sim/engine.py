@@ -4,6 +4,8 @@
 (optionally) one BE task group under the control of a pluggable policy.
 Each 1-second tick:
 
+0. Due events fire (:mod:`repro.sim.chaos`: faults, injections, a
+   static baseline's start-up grant).
 1. The load trace produces the LC offered load.
 2. Workloads translate (load, allocation) into hardware demands.
 3. The server resolves all shared-resource contention.
@@ -46,7 +48,7 @@ from .monitors import LatencyMonitor, ThroughputMonitor
 
 
 class Controller(Protocol):
-    """Anything that can manage the colocation (Heracles, baselines)."""
+    """Anything that can manage the colocation (Heracles and its variants)."""
 
     def step(self, now_s: float) -> None:
         """Observe and (maybe) actuate; called once per simulation tick."""
@@ -188,7 +190,7 @@ class ColocationSim:
             self.be_monitor = None
 
     def attach_controller(self, controller: Controller) -> None:
-        """Install the per-tick controller (Heracles or a baseline)."""
+        """Install the per-tick controller (Heracles or a variant of it)."""
         self.controller = controller
 
     # ------------------------------------------------------------------
@@ -301,6 +303,8 @@ class ColocationSim:
                 self.actuators.set_be_cores(int(event.value))
             elif action == "set_llc_split":
                 self.actuators.set_llc_split(int(event.value))
+            elif action == "lower_be_frequency":
+                self.actuators.lower_be_frequency(int(event.value))
             elif action == "set_be_net_ceil":
                 self.actuators.set_be_net_ceil(event.value)
         if not self._chaos_alive:

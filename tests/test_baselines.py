@@ -40,7 +40,7 @@ class TestStaticPartition:
     def run_static(self, factory, load, seed=0):
         sim = repro.build_colocation("websearch", "brain", load=load,
                                      seed=seed)
-        sim.attach_controller(factory(sim.actuators))
+        sim.set_chaos_events(factory(sim.server.spec).events())
         return sim.run(600)
 
     def test_conservative_is_safe_everywhere(self):
@@ -66,15 +66,17 @@ class TestStaticPartition:
 
     def test_static_configures_once(self):
         sim = repro.build_colocation("websearch", "brain", load=0.3)
-        controller = StaticPartitionController(sim.actuators, be_cores=4,
-                                               be_llc_ways=4)
-        sim.attach_controller(controller)
+        grant = StaticPartitionController(sim.server.spec, be_cores=4,
+                                          be_llc_ways=4)
+        sim.set_chaos_events(grant.events())
         sim.run(30)
         assert sim.actuators.be_cores == 4
         assert sim.actuators.be_llc_ways == 4
+        # Granted at start-up and held: every recorded tick shows it.
+        assert set(sim.history.column("be_cores")) == {4}
 
     def test_validation(self):
         sim = repro.build_colocation("websearch", "brain", load=0.3)
         with pytest.raises(ValueError):
-            StaticPartitionController(sim.actuators, be_cores=-1,
+            StaticPartitionController(sim.server.spec, be_cores=-1,
                                       be_llc_ways=0)

@@ -4,8 +4,10 @@ The batch backend promises to be a numerical replica of the scalar
 engine, not an approximation: same formulas, same operation ordering,
 same per-server seeded noise streams.  These tests enforce the promise
 tick-for-tick across the three controller regimes the cluster and the
-figures exercise — managed (Heracles), static partitioning, and no BE
-at all — plus a mixed heterogeneous batch where every member must match
+figures exercise — managed (Heracles: ``HeraclesController`` on the
+scalar engine, the vector controller on the batch), static
+partitioning (the grant as start-up events on both), and no BE at
+all — plus a mixed heterogeneous batch where every member must match
 its scalar twin simultaneously.
 """
 
@@ -16,6 +18,7 @@ from repro.baselines.static import conservative_static, optimistic_static
 from repro.core.controller import HeraclesController
 from repro.hardware.spec import default_machine_spec
 from repro.sim.batch import BatchColocationSim
+from repro.sim.chaos import ChaosEvent
 from repro.sim.engine import ColocationSim
 from repro.workloads.best_effort import make_be_workload
 from repro.workloads.latency_critical import make_lc_workload
@@ -71,26 +74,39 @@ def batch_run(lc_name, be_name, trace, seed, controller_factory,
     batch = BatchColocationSim(lc=lc, trace=trace, bes=be, spec=spec,
                                seeds=[seed])
     if controller_factory is not None:
-        controller_factory(batch.members[0])
+        controller_factory(batch)
     batch.run(duration_s)
     return batch.members[0].history
+
+
+def heracles(sim):
+    """Heracles on either engine: the object controller on a scalar
+    sim, the vector controller on a batch."""
+    if isinstance(sim, BatchColocationSim):
+        sim.attach_vec_heracles()
+    else:
+        HeraclesController.for_sim(sim)
+
+
+def static(baseline):
+    """A static baseline's grant as start-up events, on either engine."""
+    def attach(sim):
+        sim.set_chaos_events(baseline(default_machine_spec()).events())
+    return attach
 
 
 class TestSingleServerEquivalence:
     DURATION = 420.0
 
     def test_managed_heracles(self):
-        factory = HeraclesController.for_sim
-        a = scalar_run("websearch", "brain", make_trace(), 11, factory,
+        a = scalar_run("websearch", "brain", make_trace(), 11, heracles,
                        self.DURATION)
-        b = batch_run("websearch", "brain", make_trace(), 11, factory,
+        b = batch_run("websearch", "brain", make_trace(), 11, heracles,
                       self.DURATION)
         assert_histories_match(a, b)
 
     def test_static_partitioning(self):
-        def factory(sim):
-            sim.attach_controller(optimistic_static(sim.actuators))
-
+        factory = static(optimistic_static)
         a = scalar_run("websearch", "streetview", make_trace(3), 4, factory,
                        self.DURATION)
         b = batch_run("websearch", "streetview", make_trace(3), 4, factory,
@@ -98,9 +114,7 @@ class TestSingleServerEquivalence:
         assert_histories_match(a, b)
 
     def test_conservative_static(self):
-        def factory(sim):
-            sim.attach_controller(conservative_static(sim.actuators))
-
+        factory = static(conservative_static)
         a = scalar_run("ml_cluster", "stream-DRAM", make_trace(9), 2,
                        factory, self.DURATION)
         b = batch_run("ml_cluster", "stream-DRAM", make_trace(9), 2,
@@ -116,10 +130,9 @@ class TestSingleServerEquivalence:
 
     def test_memkeyval_network_bound(self):
         """iperf drives the egress max-min and net-latency paths."""
-        factory = HeraclesController.for_sim
-        a = scalar_run("memkeyval", "iperf", make_trace(13), 8, factory,
+        a = scalar_run("memkeyval", "iperf", make_trace(13), 8, heracles,
                        self.DURATION)
-        b = batch_run("memkeyval", "iperf", make_trace(13), 8, factory,
+        b = batch_run("memkeyval", "iperf", make_trace(13), 8, heracles,
                       self.DURATION)
         assert_histories_match(a, b)
 
@@ -133,12 +146,12 @@ CHAOS_EVENT_SETS = {
     "partition": ((60.0, "partition", 45.0),),
     "actuator": ((20.0, "disable_be", None), (80.0, "enable_be", None),
                  (100.0, "set_be_cores", 2), (130.0, "set_llc_split", 3),
+                 (145.0, "lower_be_frequency", 3),
                  (160.0, "set_be_net_ceil", 2.5)),
 }
 
 
 def chaos_events(action):
-    from repro.sim.chaos import ChaosEvent
     return [ChaosEvent(at_s, name, value)
             for at_s, name, value in CHAOS_EVENT_SETS[action]]
 
@@ -147,34 +160,25 @@ class TestChaosEquivalence:
     """Chaos actions under the scalar-vs-batch equivalence contract.
 
     Every engine-level fault action — crash/restart, straggler, power
-    cap, partition, and the legacy actuator pokes — must degrade the
-    batched member exactly as it degrades the scalar engine, through a
-    Heracles controller reacting to the fault in both.
+    cap, partition, and the actuator actions — must degrade the batched
+    member exactly as it degrades the scalar engine, through a Heracles
+    controller reacting to the fault in both.
     """
 
     DURATION = 220.0
 
     @pytest.mark.parametrize("action", sorted(CHAOS_EVENT_SETS))
     def test_action_matches_scalar(self, action):
-        events = chaos_events(action)
+        def attach(sim):
+            heracles(sim)
+            # Member 0 targeted explicitly on both engines.
+            sim.set_chaos_events(
+                [e.retarget((0,)) for e in chaos_events(action)])
 
-        def factory(events):
-            def attach(sim):
-                HeraclesController.for_sim(sim)
-                # Target member 0 explicitly on the batch engine; the
-                # scalar engine only accepts whole-membership targets.
-                owner = getattr(sim, "batch", sim)
-                if owner is sim:
-                    owner.set_chaos_events(events)
-                else:
-                    owner.set_chaos_events(
-                        [e.retarget((0,)) for e in events])
-            return attach
-
-        a = scalar_run("websearch", "brain", make_trace(), 11,
-                       factory(events), self.DURATION)
-        b = batch_run("websearch", "brain", make_trace(), 11,
-                      factory(events), self.DURATION)
+        a = scalar_run("websearch", "brain", make_trace(), 11, attach,
+                       self.DURATION)
+        b = batch_run("websearch", "brain", make_trace(), 11, attach,
+                      self.DURATION)
         assert_histories_match(a, b)
 
     @pytest.mark.parametrize("action", sorted(CHAOS_EVENT_SETS))
@@ -199,7 +203,6 @@ class TestChaosEquivalence:
         """A chaos schedule aimed at member 0 must leave member 1's
         history bitwise equal to a chaos-free twin (the x1.0-identity
         contract for healthy members)."""
-        from repro.sim.chaos import ChaosEvent
         spec = default_machine_spec()
 
         def run(with_chaos):
@@ -208,8 +211,7 @@ class TestChaosEquivalence:
                    make_be_workload("streetview", spec)]
             batch = BatchColocationSim(lc=lc, trace=make_trace(17),
                                        bes=bes, spec=spec, seeds=[41, 42])
-            for member in batch.members:
-                HeraclesController.for_sim(member)
+            batch.attach_vec_heracles()
             if with_chaos:
                 batch.set_chaos_events(
                     [ChaosEvent(30.0, "leaf_crash", members=(0,)),
@@ -230,7 +232,6 @@ class TestChaosEquivalence:
         assert not np.array_equal(a, b)
 
     def test_rejects_bad_targets_and_values(self):
-        from repro.sim.chaos import ChaosEvent
         spec = default_machine_spec()
         lc = make_lc_workload("websearch", spec)
         batch = BatchColocationSim(lc=lc, trace=ConstantLoad(0.5),
@@ -260,8 +261,7 @@ class TestHeterogeneousBatch:
         seeds = [31, 32, 33]
         batch = BatchColocationSim(lc=lc, trace=trace, bes=bes, spec=spec,
                                    seeds=seeds)
-        for member in batch.members[:2]:
-            HeraclesController.for_sim(member)
+        batch.attach_vec_heracles(managed=[True, True, False])
         batch.run(240.0)
 
         for i, (be, seed) in enumerate(zip(bes, seeds)):
@@ -284,25 +284,6 @@ class TestHeterogeneousBatch:
         assert col.shape == (30, 2)
         assert (col > 0).all()
         assert len(batch.history.times()) == 30
-
-    def test_member_counter_view_tracks_resolution(self):
-        spec = default_machine_spec()
-        lc = make_lc_workload("websearch", spec)
-        batch = BatchColocationSim(lc=lc, trace=ConstantLoad(0.6),
-                                   bes=make_be_workload("brain", spec),
-                                   spec=spec, seeds=[0])
-        member = batch.members[0]
-        HeraclesController.for_sim(member)
-        batch.run(20.0)
-        record = member.history.last()
-        counters = member.counters
-        assert counters.dram_total_bw_gbps() == pytest.approx(
-            record.dram_bw_gbps)
-        assert counters.freq_of("websearch") > 0
-        assert counters.tx_gbps_of("websearch") == pytest.approx(
-            record.lc_net_gbps)
-        assert counters.link_rate_gbps() == spec.nic.link_gbps
-        assert 0 < counters.max_power_fraction_of_tdp() <= 1.5
 
     def test_seed_validation_and_shapes(self):
         spec = default_machine_spec()

@@ -1,13 +1,14 @@
-"""One member model: object controllers beside the vector controller.
+"""One control surface: the vector controller plus the event schedule.
 
 A batch's members are array state; Heracles runs over them as the
-batch's vector controller, and object controllers attach through the
-``members`` adapter.  One batch here mixes every kind a scenario can
-assign — vector Heracles, a static baseline on the adapter, vector
-Heracles under a legacy injection schedule, and no controller — and
-every member must match its scalar ``ColocationSim`` twin bit for bit,
-through chaos events, decision tracing and a mid-run checkpoint.  A
-member runs one control loop at most; double control fails loudly.
+batch's vector controller, and every other actuation — a static
+baseline's start-up grant, an injection — is an event on the batch's
+schedule.  One batch here mixes every kind a scenario can assign —
+vector Heracles, a static baseline, vector Heracles under an injection,
+and no controller — and every member must match its scalar
+``ColocationSim`` twin bit for bit, through chaos events, decision
+tracing and a mid-run checkpoint.  The batch runs one vector controller
+at most, over members that have a BE task.
 """
 
 import json
@@ -15,12 +16,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.baselines import baseline_for_sim, conservative_static
+from repro.baselines import conservative_static
 from repro.core.controller import HeraclesController
 from repro.hardware.spec import default_machine_spec
 from repro.obs.trace import TRACE_ENV
-from repro.scenarios.compiler import InjectionSchedule
-from repro.scenarios.spec import InjectionSpec
 from repro.sim.batch import BatchColocationSim
 from repro.sim.chaos import ChaosEvent
 from repro.sim.checkpoint import (CheckpointError, load_engine, run_ticks,
@@ -38,7 +37,7 @@ SEEDS = (61, 62, 63, 64)
 BES = ("brain", "streetview", "brain", "streetview")
 #: member -> its controller kind.
 KINDS = ("heracles", "static", "heracles+injection", "none")
-INJECTION = InjectionSpec(at_s=100.0, action="set_be_cores", value=10.0)
+INJECTION = ChaosEvent(100.0, "set_be_cores", 10.0)
 CHAOS = (ChaosEvent(40.0, "leaf_crash"), ChaosEvent(90.0, "leaf_restart"),
          ChaosEvent(120.0, "set_llc_split", 4),
          ChaosEvent(150.0, "set_be_net_ceil", 1.5))
@@ -59,14 +58,14 @@ def scalar_twin(i):
                         trace=make_trace(SEEDS[i]),
                         be=make_be_workload(BES[i], SPEC), spec=SPEC,
                         seed=SEEDS[i])
+    events = CHAOS
     if KINDS[i].startswith("heracles"):
         HeraclesController.for_sim(sim, dram_model=model())
     elif KINDS[i] == "static":
-        baseline_for_sim("static-conservative", sim)
+        events = conservative_static(SPEC).events() + events
     if KINDS[i] == "heracles+injection":
-        sim.attach_controller(InjectionSchedule(
-            sim.actuators, [INJECTION], inner=sim.controller))
-    sim.set_chaos_events(CHAOS)
+        events = events + (INJECTION,)
+    sim.set_chaos_events(events)
     sim.run(DURATION)
     return sim.history
 
@@ -80,11 +79,8 @@ def mixed_batch():
         seeds=SEEDS)
     managed = np.array([kind.startswith("heracles") for kind in KINDS])
     batch.attach_vec_heracles(dram_model=model(), managed=managed)
-    baseline_for_sim("static-conservative", batch.members[1])
-    member = batch.members[2]
-    member.attach_controller(InjectionSchedule(member.actuators,
-                                               [INJECTION]))
-    batch.set_chaos_events(CHAOS)
+    batch.set_chaos_events(conservative_static(SPEC).events(members=(1,))
+                           + CHAOS + (INJECTION.retarget((2,)),))
     return batch
 
 
@@ -130,9 +126,11 @@ class TestMixedControllers:
         heracles, static, injected, idle = (
             np.asarray(h.column("be_cores")) for h in twins)
         assert heracles.max() > 0 and idle.max() == 0
-        assert set(static[static > 0]) == {2}
-        # The injected grant lands mid-growth; Heracles keeps growing.
-        assert injected[100] < 10 <= injected[101]
+        # The grant holds from start-up until the crash at t=40.
+        assert static[0] == 2 and set(static[static > 0]) == {2}
+        # The injected grant lands at the start of its tick, mid-growth;
+        # Heracles keeps growing.
+        assert injected[99] < 10 <= injected[100]
 
     def test_checkpoint_resume_matches_straight_run(self, tmp_path):
         straight = mixed_batch()
@@ -148,15 +146,19 @@ class TestMixedControllers:
 
 
 def test_version_1_archive_is_rejected(tmp_path):
-    """Batch members now pickle as array state: old archives fail."""
-    path = str(tmp_path / "v1.npz")
-    meta = json.dumps({"version": 1, "kind": "batch",
-                       "time_s": 0.0}).encode("utf-8")
-    np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8),
-             __pickle__=np.zeros(4, dtype=np.uint8))
-    with pytest.raises(CheckpointError, match="checkpoint version 1, this "
-                                              "build reads version 2"):
-        load_engine(path)
+    """Batch members pickle as array state (version 2) and a batch
+    carries no object controllers (version 3): older archives fail
+    with a clear error before unpickling."""
+    for version in (1, 2):
+        path = str(tmp_path / f"v{version}.npz")
+        meta = json.dumps({"version": version, "kind": "batch",
+                           "time_s": 0.0}).encode("utf-8")
+        np.savez(path, __meta__=np.frombuffer(meta, dtype=np.uint8),
+                 __pickle__=np.zeros(4, dtype=np.uint8))
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint version {version}, this "
+                                 f"build reads version 3"):
+            load_engine(path)
 
 
 def two_member_batch(bes=("brain", "streetview")):
@@ -171,30 +173,17 @@ def vec(batch, managed=None):
     batch.attach_vec_heracles(dram_model=model(), managed=managed)
 
 
-def for_sim(batch, i=0):
-    HeraclesController.for_sim(batch.members[i], dram_model=model())
-
-
 def static(batch, i=0):
-    baseline_for_sim("static-conservative", batch.members[i])
+    batch.set_chaos_events(conservative_static(SPEC).events(members=(i,)))
 
 
-def injections(batch, i=0, inner=None):
-    member = batch.members[i]
-    member.attach_controller(InjectionSchedule(
-        member.actuators, [INJECTION],
-        inner=inner(member.actuators) if inner else None))
+def injections(batch, i=0):
+    batch.set_chaos_events([INJECTION.retarget((i,))])
 
 
-#: (case, setup steps, raises).  One control loop per member: the
-#: vector controller and an object controller may not both drive one.
+#: (case, setup steps, raises).  One vector controller per batch, over
+#: members with a BE task; events share any member with it.
 DOUBLE_CONTROL = [
-    ("for_sim on a vector-managed member", [vec, for_sim], True),
-    ("baseline on a vector-managed member", [vec, static], True),
-    ("wrapped baseline on a vector-managed member",
-     [vec, lambda b: injections(b, inner=conservative_static)], True),
-    ("vector over a for_sim member", [for_sim, vec], True),
-    ("vector over a baseline member", [static, vec], True),
     ("second vector controller", [vec, vec], True),
     ("vector over a member without BE",
      [lambda b: b.attach_vec_heracles(dram_model=model())], True),

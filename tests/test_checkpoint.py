@@ -74,8 +74,7 @@ def make_batch(spill_dir=None, events=()):
         lc=lc, trace=make_trace(), bes=bes, spec=spec,
         seeds=[SEED * 100 + i for i in range(3)],
         record_history=True, spill_dir=spill_dir)
-    for member in batch.members:
-        HeraclesController.for_sim(member)
+    batch.attach_vec_heracles()
     if events:
         batch.set_chaos_events(events)
     return batch

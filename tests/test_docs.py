@@ -105,6 +105,7 @@ def test_scenarios_doc_schema_matches_spec_fields():
     import dataclasses
 
     from repro.scenarios import spec as spec_module
+    from repro.sim.chaos import CHAOS_EVENT_ACTIONS
     sections = _doc_tables(os.path.join(ROOT, "docs", "scenarios.md"))
     checked = set()
     for name, tables in sections.items():
@@ -121,4 +122,4 @@ def test_scenarios_doc_schema_matches_spec_fields():
             for row in kinds[1:]} == spec_module._TRACE_KIND_FIELDS
     actions = next(t for t in sections["InjectionSpec"]
                    if t[0][0] == "action")
-    assert tuple(_first_column(actions)) == spec_module.INJECTION_ACTIONS
+    assert tuple(_first_column(actions)) == CHAOS_EVENT_ACTIONS

@@ -25,6 +25,7 @@ from repro.cluster.coordinator import CoordinatedWebsearchCluster
 from repro.fleet import ClusterPlan, ShardedFleetSim
 from repro.hardware.spec import default_machine_spec
 from repro.sim.batch import BatchColocationSim
+from repro.sim.chaos import ChaosEvent
 from repro.sim.engine import ColocationSim
 from repro.sim.runner import JOBS_ENV
 from repro.workloads.best_effort import make_be_workload
@@ -56,7 +57,7 @@ class TestScalarDtInvariance:
                             be=be and make_be_workload(be, spec),
                             spec=spec, seed=0)
         if controller is not None:
-            sim.attach_controller(controller(sim.actuators))
+            sim.set_chaos_events(controller(spec).events())
         sim.run(duration, dt_s=dt_s)
         return sim.history
 
@@ -95,8 +96,7 @@ class TestBatchDtInvariance:
             lc=quiet_lc(spec), trace=trace,
             bes=[make_be_workload("brain", spec), None], spec=spec,
             seeds=[0, 1])
-        for member in batch.members[:1]:
-            member.attach_controller(optimistic_static(member.actuators))
+        batch.set_chaos_events(optimistic_static(spec).events(members=(0,)))
         batch.run(duration, dt_s=dt_s)
         return batch
 
@@ -119,7 +119,7 @@ class TestBatchDtInvariance:
         sim = ColocationSim(lc=quiet_lc(spec), trace=smooth_trace(),
                             be=make_be_workload("brain", spec), spec=spec,
                             seed=0)
-        sim.attach_controller(optimistic_static(sim.actuators))
+        sim.set_chaos_events(optimistic_static(spec).events())
         sim.run(300.0, dt_s=5.0)
 
         batch = self._run(5.0, smooth_trace(), duration=300.0)
@@ -150,7 +150,6 @@ class TestChaosDtInvariance:
     }
 
     def _events(self, action):
-        from repro.sim.chaos import ChaosEvent
         return [ChaosEvent(at_s, name, value)
                 for at_s, name, value in self.ACTIONS[action]]
 
@@ -160,10 +159,9 @@ class TestChaosDtInvariance:
             lc=quiet_lc(spec), trace=ConstantLoad(0.5),
             bes=[make_be_workload("brain", spec), None], spec=spec,
             seeds=[0, 1])
-        member = batch.members[0]
-        member.attach_controller(optimistic_static(member.actuators))
         batch.set_chaos_events(
-            [e.retarget((0,)) for e in self._events(action)])
+            optimistic_static(spec).events(members=(0,))
+            + tuple(e.retarget((0,)) for e in self._events(action)))
         batch.run(duration, dt_s=dt_s)
         return batch
 

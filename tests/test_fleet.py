@@ -276,7 +276,7 @@ class TestMegaEngineDifferential:
                 engine="bogus")
 
 
-#: One event schedule per chaos action (plus the legacy actuator pokes),
+#: One event schedule per chaos action (plus the actuator actions),
 #: each exercising the action's full lifecycle — fire, run degraded,
 #: recover — inside the differential window.
 CHAOS_SETS = {

@@ -33,6 +33,7 @@ from repro.scenarios import CheckpointSpec, load_scenario, run_scenario
 from repro.scenarios.spec import (FleetSpec, InjectionSpec, ScenarioSpec,
                                   ScheduleSpec, ShardSpec, TraceSpec,
                                   JobSpec, WorkloadSpec)
+from repro.sim.chaos import CHAOS_EVENT_ACTIONS
 from repro.sim.runner import JOBS_ENV
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -184,6 +185,9 @@ class TestTraceSchema:
         assert all(k.startswith("chaos_") for k in KINDS
                    if k not in ("be_gate", "cores", "llc", "dvfs",
                                 "net_ceil", "place", "evict", "save"))
+        # Every event action traces under its own kind.
+        assert {f"chaos_{action}" for action in CHAOS_EVENT_ACTIONS} \
+            == {k for k in KINDS if k.startswith("chaos_")}
 
     def test_make_sink_follows_env(self, monkeypatch):
         monkeypatch.delenv(TRACE_ENV, raising=False)

@@ -45,11 +45,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.scenarios import CheckpointSpec, run_scenario
-from repro.scenarios.spec import (CONTROLLERS, INJECTION_ACTIONS,
-                                  ClusterSpec, FleetSpec, InjectionSpec,
-                                  JobSpec, ScenarioSpec, ScheduleSpec,
-                                  ShardSpec, SweepSpec, TraceSpec,
-                                  WorkloadSpec)
+from repro.scenarios.spec import (CONTROLLERS, ClusterSpec, FleetSpec,
+                                  InjectionSpec, JobSpec, ScenarioSpec,
+                                  ScheduleSpec, ShardSpec, SweepSpec,
+                                  TraceSpec, WorkloadSpec)
+from repro.sim.chaos import CHAOS_EVENT_ACTIONS
 from repro.sim.runner import JOBS_ENV
 from repro.workloads.best_effort import BE_PROFILES
 from repro.workloads.latency_critical import LC_PROFILES
@@ -74,6 +74,7 @@ BES = tuple(sorted(BE_PROFILES))
 VALUE_GRIDS = {
     "set_be_cores": (1, 2, 4),
     "set_llc_split": (1, 3, 6),
+    "lower_be_frequency": (1, 3, 8),
     "set_be_net_ceil": (0.5, 2.0, 9.0),
     "straggler": (0.25, 0.5, 0.75, 1.0),
     "power_cap": (0.4, 0.7, 1.0),
@@ -95,7 +96,7 @@ MEMBER_EXACT_FIELDS = ("be_cores", "be_llc_ways", "be_enabled",
 def draw_injection(draw, duration, cluster_leaves=None, n_members=None):
     """One valid InjectionSpec for a fleet (cluster_leaves) or members
     (n_members) scenario."""
-    action = draw(st.sampled_from(INJECTION_ACTIONS))
+    action = draw(st.sampled_from(CHAOS_EVENT_ACTIONS))
     value = (draw(st.sampled_from(VALUE_GRIDS[action]))
              if action in VALUE_GRIDS else None)
     at_s = float(draw(st.integers(0, int(duration) - 1)))

@@ -203,8 +203,9 @@ def _fleet_data(**cluster):
                                         **cluster)]}}
 
 
-#: One bad-input row per annotation kind the decoder handles, each at a
-#: nested path: (id, scenario data, dotted path, kind word).
+#: One bad-input row per annotation kind the decoder handles, plus a
+#: cross-field rule, each at a nested path: (id, scenario data, dotted
+#: path, kind word).
 DECODER_REJECTS = [
     ("int", _fleet_data(leaves="8"),
      "scenario.fleet.clusters[0].leaves", "expected an integer, got '8'"),
@@ -224,6 +225,9 @@ DECODER_REJECTS = [
     ("missing-required", {"name": "t", "fleet": {"clusters": [
         {"name": "a"}]}},
      "scenario.fleet.clusters[0]", "missing required field 'leaves'"),
+    ("static-without-be", {"name": "t", "controller": "static-optimistic",
+                           "members": [{"lc": "websearch"}]},
+     "scenario.members[0]", "the member has no 'be'"),
 ]
 
 
@@ -422,20 +426,28 @@ class TestCompiler:
         assert sim.actuators.be_cores == 2  # the conservative grant
 
     def test_injections_fire_at_time(self):
+        """An injection fires at the start of the tick at its ``at_s``,
+        so that tick's record already shows it: on either engine, and
+        only on the member a leaf target names."""
+        grant = [{"at_s": 20, "action": "enable_be"},
+                 {"at_s": 20, "action": "set_be_cores", "value": 6}]
+        member = {"lc": "memkeyval", "be": "stream-DRAM"}
+        for engine in ("scalar", "batch"):
+            spec = load_scenario({
+                "name": "t", "controller": "none", "duration_s": 40,
+                "warmup_s": 0, "engine": engine, "members": [member],
+                "injections": grant})
+            cores = run_scenario(spec).members[0].history.column(
+                "be_cores")
+            assert list(cores) == [0] * 20 + [6] * 20, engine
         spec = load_scenario({
             "name": "t", "controller": "none", "duration_s": 40,
-            "warmup_s": 0,
-            "members": [{"lc": "memkeyval", "be": "stream-DRAM"}],
-            "injections": [{"at_s": 20, "action": "enable_be"},
-                           {"at_s": 20, "action": "set_be_cores",
-                            "value": 6}]})
-        compiled = compile_scenario(spec)
-        sim = compiled.build()
-        history = sim.run(40)
-        cores = history.column("be_cores")
-        assert all(c == 0 for c in cores[:20])
-        # Actuation lands after the controller step at t=20.
-        assert all(c == 6 for c in cores[22:])
+            "warmup_s": 0, "members": [member, member],
+            "injections": [dict(inj, leaf=1) for inj in grant]})
+        untargeted, targeted = (m.history.column("be_cores")
+                                for m in run_scenario(spec).members)
+        assert list(untargeted) == [0] * 40
+        assert list(targeted) == [0] * 20 + [6] * 20
 
     def test_spike_overlay_changes_offered_load(self):
         spec = load_scenario({

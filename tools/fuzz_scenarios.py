@@ -46,10 +46,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import numpy as np  # noqa: E402
 
 from repro.scenarios import run_scenario  # noqa: E402
-from repro.scenarios.spec import (CONTROLLERS, INJECTION_ACTIONS,  # noqa: E402
-                                  FleetSpec, InjectionSpec, JobSpec,
-                                  ScenarioSpec, ScheduleSpec, ShardSpec,
-                                  TraceSpec, WorkloadSpec)
+from repro.scenarios.spec import (CONTROLLERS, FleetSpec,  # noqa: E402
+                                  InjectionSpec, JobSpec, ScenarioSpec,
+                                  ScheduleSpec, ShardSpec, TraceSpec,
+                                  WorkloadSpec)
+from repro.sim.chaos import CHAOS_EVENT_ACTIONS  # noqa: E402
 from repro.sim.runner import JOBS_ENV  # noqa: E402
 from repro.workloads.best_effort import BE_PROFILES  # noqa: E402
 from repro.workloads.latency_critical import LC_PROFILES  # noqa: E402
@@ -60,6 +61,7 @@ BES = tuple(sorted(BE_PROFILES))
 VALUE_GRIDS = {
     "set_be_cores": (1, 2, 4),
     "set_llc_split": (1, 3, 6),
+    "lower_be_frequency": (1, 3, 8),
     "set_be_net_ceil": (0.5, 2.0, 9.0),
     "straggler": (0.25, 0.5, 0.75, 1.0),
     "power_cap": (0.4, 0.7, 1.0),
@@ -91,7 +93,7 @@ def gen_trace(rng: random.Random) -> TraceSpec:
 
 def gen_injection(rng: random.Random, duration: float,
                   cluster_leaves=None, n_members=None) -> InjectionSpec:
-    action = rng.choice(INJECTION_ACTIONS)
+    action = rng.choice(CHAOS_EVENT_ACTIONS)
     value = (rng.choice(VALUE_GRIDS[action])
              if action in VALUE_GRIDS else None)
     at_s = float(rng.randrange(int(duration)))
