@@ -8,7 +8,6 @@ regeneration cost; `pedantic` with one round keeps total runtime sane.
 
 import os
 
-import pytest
 
 #: Where benchmarks write their JSON measurements by default: a
 #: git-ignored directory, so a plain ``pytest`` run never rewrites the

@@ -12,7 +12,6 @@
    for throughput; widening it trades throughput for safety.
 """
 
-import pytest
 from conftest import regenerate
 
 import repro

@@ -1,10 +1,11 @@
-"""Batched vs scalar cluster backend: throughput and equivalence gate.
+"""Batched vs scalar cluster: throughput and equivalence gate.
 
 Runs the Figure 8 websearch minicluster — 20 leaves, one simulated hour
-of the 12-hour diurnal trace, Heracles on every leaf — once on the
-vectorized batched backend and once on the reference per-leaf scalar
-engine, under the same seed.  Asserts the two contractual properties of
-the batched backend:
+of the 12-hour diurnal trace, Heracles on every leaf — once as the
+managed arm of a ``cluster`` scenario (a one-cluster fleet on the
+vectorized array engine) and once on the reference per-leaf scalar
+:class:`~repro.cluster.cluster.WebsearchCluster`, under the same seed.
+Asserts the two contractual properties of the batched path:
 
 * **speedup**: the batched run completes at least 5x faster;
 * **equivalence**: the reported cluster metrics (mean/min EMU, max root
@@ -24,6 +25,7 @@ import time
 from conftest import regenerate
 
 from repro.cluster.cluster import WebsearchCluster
+from repro.scenarios import ClusterSpec, ScenarioSpec, compile_scenario
 from repro.workloads.traces import websearch_cluster_trace
 
 LEAVES = 20
@@ -33,21 +35,30 @@ MIN_SPEEDUP = 5.0
 METRIC_TOL = 1e-6
 
 
-def _run_cluster(engine: str):
+def _run_batched():
+    """The managed arm of a ``cluster`` scenario; its default trace is
+    ``websearch_cluster_trace(seed=SEED)``."""
+    spec = ScenarioSpec(name="bench-cluster", duration_s=DURATION_S,
+                        warmup_s=0.0, seed=SEED,
+                        cluster=ClusterSpec(leaves=LEAVES,
+                                            arms=("managed",)))
+    return compile_scenario(spec).run(processes=1).cluster_arms["managed"]
+
+
+def _run_scalar():
     cluster = WebsearchCluster(leaves=LEAVES,
                                trace=websearch_cluster_trace(seed=SEED),
-                               seed=SEED, engine=engine)
-    history = cluster.run(DURATION_S)
-    return history
+                               seed=SEED)
+    return cluster.run(DURATION_S)
 
 
 def test_bench_batch_cluster_speedup_and_equivalence(benchmark):
     batch_cpu = time.process_time()
-    batch_history = regenerate(benchmark, _run_cluster, "batch")
+    batch_history = regenerate(benchmark, _run_batched)
     batch_elapsed = time.process_time() - batch_cpu
 
     scalar_cpu = time.process_time()
-    scalar_history = _run_cluster("scalar")
+    scalar_history = _run_scalar()
     scalar_elapsed = time.process_time() - scalar_cpu
 
     speedup = scalar_elapsed / batch_elapsed

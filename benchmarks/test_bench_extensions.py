@@ -12,11 +12,11 @@
 from conftest import regenerate
 
 import repro
-from repro.cluster.cluster import WebsearchCluster
 from repro.cluster.coordinator import CoordinatedWebsearchCluster
 from repro.core import HeraclesController
 from repro.core.dram_model import profile_lc_dram_model
 from repro.core.hw_dram import attach_hardware_counted_heracles
+from repro.fleet import ClusterPlan, ShardedFleetSim
 from repro.workloads.latency_critical import make_lc_workload
 from repro.workloads.traces import DiurnalTrace
 
@@ -63,8 +63,11 @@ def test_bench_cluster_coordinator(benchmark):
             return DiurnalTrace(low=0.2, high=0.9, period_s=5400,
                                 noise_sigma=0.01, seed=11)
 
-        uniform = WebsearchCluster(leaves=6, trace=make_trace(), seed=11)
-        uniform_history = uniform.run(5400)
+        # The uniform-target arm is the plain cluster, run on the fleet
+        # engine; the coordinator needs the scalar leaves' controllers.
+        uniform = ShardedFleetSim([ClusterPlan(
+            name="uniform", leaves=6, trace=make_trace(), seed=11)])
+        uniform_history = uniform.run(5400, processes=1).clusters[0].history
         coordinated = CoordinatedWebsearchCluster(leaves=6,
                                                   trace=make_trace(),
                                                   seed=11)

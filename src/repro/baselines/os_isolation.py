@@ -13,17 +13,15 @@ demonstrates why Heracles exists.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..experiments.common import characterization_cell
 from ..hardware.spec import MachineSpec, default_machine_spec
-from ..oslayer.scheduler import CfsModelParams, CfsSharedCoreModel
+from ..oslayer.scheduler import CfsSharedCoreModel
 from ..workloads.antagonists import AntagonistSpec, Placement
 from ..workloads.best_effort import BE_PROFILES
-from ..workloads.latency_critical import (LatencyCriticalWorkload,
-                                          make_lc_workload)
+from ..workloads.latency_critical import make_lc_workload
 
 
 @dataclass

@@ -127,9 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "--leaves", type=int, default=None, metavar="N",
                 help="leaf servers behind the fan-out root (default: "
                      "the registered scenario's 8; at least 2)")
-            p.add_argument(
-                "--engine", choices=("batch", "scalar"), default=None,
-                help="leaf execution backend (default: batch)")
 
     quick = sub.add_parser(
         "quickstart", help="the README demo (websearch + brain)")
@@ -469,7 +466,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "fig8":
         from .scenarios import ScenarioError
         try:
-            fig8_cluster.main(leaves=args.leaves, engine=args.engine)
+            fig8_cluster.main(leaves=args.leaves)
         except ScenarioError as exc:
             raise SystemExit(f"fig8: {exc}") from exc
         return 0

@@ -9,16 +9,13 @@ cluster-wide EMU (average ~90%, minimum ~80% in the paper).
 Execution backends
 ------------------
 
-``engine="batch"`` (default) advances all leaves per tick in one
-vectorized step through :class:`~repro.sim.batch.BatchColocationSim` —
-the leaves are homogeneous hardware, so their contention physics
-resolves as array math, and every leaf's Heracles instance steps as
-the batch's vector controller — which is what makes large clusters and
-long diurnal traces tractable.  ``engine="scalar"`` keeps the original
-one-``ColocationSim``-per-leaf loop (one :class:`Leaf` and one
-``HeraclesController`` each) as the reference implementation; both
-produce numerically identical cluster metrics for the same seed
-(enforced by ``benchmarks/test_bench_batch.py``).
+:class:`WebsearchCluster` is the scalar reference: one
+``ColocationSim`` per leaf (one :class:`Leaf` and one
+``HeraclesController`` each), stepped in a Python loop.  The
+``cluster`` scenario shape runs each arm as a one-cluster fleet on the
+array engine instead (:mod:`repro.fleet.simulator`); every arm is
+bit-identical to this loop for the same seed (enforced by
+``tests/test_scenario_fuzz.py`` and ``tests/test_fleet.py``).
 """
 
 from __future__ import annotations
@@ -31,11 +28,9 @@ import numpy as np
 from ..metrics.history import ColumnarHistory
 from ..core.dram_model import profile_lc_dram_model
 from ..hardware.spec import MachineSpec, default_machine_spec
-from ..sim.batch import BatchColocationSim
-from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
 from ..workloads.traces import LoadTrace, websearch_cluster_trace
-from .leaf import Leaf, LeafConfig, make_leaf_lc
+from .leaf import Leaf, LeafConfig
 from .root import RootAggregator
 
 #: Cluster record cadence in simulated seconds (the paper's 30 s
@@ -122,28 +117,20 @@ def cluster_slo_targets(spec: MachineSpec, leaves: int,
 
 
 class WebsearchCluster:
-    """A managed (or baseline) websearch minicluster.
-
-    The scalar engine keeps one :class:`Leaf` per server in ``leaves``;
-    the batch engine keeps the leaves as the members of ``batch``, with
-    Heracles attached as its vector controller (``leaves`` is empty).
-    """
+    """A managed (or baseline) websearch minicluster, one :class:`Leaf`
+    per server in ``leaves`` (the scalar reference)."""
 
     def __init__(self,
                  leaves: int = 20,
                  spec: Optional[MachineSpec] = None,
                  trace: Optional[LoadTrace] = None,
                  managed: bool = True,
-                 seed: int = 0,
-                 engine: str = "batch"):
+                 seed: int = 0):
         if leaves < 2:
             raise ValueError("a cluster needs at least two leaves")
-        if engine not in ("batch", "scalar"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.spec = spec or default_machine_spec()
         self.trace = trace or websearch_cluster_trace(seed=seed)
         self.managed = managed
-        self.engine = engine
 
         # SLO targets (see cluster_slo_targets for the calibration).
         self.leaf_slo_ms, self.root_slo_ms = cluster_slo_targets(
@@ -153,34 +140,15 @@ class WebsearchCluster:
         shared_model = profile_lc_dram_model(
             make_lc_workload("websearch", self.spec)) if managed else None
 
-        self.batch: Optional[BatchColocationSim] = None
-        self.leaves: List[Leaf] = []
-        configs = [
-            LeafConfig(index=i,
-                       be_name="brain" if i % 2 == 0 else "streetview",
-                       leaf_slo_ms=self.leaf_slo_ms,
-                       seed=seed * 1000 + i)
+        self.leaves: List[Leaf] = [
+            Leaf(LeafConfig(index=i,
+                            be_name="brain" if i % 2 == 0 else "streetview",
+                            leaf_slo_ms=self.leaf_slo_ms,
+                            seed=seed * 1000 + i),
+                 trace=self.trace, spec=self.spec,
+                 shared_dram_model=shared_model, managed=managed)
             for i in range(leaves)
         ]
-        if engine == "batch":
-            # One shared LC instance (the leaves are homogeneous and the
-            # workload model is stateless) and one BE instance per task.
-            lc = make_leaf_lc(self.spec, self.leaf_slo_ms)
-            be_by_name = {name: make_be_workload(name, self.spec)
-                          for name in ("brain", "streetview")}
-            self.batch = BatchColocationSim(
-                lc=lc, trace=self.trace,
-                bes=[be_by_name[c.be_name] for c in configs],
-                spec=self.spec, seeds=[c.seed for c in configs],
-                record_history=False)
-            if managed:
-                self.batch.attach_vec_heracles(dram_model=shared_model)
-        else:
-            self.leaves = [
-                Leaf(config, trace=self.trace, spec=self.spec,
-                     shared_dram_model=shared_model, managed=managed)
-                for config in configs
-            ]
 
         self.root = RootAggregator()
         self.history = ClusterHistory()
@@ -199,17 +167,12 @@ class WebsearchCluster:
         """
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        if self.batch is not None:
-            result = self.batch.tick(dt_s)
-            tails = result.tail_latency_ms.tolist()
-            emus = result.emu.tolist()
-        else:
-            tails = []
-            emus = []
-            for leaf in self.leaves:
-                record = leaf.sim.tick(dt_s)
-                tails.append(record.tail_latency_ms)
-                emus.append(record.emu)
+        tails = []
+        emus = []
+        for leaf in self.leaves:
+            record = leaf.sim.tick(dt_s)
+            tails.append(record.tail_latency_ms)
+            emus.append(record.emu)
         self.root.record(self.time_s, tails)
         record_every = max(1, int(round(RECORD_PERIOD_S / dt_s)))
         if self._tick_index % record_every == 0:
@@ -230,20 +193,3 @@ class WebsearchCluster:
             self.tick(dt_s)
         return self.history
 
-
-def run_cluster_arm(kwargs: dict):
-    """Run one independent cluster simulation from a kwargs dict.
-
-    A module-level (picklable) helper for fanning managed/baseline arms
-    across :func:`repro.sim.runner.run_sweep`: ``kwargs`` holds the
-    :class:`WebsearchCluster` constructor arguments plus ``duration``
-    (and optionally ``dt_s``).
-
-    Returns:
-        ``(history, root_slo_ms)`` for the arm.
-    """
-    kwargs = dict(kwargs)
-    duration = kwargs.pop("duration")
-    dt_s = kwargs.pop("dt_s", 1.0)
-    cluster = WebsearchCluster(**kwargs)
-    return cluster.run(duration, dt_s=dt_s), cluster.root_slo_ms

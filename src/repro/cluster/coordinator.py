@@ -73,17 +73,9 @@ class ClusterCoordinator:
         return self.leaf_target_ms
 
     def apply_to_cluster(self, cluster) -> None:
-        """Push the current target into every leaf's Heracles instance.
-
-        A batch cluster's leaves run under the batch's vector
-        controller, whose SLO vector is its own copy of the targets; a
-        scalar cluster's leaves each carry a ``HeraclesController``.
-        """
+        """Push the current target into every leaf's ``HeraclesController``
+        (baseline leaves carry none)."""
         target = self.leaf_target_ms
-        if cluster.batch is not None:
-            if cluster.batch.vec_heracles is not None:
-                cluster.batch.vec_heracles.slo_ms[:] = target
-            return
         for leaf in cluster.leaves:
             if leaf.controller is None:
                 continue
@@ -92,7 +84,12 @@ class ClusterCoordinator:
 
 
 class CoordinatedWebsearchCluster:
-    """A websearch cluster with the centralized coordinator enabled."""
+    """A websearch cluster with the centralized coordinator enabled.
+
+    Runs on the scalar :class:`~repro.cluster.cluster.WebsearchCluster`,
+    whose per-leaf ``HeraclesController`` objects take the coordinator's
+    targets, like every other object-controller extension.
+    """
 
     def __init__(self, leaves: int = 12, **cluster_kwargs):
         from .cluster import WebsearchCluster

@@ -10,12 +10,11 @@ profiling once and handing every leaf the same (slightly stale for any
 given shard) model.
 
 A leaf is the scalar :class:`~repro.sim.engine.ColocationSim` under a
-:class:`~repro.core.controller.HeraclesController` — the reference
-implementation the batched cluster is verified against.  A batch
-:class:`~repro.cluster.cluster.WebsearchCluster` builds no ``Leaf``
-objects: its leaves are the members of one cluster-wide
+:class:`~repro.core.controller.HeraclesController`: the reference
+:class:`~repro.cluster.cluster.WebsearchCluster` is built from them,
+and the fleet engine's leaves (members of a
 :class:`~repro.sim.batch.BatchColocationSim` under the vector
-controller.
+controller) are verified against it.
 """
 
 from __future__ import annotations
@@ -80,9 +79,8 @@ def make_leaf_lc(spec: MachineSpec, leaf_slo_ms: float,
                  lc_name: str = "websearch"):
     """The LC instance every leaf runs: uniform leaf SLO target.
 
-    One definition shared by standalone leaves, the cluster's batch
-    path, and the fleet shard workers, so the leaf-SLO override can
-    never diverge between them.  ``lc_name`` defaults to the §5.3
+    One definition shared by standalone leaves and the fleet engine,
+    so the leaf-SLO override can never diverge between them.  ``lc_name`` defaults to the §5.3
     websearch service; fleet clusters may shard any registered LC
     workload.
     """

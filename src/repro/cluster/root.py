@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Sequence, Tuple
+from typing import Deque, Sequence
 
 
 @dataclass

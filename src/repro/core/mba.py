@@ -23,15 +23,11 @@ BE cores — and therefore more EMU — than core removal, at equal safety.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..hardware.counters import CounterBank
-from ..sim.actuators import Actuators
 from ..sim.engine import ColocationSim
-from ..sim.monitors import LatencyMonitor
 from .config import HeraclesConfig
 from .core_memory import CoreMemoryController
-from .state import ControlState
 
 #: Lowest throttle MBA can apply (Intel MBA bottoms out around 10-20%).
 MIN_THROTTLE = 0.10

@@ -33,7 +33,7 @@ BE tasks to the LC workload" (§4.3, unconditional on load).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..sim.actuators import Actuators
 from ..sim.monitors import LatencyMonitor

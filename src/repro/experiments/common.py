@@ -31,7 +31,7 @@ from ..sim.engine import ColocationSim, SimHistory
 from ..sim.runner import memoized_dram_model, run_sweep
 from ..workloads.antagonists import AntagonistSpec, Placement, make_antagonist
 from ..workloads.base import Allocation, spread_cores
-from ..workloads.best_effort import BestEffortWorkload, make_be_workload
+from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import (LatencyCriticalWorkload,
                                           make_lc_workload)
 from ..workloads.traces import ConstantLoad, LoadTrace

@@ -2,12 +2,9 @@
 
 Regenerates the paper's characterization table: for each of the three LC
 workloads, each of the eight antagonist rows, and nineteen load points
-(5%..95%), the tail latency normalized to the SLO.  Cells are
-color-coded the way the paper does:
-
-* **severe** (red): >= 120% of the SLO,
-* **mild** (yellow): 100-120%,
-* **ok** (green): <= 100%.
+(5%..95%), the tail latency normalized to the SLO.  The paper
+color-codes the cells (red >= 120% of the SLO, yellow 100-120%, green
+<= 100%); the plain-text table prints the percentages.
 
 The paper's headline observations, all of which this experiment checks:
 
@@ -31,15 +28,6 @@ from ..workloads.antagonists import figure1_antagonists
 from ..workloads.latency_critical import LC_PROFILES, make_lc_workload
 from ..workloads.traces import load_sweep
 from .common import characterization_cell
-
-
-def classify(slo_fraction: float) -> str:
-    """The paper's three-way color coding."""
-    if slo_fraction >= 1.20:
-        return "severe"
-    if slo_fraction > 1.00:
-        return "mild"
-    return "ok"
 
 
 @dataclass

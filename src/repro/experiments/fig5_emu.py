@@ -15,8 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from .fig4_latency_slo import (DEFAULT_LOADS, ColocationSweep, run_fig4,
-                               run_sweep)
+from .fig4_latency_slo import DEFAULT_LOADS, ColocationSweep, run_sweep
 
 #: The production-batch pairings Figure 5 plots.
 FIG5_BE_TASKS = ("brain", "streetview")

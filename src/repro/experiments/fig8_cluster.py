@@ -9,10 +9,12 @@ brain on half the leaves and streetview on the other half.  Reported:
   80%" for the paper's hardware; our simulated substrate lands close
   (~0.8 average) with the same no-violation property.
 
-The cluster runs on the batched backend by default (all leaves advance
-per tick as one vectorized step — see :mod:`repro.sim.batch`), and the
-managed and baseline arms are independent simulations fanned across the
-sweep runner.  ``engine="scalar"`` reruns the reference per-leaf loop.
+Each arm runs as a one-cluster fleet on the array engine (all leaves
+advance per tick as one vectorized step — see
+:mod:`repro.sim.megabatch`), and the managed and baseline arms are
+independent simulations fanned across the sweep runner.  The per-leaf
+scalar loop, :class:`~repro.cluster.cluster.WebsearchCluster`, is the
+reference every arm is bit-identical to.
 
 The full-fidelity run is 12 simulated hours; ``time_compression``
 shrinks the trace period for quick looks (controller dynamics stay at
@@ -69,7 +71,6 @@ def run_fig8(leaves: int = 12,
              duration_s: float = 12 * 3600.0,
              time_compression: float = 1.0,
              seed: int = 7,
-             engine: str = "batch",
              processes: Optional[int] = None) -> Fig8Result:
     """Run the cluster trace with and without Heracles.
 
@@ -80,7 +81,7 @@ def run_fig8(leaves: int = 12,
     loop.
 
     Args:
-        leaves / duration_s / time_compression / seed / engine:
+        leaves / duration_s / time_compression / seed:
             forwarded to :func:`repro.scenarios.library.fig8_scenario`.
         processes: runner worker count (``None`` = auto).
 
@@ -88,30 +89,23 @@ def run_fig8(leaves: int = 12,
         The populated :class:`Fig8Result`.
     """
     scenario = fig8_scenario(leaves=leaves, duration_s=duration_s,
-                             time_compression=time_compression, seed=seed,
-                             engine=engine)
+                             time_compression=time_compression, seed=seed)
     result = compile_scenario(scenario).run(processes=processes)
     return Fig8Result(managed=result.cluster_arms["managed"],
                       baseline=result.cluster_arms["baseline"],
                       root_slo_ms=result.root_slo_ms)
 
 
-def main(leaves: Optional[int] = None,
-         engine: Optional[str] = None) -> None:
+def main(leaves: Optional[int] = None) -> None:
     """Regenerate the Figure 8 report (the registered ``fig8`` scenario).
 
     Args:
         leaves: override the registered scenario's leaf count (the CLI
             exposes this as ``--leaves``; validated by the spec, so
             zero or negative counts fail loudly).
-        engine: override the leaf backend (``batch`` or ``scalar``;
-            the CLI's ``--engine``).
     """
-    if leaves is None and engine is None:
-        spec = registry.get("fig8")
-    else:
-        spec = fig8_scenario(leaves=leaves if leaves is not None else 8,
-                             engine=engine or "batch")
+    spec = registry.get("fig8") if leaves is None \
+        else fig8_scenario(leaves=leaves)
     print(compile_scenario(spec).run().render(), end="")
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..analysis.tco import TcoModel, TcoParameters
+from ..analysis.tco import TcoModel
 
 
 @dataclass

@@ -4,14 +4,14 @@ Three stages, all deterministic and shard-count-independent:
 
 1. :func:`rollup_cluster` reassembles a cluster's per-tick leaf
    telemetry from its shard slices (concatenated in global leaf order)
-   and replays the *literal* recording protocol of
+   and replays the recording protocol of the scalar reference
    :class:`~repro.cluster.cluster.WebsearchCluster` — the same
    :class:`~repro.cluster.root.RootAggregator` window arithmetic, the
    same tick-counted record cadence, the same ``np.mean`` EMU
    reduction — so the resulting :class:`~repro.cluster.cluster.
-   ClusterHistory` is bit-identical to the one a monolithic
-   single-process run of the same cluster produces, for any shard
-   partition.
+   ClusterHistory` is bit-identical to the reference run of the same
+   cluster, for any shard partition.  It is the one cluster recorder
+   of every fleet, and so of every ``cluster`` scenario arm.
 
 2. :func:`build_fleet_telemetry` stacks the per-cluster histories into
    one fleet-level :class:`~repro.metrics.columns.BatchColumnStore`
@@ -257,8 +257,8 @@ def rollup_cluster(times_s: np.ndarray,
             derivation the cluster driver uses.
 
     Returns:
-        A :class:`ClusterHistory` bit-identical to the one the
-        monolithic cluster run would have recorded.
+        A :class:`ClusterHistory` bit-identical to the one the scalar
+        reference cluster records.
     """
     if dt_s <= 0:
         raise ValueError("dt must be positive")

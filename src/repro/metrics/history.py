@@ -19,7 +19,7 @@ returned list does not record anything — use ``history.append``.
 from __future__ import annotations
 
 import dataclasses
-from typing import FrozenSet, List, Optional, Tuple, Type
+from typing import FrozenSet, List, Tuple, Type
 
 import numpy as np
 

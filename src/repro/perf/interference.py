@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hardware.server import TaskUsage
-from .saturation import knee_penalty
 
 
 @dataclass(frozen=True)

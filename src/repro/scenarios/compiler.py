@@ -15,8 +15,9 @@ execution layers below it.  Each scenario *shape* lowers differently:
   experiment layer's :func:`~repro.experiments.common.colocation_sweep`
   (so a sweep scenario is numerically identical to the hand-wired
   Figure 4-7 harness, offline-profiling memoization included);
-* ``cluster`` — managed/baseline :class:`~repro.cluster.cluster.
-  WebsearchCluster` arms dispatched through the same runner;
+* ``cluster`` — each managed/baseline arm a one-cluster fleet (the
+  ``fleet`` lowering below, one in-process unit), the arms dispatched
+  through the same runner;
 * ``fleet`` — a sharded multi-cluster :class:`~repro.fleet.simulator.
   ShardedFleetSim`, every cluster partitioned into homogeneous shards
   fanned across the runner's process pool;
@@ -40,11 +41,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..baselines import SCENARIO_BASELINES
-from ..cluster.cluster import ClusterHistory, run_cluster_arm
+from ..cluster.cluster import ClusterHistory
 from ..core.controller import HeraclesController
 from ..experiments.common import (ColocationResult, baseline_cell,
                                   colocation_sweep)
-from ..fleet import ClusterPlan, FleetResult, ShardedFleetSim
+from ..fleet import (ClusterOutcome, ClusterPlan, FleetResult,
+                     ShardedFleetSim)
 from ..obs.trace import concat_payloads
 from ..sched import ScheduleOutcome, run_schedule, tco_summary
 from ..sim.batch import BatchColocationSim
@@ -56,7 +58,8 @@ from ..sim.engine import ColocationSim, SimHistory
 from ..sim.runner import memoized_dram_model, run_sweep
 from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
-from .spec import InjectionSpec, ScenarioError, ScenarioSpec
+from .spec import (FleetSpec, InjectionSpec, ScenarioError, ScenarioSpec,
+                   ShardSpec)
 
 
 def _chaos_event(injection: InjectionSpec) -> ChaosEvent:
@@ -65,6 +68,15 @@ def _chaos_event(injection: InjectionSpec) -> ChaosEvent:
         at_s=injection.at_s, action=injection.action,
         value=injection.value,
         members=None if injection.leaf is None else (injection.leaf,))
+
+
+def _run_cluster_arm(fleet: ShardedFleetSim, duration_s: float,
+                     dt_s: float) -> ClusterOutcome:
+    """Run one ``cluster``-scenario arm, a one-cluster fleet, in-process.
+
+    Module-level so the arms can fan out across the runner's pool.
+    """
+    return fleet.run(duration_s, dt_s=dt_s, processes=1).clusters[0]
 
 
 @dataclass
@@ -479,10 +491,6 @@ class CompiledScenario:
         spec = self.spec
         sweep = spec.sweep
         result = ScenarioResult(spec=spec, kind="sweep")
-        if spec.controller != "heracles":
-            raise ScenarioError(
-                "sweep scenarios currently run under Heracles; use a "
-                "'members' scenario for baseline-controller studies")
         for lc_name in sweep.lc_tasks:
             grid = SweepGrid(lc_name=lc_name, loads=list(sweep.loads))
             if sweep.include_baseline:
@@ -502,7 +510,8 @@ class CompiledScenario:
 
         Shared by the ``fleet`` and ``schedule`` shapes, so a scheduled
         fleet is constructed *identically* to the plain fleet it wraps
-        — the root of the empty-queue bit-identity gate.
+        — the root of the empty-queue bit-identity gate — and by each
+        arm of a ``cluster`` scenario, a one-cluster fleet.
         """
         spec = self.spec
         # A cluster-less injection reaches every cluster; a leaf target
@@ -570,20 +579,21 @@ class CompiledScenario:
     def _run_cluster(self, processes: Optional[int]) -> ScenarioResult:
         spec = self.spec
         cluster = spec.cluster
-        machine = None if spec.server.is_default() else self.machine
         arms = [
-            dict(leaves=cluster.leaves, spec=machine,
-                 trace=cluster.trace.build(default_seed=spec.seed),
-                 managed=(arm == "managed"), seed=spec.seed,
-                 engine=cluster.engine, duration=spec.duration_s,
-                 dt_s=spec.dt_s)
+            ((self._build_fleet(FleetSpec(
+                clusters=(ShardSpec(
+                    name=arm, leaves=cluster.leaves, server=spec.server,
+                    trace=cluster.trace, managed=(arm == "managed"),
+                    seed=spec.seed),),
+                engine="mega")), spec.duration_s, spec.dt_s), {})
             for arm in cluster.arms
         ]
-        outcomes = run_sweep(run_cluster_arm, arms, processes=processes)
+        outcomes = run_sweep(_run_cluster_arm, arms, processes=processes,
+                             star=True)
         result = ScenarioResult(spec=spec, kind="cluster")
-        for arm, (history, root_slo_ms) in zip(cluster.arms, outcomes):
-            result.cluster_arms[arm] = history
-            result.root_slo_ms = root_slo_ms
+        for arm, outcome in zip(cluster.arms, outcomes):
+            result.cluster_arms[arm] = outcome.history
+            result.root_slo_ms = outcome.root_slo_ms
         return result
 
 

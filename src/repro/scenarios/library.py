@@ -81,8 +81,7 @@ def _compressed(seconds: float, time_compression: float) -> float:
 def fig8_scenario(leaves: int = 8,
                   duration_s: float = 12 * 3600.0,
                   time_compression: float = 1.0,
-                  seed: int = 7,
-                  engine: str = "batch") -> ScenarioSpec:
+                  seed: int = 7) -> ScenarioSpec:
     """The §5.3 websearch cluster (Figure 8) as a scenario spec.
 
     Args:
@@ -91,12 +90,13 @@ def fig8_scenario(leaves: int = 8,
         time_compression: shrink factor for quick looks (the trace
             period and duration shrink together; controller dynamics
             stay at real speed).
-        seed / engine: forwarded to the cluster driver.
+        seed: the cluster's base seed (leaf ``i`` uses
+            ``seed * 1000 + i``).
 
     Returns:
         A ``cluster``-shaped :class:`ScenarioSpec` with managed and
-        baseline arms, numerically identical to the hand-wired
-        :func:`repro.experiments.fig8_cluster.run_fig8`.
+        baseline arms (the spec
+        :func:`repro.experiments.fig8_cluster.run_fig8` runs).
     """
     period = _compressed(12 * 3600.0, time_compression)
     duration = _compressed(duration_s, time_compression)
@@ -113,8 +113,7 @@ def fig8_scenario(leaves: int = 8,
             leaves=leaves,
             arms=("managed", "baseline"),
             trace=TraceSpec(kind="diurnal", low=0.20, high=0.90,
-                            period_s=period, noise_sigma=0.02),
-            engine=engine))
+                            period_s=period, noise_sigma=0.02)))
 
 
 def mixed_fleet_scenario() -> ScenarioSpec:

@@ -412,7 +412,8 @@ class ClusterSpec(_Spec):
     """A websearch minicluster run (the §5.3 / Figure 8 shape).
 
     Arms (``managed`` = Heracles on every leaf, ``baseline`` = no
-    colocation) are independent simulations fanned across the runner.
+    colocation) are independent one-cluster fleet runs fanned across
+    the runner.
     """
 
     leaves: int = 8
@@ -420,10 +421,9 @@ class ClusterSpec(_Spec):
     trace: TraceSpec = field(default_factory=lambda: TraceSpec(
         kind="diurnal", low=0.20, high=0.90, period_s=12 * 3600.0,
         noise_sigma=0.02))
-    engine: str = "batch"
 
     def validate(self, ctx: str = "cluster") -> None:
-        """Check leaf count, arm names and the engine choice."""
+        """Check leaf count and arm names."""
         if self.leaves < 2:
             raise ScenarioError(f"{ctx}.leaves: a cluster needs at least "
                                 f"two leaves")
@@ -431,7 +431,6 @@ class ClusterSpec(_Spec):
             raise ScenarioError(f"{ctx}.arms: need at least one arm")
         for arm in self.arms:
             _choose(arm, ("managed", "baseline"), f"{ctx}.arms", "arm")
-        _choose(self.engine, ("batch", "scalar"), f"{ctx}.engine", "engine")
         self.trace.validate(f"{ctx}.trace")
 
 
@@ -919,8 +918,7 @@ class ScenarioSpec(_Spec):
                 or self.schedule is not None) and self.engine != "auto":
             raise ScenarioError(
                 f"{ctx}.engine: only member scenarios take a top-level "
-                f"engine (cluster scenarios set cluster.engine; fleets "
-                f"set fleet.engine)")
+                f"engine (fleets set fleet.engine)")
         fleet_like = self.fleet if self.fleet is not None else (
             self.schedule.fleet if self.schedule is not None else None)
         if self.checkpoint is not None:
@@ -953,11 +951,23 @@ class ScenarioSpec(_Spec):
                 f"{ctx}.server: fleet scenarios declare hardware per "
                 f"cluster (fleet.clusters[*].server), not at the top "
                 f"level")
-        if fleet_like is not None and self.controller != "heracles":
-            raise ScenarioError(
-                f"{ctx}.controller: fleet scenarios run Heracles on "
-                f"managed clusters and nothing on baseline ones; set "
-                f"'managed: false' per cluster instead of a controller")
+        if self.controller != "heracles":
+            if self.sweep is not None:
+                raise ScenarioError(
+                    f"{ctx}.controller: sweep scenarios run Heracles in "
+                    f"every cell; use a 'members' scenario for "
+                    f"baseline-controller studies")
+            if self.cluster is not None:
+                raise ScenarioError(
+                    f"{ctx}.controller: cluster scenarios run Heracles on "
+                    f"the managed arm and nothing on the baseline arm; "
+                    f"pick arms with cluster.arms instead of a controller")
+            if fleet_like is not None:
+                raise ScenarioError(
+                    f"{ctx}.controller: fleet scenarios run Heracles on "
+                    f"managed clusters and nothing on baseline ones; set "
+                    f"'managed: false' per cluster instead of a "
+                    f"controller")
         self.server.validate(f"{ctx}.server")
         for i, member in enumerate(self.members):
             member.validate(f"{ctx}.members[{i}]")

@@ -217,59 +217,22 @@ class BatchMemberHistory(TickSeriesMixin, BatchMemberSeries):
 class BatchHistory:
     """Column-oriented record of a whole batched run.
 
-    Rows are ticks, columns are members: every observable is a (T, N)
-    member-major array inside one :class:`~repro.metrics.columns.
-    BatchColumnStore` (timestamps are stored once — all members share
-    the batch clock), so the cluster and sweep layers aggregate with
-    array math and never materialize a ``TickRecord`` per
-    (tick, server).
-
-    A standalone ``BatchHistory()`` (as the public :meth:`append` API
-    expects) records the compact observable set of
-    :class:`BatchTickResult`; the batched engine instead hands its
-    history a store that may carry the full ``TickRecord`` field set,
-    shared zero-copy with the per-member
-    :class:`BatchMemberHistory` views.
+    Rows are ticks, columns are members: every ``TickRecord`` field is
+    a (T, N) member-major array inside the engine's one
+    :class:`~repro.metrics.columns.BatchColumnStore` (timestamps are
+    stored once — all members share the batch clock), shared zero-copy
+    with the per-member :class:`BatchMemberHistory` views.  A batch
+    built with ``record_history=False`` has no store and records
+    nothing.
     """
 
-    _FIELDS = ("load", "tail_latency_ms", "slo_fraction",
-               "be_throughput_norm", "emu")
-
-    def __init__(self, n: Optional[int] = None,
-                 store: Optional[BatchColumnStore] = None):
-        self._n = n
+    def __init__(self, store: Optional[BatchColumnStore]):
         self._store = store
 
     @property
     def store(self) -> Optional[BatchColumnStore]:
-        """The backing store (None until the first append sizes it)."""
+        """The backing store (None when the batch keeps no history)."""
         return self._store
-
-    def _ensure_store(self, n: int) -> BatchColumnStore:
-        """Create the compact store on first use (N known at append)."""
-        if self._store is None:
-            fields = [("t_s", np.float64)]
-            fields += [(name, np.float64) for name in self._FIELDS]
-            self._store = BatchColumnStore(fields, n=n, shared=("t_s",))
-        return self._store
-
-    def append(self, result: BatchTickResult) -> None:
-        """Record one tick's member-wide observable arrays.
-
-        On an engine-owned history whose store carries the full
-        ``TickRecord`` field set, the fields a :class:`BatchTickResult`
-        does not provide are recorded as absent (NaN for float columns,
-        zero/False for counts and flags) rather than rejected — the
-        compact append API keeps working against either layout.
-        """
-        store = self._ensure_store(self._n or len(result.load))
-        row = {name: getattr(result, name) for name in self._FIELDS}
-        row["t_s"] = result.t_s
-        for name in store.fields:
-            if name not in row:
-                dtype = np.dtype(store.raw_column(name).dtype)
-                row[name] = np.nan if dtype.kind == "f" else 0
-        store.append_tick(row)
 
     def column(self, name: str) -> np.ndarray:
         """(T, N) zero-copy view of one observable across the run."""
@@ -313,8 +276,8 @@ class BatchColocationSim:
             when omitted.
         record_history: keep the full :class:`TickRecord` field set per
             member (the scalar engine's format, read through
-            ``members[i].history``).  Disable for large fleets — the
-            compact :class:`BatchHistory` columns are always recorded.
+            ``members[i].history``).  Disabled, the batch records no
+            history (the fleet engine collects its own telemetry).
         specs: one machine spec per member, differing from ``spec``
             only in DRAM bandwidth and NIC link rate (a merged fleet).
         spill_dir: bound resident history memory by chunked
@@ -354,23 +317,20 @@ class BatchColocationSim:
             if w.spec.total_cores != self.spec.total_cores:
                 raise ValueError("batch members must share one hardware spec")
         self._dram_cap, self._nic_link = self._hardware_columns(specs)
+        if spill_dir is not None and not record_history:
+            raise ValueError("spill_dir needs record_history: a batch "
+                             "without history has nothing to spill")
         self.record_history = record_history
         self.time_s = 0.0
-        # One columnar store for the whole batch: always the compact
-        # BatchTickResult observables, plus the rest of the TickRecord
-        # fields when per-member histories are kept.  Members' history
-        # views read the same arrays — nothing is stored twice.
-        if record_history:
-            fields = SimHistory.field_dtypes()
-        else:
-            fields = [("t_s", np.float64)] + [
-                (name, np.float64) for name in BatchHistory._FIELDS]
-        # spill_dir bounds resident history memory by chunked
+        # One columnar store for the whole batch, holding the
+        # TickRecord fields; members' history views read the same
+        # arrays.  spill_dir bounds resident history memory by chunked
         # spill-to-disk (see repro.metrics.columns); each batch needs
         # its own directory.
-        self._store = BatchColumnStore(fields, n=n, shared=("t_s",),
-                                       spill_dir=spill_dir)
-        self.history = BatchHistory(n=n, store=self._store)
+        self._store = BatchColumnStore(
+            SimHistory.field_dtypes(), n=n, shared=("t_s",),
+            spill_dir=spill_dir) if record_history else None
+        self.history = BatchHistory(self._store)
 
         self._lcs = lcs
         self._traces = traces
@@ -403,9 +363,6 @@ class BatchColocationSim:
         # dispatches rebuilding run-invariant values.
         self._srange = np.arange(S, dtype=np.int64)
         self._total_cores_i64 = np.int64(self.spec.total_cores)
-        # Engines that collect their own telemetry (the fleet engine)
-        # clear this to skip the per-tick column-store append.
-        self._record_ticks = True
         # Observability (off by default: both stay None unless the
         # REPRO_TRACE / REPRO_PROFILE env toggles are set; the whole
         # disabled path is these attributes' None checks).
@@ -1175,13 +1132,11 @@ class BatchColocationSim:
         # arrays gathered in step 2: controllers only mutate actuators
         # *after* this point in the tick, so the gathered values are
         # exactly what the per-member properties would report here.
-        row = {
-            "t_s": self.time_s, "load": load, "tail_latency_ms": tail,
-            "slo_fraction": slo_fraction, "be_throughput_norm": be_norm,
-            "emu": emu,
-        } if self._record_ticks else None
-        if row is not None and self.record_history:
-            row.update(
+        if self.record_history:
+            self._store.append_tick(dict(
+                t_s=self.time_s, load=load, tail_latency_ms=tail,
+                slo_fraction=slo_fraction, be_throughput_norm=be_norm,
+                emu=emu,
                 be_cores=be_eff,
                 be_llc_ways=np.where(be_enabled, be_ways, 0),
                 be_dvfs_cap_ghz=np.where(np.isinf(dvfs_cap), np.nan,
@@ -1198,9 +1153,7 @@ class BatchColocationSim:
                 be_net_gbps=net["be_ach"],
                 link_utilization=np.minimum(
                     1.0, net["total_ach"] / self._nic_link),
-            )
-        if row is not None:
-            self._store.append_tick(row)
+            ))
         if prof is not None:
             now = perf_counter()
             prof.add("telemetry", now - mark)

@@ -20,9 +20,9 @@ A merged group *is* a batch: members are the batch's array state and
 Heracles is its masked vector program (see :mod:`repro.sim.batch`), so
 a leaf's trajectory is the one a single-cluster batch gives it.
 ``tests/test_fleet.py`` enforces bit-identity of every cluster
-roll-up, under every packing, against the monolithic
-:class:`~repro.cluster.cluster.WebsearchCluster` batch and scalar
-runs.
+roll-up, under every packing, against the scalar reference
+:class:`~repro.cluster.cluster.WebsearchCluster` (one
+``ColocationSim`` and ``HeraclesController`` per leaf).
 """
 
 from __future__ import annotations
@@ -150,8 +150,6 @@ class MegaFleetSim:
                 bes=bucket["bes"], spec=bucket["specs"][0],
                 seeds=bucket["seeds"], specs=bucket["specs"],
                 record_history=False)
-            # The run loop collects its own (T, N) telemetry.
-            sim._record_ticks = False
             if bucket["models"]:
                 sim.attach_vec_heracles(
                     model_segments=bucket["models"],

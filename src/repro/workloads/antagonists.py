@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..hardware.spec import MachineSpec, default_machine_spec
 from .best_effort import (BRAIN, CPU_PWR, IPERF, STREAM_DRAM,

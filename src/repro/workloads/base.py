@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ..hardware.cache import CacheDemand
-from ..hardware.server import DEFAULT_COS, TaskTickDemand
+from ..hardware.server import DEFAULT_COS
 from ..hardware.spec import MachineSpec
 
 

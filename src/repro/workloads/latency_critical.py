@@ -30,7 +30,7 @@ load — that is what "peak load" *means* operationally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np

@@ -294,3 +294,6 @@ class TestHeterogeneousBatch:
         with pytest.raises(ValueError):
             BatchColocationSim(lc=lc, trace=ConstantLoad(0.5),
                                spec=spec).tick(0.0)
+        with pytest.raises(ValueError, match="nothing to spill"):
+            BatchColocationSim(lc=lc, trace=ConstantLoad(0.5), spec=spec,
+                               record_history=False, spill_dir="spill")

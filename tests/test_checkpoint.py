@@ -160,32 +160,49 @@ class TestScalarRoundTrip:
                                        "spilled resume vs in-RAM")
 
 
+#: Batch snapshot tick, off every controller period's grid (poll 15 s,
+#: core/memory and power 2 s): a restore that resets the vector
+#: controller's period clocks would step a subsystem early and diverge.
+BATCH_SNAPSHOT_AT = 97.0
+
+#: Per-member events straddling the batch snapshot.  Member 0 crashes
+#: and restarts before it, so replaying the fired events (a rewound
+#: cursor) would cold-restart it again; member 1 is crashed and still
+#: down at save time; member 2's straggler is pending.
+BATCH_EVENTS = (ChaosEvent(20.0, "leaf_crash", members=(0,)),
+                ChaosEvent(30.0, "leaf_crash", members=(1,)),
+                ChaosEvent(45.0, "leaf_restart", members=(0,)),
+                ChaosEvent(50.0, "straggler", 0.5, members=(2,)),
+                ChaosEvent(110.0, "leaf_restart", members=(1,)),
+                ChaosEvent(140.0, "straggler", 1.0, members=(2,)))
+
+
 class TestBatchRoundTrip:
     def test_resume_is_bit_identical(self, tmp_path):
         straight = make_batch()
         straight.run(DURATION)
         resumed = round_trip(make_batch, str(tmp_path / "batch.npz"),
-                             "batch")
+                             "batch", at_s=BATCH_SNAPSHOT_AT)
         for i in range(3):
             assert_sim_histories_identical(
                 resumed.members[i].history, straight.members[i].history,
                 f"batch member {i} resume vs straight")
 
     def test_resume_under_member_targeted_chaos(self, tmp_path):
-        """Per-member events straddling the snapshot (member 1 crashed
-        and still down at save time; member 2's straggler pending)."""
-        events = (ChaosEvent(30.0, "leaf_crash", members=(1,)),
-                  ChaosEvent(50.0, "straggler", 0.5, members=(2,)),
-                  ChaosEvent(110.0, "leaf_restart", members=(1,)),
-                  ChaosEvent(140.0, "straggler", 1.0, members=(2,)))
-        straight = make_batch(events=events)
+        straight = make_batch(events=BATCH_EVENTS)
         straight.run(DURATION)
-        resumed = round_trip(lambda: make_batch(events=events),
-                             str(tmp_path / "chaos.npz"), "batch")
+        resumed = round_trip(lambda: make_batch(events=BATCH_EVENTS),
+                             str(tmp_path / "chaos.npz"), "batch",
+                             at_s=BATCH_SNAPSHOT_AT)
         for i in range(3):
             assert_sim_histories_identical(
                 resumed.members[i].history, straight.members[i].history,
                 f"chaos batch member {i}")
+        # Member 0 has re-grown its BE task by the snapshot, so a second
+        # cold restart there would show (guards a replayed schedule
+        # that happens to be idempotent).
+        be_cores = straight.members[0].history.column("be_cores")
+        assert be_cores[int(BATCH_SNAPSHOT_AT) - 1] > 0
 
     def test_meta_records_engine_clock(self, tmp_path):
         path = str(tmp_path / "meta.npz")

@@ -90,11 +90,10 @@ class TestWebsearchCluster:
 
     def test_be_tasks_alternate(self, short_run):
         cluster, _ = short_run
-        batch = cluster.batch
-        names = [member.be.name for member in batch.members]
+        names = [leaf.sim.be.name for leaf in cluster.leaves]
         assert names == ["brain", "streetview", "brain", "streetview"]
-        # Every leaf's colocation runs under the vector controller.
-        assert all(batch.vec_heracles.manages(i) for i in range(batch.n))
+        # Every leaf's colocation runs under its own Heracles instance.
+        assert all(leaf.controller is not None for leaf in cluster.leaves)
 
     def test_root_slo_above_leaf_slo(self, short_run):
         cluster, _ = short_run
@@ -118,7 +117,7 @@ class TestWebsearchCluster:
 
     def test_shared_dram_model(self, short_run):
         cluster, _ = short_run
-        segments = cluster.batch.vec_heracles.model_segments
-        # One offline model shared by all leaves: a single segment.
-        assert len(segments) == 1
-        assert segments[0][0] == slice(0, cluster.batch.n)
+        # One offline model object shared by all leaves.
+        models = {id(leaf.controller.core_memory.dram_model)
+                  for leaf in cluster.leaves}
+        assert len(models) == 1

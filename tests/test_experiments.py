@@ -7,22 +7,12 @@ stays fast; the benchmarks regenerate the full-resolution artefacts.
 import pytest
 
 from repro.experiments.common import baseline_cell, characterization_cell
-from repro.experiments.fig1_interference import (InterferenceTable, classify,
-                                                 run_fig1)
+from repro.experiments.fig1_interference import run_fig1
 from repro.experiments.fig3_convexity import max_load_under_slo, run_fig3
 from repro.experiments.fig4_latency_slo import run_sweep
 from repro.experiments.fig7_network_bw import run_fig7
 from repro.experiments.tco_table import run_tco_table
 from repro.workloads.latency_critical import make_lc_workload
-
-
-class TestClassify:
-    def test_categories(self):
-        assert classify(0.8) == "ok"
-        assert classify(1.0) == "ok"
-        assert classify(1.1) == "mild"
-        assert classify(1.2) == "severe"
-        assert classify(9.9) == "severe"
 
 
 @pytest.fixture(scope="module")

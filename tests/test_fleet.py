@@ -1,9 +1,9 @@
 """Fleet layer: sharded execution differential-tested against the
-single-process batch cluster and the scalar reference engine.
+monolithic cluster run and the scalar reference engine.
 
-The heart of this module is the differential harness the PR-4 issue
-asks for: the same 8-leaf cluster run (a) as a scalar per-leaf loop,
-(b) as one monolithic ``BatchColocationSim``, and (c) as a sharded
+The heart of this module is the differential harness: the same 8-leaf
+cluster run (a) as a scalar per-leaf loop, (b) as the managed arm of a
+``cluster`` scenario (one one-cluster fleet unit), and (c) as a sharded
 fleet across shard counts {1, 3, 8} and ``REPRO_JOBS`` ∈ {1, 4} — all
 producing *bit-identical* cluster histories.  Equality is asserted
 with ``np.array_equal`` (no tolerance): the fleet layer's contract is
@@ -12,6 +12,7 @@ that partitioning and parallelism change wall-clock, never numbers.
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from repro.cluster.cluster import WebsearchCluster, cluster_slo_targets
 from repro.fleet import (ClusterPlan, ShardedFleetSim, ShardTask,
                          pack_shards, partition_leaves)
 from repro.hardware.spec import default_machine_spec
-from repro.scenarios import (ScenarioError, compile_scenario, load_scenario,
-                             registry)
+from repro.scenarios import (ClusterSpec, ScenarioError, ScenarioSpec,
+                             compile_scenario, load_scenario, registry)
 from repro.sim.chaos import ChaosEvent
 from repro.sim.megabatch import run_mega_fleet
 from repro.sim.runner import JOBS_ENV
@@ -85,18 +86,24 @@ class TestPartitionLeaves:
 
 @pytest.fixture(scope="module")
 def batch_cluster():
-    """The monolithic single-process batch run (the reference)."""
-    cluster = WebsearchCluster(leaves=LEAVES, trace=reference_trace(),
-                               seed=SEED, engine="batch")
-    cluster.run(DURATION)
-    return cluster
+    """The monolithic run: the managed arm of a ``cluster`` scenario,
+    one array-engine unit over the whole cluster.  Its default trace is
+    :func:`reference_trace`."""
+    spec = ScenarioSpec(name="diff", duration_s=DURATION, warmup_s=0.0,
+                        seed=SEED, cluster=ClusterSpec(leaves=LEAVES,
+                                                       arms=("managed",)))
+    result = compile_scenario(spec).run(processes=1)
+    leaf_slo_ms, _ = cluster_slo_targets(default_machine_spec(), LEAVES)
+    return SimpleNamespace(history=result.cluster_arms["managed"],
+                           root_slo_ms=result.root_slo_ms,
+                           leaf_slo_ms=leaf_slo_ms)
 
 
 @pytest.fixture(scope="module")
 def scalar_cluster():
     """The per-leaf scalar reference run."""
     cluster = WebsearchCluster(leaves=LEAVES, trace=reference_trace(),
-                               seed=SEED, engine="scalar")
+                               seed=SEED)
     cluster.run(DURATION)
     return cluster
 
@@ -1063,18 +1070,13 @@ class TestFleetCli:
         with pytest.raises(SystemExit, match="positive"):
             main(["fleet", "mixed-fleet-1k", "--shard-leaves", "0"])
 
-    def test_fig8_exposes_leaves_and_engine(self):
-        from repro.cli import build_parser
-        args = build_parser().parse_args(["fig8", "--leaves", "6",
-                                          "--engine", "scalar"])
-        assert args.leaves == 6 and args.engine == "scalar"
-
     def test_fig8_rejects_bad_leaves(self):
         from repro.cli import main
         with pytest.raises(SystemExit, match="at least two leaves"):
             main(["fig8", "--leaves", "0"])
 
     def test_fig8_rejects_unknown_engine(self):
+        """fig8 has one backend; an ``--engine`` flag is an error."""
         from repro.cli import build_parser
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig8", "--engine", "warp"])
+            build_parser().parse_args(["fig8", "--engine", "scalar"])

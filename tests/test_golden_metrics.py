@@ -21,6 +21,8 @@ import pytest
 from repro import build_colocation
 from repro.cluster.cluster import WebsearchCluster
 from repro.core.controller import HeraclesController
+from repro.scenarios import (ClusterSpec, ScenarioSpec, TraceSpec,
+                             compile_scenario)
 from repro.workloads.traces import DiurnalTrace
 
 RTOL = 1e-9
@@ -53,15 +55,19 @@ class TestColocationGoldens:
 
 
 class TestClusterGoldens:
-    """4-leaf websearch cluster, 20-minute diurnal trace, seed 3."""
+    """4-leaf websearch cluster, 20-minute diurnal trace, seed 3: the
+    managed arm of a ``cluster`` scenario (the fleet engine)."""
 
     @pytest.fixture(scope="class")
     def cluster_run(self):
-        trace = DiurnalTrace(low=0.2, high=0.9, period_s=1200,
-                             noise_sigma=0.02, seed=3)
-        cluster = WebsearchCluster(leaves=4, trace=trace, seed=3)
-        history = cluster.run(600)
-        return cluster, history
+        spec = ScenarioSpec(
+            name="golden-cluster", duration_s=600.0, warmup_s=0.0, seed=3,
+            cluster=ClusterSpec(leaves=4, arms=("managed",),
+                                trace=TraceSpec(kind="diurnal", low=0.2,
+                                                high=0.9, period_s=1200,
+                                                noise_sigma=0.02)))
+        result = compile_scenario(spec).run(processes=1)
+        return result, result.cluster_arms["managed"]
 
     def test_record_count(self, cluster_run):
         _, history = cluster_run
@@ -82,8 +88,8 @@ class TestClusterGoldens:
             0.9294770982976907, rel=RTOL)
 
     def test_root_slo_ms(self, cluster_run):
-        cluster, _ = cluster_run
-        assert cluster.root_slo_ms == pytest.approx(
+        result, _ = cluster_run
+        assert result.root_slo_ms == pytest.approx(
             15.406552528095565, rel=RTOL)
 
     def test_engines_agree(self, cluster_run):
@@ -91,8 +97,7 @@ class TestClusterGoldens:
         _, batch_history = cluster_run
         trace = DiurnalTrace(low=0.2, high=0.9, period_s=1200,
                              noise_sigma=0.02, seed=3)
-        scalar = WebsearchCluster(leaves=4, trace=trace, seed=3,
-                                  engine="scalar")
+        scalar = WebsearchCluster(leaves=4, trace=trace, seed=3)
         scalar_history = scalar.run(600)
         assert scalar_history.mean_emu() == pytest.approx(
             batch_history.mean_emu(), rel=1e-12)

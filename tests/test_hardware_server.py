@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.cache import CacheDemand
-from repro.hardware.server import DEFAULT_COS, Server, TaskTickDemand
+from repro.hardware.server import Server, TaskTickDemand
 from repro.hardware.spec import default_machine_spec
 
 

@@ -475,44 +475,6 @@ class TestBatchMemberSeries:
         assert np.shares_memory(a.column("value"), store.raw_column("value"))
 
 
-class TestBatchHistoryAppend:
-    """The compact public append API works against either store layout."""
-
-    def _result(self, t_s, n=1):
-        from repro.sim.batch import BatchTickResult
-        return BatchTickResult(
-            t_s=t_s, load=np.full(n, 0.5), tail_latency_ms=np.full(n, 3.0),
-            slo_fraction=np.full(n, 0.4), be_throughput_norm=np.zeros(n),
-            emu=np.full(n, 0.5), be_running=np.zeros(n, dtype=bool))
-
-    def test_standalone_compact_store(self):
-        from repro.sim.batch import BatchHistory
-        history = BatchHistory()
-        history.append(self._result(0.0, n=2))
-        history.append(self._result(1.0, n=2))
-        assert history.column("load").shape == (2, 2)
-        np.testing.assert_array_equal(history.times(), [0.0, 1.0])
-
-    def test_append_on_engine_owned_full_store(self):
-        """Regression: appending a compact BatchTickResult to the
-        engine's full-field history must record absent fields as
-        NaN/zero instead of raising KeyError."""
-        from repro.sim.batch import BatchColocationSim
-        from repro.workloads.latency_critical import make_lc_workload
-        from repro.workloads.traces import ConstantLoad
-        sim = BatchColocationSim(lc=make_lc_workload("websearch"),
-                                 trace=ConstantLoad(0.5), seeds=[0],
-                                 record_history=True)
-        sim.run(3)
-        sim.history.append(self._result(3.0))
-        assert len(sim.history) == 4
-        appended = sim.members[0].history.last()
-        assert appended.t_s == 3.0
-        assert appended.be_cores == 0 and appended.be_enabled is False
-        assert appended.be_dvfs_cap_ghz is None
-        assert np.isnan(appended.dram_bw_gbps)
-
-
 class TestSimHistoryIntegration:
     """The engine history reports through the shared implementation."""
 

@@ -29,7 +29,7 @@ from repro.obs import (FIELDS, KINDS, PHASES, SOURCES, PhaseProfiler,
                        make_sink, merge_payloads, merge_profiles,
                        read_jsonl, render_profile, trace_enabled,
                        write_jsonl)
-from repro.scenarios import CheckpointSpec, load_scenario, run_scenario
+from repro.scenarios import CheckpointSpec, run_scenario
 from repro.scenarios.spec import (FleetSpec, InjectionSpec, ScenarioSpec,
                                   ScheduleSpec, ShardSpec, TraceSpec,
                                   JobSpec, WorkloadSpec)

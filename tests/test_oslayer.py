@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.oslayer.scheduler import CfsModelParams, CfsSharedCoreModel
+from repro.oslayer.scheduler import CfsSharedCoreModel
 from repro.oslayer.traffic_control import HtbQdisc
 
 

@@ -4,9 +4,11 @@ Goldens pin each engine to its own past output; these tests pin the
 engines to the paper.  §5.3 / Figure 8: with Heracles on every leaf of
 the websearch cluster, "the latency at the root satisfies the SLO"
 while cluster utilization (EMU) rises well above the no-colocation
-baseline.  The same seeded cluster runs on the scalar reference, the
-batch engine and a one-cluster fleet, so a refactor of any engine that
-drifts from the paper fails here even if it drifts consistently.
+baseline.  The same seeded cluster runs on the scalar reference, as
+the ``fig8`` cluster scenario (``batch``: what ``repro fig8`` and the
+benchmark run) and as a hand-built one-cluster fleet, so a refactor of
+any engine or of the scenario lowering that drifts from the paper
+fails here even if it drifts consistently.
 
 The paper's ~0.90 mean EMU is not asserted for Fig 8: this model
 reads about 0.78 at the setting below (see ROADMAP, "Paper fidelity,
@@ -73,12 +75,19 @@ def run_cluster(engine, managed):
             shard_leaves=LEAVES, engine="mega")
         return fleet.run(DURATION_S).clusters[0].history
     cluster = WebsearchCluster(leaves=LEAVES, trace=fig8_trace(),
-                               seed=SEED, managed=managed, engine=engine)
+                               seed=SEED, managed=managed)
     return cluster.run(DURATION_S)
 
 
 @pytest.fixture(scope="module", params=["scalar", "batch", "fleet"])
 def arms(request):
+    if request.param == "batch":
+        spec = library.fig8_scenario(leaves=LEAVES, time_compression=48.0,
+                                     seed=SEED)
+        assert (spec.duration_s, spec.warmup_s) == (DURATION_S, WARMUP_S)
+        result = run_scenario(spec, processes=1)
+        return (result.cluster_arms["managed"],
+                result.cluster_arms["baseline"])
     return (run_cluster(request.param, managed=True),
             run_cluster(request.param, managed=False))
 

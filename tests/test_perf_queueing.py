@@ -1,6 +1,5 @@
 """Tests for repro.perf.queueing: Erlang-C and the pooled tail model."""
 
-import math
 
 import pytest
 

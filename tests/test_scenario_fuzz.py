@@ -39,11 +39,11 @@ import os
 import tempfile
 
 import numpy as np
-import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import WebsearchCluster
 from repro.scenarios import CheckpointSpec, run_scenario
 from repro.scenarios.spec import (CONTROLLERS, ClusterSpec, FleetSpec,
                                   InjectionSpec, JobSpec, ScenarioSpec,
@@ -195,8 +195,7 @@ def cluster_specs(draw):
     cluster = ClusterSpec(
         leaves=draw(st.integers(2, 3)),
         arms=draw(st.sampled_from((("managed",), ("managed", "baseline")))),
-        trace=draw_trace(draw),
-        engine="batch")
+        trace=draw_trace(draw))
     return ScenarioSpec(name="fuzz-cluster", duration_s=40.0,
                         warmup_s=10.0, seed=draw(st.integers(0, 5)),
                         cluster=cluster)
@@ -401,17 +400,18 @@ class TestClusterScenarios:
     @settings(max_examples=15)
     @given(spec=cluster_specs())
     def test_batch_matches_scalar_bitwise(self, spec):
+        """Each arm (a one-cluster fleet on the array engine) matches a
+        scalar per-leaf ``WebsearchCluster`` bit for bit."""
         spec.validate()
         batch = run_scenario(spec, processes=1)
-        scalar = run_scenario(
-            dataclasses.replace(
-                spec, cluster=dataclasses.replace(spec.cluster,
-                                                  engine="scalar")),
-            processes=1)
-        assert batch.root_slo_ms == scalar.root_slo_ms
-        assert batch.cluster_arms.keys() == scalar.cluster_arms.keys()
+        assert tuple(batch.cluster_arms) == spec.cluster.arms
         for arm, history in batch.cluster_arms.items():
-            other = scalar.cluster_arms[arm]
+            scalar = WebsearchCluster(
+                leaves=spec.cluster.leaves,
+                trace=spec.cluster.trace.build(default_seed=spec.seed),
+                managed=(arm == "managed"), seed=spec.seed)
+            other = scalar.run(spec.duration_s, dt_s=spec.dt_s)
+            assert batch.root_slo_ms == scalar.root_slo_ms
             assert len(history) == len(other)
             for name in CLUSTER_FIELDS:
                 assert np.array_equal(history.column(name),

@@ -15,9 +15,8 @@ import os
 
 import pytest
 
-from repro.scenarios import (ClusterSpec, FleetSpec, ScenarioError,
-                             ScenarioSpec, ServerSpec, ShardSpec, SweepSpec,
-                             TraceSpec, WorkloadSpec,
+from repro.scenarios import (FleetSpec, ScenarioError, ScenarioSpec,
+                             ServerSpec, ShardSpec, TraceSpec, WorkloadSpec,
                              compile_scenario, load_scenario, loads_scenario,
                              parse_simple_yaml, registry, run_scenario)
 from repro.scenarios.library import fig4_scenario, fig8_scenario
@@ -183,7 +182,7 @@ class TestSpecRejection:
         with pytest.raises(ScenarioError, match="engine"):
             load_scenario({"name": "t", "engine": "batch",
                            "sweep": {"lc_tasks": ["websearch"]}})
-        with pytest.raises(ScenarioError, match="cluster.engine"):
+        with pytest.raises(ScenarioError, match="only member scenarios"):
             load_scenario({"name": "t", "engine": "scalar",
                            "cluster": {"leaves": 2}})
 
@@ -228,6 +227,15 @@ DECODER_REJECTS = [
     ("static-without-be", {"name": "t", "controller": "static-optimistic",
                            "members": [{"lc": "websearch"}]},
      "scenario.members[0]", "the member has no 'be'"),
+    ("sweep-controller", {"name": "t", "controller": "static-optimistic",
+                          "sweep": {"lc_tasks": ["websearch"]}},
+     "scenario.controller", "sweep scenarios run Heracles"),
+    ("cluster-controller", {"name": "t", "controller": "static-optimistic",
+                            "cluster": {"leaves": 2}},
+     "scenario.controller", "cluster scenarios run Heracles"),
+    ("cluster-engine", {"name": "t", "cluster": {"leaves": 2,
+                                                 "engine": "scalar"}},
+     "scenario.cluster", "unknown field(s) 'engine'"),
 ]
 
 
@@ -516,8 +524,7 @@ class TestGoldenParity:
         result = compile_scenario(scenario).run(processes=1)
         trace = DiurnalTrace(low=0.20, high=0.90, period_s=600.0,
                              noise_sigma=0.02, seed=3)
-        cluster = WebsearchCluster(leaves=2, trace=trace, seed=3,
-                                   engine="batch")
+        cluster = WebsearchCluster(leaves=2, trace=trace, seed=3)
         history = cluster.run(600.0)
         assert result.cluster_arms["managed"].mean_emu() == pytest.approx(
             history.mean_emu(), abs=1e-6)

@@ -6,7 +6,7 @@ from repro.hardware.server import Server
 from repro.hardware.spec import default_machine_spec
 from repro.workloads.antagonists import (Placement, antagonist_by_label,
                                          figure1_antagonists, make_antagonist)
-from repro.workloads.base import Allocation, spread_cores
+from repro.workloads.base import Allocation
 from repro.workloads.best_effort import (BE_PROFILES, BestEffortWorkload,
                                          BeWorkloadProfile, make_be_workload,
                                          reference_throughput_units)
