@@ -86,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--profile", action="store_true",
             help="measure tick-phase wall-clock (chaos/physics/"
-                 "telemetry/controllers/rollup/ipc) and print the "
-                 "fleet-wide breakdown table to stderr")
+                 "telemetry/controllers/rollup/ipc, plus sched for "
+                 "schedule scenarios) and print the fleet-wide "
+                 "breakdown table to stderr")
         p.add_argument(
             "--json", action="store_true", dest="json_output",
             help="print the run summary as one JSON document on "
@@ -340,6 +341,11 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
                          "path (or --list)")
     try:
         spec = _resolve_scenario_spec(args.scenario)
+        if spec.cluster is not None and (args.trace or args.profile):
+            raise SystemExit(
+                f"scenario: {spec.name!r} is cluster-shaped and records "
+                f"no decision trace or phase profile; drop --trace and "
+                f"--profile, or run the leaves as a fleet scenario")
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         spec = _apply_checkpoint_args(args, spec)

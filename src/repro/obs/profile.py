@@ -23,6 +23,8 @@ shards and runs merge by plain key-wise addition:
 * ``ipc`` — the same residual when the units ran on a process pool,
   where it also covers dispatch, pickling and result transport; unit
   time overlaps there, so it is clamped at zero and only a hint.
+* ``sched`` — the best-effort scheduler's replay over the slack view
+  (``run_schedule`` of a ``schedule`` scenario), after the fleet run.
 
 Wall-clock is inherently nondeterministic, so profiling carries no
 bit-identity contract of its own — the contract is that *enabling it
@@ -40,7 +42,7 @@ PROFILE_ENV = "REPRO_PROFILE"
 
 #: The fixed phase vocabulary; merges are key-wise sums over this set.
 PHASES = ("chaos", "physics", "telemetry", "controllers", "setup",
-          "rollup", "ipc")
+          "rollup", "ipc", "sched")
 
 
 def profile_enabled() -> bool:

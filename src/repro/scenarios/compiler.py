@@ -38,6 +38,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, List, Optional, Union
 
 from ..baselines import SCENARIO_BASELINES
@@ -565,16 +566,20 @@ class CompiledScenario:
                             processes=processes,
                             slack_epoch_s=schedule.epoch_s,
                             **self._fleet_run_kwargs())
+        started = perf_counter()
         scheduled = run_schedule(outcome.slack, schedule.expand_jobs(),
                                  policy=schedule.policy,
                                  queue_limit=schedule.queue_limit)
+        profile = outcome.profile
+        if profile is not None:
+            profile = dict(profile, sched=perf_counter() - started)
         payloads = [p for p in (outcome.trace, scheduled.trace)
                     if p is not None]
         return ScenarioResult(spec=spec, kind="schedule", fleet=outcome,
                               schedule=scheduled,
                               trace=(concat_payloads(payloads)
                                      if payloads else None),
-                              profile=outcome.profile)
+                              profile=profile)
 
     def _run_cluster(self, processes: Optional[int]) -> ScenarioResult:
         spec = self.spec

@@ -30,7 +30,7 @@ policy-vs-static comparison and the §5.3 TCO roll-up.
 """
 
 from .jobs import BeJob, JobRecord, JobState, expand_jobs
-from .policies import (POLICIES, PlacementContext, Policy,
+from .policies import (POLICIES, Placement, PlacementContext, Policy,
                        RoundRobinPolicy, SlackGreedyPolicy, StaticPolicy,
                        make_policy)
 from .report import (compare_policies, credited_core_seconds,
@@ -40,7 +40,8 @@ from .scheduler import ScheduleOutcome, run_schedule
 
 __all__ = [
     "POLICIES",
-    "BeJob", "JobRecord", "JobState", "PlacementContext", "Policy",
+    "BeJob", "JobRecord", "JobState", "Placement", "PlacementContext",
+    "Policy",
     "RoundRobinPolicy", "ScheduleOutcome", "SlackGreedyPolicy",
     "StaticPolicy",
     "compare_policies", "credited_core_seconds", "expand_jobs",

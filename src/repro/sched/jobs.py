@@ -18,7 +18,7 @@ retires 2.4 core-seconds of job demand per second.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -79,7 +79,7 @@ class JobState(enum.Enum):
 
 @dataclass
 class JobRecord:
-    """Mutable per-job accounting the scheduler maintains.
+    """One job's accounting at the end of a scheduling run.
 
     ``progress_core_s`` only ever counts *credited* work: harvest
     earned during an epoch in which the hosting leaf latched its SLO
@@ -92,17 +92,6 @@ class JobRecord:
     completed_at_s: Optional[float] = None
     evictions: int = 0
     pinned_leaf: Optional[int] = None
-    assigned: dict = field(default_factory=dict)
-
-    @property
-    def remaining_core_s(self) -> float:
-        """Demand still to retire (never negative)."""
-        return max(0.0, self.job.demand_core_s - self.progress_core_s)
-
-    @property
-    def runnable(self) -> bool:
-        """True while the job is admitted and unfinished."""
-        return self.state == JobState.QUEUED
 
 
 def expand_jobs(jobs: Sequence[BeJob]) -> List[JobRecord]:

@@ -2,23 +2,29 @@
 
 A policy sees one :class:`PlacementContext` per decision epoch — the
 previous epoch's per-leaf slack signals (per-slot harvest rate, the
-Heracles BE-core grant, the SLO latch) plus the queue in priority
-order — and returns, for each job, the BE core slots it should hold on
-which leaves this epoch.  Policies are *pure*: same context, same
-placement, which is what makes scheduling runs bit-reproducible across
-shard counts and worker pools.
+Heracles BE-core grant, the SLO latch) plus the runnable queue in
+priority order, as ``max_cores`` / ``pinned_leaf`` arrays — and
+returns one :class:`Placement`: the int64 triple ``(job, leaf,
+cores)``, one entry per (job, leaf) pair holding slots, with ``job``
+indexing the context's queue.  Policies are *pure*: same context,
+same placement, which is what makes scheduling runs bit-reproducible
+across shard counts and worker pools.
 
 Three policies ship, mirroring the evaluation axes of the paper's
 cluster study:
 
 * ``slack-greedy`` — the Heracles-driven scheduler: pack the queue
   onto the leaves with the highest per-slot harvest rate, skipping
-  leaves that latched their SLO last epoch;
+  leaves that latched their SLO last epoch.  Closed form: the slot
+  supply (leaves in rate order) and the queue's wants (jobs in
+  priority order) are laid on one line of slots, and each job takes
+  the overlap of its want interval with each leaf's supply interval;
 * ``round-robin`` — slack-blind spreading: cycle the leaf list,
   placing one slot at a time wherever Heracles granted cores;
 * ``static`` — static provisioning, the paper's baseline: each job is
   pinned to one leaf at admission and never migrates, whatever the
-  leaf's slack does.
+  leaf's slack does.  Closed form: a segmented cumulative want over
+  the jobs pinned to each leaf.
 
 Every policy honours the same hard constraint: a leaf is never
 assigned more slots than its (previous-epoch) Heracles grant, which
@@ -29,11 +35,9 @@ invariant ``tests/test_sched_properties.py`` pins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator
 
 import numpy as np
-
-from .jobs import JobRecord
 
 #: Registered policy names, in the order the docs list them.
 POLICIES = ("slack-greedy", "round-robin", "static")
@@ -48,7 +52,9 @@ class PlacementContext:
     estimate of what one slot on each leaf will earn; ``cap`` (N,) is
     the previous epoch's Heracles BE-core grant (the slot supply);
     ``latched`` (N,) flags leaves that hit their SLO last epoch.
-    ``jobs`` is the runnable queue in priority order.
+    ``max_cores`` (J,) and ``pinned_leaf`` (J,) describe the runnable
+    queue in priority order: each job's parallelism limit and the
+    leaf it was pinned to at admission.
     """
 
     epoch: int
@@ -56,7 +62,8 @@ class PlacementContext:
     rate_per_core: np.ndarray
     cap: np.ndarray
     latched: np.ndarray
-    jobs: Sequence[JobRecord]
+    max_cores: np.ndarray
+    pinned_leaf: np.ndarray
 
     @property
     def leaves(self) -> int:
@@ -64,7 +71,25 @@ class PlacementContext:
         return len(self.cap)
 
 
-Placement = List[Dict[int, int]]
+class Placement:
+    """One epoch's placement, the int64 triple ``(job, leaf, cores)``.
+
+    Three aligned arrays, one entry per (job, leaf) pair: ``cores[k]``
+    slots of queue job ``job[k]`` on leaf ``leaf[k]``.  Iterating
+    yields each pair as a one-entry ``{leaf: cores}`` mapping, which
+    is how ``perfbench/tracer.py`` counts placements.
+    """
+
+    __slots__ = ("job", "leaf", "cores")
+
+    def __init__(self, job, leaf, cores):
+        self.job, self.leaf, self.cores = (
+            np.asarray(a, dtype=np.int64) for a in (job, leaf, cores))
+
+    def __iter__(self) -> Iterator[Dict[int, int]]:
+        """Each pair as ``{leaf: cores}``."""
+        return ({leaf: cores} for leaf, cores
+                in zip(self.leaf.tolist(), self.cores.tolist()))
 
 
 class Policy:
@@ -74,7 +99,7 @@ class Policy:
     name = "abstract"
 
     def place(self, ctx: PlacementContext) -> Placement:
-        """Return one ``{leaf: cores}`` dict per job in ``ctx.jobs``."""
+        """Return the epoch's ``(job, leaf, cores)`` triple."""
         raise NotImplementedError
 
 
@@ -95,30 +120,25 @@ class SlackGreedyPolicy(Policy):
     def place(self, ctx: PlacementContext) -> Placement:
         """Greedy descending-rate packing (see class docstring)."""
         usable = (ctx.rate_per_core > 0) & ~ctx.latched
-        free = np.where(usable, ctx.cap, 0).astype(int)
+        free = np.where(usable, ctx.cap, 0).astype(np.int64)
         # Stable sort on negated rate: equal-rate leaves stay in leaf
-        # order, so the packing is one deterministic sequence.  The
-        # cursor never retreats — slots are consumed front to back —
-        # keeping one epoch's packing O(leaves + jobs).
-        order = [int(i) for i in np.argsort(-ctx.rate_per_core,
-                                            kind="stable")
-                 if usable[i] and free[i] > 0]
-        pos = 0
-        placement: Placement = []
-        for record in ctx.jobs:
-            out: Dict[int, int] = {}
-            want = record.job.max_cores
-            while want > 0 and pos < len(order):
-                leaf = order[pos]
-                grab = int(min(free[leaf], want))
-                if grab > 0:
-                    free[leaf] -= grab
-                    want -= grab
-                    out[leaf] = out.get(leaf, 0) + grab
-                if free[leaf] == 0:
-                    pos += 1
-            placement.append(out)
-        return placement
+        # order, so the packing is one deterministic sequence.
+        order = np.argsort(-ctx.rate_per_core, kind="stable")
+        order = order[free[order] > 0]
+        if not len(order) or not len(ctx.max_cores):
+            return Placement((), (), ())
+        # Slots consumed front to back: job j owns [want[j-1], want[j])
+        # of the supply line, leaf order[i] owns [supply[i-1],
+        # supply[i]).  Every cut ends one overlap, i.e. one pair.
+        supply = np.cumsum(free[order])
+        want = np.cumsum(ctx.max_cores)
+        ends = np.union1d(supply, want)
+        ends = ends[ends <= min(supply[-1], want[-1])]
+        starts = np.concatenate(([0], ends[:-1]))
+        return Placement(np.searchsorted(want, starts, side="right"),
+                         order[np.searchsorted(supply, starts,
+                                               side="right")],
+                         ends - starts)
 
 
 class RoundRobinPolicy(Policy):
@@ -136,33 +156,35 @@ class RoundRobinPolicy(Policy):
 
     def place(self, ctx: PlacementContext) -> Placement:
         """One-slot-at-a-time rotation over the granted leaves."""
-        free = np.maximum(ctx.cap, 0).astype(int)
-        leaves = [int(i) for i in range(ctx.leaves) if free[i] > 0]
-        placement: Placement = []
-        if not leaves:
-            return [{} for _ in ctx.jobs]
-        cursor = ctx.epoch % len(leaves)
-        for record in ctx.jobs:
+        free = np.maximum(ctx.cap, 0).astype(np.int64)
+        ring = np.flatnonzero(free > 0).tolist()
+        left = int(free.sum())
+        free = free.tolist()
+        job, leaf, cores = [], [], []
+        cursor = ctx.epoch % len(ring) if ring else 0
+        for j, width in enumerate(ctx.max_cores.tolist()):
+            if not left:
+                break  # every granted slot is taken
+            # Walk the ring from the job's cursor, one slot per free
+            # leaf per visit: jobs wider than the ring wrap around it
+            # until satisfied or the supply runs out.
             out: Dict[int, int] = {}
-            taken = 0
-            # Keep cycling the ring — one slot per leaf per pass —
-            # until the job is satisfied or a full pass finds nothing
-            # free (jobs wider than the ring wrap around it).
-            progressed = True
-            while taken < record.job.max_cores and progressed:
-                progressed = False
-                for step in range(len(leaves)):
-                    if taken >= record.job.max_cores:
-                        break
-                    leaf = leaves[(cursor + step) % len(leaves)]
-                    if free[leaf] > 0:
-                        free[leaf] -= 1
-                        out[leaf] = out.get(leaf, 0) + 1
-                        taken += 1
-                        progressed = True
-            cursor = (cursor + 1) % len(leaves)
-            placement.append(out)
-        return placement
+            take = min(width, left)
+            left -= take
+            step = cursor
+            while take:
+                i = ring[step % len(ring)]
+                step += 1
+                if free[i] > 0:
+                    free[i] -= 1
+                    out[i] = out.get(i, 0) + 1
+                    take -= 1
+            cursor = (cursor + 1) % len(ring)
+            for i, n in out.items():
+                job.append(j)
+                leaf.append(i)
+                cores.append(n)
+        return Placement(job, leaf, cores)
 
 
 class StaticPolicy(Policy):
@@ -179,17 +201,18 @@ class StaticPolicy(Policy):
 
     def place(self, ctx: PlacementContext) -> Placement:
         """Slots on the pinned leaf only, capped by its grant."""
-        free = np.maximum(ctx.cap, 0).astype(int)
-        placement: Placement = []
-        for record in ctx.jobs:
-            out: Dict[int, int] = {}
-            leaf = record.pinned_leaf
-            if leaf is not None and free[leaf] > 0:
-                grab = int(min(free[leaf], record.job.max_cores))
-                free[leaf] -= grab
-                out[leaf] = grab
-            placement.append(out)
-        return placement
+        free = np.maximum(ctx.cap, 0).astype(np.int64)
+        # Jobs pinned to one leaf take its grant in queue order: each
+        # gets what is left after the wants queued before it there.
+        job = np.argsort(ctx.pinned_leaf, kind="stable")
+        leaf = ctx.pinned_leaf[job]
+        want = ctx.max_cores[job]
+        before = np.cumsum(want) - want
+        first = np.diff(leaf, prepend=-1) != 0
+        before -= before[first][np.cumsum(first) - 1]
+        grab = np.clip(free[leaf] - before, 0, want)
+        held = grab > 0
+        return Placement(job[held], leaf[held], grab[held])
 
 
 _POLICY_TYPES = {cls.name: cls for cls in (SlackGreedyPolicy,

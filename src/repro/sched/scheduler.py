@@ -30,6 +30,18 @@ differential gate), and every decision a pure function of the slack
 view, so results are reproducible across shard counts and worker
 pools.
 
+Job state lives in columns on the queue-order job axis (demand,
+``max_cores``, arrival, a state code, progress, evictions, pinned leaf,
+completion time), and a placement is the int64 triple ``(job, leaf,
+cores)``, so one epoch is a few array operations: admission is a mask
+with ``queue_limit`` as a count, and crediting, eviction and the
+store row run over the placed (job, leaf) pairs at once.  Every float
+is summed in the order the per-job loop it replaced summed it — each
+job banks its leaves in ascending order, and the epoch's credit is
+folded left to right, leaf by leaf — so the accounting is exact to
+the bit (``tests/test_sched_golden.py``).  ``outcome.jobs`` is
+materialized once, after the last epoch.
+
 Accounting lands in a jobs-on-the-member-axis
 :class:`~repro.metrics.columns.BatchColumnStore`: per-epoch assigned
 slots and credited core-seconds per job, plus shared fleet-level
@@ -52,6 +64,11 @@ from .policies import PlacementContext, Policy, make_policy
 
 #: Numerical slop when deciding a job's demand is fully retired.
 _COMPLETION_EPS = 1e-9
+
+#: Job state codes of the scheduler's state column.
+_STATES = (JobState.PENDING, JobState.QUEUED, JobState.COMPLETED,
+           JobState.REJECTED)
+_PENDING, _QUEUED, _COMPLETED, _REJECTED = range(len(_STATES))
 
 
 @dataclass
@@ -115,32 +132,57 @@ class ScheduleOutcome:
         }
 
 
-def _check_placement(placement, records, cap, policy_name):
+def _check_placement(placement, ctx, records, queue, policy_name):
     """Enforce the placement invariants whatever the policy did.
 
-    Slots per leaf must stay within the Heracles grant and slots per
-    job within its parallelism limit — a buggy policy fails loudly
-    here instead of silently over-crediting.
+    Slots must be non-negative, slots per job within its parallelism
+    limit and slots per leaf within the Heracles grant — a buggy
+    policy fails loudly here, naming the first job or leaf at fault,
+    instead of silently over-crediting.  Returns the triple sorted by
+    (job, leaf) with empty pairs dropped.
     """
-    per_leaf: Dict[int, int] = {}
-    for record, slots in zip(records, placement):
-        total = 0
-        for leaf, cores in slots.items():
-            if cores < 0:
-                raise ValueError(f"policy {policy_name!r} assigned negative "
-                                 f"cores to leaf {leaf}")
-            per_leaf[leaf] = per_leaf.get(leaf, 0) + cores
-            total += cores
-        if total > record.job.max_cores:
-            raise ValueError(
-                f"policy {policy_name!r} gave job {record.job.name!r} "
-                f"{total} slots, over its max_cores="
-                f"{record.job.max_cores}")
-    for leaf, used in per_leaf.items():
-        if used > cap[leaf]:
-            raise ValueError(
-                f"policy {policy_name!r} packed {used} slots onto leaf "
-                f"{leaf}, over its grant of {int(cap[leaf])}")
+    job, leaf, cores = placement.job, placement.leaf, placement.cores
+    if not job.ndim == 1 or not job.shape == leaf.shape == cores.shape:
+        raise ValueError(f"policy {policy_name!r} returned unaligned "
+                         f"job/leaf/cores arrays")
+    if ((job < 0) | (job >= len(queue)) | (leaf < 0)
+            | (leaf >= ctx.leaves)).any():
+        raise ValueError(f"policy {policy_name!r} placed a job index "
+                         f"outside the queue or a leaf outside the fleet")
+    negative = np.flatnonzero(cores < 0)
+    if len(negative):
+        raise ValueError(f"policy {policy_name!r} assigned negative "
+                         f"cores to leaf {leaf[negative[0]]}")
+    order = np.lexsort((leaf, job))
+    job, leaf, cores = job[order], leaf[order], cores[order]
+    twice = np.flatnonzero((job[1:] == job[:-1]) & (leaf[1:] == leaf[:-1]))
+    if len(twice):
+        raise ValueError(
+            f"policy {policy_name!r} placed job "
+            f"{records[queue[job[twice[0]]]].job.name!r} on leaf "
+            f"{leaf[twice[0]]} twice")
+    per_job = np.bincount(job, weights=cores, minlength=len(queue))
+    over = np.flatnonzero(per_job > ctx.max_cores)
+    if len(over):
+        j = over[0]
+        raise ValueError(
+            f"policy {policy_name!r} gave job "
+            f"{records[queue[j]].job.name!r} {int(per_job[j])} slots, "
+            f"over its max_cores={ctx.max_cores[j]}")
+    per_leaf = np.bincount(leaf, weights=cores, minlength=ctx.leaves)
+    over = np.flatnonzero(per_leaf > ctx.cap)
+    if len(over):
+        i = over[0]
+        raise ValueError(
+            f"policy {policy_name!r} packed {int(per_leaf[i])} slots onto "
+            f"leaf {i}, over its grant of {int(ctx.cap[i])}")
+    held = cores > 0
+    return job[held], leaf[held], cores[held]
+
+
+def _fold(values: np.ndarray) -> float:
+    """Left-to-right float sum (``np.sum`` would sum pairwise)."""
+    return float(np.add.accumulate(values)[-1]) if len(values) else 0.0
 
 
 def run_schedule(slack: FleetSlackView, jobs: Sequence[BeJob],
@@ -174,7 +216,6 @@ def run_schedule(slack: FleetSlackView, jobs: Sequence[BeJob],
                               jobs=records, store=None)
     outcome.harvested_core_s = float(slack.harvest_core_s.sum())
     sink = make_sink()
-    job_index = {id(record): j for j, record in enumerate(records)}
     if not records or not epochs:
         # Nothing to place (or nothing to place on): all harvest that
         # existed went unmetered.
@@ -183,143 +224,137 @@ def run_schedule(slack: FleetSlackView, jobs: Sequence[BeJob],
             outcome.trace = concat_payloads([sink.payload()])
         return outcome
 
+    n = len(records)
     store = BatchColumnStore(
         [("t_s", np.float64), ("assigned_cores", np.float64),
          ("credit_core_s", np.float64), ("queued_jobs", np.int64),
          ("running_jobs", np.int64), ("placed_cores", np.int64),
          ("harvest_core_s", np.float64), ("credited_core_s", np.float64),
          ("wasted_core_s", np.float64), ("evictions", np.int64)],
-        n=len(records),
+        n=n,
         shared=("t_s", "queued_jobs", "running_jobs", "placed_cores",
                 "harvest_core_s", "credited_core_s", "wasted_core_s",
                 "evictions"))
     outcome.store = store
 
-    zero = np.zeros(slack.leaves)
-    admitted = 0
-    pending = list(records)  # queue order (expand_jobs sorted them)
+    # Job columns, in queue (accounting) order.
+    demand = np.array([r.job.demand_core_s for r in records])
+    max_cores = np.array([r.job.max_cores for r in records], dtype=np.int64)
+    arrival = np.array([r.job.arrival_s for r in records])
+    state = np.full(n, _PENDING, dtype=np.int8)
+    progress = np.zeros(n)
+    evictions = np.zeros(n, dtype=np.int64)
+    pinned = np.full(n, -1, dtype=np.int64)
+    completed_at = np.zeros(n)
+    admitted = queued = 0
     for e in range(epochs):
         t = float(slack.epoch_t_s[e])
         length = float(slack.epoch_len_s[e])
 
-        # -- admission: arrivals whose time has come, in queue order --
-        still_pending = []
-        for record in pending:
-            if record.job.arrival_s <= t:
-                waiting = sum(1 for r in records if r.runnable) \
-                    if queue_limit else 0
-                if queue_limit and waiting >= queue_limit:
-                    record.state = JobState.REJECTED
-                    outcome.rejected += 1
-                else:
-                    record.state = JobState.QUEUED
-                    record.pinned_leaf = admitted % slack.leaves
-                    admitted += 1
-            else:
-                still_pending.append(record)
-        pending = still_pending
+        # -- admission: arrivals whose time has come, in queue order;
+        # past queue_limit waiting-or-running jobs, the rest bounce --
+        arriving = np.flatnonzero((state == _PENDING) & (arrival <= t))
+        room = max(0, queue_limit - queued) if queue_limit \
+            else len(arriving)
+        admit, bounce = arriving[:room], arriving[room:]
+        state[admit] = _QUEUED
+        state[bounce] = _REJECTED
+        pinned[admit] = (admitted + np.arange(len(admit))) % slack.leaves
+        admitted += len(admit)
+        queued += len(admit)
+        outcome.rejected += len(bounce)
 
         # -- placement: previous epoch's signals, current queue -------
-        runnable = [r for r in records if r.runnable]
+        queue = np.flatnonzero(state == _QUEUED)
         if e > 0:
-            grant_prev = slack.grant_cores[e - 1]
-            rate_prev = slack.harvest_core_s[e - 1] \
-                / (np.maximum(grant_prev, 1.0)
-                   * float(slack.epoch_len_s[e - 1]))
-            ctx = PlacementContext(
-                epoch=e, epoch_len_s=length, rate_per_core=rate_prev,
-                cap=grant_prev, latched=slack.latched[e - 1],
-                jobs=runnable)
+            cap = slack.grant_cores[e - 1]
+            rate = slack.harvest_core_s[e - 1] \
+                / (np.maximum(cap, 1.0) * float(slack.epoch_len_s[e - 1]))
+            latched = slack.latched[e - 1]
         else:
             # No telemetry yet: every policy sees an empty fleet.
-            ctx = PlacementContext(
-                epoch=0, epoch_len_s=length, rate_per_core=zero,
-                cap=zero, latched=zero.astype(bool), jobs=runnable)
-        placement = chosen.place(ctx)
-        if len(placement) != len(runnable):
-            raise ValueError(f"policy {chosen.name!r} returned "
-                             f"{len(placement)} placements for "
-                             f"{len(runnable)} jobs")
-        _check_placement(placement, runnable, ctx.cap, chosen.name)
-        for record, slots in zip(runnable, placement):
-            record.assigned = dict(slots)
-            if sink is not None:
-                for leaf, cores in sorted(slots.items()):
-                    if cores > 0:
-                        sink.emit(t, int(leaf), "sched", "place",
-                                  a=float(cores),
-                                  b=float(job_index[id(record)]))
+            rate = cap = np.zeros(slack.leaves)
+            latched = np.zeros(slack.leaves, dtype=bool)
+        ctx = PlacementContext(
+            epoch=e, epoch_len_s=length, rate_per_core=rate, cap=cap,
+            latched=latched, max_cores=max_cores[queue],
+            pinned_leaf=pinned[queue])
+        job, leaf, cores = _check_placement(chosen.place(ctx), ctx,
+                                            records, queue, chosen.name)
+        job = queue[job]
 
-        # -- crediting: epoch e's actual harvest over placed slots ----
-        by_leaf: Dict[int, List[JobRecord]] = {}
-        for record in runnable:
-            for leaf, cores in record.assigned.items():
-                if cores > 0:
-                    by_leaf.setdefault(leaf, []).append(record)
-        harvest_e = slack.harvest_core_s[e]
-        latched_e = slack.latched[e]
-        grant_e = slack.grant_cores[e]
-        credit_per_job = {id(r): 0.0 for r in runnable}
-        credited = 0.0
-        evictions = 0
-        for leaf, occupants in sorted(by_leaf.items()):
-            placed = sum(r.assigned[leaf] for r in occupants)
-            if latched_e[leaf]:
-                # The leaf hit its SLO this epoch: Heracles latched,
-                # the epoch's work on it is forfeited, and every
-                # occupant counts an eviction.
-                for record in occupants:
-                    record.evictions += 1
-                    if sink is not None:
-                        sink.emit(t, int(leaf), "sched", "evict",
-                                  a=float(record.assigned[leaf]),
-                                  b=float(job_index[id(record)]))
-                evictions += len(occupants)
-                continue
-            unit = float(harvest_e[leaf]) / max(placed, float(grant_e[leaf]),
-                                                1.0)
-            for record in occupants:
-                earn = min(record.assigned[leaf] * unit,
-                           record.remaining_core_s
-                           - credit_per_job[id(record)])
-                earn = max(0.0, earn)
-                credit_per_job[id(record)] += earn
-                credited += earn
+        # -- eviction: a leaf that hit its SLO this epoch latched; the
+        # epoch's work on it is forfeited and every occupant counts an
+        # eviction ---------------------------------------------------
+        hit = slack.latched[e][leaf]
+        evicted = int(hit.sum())
+        evictions += np.bincount(job[hit], minlength=n)
+        if sink is not None:
+            sink.emit_block(t, leaf, "sched", "place", a=cores, b=job)
+            sink.emit_block(t, leaf[hit], "sched", "evict", a=cores[hit],
+                            b=job[hit])
+
+        # -- crediting: epoch e's actual harvest over placed slots.
+        # Each job banks its leaves in ascending order (the k-th leaf
+        # of every job at once), capped by its remaining demand ------
+        placed = np.bincount(leaf, weights=cores, minlength=slack.leaves)
+        unit = slack.harvest_core_s[e] / np.maximum(
+            np.maximum(placed, slack.grant_cores[e]), 1.0)
+        kept = ~hit
+        paid, paid_leaf = job[kept], leaf[kept]
+        gain = cores[kept] * unit[paid_leaf]
+        remaining = demand - progress
+        remaining = np.where(remaining > 0.0, remaining, 0.0)
+        credit = np.zeros(n)
+        earn = np.zeros(len(paid))
+        first = np.diff(paid, prepend=-1) != 0
+        rank = np.arange(len(paid))
+        rank -= rank[first][np.cumsum(first) - 1]
+        for k in range(int(rank.max(initial=-1)) + 1):
+            pairs = np.flatnonzero(rank == k)
+            owner = paid[pairs]
+            headroom = remaining[owner] - credit[owner]
+            got = np.where(headroom < gain[pairs], headroom, gain[pairs])
+            got = np.where(got > 0.0, got, 0.0)
+            credit[owner] += got
+            earn[pairs] = got
+        # Leaf by leaf, occupants in queue order, folded left to right.
+        credited = _fold(earn[np.lexsort((paid, paid_leaf))])
 
         # -- completion + accounting ----------------------------------
-        for record in runnable:
-            record.progress_core_s += credit_per_job[id(record)]
-            if record.remaining_core_s <= _COMPLETION_EPS:
-                record.state = JobState.COMPLETED
-                record.completed_at_s = t + length
-        harvested = float(harvest_e.sum())
+        progress += credit
+        done = queue[demand[queue] - progress[queue] <= _COMPLETION_EPS]
+        state[done] = _COMPLETED
+        completed_at[done] = t + length
+        queued -= len(done)
+        harvested = float(slack.harvest_core_s[e].sum())
         outcome.credited_core_s += credited
         outcome.wasted_core_s += harvested - credited
-        outcome.evictions += evictions
-        assigned_row = np.array([sum(r.assigned.values())
-                                 for r in records], dtype=float)
-        credit_row = np.zeros(len(records))
-        for j, record in enumerate(records):
-            credit_row[j] = credit_per_job.get(id(record), 0.0)
+        outcome.evictions += evicted
+        assigned = np.bincount(job, weights=cores, minlength=n)
         store.append_tick({
             "t_s": t,
-            "assigned_cores": assigned_row,
-            "credit_core_s": credit_row,
-            "queued_jobs": sum(1 for r in records if r.runnable),
-            "running_jobs": sum(1 for r in runnable
-                                if sum(r.assigned.values()) > 0),
-            "placed_cores": int(sum(sum(r.assigned.values())
-                                    for r in runnable)),
+            "assigned_cores": assigned,
+            "credit_core_s": credit,
+            "queued_jobs": queued,
+            "running_jobs": int(np.count_nonzero(assigned)),
+            "placed_cores": int(cores.sum()),
             "harvest_core_s": harvested,
             "credited_core_s": credited,
             "wasted_core_s": harvested - credited,
-            "evictions": evictions,
+            "evictions": evicted,
         })
-        for record in runnable:
-            record.assigned = {}
 
-    outcome.goodput_core_s = sum(r.job.demand_core_s for r in records
-                                 if r.state == JobState.COMPLETED)
+    finished = state == _COMPLETED
+    outcome.goodput_core_s = _fold(demand[finished])
+    for record, code, at, done, count, pin in zip(
+            records, state.tolist(), completed_at.tolist(),
+            progress.tolist(), evictions.tolist(), pinned.tolist()):
+        record.state = _STATES[code]
+        record.progress_core_s = done
+        record.completed_at_s = at if code == _COMPLETED else None
+        record.evictions = count
+        record.pinned_leaf = pin if pin >= 0 else None
     if sink is not None:
         outcome.trace = concat_payloads([sink.payload()])
     return outcome

@@ -98,6 +98,18 @@ class TestShapeMismatches:
         with pytest.raises(SystemExit, match="'sched' command"):
             main(["fleet", "diurnal-scavenger"])
 
+    @pytest.mark.parametrize("flags", [["--trace", "out.jsonl"],
+                                       ["--profile"]])
+    def test_cluster_scenarios_reject_trace_and_profile(self, flags,
+                                                        monkeypatch):
+        # A cluster scenario records neither; the flags must not be
+        # accepted and then silently produce nothing.
+        from repro.obs import PROFILE_ENV, TRACE_ENV
+        for name in (TRACE_ENV, PROFILE_ENV):
+            monkeypatch.delenv(name, raising=False)
+        with pytest.raises(SystemExit, match="cluster-shaped"):
+            main(["scenario", "fig8"] + flags)
+
     def test_sched_policy_choices_are_enforced_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["sched", "batch-backlog-1k",

@@ -307,6 +307,16 @@ class TestProfiler:
         core = {"chaos", "physics", "telemetry", "controllers"}
         assert sum(result.profile.get(name, 0.0) for name in core) > 0.0
 
+    def test_schedule_run_profiles_the_scheduler(self):
+        spec = fleet_spec(duration_s=20.0, schedule=True)
+        spec.validate()
+        plain = run_traced(spec, trace=False, profile=False)
+        profiled = run_traced(spec, trace=False, profile=True)
+        assert plain.profile is None
+        assert set(profiled.profile) <= set(PHASES)
+        assert profiled.profile["sched"] > 0.0
+        assert profiled.schedule.summary() == plain.schedule.summary()
+
     def test_merge_accumulates(self):
         one = PhaseProfiler()
         one.add("physics", 1.5)

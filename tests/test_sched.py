@@ -17,11 +17,11 @@ import pytest
 from repro.fleet.aggregate import FleetSlackView, LeafSlackView
 from repro.scenarios import (ScenarioError, compile_scenario, load_scenario,
                              registry)
-from repro.sched import (BeJob, JobState, PlacementContext,
-                         RoundRobinPolicy, SlackGreedyPolicy, StaticPolicy,
-                         compare_policies, expand_jobs, make_policy,
-                         render_comparison, run_schedule, tco_summary)
-from repro.sched.jobs import JobRecord
+from repro.sched import (BeJob, JobState, Placement, PlacementContext,
+                         Policy, RoundRobinPolicy, SlackGreedyPolicy,
+                         StaticPolicy, compare_policies, expand_jobs,
+                         make_policy, render_comparison, run_schedule,
+                         tco_summary)
 from repro.sim.runner import JOBS_ENV
 
 CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
@@ -75,13 +75,23 @@ def ctx_for(jobs, rate, cap, latched=None, epoch=1):
     rate = np.asarray(rate, dtype=float)
     if latched is None:
         latched = np.zeros(len(rate), dtype=bool)
-    records = [JobRecord(job=j, state=JobState.QUEUED) for j in jobs]
-    for i, record in enumerate(records):
-        record.pinned_leaf = i % len(rate)
     return PlacementContext(
         epoch=epoch, epoch_len_s=60.0, rate_per_core=rate,
         cap=np.asarray(cap, dtype=float),
-        latched=np.asarray(latched, dtype=bool), jobs=records)
+        latched=np.asarray(latched, dtype=bool),
+        max_cores=np.array([j.max_cores for j in jobs], dtype=np.int64),
+        pinned_leaf=np.arange(len(jobs), dtype=np.int64) % len(rate))
+
+
+def per_job(placement, jobs):
+    """A placement triple as one ``{leaf: cores}`` dict per job."""
+    out = [{} for _ in range(jobs)]
+    for j, leaf, cores in zip(placement.job.tolist(),
+                              placement.leaf.tolist(),
+                              placement.cores.tolist()):
+        assert leaf not in out[j], "a (job, leaf) pair placed twice"
+        out[j][leaf] = cores
+    return out
 
 
 class TestPolicies:
@@ -89,20 +99,20 @@ class TestPolicies:
         ctx = ctx_for([BeJob("j", 1e6, max_cores=6)],
                       rate=[0.2, 0.9, 0.5], cap=[4, 4, 4])
         placement = SlackGreedyPolicy().place(ctx)
-        assert placement == [{1: 4, 2: 2}]
+        assert per_job(placement, 1) == [{1: 4, 2: 2}]
 
     def test_greedy_skips_latched_and_zero_rate_leaves(self):
         ctx = ctx_for([BeJob("j", 1e6, max_cores=8)],
                       rate=[0.2, 0.9, 0.0], cap=[4, 4, 4],
                       latched=[False, True, False])
         placement = SlackGreedyPolicy().place(ctx)
-        assert placement == [{0: 4}]
+        assert per_job(placement, 1) == [{0: 4}]
 
     def test_greedy_is_work_conserving(self):
         jobs = [BeJob(f"j{i}", 1e6, max_cores=3) for i in range(4)]
         ctx = ctx_for(jobs, rate=[0.5, 0.4], cap=[5, 5])
         placement = SlackGreedyPolicy().place(ctx)
-        placed = sum(sum(p.values()) for p in placement)
+        placed = sum(sum(p.values()) for p in per_job(placement, 4))
         # 12 wanted cores against 10 slots: every slot is filled.
         assert placed == 10
 
@@ -112,8 +122,8 @@ class TestPolicies:
             ctx_for(jobs, rate=[0, 0, 0], cap=[2, 2, 2], epoch=0))
         p1 = RoundRobinPolicy().place(
             ctx_for(jobs, rate=[0, 0, 0], cap=[2, 2, 2], epoch=1))
-        assert p0 == [{0: 1, 1: 1}]
-        assert p1 == [{1: 1, 2: 1}]
+        assert per_job(p0, 1) == [{0: 1, 1: 1}]
+        assert per_job(p1, 1) == [{1: 1, 2: 1}]
 
     def test_round_robin_wraps_jobs_wider_than_the_ring(self):
         # A job wider than the granted-leaf count keeps cycling until
@@ -121,16 +131,16 @@ class TestPolicies:
         jobs = [BeJob("wide", 1e6, max_cores=8)]
         placement = RoundRobinPolicy().place(
             ctx_for(jobs, rate=[0, 0], cap=[8, 8], epoch=0))
-        assert placement == [{0: 4, 1: 4}]
+        assert per_job(placement, 1) == [{0: 4, 1: 4}]
         placement = RoundRobinPolicy().place(
             ctx_for(jobs, rate=[0, 0], cap=[3, 2], epoch=0))
-        assert placement == [{0: 3, 1: 2}]
+        assert per_job(placement, 1) == [{0: 3, 1: 2}]
 
     def test_static_stays_on_pinned_leaf(self):
         jobs = [BeJob("a", 1e6, max_cores=8), BeJob("b", 1e6, max_cores=8)]
         ctx = ctx_for(jobs, rate=[0.1, 0.9, 0.9], cap=[4, 4, 4])
         placement = StaticPolicy().place(ctx)
-        assert placement == [{0: 4}, {1: 4}]
+        assert per_job(placement, 2) == [{0: 4}, {1: 4}]
 
     def test_all_policies_respect_caps(self):
         jobs = [BeJob(f"j{i}", 1e6, max_cores=50) for i in range(3)]
@@ -138,7 +148,7 @@ class TestPolicies:
             ctx = ctx_for(jobs, rate=[0.5, 0.5], cap=[3, 2])
             placement = make_policy(policy).place(ctx)
             per_leaf = {}
-            for slots in placement:
+            for slots in per_job(placement, 3):
                 for leaf, cores in slots.items():
                     per_leaf[leaf] = per_leaf.get(leaf, 0) + cores
             for leaf, used in per_leaf.items():
@@ -197,6 +207,29 @@ class TestScheduler:
         # tiebreak admits 'low' and bounces 'mid'.
         assert outcome.job("low").state == JobState.QUEUED
         assert outcome.job("mid").state == JobState.REJECTED
+
+    @pytest.mark.parametrize("triple, message", [
+        (([0], [0], [-1]), "negative cores to leaf 0"),
+        (([0], [0], [5]), "gave job 'j' 5 slots, over its max_cores=4"),
+        (([0, 1], [0, 0], [3, 3]),
+         "packed 6 slots onto leaf 0, over its grant of 4"),
+        (([1, 1], [0, 0], [1, 1]), "job 'k' on leaf 0 twice"),
+        (([2], [0], [1]), "outside the queue"),
+        (([0], [1], [1]), "outside the fleet"),
+    ], ids=["negative", "over-max-cores", "over-grant", "twice",
+            "job-range", "leaf-range"])
+    def test_buggy_policy_fails_loudly(self, triple, message):
+        class Buggy(Policy):
+            name = "buggy"
+
+            def place(self, ctx):
+                return Placement(*triple) if ctx.epoch \
+                    else Placement((), (), ())
+
+        slack = make_slack([[10.0], [10.0]], [[4], [4]])
+        jobs = [BeJob("j", 1e6, max_cores=4), BeJob("k", 1e6, max_cores=4)]
+        with pytest.raises(ValueError, match=message):
+            run_schedule(slack, jobs, Buggy())
 
     def test_empty_queue_wastes_all_harvest(self):
         slack = make_slack([[50.0, 20.0]], [[2, 2]])

@@ -16,7 +16,9 @@ randomized slack views and job queues:
   pins bit-identical across plans).
 
 Plus the accounting sanity the benchmark leans on: credited work never
-exceeds harvested work, and goodput never exceeds credited work.
+exceeds harvested work, and goodput never exceeds credited work; and
+each policy's closed-form placement equals a per-slot oracle that
+hands out one slot at a time.
 """
 
 import numpy as np
@@ -25,7 +27,8 @@ from hypothesis import strategies as st
 
 from repro.fleet.aggregate import FleetSlackView, LeafSlackView
 from repro.sched import BeJob, run_schedule
-from repro.sched.policies import Policy, make_policy
+from repro.sched.policies import (POLICIES, PlacementContext, Policy,
+                                  make_policy)
 
 EPOCH_S = 60.0
 
@@ -75,7 +78,11 @@ def job_lists(draw, max_jobs=6):
 
 
 class SpyPolicy(Policy):
-    """Wrap a policy and record every (context, placement) pair."""
+    """Wrap a policy and record every (context, placement) pair.
+
+    The recorded placement is the policy's ``(job, leaf, cores)``
+    triple; ``job`` indexes the context's queue.
+    """
 
     def __init__(self, inner):
         self.inner = make_policy(inner)
@@ -99,11 +106,13 @@ class TestCapacityInvariant:
         run_schedule(slack, jobs, policy=spy)
         for ctx, placement in spy.calls:
             per_leaf = np.zeros(ctx.leaves)
-            for record, slots in zip(ctx.jobs, placement):
-                assert sum(slots.values()) <= record.job.max_cores
-                for leaf, cores in slots.items():
-                    assert cores >= 0
-                    per_leaf[leaf] += cores
+            per_job = np.zeros(len(ctx.max_cores))
+            for job, leaf, cores in zip(placement.job, placement.leaf,
+                                        placement.cores):
+                assert cores >= 0
+                per_job[job] += cores
+                per_leaf[leaf] += cores
+            assert (per_job <= ctx.max_cores).all()
             # The grant itself never exceeds the machine's cores, so
             # staying under the grant is staying under capacity.
             assert (per_leaf <= ctx.cap + 1e-9).all()
@@ -119,13 +128,13 @@ class TestWorkConservation:
         for ctx, placement in spy.calls:
             usable = (ctx.rate_per_core > 0) & ~ctx.latched
             free = np.where(usable, ctx.cap, 0).astype(float)
-            for slots in placement:
-                for leaf, cores in slots.items():
-                    free[leaf] -= cores
-            unsatisfied = [record for record, slots
-                           in zip(ctx.jobs, placement)
-                           if sum(slots.values()) < record.job.max_cores]
-            if unsatisfied:
+            per_job = np.zeros(len(ctx.max_cores))
+            for job, leaf, cores in zip(placement.job, placement.leaf,
+                                        placement.cores):
+                free[leaf] -= cores
+                per_job[job] += cores
+            unsatisfied = per_job < ctx.max_cores
+            if unsatisfied.any():
                 assert free.sum() == 0, (
                     "queued jobs below their parallelism limit while "
                     "usable slots stayed free")
@@ -184,3 +193,63 @@ class TestAccountingBounds:
         for record in outcome.jobs:
             assert record.progress_core_s <= \
                 record.job.demand_core_s + 1e-6
+
+
+@st.composite
+def placement_contexts(draw, max_leaves=8, max_jobs=8):
+    """A random one-epoch placement context (leaf signals + queue)."""
+    leaves = draw(st.integers(min_value=1, max_value=max_leaves))
+    jobs = draw(st.integers(min_value=0, max_value=max_jobs))
+
+    def column(elements, size):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+
+    return PlacementContext(
+        epoch=draw(st.integers(min_value=0, max_value=50)),
+        epoch_len_s=EPOCH_S,
+        rate_per_core=np.array(column(st.sampled_from(
+            [0.0, 0.1, 0.25, 0.5, 0.9]), leaves)),
+        cap=np.array(column(st.integers(0, 12), leaves), dtype=float),
+        latched=np.array(column(st.booleans(), leaves), dtype=bool),
+        max_cores=np.array(column(st.integers(1, 12), jobs),
+                           dtype=np.int64),
+        pinned_leaf=np.array(column(st.integers(0, leaves - 1), jobs),
+                             dtype=np.int64))
+
+
+def oracle(policy, ctx):
+    """Per-slot reference placement: each job takes one slot at a time
+    from the first leaf with a free slot in the policy's leaf order."""
+    free = np.maximum(ctx.cap, 0).astype(int)
+    if policy == "slack-greedy":
+        free[(ctx.rate_per_core <= 0) | ctx.latched] = 0
+    rank = np.argsort(-ctx.rate_per_core, kind="stable") \
+        if policy == "slack-greedy" else range(ctx.leaves)
+    ring = [int(i) for i in rank if free[i] > 0]
+    held = {}
+    for j, width in enumerate(ctx.max_cores):
+        pos = (ctx.epoch + j) % len(ring) if ring else 0
+        for _ in range(width):
+            order = {"slack-greedy": ring,
+                     "round-robin": ring[pos:] + ring[:pos],
+                     "static": [int(ctx.pinned_leaf[j])]}[policy]
+            leaf = next((i for i in order if free[i] > 0), None)
+            if leaf is None:
+                break
+            free[leaf] -= 1
+            held[j, leaf] = held.get((j, leaf), 0) + 1
+            if policy == "round-robin":
+                pos = (ring.index(leaf) + 1) % len(ring)
+    return sorted((j, leaf, cores) for (j, leaf), cores in held.items())
+
+
+class TestPolicyOracle:
+    @given(placement_contexts(), st.sampled_from(POLICIES))
+    @settings(max_examples=300, deadline=None)
+    def test_triples_equal_the_per_slot_oracle(self, ctx, policy):
+        placement = make_policy(policy).place(ctx)
+        for array in (placement.job, placement.leaf, placement.cores):
+            assert array.dtype == np.int64
+        got = sorted(zip(placement.job.tolist(), placement.leaf.tolist(),
+                         placement.cores.tolist()))
+        assert got == oracle(policy, ctx)
