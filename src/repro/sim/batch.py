@@ -13,17 +13,22 @@ event-stepping them.
 Equivalence contract
 --------------------
 
-The batch backend is a *drop-in numerical replica* of the scalar
-engine, not an approximation: every formula is evaluated with the same
-operation ordering the scalar code uses (the same left-associated
-products, the same 40-iteration power bisection, the same Erlang-B
-recurrence), and tail-latency noise is drawn from one independently
-seeded :class:`numpy.random.Generator` per server — so a batch of N
-servers produces tick-for-tick the same
-:class:`~repro.sim.engine.TickRecord` stream as N scalar
-``ColocationSim`` instances with the same seeds.  The equivalence is
-enforced by ``tests/test_batch_equivalence.py`` and by the cluster
-benchmark (``benchmarks/test_bench_batch.py``).
+The batch backend is a numerical replica of the scalar engine, not an
+approximation: every formula follows the scalar code's operation
+ordering (the same left-associated products, the same 40-iteration
+power bisection, the same Erlang-B recurrence), and tail-latency noise
+is drawn from one independently seeded
+:class:`numpy.random.Generator` per server.  A batch member and its
+scalar ``ColocationSim`` twin agree to a relative 1e-9 on every
+:class:`~repro.sim.engine.TickRecord` field, not bit for bit: array
+math and libm round a few expressions differently in the last bits
+(``power_fraction_of_tdp`` by ~3e-16 relative; an ml_cluster member
+beside stream-DRAM in its tail, SLO and DRAM columns by ~1e-15).  That
+tolerance is what ``tests/test_batch_equivalence.py`` and the cluster
+benchmark (``benchmarks/test_bench_batch.py``) enforce.  Between batch
+runs the contract is bitwise: any packing of the same members into
+batches, and any change to this module that claims to keep the
+numbers, must reproduce every column exactly.
 
 One member model
 ----------------
@@ -60,6 +65,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as _dc_replace
+from functools import cached_property
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -251,6 +257,15 @@ class BatchHistory:
         return len(self._store) if self._store is not None else 0
 
 
+def _distinct(objs: Sequence) -> tuple:
+    """``(rows, index)``: the distinct objects by identity, in order of
+    first appearance, and each entry's position among them."""
+    first: Dict[int, int] = {}
+    index = [first.setdefault(id(o), len(first)) for o in objs]
+    return (list({id(o): o for o in objs}.values()),
+            np.array(index, dtype=np.int64))
+
+
 def _as_list(value, n: int, what: str) -> list:
     """Broadcast a scalar-or-sequence argument to a list of length n."""
     if isinstance(value, (list, tuple)):
@@ -358,7 +373,8 @@ class BatchColocationSim:
         self._rapl_started = False
         self._rapl_smoothing = 0.5
         self._gathered_be_cores = np.zeros(n, dtype=np.int64)
-        self._tick: Dict[str, np.ndarray] = self._empty_tick()
+        # This tick's measurements the vector controller reads.
+        self._tick: Dict[str, np.ndarray] = {}
         # Tick-loop constants, hoisted so the hot path spends no
         # dispatches rebuilding run-invariant values.
         self._srange = np.arange(S, dtype=np.int64)
@@ -504,6 +520,10 @@ class BatchColocationSim:
             out[sl] = trace.clipped(self.time_s)
         return out
 
+    #: Ticks the running ``run`` loop has left, this one included (None
+    #: outside a run loop): caps the noise prefetch at the horizon.
+    _ticks_left: Optional[int] = None
+
     def _tail_noise_factors(self) -> Optional[np.ndarray]:
         """Per-member tail-noise multipliers for this tick, or None."""
         if not self._any_noise:
@@ -513,11 +533,14 @@ class BatchColocationSim:
             # One chunked draw per member stream: a Generator fills an
             # array by repeating the scalar sampling routine, so k
             # prefetched draws consume the stream exactly as k scalar
-            # lognormal() calls by the scalar engine's rng.
-            chunk = np.empty((1024, len(self._noise_idx)))
+            # lognormal() calls by the scalar engine's rng (and chunks
+            # of any sizes concatenate to the same sequence).
+            size = 1024 if self._ticks_left is None else min(
+                1024, self._ticks_left)
+            chunk = np.empty((size, len(self._noise_idx)))
             for j, i in enumerate(self._noise_idx):
                 chunk[:, j] = self._noise_rngs[j].lognormal(
-                    mean=0.0, sigma=self._noise_sigmas[i], size=1024)
+                    mean=0.0, sigma=self._noise_sigmas[i], size=size)
             self._noise_chunk = chunk
             self._noise_pos = 0
         if self._noise_all:
@@ -553,8 +576,8 @@ class BatchColocationSim:
 
     def _v_set_split(self, mask: np.ndarray, be_ways) -> None:
         """set_llc_split under ``mask`` (``be_ways`` scalar or array)."""
-        ways = np.clip(be_ways, 0,
-                       self.spec.socket.llc_ways - self._min_lc_llc_ways)
+        ways = np.minimum(np.maximum(be_ways, 0),
+                          self.spec.socket.llc_ways - self._min_lc_llc_ways)
         self._act_be_ways[mask] = ways[mask]
         self._act_lc_ways[mask] = (self.spec.socket.llc_ways
                                    - self._act_be_ways[mask])
@@ -806,8 +829,13 @@ class BatchColocationSim:
         return dram_col, link_col
 
     def _build_static_arrays(self, lcs, bes) -> None:
+        # Each parameter is read once per distinct workload instance (a
+        # fleet shares a few among many members) and broadcast by index.
+        lc_rows, lc_of = _distinct(lcs)
+        be_rows, be_of = _distinct(bes)
+
         def arr(fn, dtype=float):
-            return np.array([fn(w) for w in lcs], dtype=dtype)
+            return np.array([fn(w) for w in lc_rows], dtype=dtype)[lc_of]
 
         p = lambda w: w.profile
         s = lambda w: w.profile.sensitivity
@@ -848,18 +876,18 @@ class BatchColocationSim:
         # Queueing pool structure depends only on the integer core count:
         # table[i, servers] is servers_per_pool for member i.
         total = self.spec.total_cores
-        table = np.ones((len(lcs), total + 1), dtype=np.int64)
-        for i, w in enumerate(lcs):
+        table = np.ones((len(lc_rows), total + 1), dtype=np.int64)
+        for i, w in enumerate(lc_rows):
             ps = w.profile.pool_size
             for servers in range(1, total + 1):
                 pools = max(1, round(servers / ps)) if ps else 1
                 table[i, servers] = max(1, round(servers / pools))
-        self._k_table = table
+        self._k_table = table[lc_of]
         self._member_index = np.arange(len(lcs))
 
         def barr(fn, default=0.0):
             return np.array([fn(w.profile) if w is not None else default
-                             for w in bes], dtype=float)
+                             for w in be_rows], dtype=float)[be_of]
 
         self._has_be = np.array([w is not None for w in bes], dtype=bool)
         self._be = {
@@ -882,20 +910,12 @@ class BatchColocationSim:
         self._bulk_reuse_cat = np.concatenate([self._lc["bulk_reuse"],
                                                self._be["bulk_reuse"]])
 
-    def _empty_tick(self) -> Dict[str, np.ndarray]:
-        n, zeros = self.n, np.zeros(self.n)
-        return {
-            "load": zeros.copy(), "tail_ms": zeros.copy(),
-            "slo_fraction": zeros.copy(), "be_norm": zeros.copy(),
-            "emu": zeros.copy(),
-            "be_running": np.zeros(n, dtype=bool),
-            "lc_freq_ghz": zeros.copy(), "be_freq_ghz": zeros.copy(),
-            "lc_dram_ach": zeros.copy(), "be_dram_ach": zeros.copy(),
-            "lc_net_ach": zeros.copy(), "be_net_ach": zeros.copy(),
-            "dram_total_gbps": zeros.copy(), "dram_max_util": zeros.copy(),
-            "worst_socket_dram_gbps": zeros.copy(),
-            "link_tx_gbps": zeros.copy(), "cpu_utilization": zeros.copy(),
-        }
+    @cached_property
+    def _k_base(self) -> np.ndarray:
+        """Row offsets into ``_k_table``: ``_k_table.take(_k_base +
+        cores)`` is ``_k_table[member, cores]`` in one flat gather.
+        (Derived on first use, so older snapshots restore it too.)"""
+        return self._member_index * self._k_table.shape[1]
 
     # ------------------------------------------------------------------
     # The vectorized tick
@@ -1001,7 +1021,7 @@ class BatchColocationSim:
 
         # -- 4. Power / frequency equilibrium -------------------------------
         lc_freq_s, be_freq_s, power_s = self._resolve_power(
-            lc_s, act_lc, be_s, act_be, be_running, dvfs_cap)
+            lc_s, act_lc, be_s, act_be, dvfs_cap)
         # RAPL metering (exponentially smoothed, as the real counters).
         a = self._rapl_smoothing
         if self._rapl_started:
@@ -1057,7 +1077,7 @@ class BatchColocationSim:
         inflation = freq_factor * cache_factor * mem_factor * 1.0
         service_ms = L["base_service_ms"] * inflation
         qps = load * L["peak_qps"]
-        k_pool = self._k_table[self._member_index, lc_total]
+        k_pool = self._k_table.take(self._k_base + lc_total)
         tail = _queue_tail_ms(lc_total, service_ms, qps, L["tail_mult"],
                               L["tail_mass"], k_pool)
         lc_sat = np.where(net_lc > 0,
@@ -1095,19 +1115,10 @@ class BatchColocationSim:
         be_units = np.where(be_running, be_total * eff, 0.0)
 
         # -- 10. Telemetry / counters ---------------------------------------
-        cores_in_use = lc_total + np.where(be_running, be_total, 0)
         self._tick = {
-            "load": load, "tail_ms": tail, "slo_fraction": slo_fraction,
-            "be_running": be_running,
-            "lc_freq_ghz": lc_freq, "be_freq_ghz": be_freq,
-            "lc_dram_ach": dram["lc_ach"], "be_dram_ach": dram["be_ach"],
-            "lc_net_ach": net["lc_ach"], "be_net_ach": net["be_ach"],
-            "dram_total_gbps": dram["total_gbps"],
-            "dram_max_util": dram["max_util"],
+            "be_running": be_running, "lc_freq_ghz": lc_freq,
+            "be_dram_ach": dram["be_ach"], "lc_net_ach": net["lc_ach"],
             "worst_socket_dram_gbps": dram["worst_socket_gbps"],
-            "link_tx_gbps": net["total_ach"],
-            "cpu_utilization": (np.minimum(cores_in_use, spec.total_cores)
-                                / spec.total_cores),
         }
 
         # -- 11. Member bookkeeping: monitors, history, controllers ---------
@@ -1118,8 +1129,6 @@ class BatchColocationSim:
         be_norm = self._record_members(load, tail, be_units, be_running,
                                        dt_s)
         emu = load + be_norm
-        self._tick["be_norm"] = be_norm
-        self._tick["emu"] = emu
 
         result = BatchTickResult(
             t_s=self.time_s, load=load, tail_latency_ms=tail,
@@ -1146,8 +1155,10 @@ class BatchColocationSim:
                 be_enabled=be_enabled,
                 dram_bw_gbps=dram["total_gbps"],
                 dram_utilization=dram["max_util"],
-                cpu_utilization=self._tick["cpu_utilization"],
-                power_fraction_of_tdp=(power_s.sum(axis=1)
+                cpu_utilization=(np.minimum(lc_total + be_total,
+                                            spec.total_cores)
+                                 / spec.total_cores),
+                power_fraction_of_tdp=(_socket_fold(np.add, power_s)
                                        / (socket.tdp_watts * S)),
                 lc_net_gbps=net["lc_ach"],
                 be_net_gbps=net["be_ach"],
@@ -1174,8 +1185,12 @@ class BatchColocationSim:
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         steps = int(round(duration_s / dt_s))
-        for _ in range(steps):
-            self.tick(dt_s)
+        try:
+            for k in range(steps):
+                self._ticks_left = steps - k
+                self.tick(dt_s)
+        finally:
+            self._ticks_left = None
         return self.history
 
     # ------------------------------------------------------------------
@@ -1189,8 +1204,19 @@ class BatchColocationSim:
     #: point whose power check passes.
     _BISECT_SCALE = 2.0 ** 40
 
-    def _resolve_power(self, lc_s, act_lc, be_s, act_be, be_running,
-                       dvfs_cap):
+    @cached_property
+    def _turbo_ceiling(self) -> np.ndarray:
+        """Turbo ceiling (GHz) by a socket's active-core count 0..cores.
+        (Derived on first use, so older snapshots restore it too.)"""
+        turbo, cores = self.spec.socket.turbo, self.spec.socket.cores
+        active = np.arange(cores + 1)
+        fraction = (np.minimum(np.maximum((active - 1) / (cores - 1), 0.0),
+                               1.0) if cores > 1 else np.zeros(cores + 1))
+        span = turbo.max_turbo_ghz - turbo.all_core_turbo_ghz
+        return np.where(active <= 0, turbo.max_turbo_ghz,
+                        turbo.max_turbo_ghz - span * fraction)
+
+    def _resolve_power(self, lc_s, act_lc, be_s, act_be, dvfs_cap):
         """Per-socket frequency/power equilibrium, (N, S) vectorized.
 
         Mirrors :meth:`SocketPowerModel.resolve`: turbo ceiling from the
@@ -1213,7 +1239,6 @@ class BatchColocationSim:
         turbo = socket.turbo
         nominal = turbo.nominal_ghz
         floor = turbo.min_ghz
-        span = turbo.max_turbo_ghz - turbo.all_core_turbo_ghz
         k = socket.core_dynamic_watts
         tdp = socket.tdp_watts
         if self._chaos is not None:
@@ -1224,72 +1249,69 @@ class BatchColocationSim:
         idle = socket.idle_watts
 
         lc_present = lc_s > 0
-        be_present = (be_s > 0) & be_running[:, None]
-        active = (np.where(lc_present & (act_lc[:, None] > 0), lc_s, 0)
-                  + np.where(be_present & (act_be[:, None] > 0), be_s, 0))
-        if socket.cores > 1:
-            fraction = np.clip((active - 1) / (socket.cores - 1), 0.0, 1.0)
-        else:
-            fraction = np.zeros(active.shape)
-        ceiling = np.where(active <= 0, turbo.max_turbo_ghz,
-                           turbo.max_turbo_ghz - span * fraction)
+        be_present = be_s > 0   # be_s is zero where BE is not running
+        active = (np.where((act_lc > 0)[:, None], lc_s, 0)
+                  + np.where((act_be > 0)[:, None], be_s, 0))
+        ceiling = self._turbo_ceiling.take(active)
         t_lc = np.maximum(floor, ceiling)
         t_be = np.maximum(floor, np.minimum(dvfs_cap[:, None], ceiling))
 
         coef_lc = np.where(lc_present, (lc_s * act_lc[:, None]) * k, 0.0)
         coef_be = np.where(be_present, (be_s * act_be[:, None]) * k, 0.0)
 
-        power = idle + (coef_lc * (t_lc / nominal) ** 3
-                        + coef_be * (t_be / nominal) ** 3)
+        dyn_lc = coef_lc * (t_lc / nominal) ** 3
+        dyn_be = coef_be * (t_be / nominal) ** 3
+        power = idle + (dyn_lc + dyn_be)
         throttled = power > tdp
-        f_lc, f_be = t_lc, t_be
         if throttled.any():
-            idx = np.nonzero(throttled)
-            T = np.stack([t_lc[idx], t_be[idx]])    # (2, M)
-            C = np.stack([coef_lc[idx], coef_be[idx]])
-            # Subset the per-member TDP column to the throttled sockets
-            # (tdp is per member, so the socket column is immaterial).
-            tdp_t = tdp[idx[0], 0] if isinstance(tdp, np.ndarray) else tdp
-            lo = self._throttle_scale(T, C, idle, tdp_t, nominal, floor)
-            f_thr = np.maximum(floor, T * lo)
-            p_thr = idle + (C[0] * (f_thr[0] / nominal) ** 3
-                            + C[1] * (f_thr[1] / nominal) ** 3)
-            f_lc = t_lc.copy()
-            f_be = t_be.copy()
-            power = power.copy()
-            f_lc[idx] = f_thr[0]
-            f_be[idx] = f_thr[1]
-            power[idx] = p_thr
-        return (np.where(lc_present, f_lc, 0.0),
-                np.where(be_present, f_be, 0.0),
+            # Throttled sockets by flat (row-major) index: one gather,
+            # and one in-place scatter into this call's own arrays.
+            idx = np.flatnonzero(throttled)
+            T = np.array((t_lc.take(idx), t_be.take(idx)))     # (2, M)
+            C = np.array((coef_lc.take(idx), coef_be.take(idx)))
+            R3 = np.array((dyn_lc.take(idx), dyn_be.take(idx)))
+            # Subset the per-member (N, 1) TDP column to the throttled
+            # sockets' members.
+            tdp_t = (tdp.take(idx // lc_s.shape[1])
+                     if isinstance(tdp, np.ndarray) else tdp)
+            f_thr, p_thr = self._throttle(T, C, R3, idle, tdp_t, nominal,
+                                          floor)
+            t_lc.put(idx, f_thr[0])
+            t_be.put(idx, f_thr[1])
+            power.put(idx, p_thr)
+        return (np.where(lc_present, t_lc, 0.0),
+                np.where(be_present, t_be, 0.0),
                 power)
 
-    def _throttle_scale(self, T, C, idle, tdp, nominal, floor):
-        """Frequency scale factor ``lo`` for TDP-throttled sockets.
+    def _throttle(self, T, C, R3, idle, tdp, nominal, floor):
+        """Frequencies and power of TDP-throttled sockets.
 
         Args:
             T: (2, M) per-task target frequencies of the throttled
                sockets (LC row 0, BE row 1).
             C: (2, M) matching dynamic-power coefficients
                (``cores * activity * core_dynamic_watts``).
+            R3: (2, M) their dynamic power at the targets,
+               ``C * (T / nominal) ** 3``.
 
-        Returns the exact value the scalar bisection produces.
+        Returns ``(f, p)``: the (2, M) frequencies and (M,) power at
+        the exact frequency scale the scalar bisection settles on.
         """
         scale = self._BISECT_SCALE
         budget = tdp - idle
         floor_cube = (floor / nominal) ** 3
 
-        def over_at(kk):
-            """The scalar loop's TDP check at grid point kk / 2**40."""
+        def at(kk):
+            """The scalar loop's step at grid point kk / 2**40:
+            ``(over TDP, frequencies, power)``."""
             f = np.maximum(floor, T * (kk / scale))
             p = idle + (C[0] * (f[0] / nominal) ** 3
                         + C[1] * (f[1] / nominal) ** 3)
-            return p > tdp
+            return p > tdp, f, p
 
         # Analytic root estimate of idle + sum C*(max(floor, T*m)/nom)^3
         # = tdp over its three clamp pieces (estimate only; exactness
         # comes from the grid probes below).
-        R3 = C * (T / nominal) ** 3
         mb = np.where(C > 0, floor / T, 0.0)   # per-task clamp threshold
         m_hi = np.maximum(mb[0], mb[1])
         m_lo = np.minimum(mb[0], mb[1])
@@ -1304,21 +1326,22 @@ class BatchColocationSim:
             r1 >= m_hi, r1,
             np.where(r2 >= m_lo, np.minimum(r2, m_hi),
                      np.where(flat > budget, 0.0, m_lo)))
-        m_est = np.nan_to_num(m_est, nan=0.0, posinf=1.0, neginf=0.0)
-
-        k0 = np.clip(np.floor(np.clip(m_est, 0.0, 1.0) * scale),
-                     0.0, scale - 1.0)
+        # Map nan -> 0, -inf -> 0, +inf -> 1 and clamp to [0, 1]: fmax
+        # drops a nan for its other operand.  floor() of [0, scale] is
+        # non-negative, so only the top of the grid needs a clamp.
+        m_est = np.minimum(np.fmax(m_est, 0.0), 1.0)
+        k0 = np.minimum(np.floor(m_est * scale), scale - 1.0)
         # Probe the grid around the estimate; the answer is the k with
         # over(k) false and over(k+1) true (flip point), or 0 when even
         # a zero scale exceeds TDP.  The estimate is almost always
         # exact, so the two extra probes run only when it is not.
-        p0 = over_at(k0)
-        p1 = over_at(k0 + 1.0)
+        p0, f0, power0 = at(k0)
+        p1 = at(k0 + 1.0)[0]
         kk = np.where(~p0 & p1, k0, -1.0)
         kk = np.where((k0 == 0.0) & p0, 0.0, kk)
         if (kk < 0).any():
-            pm1 = over_at(k0 - 1.0)
-            p2 = over_at(k0 + 2.0)
+            pm1 = at(k0 - 1.0)[0]
+            p2 = at(k0 + 2.0)[0]
             kk = np.where(kk < 0,
                           np.where(~pm1 & p0, k0 - 1.0,
                                    np.where(~p1 & p2, k0 + 1.0, -1.0)),
@@ -1328,7 +1351,8 @@ class BatchColocationSim:
                 kk = np.where(unresolved,
                               self._bisect_scale_exact(T, C, idle, tdp,
                                                        nominal, floor), kk)
-        return kk / scale
+            return at(kk)[1:]
+        return f0, power0   # every socket settled on k0
 
     @staticmethod
     def _bisect_scale_exact(T, C, idle, tdp, nominal, floor):
@@ -1384,18 +1408,15 @@ class BatchColocationSim:
         # delay factor is the per-task max).  Socket-axis sums add in
         # socket order and excluded sockets contribute exact zeros, so
         # this reproduces the scalar per-socket accumulation loop.
-        lc_dem = dem_lc.sum(axis=1)  # dem_lc is exactly the LC demand
-        lc_ach = (dem_lc * scale).sum(axis=1)
-        lc_delay = np.maximum(1.0, np.where(inc_lc, delay, 1.0).max(axis=1))
-        be_dem = np.where(inc_be, bw_be, 0.0).sum(axis=1)
-        be_ach = (dem_be * scale).sum(axis=1)
-        be_delay = np.maximum(1.0, np.where(inc_be, delay, 1.0).max(axis=1))
         return {
-            "lc_dem": lc_dem, "lc_ach": lc_ach, "lc_delay": lc_delay,
-            "be_dem": be_dem, "be_ach": be_ach, "be_delay": be_delay,
-            "total_gbps": achieved_total.sum(axis=1),
-            "max_util": util.max(axis=1),
-            "worst_socket_gbps": achieved_total.max(axis=1),
+            "lc_ach": _socket_fold(np.add, dem_lc * scale),
+            "lc_delay": np.maximum(1.0, _socket_fold(
+                np.maximum, np.where(inc_lc, delay, 1.0))),
+            "be_dem": _socket_fold(np.add, np.where(inc_be, bw_be, 0.0)),
+            "be_ach": _socket_fold(np.add, dem_be * scale),
+            "total_gbps": _socket_fold(np.add, achieved_total),
+            "max_util": _socket_fold(np.maximum, util),
+            "worst_socket_gbps": _socket_fold(np.maximum, achieved_total),
         }
 
     def _resolve_network(self, net_lc, flows_lc, net_be, flows_be, be_ceil,
@@ -1407,17 +1428,16 @@ class BatchColocationSim:
         are capped at min(demand, ceil), leftover capacity redistributes
         until the link is full or every active flow is satisfied.
         """
-        link = self._nic_link  # scalar, or (N,) on a heterogeneous batch
         lim_lc = net_lc  # the LC class is never ceiled
         lim_be = np.where(be_running, np.minimum(net_be, be_ceil), 0.0)
         present_be = be_running
 
         alloc_lc = np.zeros(self.n)
         alloc_be = np.zeros(self.n)
-        capacity = np.full(self.n, link)
+        capacity = self._nic_link  # scalar, or (N,): broadcasts alike
         a_lc = lim_lc > 0
         a_be = present_be & (lim_be > 0)
-        live = np.ones(self.n, dtype=bool)
+        live = True  # every member, until the first round narrows it
         for _ in range(3):  # len(demands) + 1 rounds, as the scalar loop
             live = live & (a_lc | a_be) & (capacity > 1e-12)
             if not live.any():
@@ -1497,14 +1517,6 @@ class _VecHeracles:
         #: ``(slice, LcDramBandwidthModel)`` pairs: the offline model
         #: each managed member range shares.
         self.model_segments = list(model_segments)
-        # Plain-array views of the offline model grids (vector twin of
-        # LcDramBandwidthModel.predict_gbps).
-        self._model_grids = [
-            (sl, np.asarray(model.loads, dtype=float),
-             np.asarray(model.ways, dtype=float),
-             np.asarray(model.bandwidth_gbps, dtype=float),
-             model.scale)
-            for sl, model in self.model_segments]
 
         # ControlState columns.
         self.slack = np.ones(n)
@@ -1545,30 +1557,55 @@ class _VecHeracles:
 
     # -- Shared measurements -------------------------------------------
 
+    @cached_property
+    def _model_groups(self) -> list:
+        """The offline models grouped by grid axes, for one vector pass
+        per group: ``(members, loads, ways, tables, base, scale)`` with
+        every model's table stacked flat in ``tables`` and, per member,
+        its model's offset there and its scale.  (Derived on first use,
+        so older snapshots restore it too.)"""
+        groups: Dict[tuple, list] = {}
+        for sl, model in self.model_segments:
+            gl = np.asarray(model.loads, dtype=float)
+            gw = np.asarray(model.ways, dtype=float)
+            g = groups.setdefault((gl.tobytes(), gw.tobytes()),
+                                  [[], gl, gw, [], [], []])
+            members = np.arange(self.sim.n)[sl]
+            g[0].append(members)
+            g[4].append(np.full(len(members), len(g[3]) * gl.size * gw.size))
+            g[3].append(np.asarray(model.bandwidth_gbps, dtype=float))
+            g[5].append(np.full(len(members), model.scale))
+        return [(np.concatenate(m), gl, gw, np.concatenate(t, axis=None),
+                 np.concatenate(base), np.concatenate(scale))
+                for m, gl, gw, t, base, scale in groups.values()]
+
     def _predict_lc_bw(self, load: np.ndarray,
                        lc_ways: np.ndarray) -> np.ndarray:
         """Vector twin of ``LcDramBandwidthModel.predict_gbps``.
 
-        Evaluated per model segment (each has its own offline model
-        grid); unmanaged gaps stay 0 and are never read — every
-        consumer mask is gated to managed members.
+        Evaluated per model group (see ``_model_groups``); unmanaged
+        gaps stay 0 and are never read — every consumer mask is gated
+        to managed members.
         """
         out = np.zeros(self.sim.n)
-        for sl, gl, gw, table, scale in self._model_grids:
-            lo = np.minimum(gl[-1], np.maximum(gl[0], load[sl]))
-            w = np.minimum(gw[-1],
-                           np.maximum(gw[0], lc_ways[sl].astype(float)))
-            li = np.clip(np.searchsorted(gl, lo, side="left") - 1,
-                         0, len(gl) - 2)
-            wi = np.clip(np.searchsorted(gw, w, side="left") - 1,
-                         0, len(gw) - 2)
+        for members, gl, gw, tables, base, scale in self._model_groups:
+            lo = np.minimum(gl[-1], np.maximum(gl[0], load[members]))
+            w = np.minimum(gw[-1], np.maximum(
+                gw[0], lc_ways[members].astype(float)))
+            li = np.minimum(np.maximum(
+                np.searchsorted(gl, lo, side="left") - 1, 0), len(gl) - 2)
+            wi = np.minimum(np.maximum(
+                np.searchsorted(gw, w, side="left") - 1, 0), len(gw) - 2)
             lf = (lo - gl[li]) / (gl[li + 1] - gl[li])
             wf = (w - gw[wi]) / (gw[wi + 1] - gw[wi])
-            value = ((1 - lf) * (1 - wf) * table[li, wi]
-                     + lf * (1 - wf) * table[li + 1, wi]
-                     + (1 - lf) * wf * table[li, wi + 1]
-                     + lf * wf * table[li + 1, wi + 1])
-            out[sl] = value * scale
+            # table[li, wi] and its three neighbours, by flat index.
+            cols = len(gw)
+            at = base + li * cols + wi
+            value = ((1 - lf) * (1 - wf) * tables.take(at)
+                     + lf * (1 - wf) * tables.take(at + cols)
+                     + (1 - lf) * wf * tables.take(at + 1)
+                     + lf * wf * tables.take(at + cols + 1))
+            out[members] = value * scale
         return out
 
     def _current_slack(self, now_s: float) -> np.ndarray:
@@ -1763,7 +1800,8 @@ class _VecHeracles:
         sim = self.sim
         # max over sockets of rapl/tdp == rapl.max/tdp (division by a
         # positive scalar is monotone, so the max commutes bitwise).
-        power_fraction = sim._rapl_watts.max(axis=1) / self.tdp_watts
+        power_fraction = (_socket_fold(np.maximum, sim._rapl_watts)
+                          / self.tdp_watts)
         ls_freq = sim._tick["lc_freq_ghz"]
         threshold = cfg.power_tdp_threshold
         lower = self._gate((power_fraction > threshold)
@@ -1807,6 +1845,23 @@ class _VecHeracles:
 # ----------------------------------------------------------------------
 
 
+def _socket_fold(op, x: np.ndarray) -> np.ndarray:
+    """``op.reduce(x, axis=1)`` of an (N, S) array, bit for bit, as a
+    left fold over the socket columns (``op``: ``np.add``/``np.maximum``).
+
+    A fold costs S - 1 column ops instead of one reduction call ten
+    times as dear on a few columns.  A max is exact in any order;
+    NumPy adds a row of fewer than 8 elements left to right (pairwise
+    summation starts at 8), so only wider sums keep the reduction.
+    """
+    if op is np.add and x.shape[1] >= 8:
+        return x.sum(axis=1)
+    acc = x[:, 0]
+    for s in range(1, x.shape[1]):
+        acc = op(acc, x[:, s])
+    return acc
+
+
 def _weighted_freq(freq_s: np.ndarray, cores_s: np.ndarray) -> np.ndarray:
     """Core-weighted mean frequency across sockets, in socket order.
 
@@ -1836,64 +1891,39 @@ def _resolve_partition(part_mb, mask_s, hot_s, bulk_s, access_s,
 
     Returns (hit, hot_cov, bulk_cov, miss_gbps_per_socket).
     """
-    n, S = mask_s.shape
+    S = mask_s.shape[1]
     occ_s = np.minimum(part_mb[:, None], hot_s + bulk_s)
-    hot_cov_s = np.where(hot_s > 0,
-                         np.minimum(1.0, occ_s / np.where(hot_s > 0, hot_s,
-                                                          1.0)), 1.0)
+    has = hot_s > 0
+    hot_cov_s = np.where(has, np.minimum(
+        1.0, occ_s / np.where(has, hot_s, 1.0)), 1.0)
     left_s = np.maximum(0.0, occ_s - hot_s)
-    bulk_cov_s = np.where(bulk_s > 0,
-                          np.minimum(1.0, left_s / np.where(bulk_s > 0,
-                                                            bulk_s, 1.0)),
-                          1.0)
+    has = bulk_s > 0
+    bulk_cov_s = np.where(has, np.minimum(
+        1.0, left_s / np.where(has, bulk_s, 1.0)), 1.0)
     hit_s = np.minimum(1.0, hot_frac[:, None] * hot_cov_s
                        + (1.0 - hot_frac[:, None]) * bulk_cov_s
                        * bulk_reuse[:, None])
     miss_s = np.where(mask_s, access_s * (1.0 - hit_s), 0.0)
 
-    if S == 2:
-        # Closed form of the sequential merge below for the ubiquitous
-        # two-socket case: socket 0 sets the value, socket 1 either
-        # sets it (socket 0 excluded) or averages in — identical
-        # arithmetic, about a third of the dispatches.
-        m0, m1 = mask_s[:, 0], mask_s[:, 1]
-        both = m0 & m1
-
-        def merge(v_s):
-            v0, v1 = v_s[:, 0], v_s[:, 1]
-            out = np.where(m0, v0, np.where(m1, v1, 1.0))
-            return np.where(both, (v0 + v1) / 2, out)
-
-        return merge(hit_s), merge(hot_cov_s), merge(bulk_cov_s), miss_s
-
-    hit = np.ones(n)
-    hot_cov = np.ones(n)
-    bulk_cov = np.ones(n)
-    seen = np.zeros(n, dtype=bool)
-    for s in range(S):
-        m = mask_s[:, s]
-        first = m & ~seen
-        again = m & seen
-        hit = np.where(first, hit_s[:, s],
-                       np.where(again, (hit + hit_s[:, s]) / 2, hit))
-        hot_cov = np.where(first, hot_cov_s[:, s],
-                           np.where(again, (hot_cov + hot_cov_s[:, s]) / 2,
-                                    hot_cov))
-        bulk_cov = np.where(first, bulk_cov_s[:, s],
-                            np.where(again,
-                                     (bulk_cov + bulk_cov_s[:, s]) / 2,
-                                     bulk_cov))
+    # Cross-socket merge of all three quantities at once: the first
+    # included socket sets the value, each later one averages into it.
+    v = np.array((hit_s, hot_cov_s, bulk_cov_s))            # (3, n, S)
+    out = np.where(mask_s[:, 0], v[..., 0], 1.0)
+    seen = mask_s[:, 0]
+    for s in range(1, S):
+        m, v_s = mask_s[:, s], v[..., s]
+        out = np.where(m, np.where(seen, (out + v_s) / 2, v_s), out)
         seen = seen | m
-    return hit, hot_cov, bulk_cov, miss_s
+    return out[0], out[1], out[2], miss_s
 
 
 def _queue_tail_ms(servers, service_ms, qps, tail_mult, tail_mass, k):
     """Vectorized :meth:`QueueModel.tail_latency_ms` (M/M/k + pools).
 
     ``k`` is the per-pool server count (precomputed from the integer
-    core count, see ``_k_table``).  The Erlang-B recurrence runs to the
-    largest ``k`` in the batch, masked per element, reproducing the
-    scalar iteration.
+    core count, see ``_k_table``).  The Erlang-B recurrence runs
+    unmasked to the largest ``k`` in the batch and each member keeps its
+    own step ``k`` — the very steps of the scalar iteration.
     """
     rho = (qps * (service_ms / 1000.0)) / servers
     service_tail = tail_mult * service_ms
@@ -1901,15 +1931,16 @@ def _queue_tail_ms(servers, service_ms, qps, tail_mult, tail_mass, k):
     stable = np.minimum(rho, 0.995)
     offered = stable * k
     # Erlang-B recurrence, then Erlang-C.
-    b = np.ones_like(offered)
-    k_max = int(k.max())
-    # When every member shares one pool size (the common homogeneous
-    # case) the per-iteration mask is all-true and can be skipped —
-    # identical recurrence, one dispatch instead of three per step.
-    uniform_k = int(k.min()) == k_max
-    for i in range(1, k_max + 1):
+    counts = np.bincount(k)
+    b = b_k = np.ones_like(offered)
+    for i in range(1, len(counts)):
         t = offered * b
-        b = t / (i + t) if uniform_k else np.where(i <= k, t / (i + t), b)
+        b = t / (i + t)
+        if counts[i] == len(k):
+            b_k = b
+        elif counts[i]:
+            b_k = np.where(k == i, b, b_k)
+    b = b_k
     rho_e = offered / k
     c = b / ((1.0 - rho_e) + rho_e * b)
     p_wait = np.where(offered == 0, 0.0,

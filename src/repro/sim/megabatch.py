@@ -303,6 +303,7 @@ class MegaFleetSim:
         for k in range(k0, steps):
             for (sim, _), (times, tails, emus, be_norm, be_cores) in zip(
                     self.groups, recs):
+                sim._ticks_left = steps - k   # sizes the noise prefetch
                 result = sim.tick(dt_s)
                 times[k] = result.t_s
                 tails[k] = result.tail_latency_ms
@@ -323,6 +324,8 @@ class MegaFleetSim:
                 self._save_groups(checkpoint_dir, k + 1, recs, collect_be)
             if heartbeat is not None:
                 heartbeat.beat(k + 1)
+        for sim, _ in self.groups:
+            sim._ticks_left = None
         if steps and collect_be:
             for (sim, _), (times, tails, emus, be_norm, be_cores) in zip(
                     self.groups, recs):

@@ -3,13 +3,18 @@
 The batch backend promises to be a numerical replica of the scalar
 engine, not an approximation: same formulas, same operation ordering,
 same per-server seeded noise streams.  These tests enforce the promise
-tick-for-tick across the three controller regimes the cluster and the
-figures exercise — managed (Heracles: ``HeraclesController`` on the
-scalar engine, the vector controller on the batch), static
-partitioning (the grant as start-up events on both), and no BE at
-all — plus a mixed heterogeneous batch where every member must match
-its scalar twin simultaneously.
+tick-for-tick, to a relative 1e-9 (array math and libm round a few
+expressions differently in the last bits), across the three controller
+regimes the cluster and the figures exercise — managed (Heracles:
+``HeraclesController`` on the scalar engine, the vector controller on
+the batch), static partitioning (the grant as start-up events on
+both), and no BE at all — on 1-, 2- and 3-socket machines, plus a
+mixed heterogeneous batch where every member must match its scalar
+twin simultaneously.  The tick's array kernels are held bitwise to
+their plain references.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ import pytest
 from repro.baselines.static import conservative_static, optimistic_static
 from repro.core.controller import HeraclesController
 from repro.hardware.spec import default_machine_spec
-from repro.sim.batch import BatchColocationSim
+from repro.sim.batch import BatchColocationSim, _socket_fold
 from repro.sim.chaos import ChaosEvent
 from repro.sim.engine import ColocationSim
 from repro.workloads.best_effort import make_be_workload
@@ -55,8 +60,8 @@ def assert_histories_match(scalar_history, batch_history, rtol=1e-9):
 
 
 def scalar_run(lc_name, be_name, trace, seed, controller_factory,
-               duration_s):
-    spec = default_machine_spec()
+               duration_s, spec=None):
+    spec = spec or default_machine_spec()
     lc = make_lc_workload(lc_name, spec)
     be = make_be_workload(be_name, spec) if be_name else None
     sim = ColocationSim(lc=lc, trace=trace, be=be, spec=spec, seed=seed)
@@ -67,8 +72,8 @@ def scalar_run(lc_name, be_name, trace, seed, controller_factory,
 
 
 def batch_run(lc_name, be_name, trace, seed, controller_factory,
-              duration_s):
-    spec = default_machine_spec()
+              duration_s, spec=None):
+    spec = spec or default_machine_spec()
     lc = make_lc_workload(lc_name, spec)
     be = make_be_workload(be_name, spec) if be_name else None
     batch = BatchColocationSim(lc=lc, trace=trace, bes=be, spec=spec,
@@ -247,6 +252,81 @@ class TestChaosEquivalence:
         with pytest.raises(ValueError, match="member"):
             sim.set_chaos_events(
                 [ChaosEvent(10.0, "leaf_crash", members=(1,))])
+
+
+class TestSocketCounts:
+    """Machines with 1 and 3 sockets: the batch's generic socket folds
+    and cache merge (every other test runs the 2-socket default), with
+    a timed power cap so the throttle runs against a per-member TDP
+    column."""
+
+    DURATION = 300.0
+    CAP = 0.6
+
+    @pytest.mark.parametrize("sockets", [1, 3])
+    @pytest.mark.parametrize("lc_name, be_name, seed", [
+        ("websearch", "brain", 11),
+        ("ml_cluster", "stream-DRAM", 2),
+        ("memkeyval", "iperf", 8),
+    ])
+    def test_matches_scalar(self, sockets, lc_name, be_name, seed):
+        spec = dataclasses.replace(default_machine_spec(), sockets=sockets)
+
+        def attach(sim):
+            heracles(sim)
+            sim.set_chaos_events([ChaosEvent(60.0, "power_cap", self.CAP),
+                                  ChaosEvent(160.0, "power_cap", 1.0)])
+
+        a = scalar_run(lc_name, be_name, make_trace(seed), seed, attach,
+                       self.DURATION, spec=spec)
+        b = batch_run(lc_name, be_name, make_trace(seed), seed, attach,
+                      self.DURATION, spec=spec)
+        assert_histories_match(a, b)
+        # The cap bound: throttled below it while it held.
+        power = np.asarray(b.column("power_fraction_of_tdp"))
+        assert power[60:160].max() <= self.CAP + 1e-9
+
+
+class TestVectorKernels:
+    """The tick's array kernels against their plain references."""
+
+    @pytest.mark.parametrize("sockets", range(1, 11))
+    def test_socket_fold_is_numpys_reduction(self, sockets):
+        x = np.random.default_rng(sockets).lognormal(0.0, 3.0,
+                                                     (500, sockets))
+        assert np.array_equal(_socket_fold(np.add, x), x.sum(axis=1))
+        assert np.array_equal(_socket_fold(np.maximum, x), x.max(axis=1))
+
+    @pytest.mark.parametrize("skew", [1.0, 1 + 3e-13, 1 - 3e-13, 1.01])
+    def test_throttle_is_the_literal_bisection(self, monkeypatch, skew):
+        """Skewing the analytic root estimate drives every probe
+        branch, down to the bisection fallback."""
+        spec = default_machine_spec()
+        socket, turbo = spec.socket, spec.socket.turbo
+        nominal, floor, idle = (turbo.nominal_ghz, turbo.min_ghz,
+                                socket.idle_watts)
+        rng = np.random.default_rng(3)
+        T = rng.uniform(floor, turbo.max_turbo_ghz, (2, 800))
+        C = rng.uniform(0.0, 3 * socket.cores * socket.core_dynamic_watts,
+                        (2, 800))
+        tdp = socket.tdp_watts * rng.choice([1.0, 0.6, 0.3], 800)
+        # Only sockets over TDP at their targets reach the throttle.
+        over = idle + (C[0] * (T[0] / nominal) ** 3
+                       + C[1] * (T[1] / nominal) ** 3) > tdp
+        T, C, tdp = T[:, over], C[:, over], tdp[over]
+        batch = BatchColocationSim(lc=make_lc_workload("websearch", spec),
+                                   trace=ConstantLoad(0.5), spec=spec)
+        cbrt = np.cbrt
+        monkeypatch.setattr(np, "cbrt", lambda x: cbrt(x) * skew)
+        with np.errstate(all="ignore"):
+            f, p = batch._throttle(T, C, C * (T / nominal) ** 3, idle, tdp,
+                                   nominal, floor)
+        lo = (batch._bisect_scale_exact(T, C, idle, tdp, nominal, floor)
+              / batch._BISECT_SCALE)
+        f_ref = np.maximum(floor, T * lo)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(p, idle + (C[0] * (f_ref[0] / nominal) ** 3
+                                         + C[1] * (f_ref[1] / nominal) ** 3))
 
 
 class TestHeterogeneousBatch:

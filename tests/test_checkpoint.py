@@ -217,6 +217,26 @@ class TestBatchRoundTrip:
         assert restored.time_s == pytest.approx(90.0)
 
 
+class TestNoisePrefetch:
+    """The tail-noise prefetch is sized to the horizon of ``run``; chunks
+    of any sizes consume each member's stream in the same order."""
+
+    def test_sized_split_and_direct_chunks_agree(self):
+        straight = make_batch()
+        straight.run(DURATION)
+        assert len(straight._noise_chunk) == int(DURATION)
+        split = make_batch()
+        split.run(30.0)
+        assert len(split._noise_chunk) == 30
+        run_ticks(split, 50, 1.0)   # a direct tick prefetches 1024 rows
+        assert len(split._noise_chunk) == 1024
+        split.run(DURATION - 80.0)  # continues mid-chunk
+        for i in range(3):
+            assert_sim_histories_identical(
+                split.members[i].history, straight.members[i].history,
+                f"batch member {i} split vs straight")
+
+
 class TestArchiveValidation:
     def _saved(self, tmp_path, name="ok"):
         sim = make_scalar()

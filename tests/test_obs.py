@@ -18,6 +18,7 @@ event attached as context.
 import dataclasses
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -453,6 +454,36 @@ class TestDiffRunsPinpointsPR9MegaBug:
             other = [g[2] for g in diff_runs.fleet_columns(b)
                      if g[0] == group][0]
             assert diff_runs.first_divergence(times, cols, other) is None
+
+
+class TestDiffRunsAgainstRevision:
+    """``scenario --base REV``: run A is the spec at a git revision, run
+    in a temporary worktree by a subprocess on that tree's ``src``."""
+
+    def run_tool(self, tmp_path, rev):
+        path = tmp_path / "fleet.json"
+        spec = fleet_spec(duration_s=30.0, schedule=True)
+        path.write_text(json.dumps(spec.to_data()))
+        return subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "diff_runs.py"),
+             "scenario", str(path), "--base", rev, "--json"],
+            capture_output=True, text=True,
+            env=dict(os.environ, **{JOBS_ENV: "1"}))
+
+    def test_head_is_reproduced_bitwise(self, tmp_path):
+        if subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
+                          capture_output=True).returncode:
+            pytest.skip("not a git checkout")
+        done = self.run_tool(tmp_path, "HEAD")
+        assert done.returncode == 0, done.stdout + done.stderr
+        verdict = json.loads(done.stdout.splitlines()[-1])
+        assert verdict["diverged"] is False
+        assert verdict["columns_compared"] > 0
+
+    def test_unknown_revision_fails_loud(self, tmp_path):
+        done = self.run_tool(tmp_path, "no-such-revision")
+        assert done.returncode == 1
+        assert "cannot check out 'no-such-revision'" in done.stderr
 
 
 class TestCliJsonAndArtifacts:

@@ -5,7 +5,8 @@ Usage::
 
     python tools/diff_runs.py scenario SPEC.yaml \
         [--engine-a sharded --engine-b mega] [--jobs-a 1 --jobs-b 4] \
-        [--shard-leaves-a N --shard-leaves-b N] [--context 5] [--json]
+        [--shard-leaves-a N --shard-leaves-b N] [--base REV] \
+        [--context 5] [--json]
     python tools/diff_runs.py trace A.jsonl B.jsonl
 
 ``scenario`` mode runs one fleet- or schedule-shaped spec twice — under
@@ -17,6 +18,13 @@ together with the nearest preceding decision-trace events for that
 member, so a regression reads as "grant_cores for leaf 17 split at
 t=840 s, right after chaos disable_be fired there" instead of a bare
 summary mismatch.  Exit status: 0 when bit-identical, 1 on divergence.
+
+With ``--base REV`` run A is the spec at git revision ``REV`` instead:
+the revision is checked out into a temporary ``git worktree``, run in
+a subprocess on that tree's ``src`` (its columns come back in an
+``.npz`` file), and compared with run B on the working tree — so
+"this change keeps every number" is one command.  ``REV`` must already
+have the fleet API this tool drives (``_build_fleet``, slack views).
 
 ``trace`` mode diffs two merged decision-trace JSONL files (the
 ``--trace`` CLI artifact) line by line and reports the first differing
@@ -34,15 +42,17 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
 import sys
+import tempfile
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Every ``repro`` import below is deferred to the function using it, so
+# ``--src`` can put another tree's package first before the first one.
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402
-
-from repro.obs.trace import TRACE_ENV, iter_events, read_jsonl  # noqa: E402
 
 #: Slack-view fields compared per (tick, leaf) in scenario mode.
 SLACK_FIELDS = ("grant_cores", "harvest_core_s", "latched")
@@ -102,6 +112,8 @@ def nearest_events(trace: Mapping[str, np.ndarray], t_s: float,
     the *next* tick's actuator gather (the one-tick lag contract), so
     its triggering event can carry a timestamp up to one epoch later.
     """
+    from repro.obs.trace import iter_events
+
     picked: List[Dict[str, Any]] = []
     for event in iter_events(trace):
         if event["t_s"] > t_s + window + 1e-9:
@@ -274,29 +286,90 @@ def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
                 os.environ[JOBS_ENV] = saved
 
 
+def _save_groups(path: str, groups) -> None:
+    """Write :func:`fleet_columns` groups to one ``.npz`` file."""
+    arrays = {}
+    for group, times, cols, window in groups:
+        arrays[f"{group}/@times"] = times
+        arrays[f"{group}/@window"] = np.float64(window)
+        for name, column in cols.items():
+            arrays[f"{group}/{name}"] = column
+    np.savez(path, **arrays)
+
+
+def _load_groups(path: str):
+    """The :func:`fleet_columns` groups :func:`_save_groups` wrote."""
+    with np.load(path) as archive:
+        cols: Dict[str, Dict[str, np.ndarray]] = {}
+        for key in archive.files:
+            group, name = key.split("/", 1)
+            cols.setdefault(group, {})[name] = archive[key]
+    return [(group, c.pop("@times"), c, float(c.pop("@window")))
+            for group, c in cols.items()]
+
+
+def _groups_at_revision(args, rev: str):
+    """Run A's column groups, computed by the spec at git ``rev``."""
+    with tempfile.TemporaryDirectory(prefix="diff_runs_") as tmp:
+        tree = os.path.join(tmp, "tree")
+        added = subprocess.run(
+            ["git", "-C", ROOT, "worktree", "add", "--detach", "--quiet",
+             tree, rev], capture_output=True, text=True)
+        if added.returncode:
+            raise SystemExit(f"diff_runs: cannot check out {rev!r}: "
+                             f"{added.stderr.strip()}")
+        try:
+            out = os.path.join(tmp, "columns.npz")
+            cmd = [sys.executable, os.path.abspath(__file__), "scenario",
+                   os.path.abspath(args.spec), "--dump", out,
+                   "--src", os.path.join(tree, "src")]
+            for flag in ("engine", "shard_leaves", "jobs"):
+                value = getattr(args, f"{flag}_a")
+                if value is not None:
+                    cmd += [f"--{flag.replace('_', '-')}-a", str(value)]
+            if subprocess.run(cmd).returncode:
+                raise SystemExit(f"diff_runs: the run at {rev!r} failed")
+            return _load_groups(out)
+        finally:
+            subprocess.run(["git", "-C", ROOT, "worktree", "remove",
+                            "--force", tree], capture_output=True)
+
+
 def _scenario_mode(args) -> int:
     """Run the spec twice and explain the first divergence, if any."""
+    if args.src is not None:
+        sys.path.insert(0, os.path.abspath(args.src))
+    from repro.obs.trace import TRACE_ENV
     from repro.scenarios import load_scenario
 
     spec = load_scenario(args.spec)
     spec.validate()
     os.environ[TRACE_ENV] = "1"
-    result_a = _run_variant(spec, args.engine_a, args.shard_leaves_a,
-                            args.jobs_a)
+    if args.base is not None:
+        groups_a = _groups_at_revision(args, args.base)
+    else:
+        result_a = _run_variant(spec, args.engine_a, args.shard_leaves_a,
+                                args.jobs_a)
+        groups_a = fleet_columns(result_a)
+        if args.dump is not None:
+            _save_groups(args.dump, groups_a)
+            return 0
     result_b = _run_variant(spec, args.engine_b, args.shard_leaves_b,
                             args.jobs_b)
+    # The in-process run supplies trace context and member labels.
+    local = result_b if args.base is not None else result_a
     hits: List[Tuple[str, Divergence]] = []
     groups_b = {group: (times, cols)
                 for group, times, cols, _ in fleet_columns(result_b)}
     compared = 0
-    for group, times, cols, window in fleet_columns(result_a):
+    for group, times, cols, window in groups_a:
         times_b, cols_b = groups_b[group]
         if not np.array_equal(times, times_b):
             raise SystemExit(f"diff_runs: {group} clocks differ between "
                              "runs — specs are not comparable")
         compared += len(cols)
         hit = first_divergence(times, cols, cols_b,
-                               trace=result_a.trace, context=args.context,
+                               trace=local.trace, context=args.context,
                                window=window)
         if hit is not None:
             hits.append((group, hit))
@@ -314,10 +387,10 @@ def _scenario_mode(args) -> int:
         print(json.dumps(doc, sort_keys=True))
         return 1
     where = f"member {div.member}" if div.member is not None else "shared"
-    label = _member_label(result_a, group, div.member)
+    label = _member_label(local, group, div.member)
     print(f"runs diverge at t={div.t_s:g}s (tick {div.tick}): "
           f"{group} column {div.column!r} {where} {label}: "
-          f"a={div.value_a:g} b={div.value_b:g}")
+          f"a={div.value_a!r} b={div.value_b!r}")
     if div.context:
         print("nearest preceding trace events:")
         for event in div.context:
@@ -329,6 +402,8 @@ def _scenario_mode(args) -> int:
 
 def _trace_mode(args) -> int:
     """Diff two canonical trace JSONL files event by event."""
+    from repro.obs.trace import read_jsonl
+
     events_a = read_jsonl(args.trace_a)
     events_b = read_jsonl(args.trace_b)
     for index, (ev_a, ev_b) in enumerate(zip(events_a, events_b)):
@@ -368,6 +443,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                           help="REPRO_JOBS for run A")
     scenario.add_argument("--jobs-b", type=int, default=None,
                           help="REPRO_JOBS for run B")
+    scenario.add_argument("--base", default=None, metavar="REV",
+                          help="run A is the spec at git revision REV "
+                               "(checked out to a temporary worktree)")
+    # Internal: how a --base run's subprocess is told where its tree's
+    # package is and where to write run A's columns.
+    scenario.add_argument("--src", default=None, help=argparse.SUPPRESS)
+    scenario.add_argument("--dump", default=None, help=argparse.SUPPRESS)
     scenario.add_argument("--context", type=int, default=5,
                           help="trace events to attach (default 5)")
     scenario.add_argument("--json", action="store_true",
