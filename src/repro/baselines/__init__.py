@@ -1,8 +1,6 @@
-"""Baseline policies Heracles is compared against: OS isolation, and
-static partitions that run as start-up actuator events."""
+"""Baseline policies Heracles is compared against: static partitions
+that run as start-up actuator events."""
 
-from .os_isolation import (OsIsolationPoint, os_isolation_sweep,
-                           violates_everywhere)
 from .static import (StaticPartitionController, conservative_static,
                      optimistic_static)
 
@@ -18,7 +16,6 @@ SCENARIO_BASELINES = {
 
 
 __all__ = [
-    "OsIsolationPoint", "os_isolation_sweep", "violates_everywhere",
     "StaticPartitionController", "conservative_static", "optimistic_static",
     "SCENARIO_BASELINES",
 ]

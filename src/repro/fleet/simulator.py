@@ -252,15 +252,15 @@ class ShardedFleetSim:
             bit-identical either way.
     """
 
-    ENGINES = ("sharded", "mega")
+    PACKINGS = ("sharded", "mega")
 
     def __init__(self, clusters: Sequence[ClusterPlan],
                  shard_leaves: int = DEFAULT_SHARD_LEAVES,
                  record_period_s: float = 30.0,
                  engine: str = "sharded"):
-        if engine not in self.ENGINES:
+        if engine not in self.PACKINGS:
             raise ValueError(f"engine={engine!r}: expected one of "
-                             f"{self.ENGINES}")
+                             f"{self.PACKINGS}")
         clusters = list(clusters)
         if not clusters:
             raise ValueError("a fleet needs at least one cluster")

@@ -35,9 +35,8 @@ rows accumulate, every column's full chunk is flushed to its own
 recycled, so resident history memory is bounded by the chunk size —
 never by T.  Reads are transparent: :meth:`ColumnStore.raw_column` and
 friends materialize spilled chunks (memory-mapped) back into one
-array, while :meth:`ColumnStore.column_chunks` iterates the mapped
-chunks directly so the streaming aggregates in
-:mod:`repro.metrics.windows` never materialize the run at all.
+array, so every aggregate reads the same column an in-RAM store
+holds.
 
 View staleness: zero-copy views alias the live recording buffer, and
 both geometric growth and a spill flush recycle that buffer — a view
@@ -50,7 +49,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -220,13 +219,6 @@ class ColumnStore:
             return 0
         tail = self._length - self._base
         return sum(a.nbytes * tail // self._capacity
-                   for a in self._data.values())
-
-    def spilled_nbytes(self) -> int:
-        """History bytes held by the on-disk chunk files."""
-        if self._capacity == 0 or not self._base:
-            return 0
-        return sum(a.nbytes * self._base // self._capacity
                    for a in self._data.values())
 
     # -- pickling / checkpoint ------------------------------------------
@@ -420,8 +412,7 @@ class ColumnStore:
         silently rewrite history).  The view goes stale when the buffer
         is reallocated by growth — watch :attr:`generation` and
         re-fetch.  For spilling stores the column is materialized from
-        the memory-mapped chunk files plus the tail (a fresh array);
-        use :meth:`column_chunks` to stream without materializing.
+        the memory-mapped chunk files plus the tail (a fresh array).
         """
         if self._base:
             return self._assemble(name)
@@ -440,24 +431,6 @@ class ColumnStore:
         if raw.dtype == np.float64:
             return raw
         return raw.astype(np.float64)
-
-    def column_chunks(self, name: str) -> Iterator[np.ndarray]:
-        """Stream one column as read-only chunks, spilled chunks first.
-
-        Spilled chunks arrive memory-mapped (``np.load(mmap_mode='r')``)
-        and the in-RAM tail last, so consumers — the streaming
-        aggregates in :mod:`repro.metrics.windows` — touch one chunk of
-        pages at a time and peak RSS stays bounded by the chunk size.
-        In-RAM stores yield their single live view, so the same
-        consumer code covers both layouts.
-        """
-        for index in range(self._chunks):
-            yield np.load(self._chunk_path(index, name), mmap_mode="r")
-        tail = self._data[name][:self._length - self._base]
-        if len(tail):
-            view = tail.view()
-            view.flags.writeable = False
-            yield view
 
     def value(self, name: str, index: int):
         """One cell, decoded: NaN-able float fields give NaN through."""
@@ -523,23 +496,3 @@ class BatchColumnStore(ColumnStore):
         view = self._data[name][:self._length, index]
         view.flags.writeable = False
         return view
-
-    def member_column_chunks(self, name: str,
-                             index: int) -> Iterator[np.ndarray]:
-        """Stream one member's column as read-only chunks.
-
-        The per-member slice of each mapped ``(chunk, n)`` file reads
-        only that member's stride; shared columns stream whole.
-        """
-        if name in self._shared:
-            yield from self.column_chunks(name)
-            return
-        for chunk_index in range(self._chunks):
-            chunk = np.load(self._chunk_path(chunk_index, name),
-                            mmap_mode="r")
-            yield chunk[:, index]
-        tail = self._data[name][:self._length - self._base, index]
-        if len(tail):
-            view = tail.view()
-            view.flags.writeable = False
-            yield view

@@ -72,10 +72,6 @@ class RecordSeries:
         """(T,) view of one field in its storage dtype."""
         raise NotImplementedError
 
-    def _raw_chunks(self, name: str):
-        """Iterator of (rows,) chunks of one field in storage dtype."""
-        raise NotImplementedError
-
     def __len__(self) -> int:
         """Number of recorded ticks."""
         raise NotImplementedError
@@ -96,26 +92,6 @@ class RecordSeries:
     def times(self) -> np.ndarray:
         """Per-sample timestamps of the recorded run, shape (T,)."""
         return self.column(self.TIME_FIELD)
-
-    def column_chunks(self, name: str):
-        """Stream one field as ``float64`` chunks, without materializing.
-
-        For spilled histories each chunk arrives memory-mapped (see
-        :meth:`~repro.metrics.columns.ColumnStore.column_chunks`), so
-        the streaming aggregates in :mod:`repro.metrics.windows` run
-        with peak RSS bounded by the chunk size; in-RAM histories yield
-        their single live view.
-        """
-        for chunk in self._raw_chunks(name):
-            if chunk.dtype == np.float64:
-                yield chunk
-            else:
-                yield chunk.astype(np.float64)
-
-    def chunk_pairs(self, name: str):
-        """(values, times) chunk pairs for the streaming aggregates."""
-        return zip(self.column_chunks(name),
-                   self.column_chunks(self.TIME_FIELD))
 
     # -- record materialization -----------------------------------------
 
@@ -196,10 +172,6 @@ class ColumnarHistory(RecordSeries):
         """(T,) view straight from the owned store."""
         return self._store.raw_column(name)
 
-    def _raw_chunks(self, name: str):
-        """Chunk stream straight from the owned store."""
-        return self._store.column_chunks(name)
-
     def __len__(self) -> int:
         """Number of recorded ticks."""
         return len(self._store)
@@ -225,10 +197,6 @@ class BatchMemberSeries(RecordSeries):
     def _raw_column(self, name: str) -> np.ndarray:
         """(T,) member slice (shared columns come back as-is)."""
         return self._batch_store.member_column(name, self._index)
-
-    def _raw_chunks(self, name: str):
-        """Member-slice chunk stream from the shared store."""
-        return self._batch_store.member_column_chunks(name, self._index)
 
     def __len__(self) -> int:
         """Number of recorded ticks."""

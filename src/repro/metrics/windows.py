@@ -121,118 +121,6 @@ def worst_window_mean(values: np.ndarray, t: np.ndarray,
     return float(windows.max())
 
 
-def streaming_mean(pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
-                   skip_s: float = 0.0) -> float:
-    """:func:`mean_after` over (values, times) chunk pairs, one pass.
-
-    Built for spilled histories (:meth:`~repro.metrics.columns.
-    ColumnStore.column_chunks`): each chunk is reduced while memory-
-    mapped, so peak RSS stays bounded by the chunk size.  The running
-    sum accumulates chunk subtotals left to right, which can differ
-    from NumPy's pairwise whole-array summation in the last ulps —
-    callers needing bit-exact parity with :func:`mean_after` must
-    materialize instead.
-    """
-    total = 0.0
-    count = 0
-    for values, t in pairs:
-        vals = np.asarray(values, dtype=float)[np.asarray(t) >= skip_s]
-        if vals.size:
-            total += float(vals.sum())
-            count += vals.size
-    return total / count if count else 0.0
-
-
-def streaming_max(pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
-                  skip_s: float = 0.0) -> float:
-    """:func:`max_after` over (values, times) chunk pairs, one pass.
-
-    Max is order-insensitive, so the result is bit-exact with the
-    materialized reduction.
-    """
-    best = None
-    for values, t in pairs:
-        vals = np.asarray(values, dtype=float)[np.asarray(t) >= skip_s]
-        if vals.size:
-            chunk_max = float(vals.max())
-            best = chunk_max if best is None else max(best, chunk_max)
-    return best if best is not None else 0.0
-
-
-def streaming_min(pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
-                  skip_s: float = 0.0) -> float:
-    """:func:`min_after` over (values, times) chunk pairs, one pass.
-
-    Min is order-insensitive, so the result is bit-exact with the
-    materialized reduction.
-    """
-    best = None
-    for values, t in pairs:
-        vals = np.asarray(values, dtype=float)[np.asarray(t) >= skip_s]
-        if vals.size:
-            chunk_min = float(vals.min())
-            best = chunk_min if best is None else min(best, chunk_min)
-    return best if best is not None else 0.0
-
-
-def streaming_worst_window(pairs_fn: Callable[
-                               [], Iterable[Tuple[np.ndarray, np.ndarray]]],
-                           window_s: float = 60.0,
-                           skip_s: float = 0.0,
-                           dt_s: Optional[float] = None) -> float:
-    """:func:`worst_window_mean` over chunked history, two passes.
-
-    Args:
-        pairs_fn: zero-argument callable producing a *fresh* iterator
-            of (values, times) chunk pairs each call — the first pass
-            derives the tick size and sample counts, the second slides
-            the window.
-
-    Peak memory is one chunk plus a ``width - 1`` carry buffer: window
-    sums that straddle a chunk boundary are computed by prepending the
-    previous chunk's last ``width - 1`` filtered samples.  Per-window
-    means come from chunk-local cumulative sums, so the result can
-    differ from the materialized implementation in the last ulps.
-    """
-    first_t = last_t = None
-    total_times = 0
-    kept = 0
-    for values, t in pairs_fn():
-        t = np.asarray(t, dtype=float)
-        if t.size:
-            if first_t is None:
-                first_t = float(t[0])
-            last_t = float(t[-1])
-            total_times += t.size
-        kept += int(np.count_nonzero(t >= skip_s))
-    if not kept:
-        return 0.0
-    if dt_s is None:
-        dt_s = 1.0
-        if total_times >= 2 and last_t - first_t > 0:
-            dt_s = (last_t - first_t) / (total_times - 1)
-    width = window_width(window_s, dt_s)
-    if kept < width:
-        return streaming_mean(pairs_fn(), skip_s=skip_s)
-    carry = np.empty(0, dtype=float)
-    best = None
-    for values, t in pairs_fn():
-        vals = np.asarray(values, dtype=float)[np.asarray(t) >= skip_s]
-        if not vals.size:
-            continue
-        buf = np.concatenate([carry, vals])
-        if len(buf) >= width:
-            csum = np.cumsum(np.insert(buf, 0, 0.0))
-            windows = (csum[width:] - csum[:-width]) / width
-            chunk_best = float(windows.max())
-            best = chunk_best if best is None else max(best, chunk_best)
-            carry = buf[len(buf) - (width - 1):] if width > 1 \
-                else buf[:0]
-        else:
-            carry = buf
-    return best if best is not None else 0.0
-
-
 class WindowedMetrics:
     """Windowed summaries bound to one columnar history.
 

@@ -87,17 +87,3 @@ class CfsSharedCoreModel:
         lc_rho = min(1.0, lc_cpu_demand / cores)
         stacking = 1.0 + p.lc_pressure_gain * lc_rho ** 2
         return occupancy * p.sched_latency_ms * stacking
-
-    def throughput_share(self, lc_cpu_demand: float, be_cpu_demand: float,
-                         cores: int, lc_share: float) -> float:
-        """Fraction of its demand the BE task actually gets under CFS.
-
-        CFS is work-conserving: BE soaks up idle cycles regardless of its
-        tiny share, throttled only when the LC task is runnable.
-        """
-        if cores <= 0 or be_cpu_demand <= 0:
-            return 0.0
-        idle = max(0.0, cores - lc_cpu_demand)
-        granted = min(be_cpu_demand, idle + lc_share * 0.0
-                      + (1.0 - lc_share) * lc_cpu_demand)
-        return granted / be_cpu_demand

@@ -28,13 +28,13 @@ from . import registry
 from .compiler import (CompiledScenario, MemberResult, ScenarioResult,
                        SweepGrid, compile_scenario, run_scenario)
 from .loader import load_scenario, loads_scenario, parse_simple_yaml
-from .spec import (CONTROLLERS, ENGINES, CheckpointSpec, ClusterSpec,
-                   FleetSpec, InjectionSpec, JobSpec, ScenarioError,
-                   ScenarioSpec, ScheduleSpec, ServerSpec, ShardSpec,
-                   SpikeSpec, SweepSpec, TraceSpec, WorkloadSpec)
+from .spec import (CONTROLLERS, CheckpointSpec, ClusterSpec, FleetSpec,
+                   InjectionSpec, JobSpec, ScenarioError, ScenarioSpec,
+                   ScheduleSpec, ServerSpec, ShardSpec, SpikeSpec,
+                   SweepSpec, TraceSpec, WorkloadSpec)
 
 __all__ = [
-    "CONTROLLERS", "ENGINES",
+    "CONTROLLERS",
     "CheckpointSpec", "ClusterSpec", "FleetSpec", "InjectionSpec",
     "JobSpec",
     "ScenarioError", "ScenarioSpec", "ScheduleSpec", "ServerSpec",

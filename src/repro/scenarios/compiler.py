@@ -5,7 +5,7 @@ execution layers below it.  Each scenario *shape* lowers differently:
 
 * ``members`` — one :class:`~repro.sim.engine.ColocationSim` (single
   member, scalar engine) or one :class:`~repro.sim.batch.
-  BatchColocationSim` (several members, or ``engine: batch``): Heracles
+  BatchColocationSim` (several members): Heracles
   members run under a ``HeraclesController`` (scalar) or the batch's
   vector controller, and a static baseline's grant and every injection
   go on the engine's event schedule (start of tick, see
@@ -316,7 +316,7 @@ class CompiledScenario:
             self.kind = "fleet"
         elif spec.schedule is not None:
             self.kind = "schedule"
-        elif len(spec.members) > 1 or spec.engine == "batch":
+        elif len(spec.members) > 1:
             self.kind = "batch"
         else:
             self.kind = "single"

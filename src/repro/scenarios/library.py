@@ -127,7 +127,6 @@ def mixed_fleet_scenario() -> ScenarioSpec:
         name="mixed-fleet",
         description="Three-way heterogeneous LC x BE mix on the batched "
                     "backend",
-        engine="batch",
         duration_s=600.0,
         warmup_s=180.0,
         members=(

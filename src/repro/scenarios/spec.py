@@ -41,11 +41,6 @@ from ..workloads.traces import (ConstantLoad, DiurnalTrace, LoadSpike,
 CONTROLLERS = ("heracles", "none", "static-conservative",
                "static-optimistic")
 
-#: Execution backends.  ``auto`` picks scalar for a single member and
-#: batch for multi-member scenarios.
-ENGINES = ("auto", "scalar", "batch")
-
-
 class ScenarioError(ValueError):
     """A scenario spec failed to load or validate."""
 
@@ -855,9 +850,10 @@ class ScenarioSpec(_Spec):
             warm-up prefix excluded from reported metrics.
         seed: base RNG seed (members without an explicit seed get
             ``seed + index``).
-        engine: ``auto`` | ``scalar`` | ``batch`` for member scenarios.
         members / sweep / cluster / fleet / schedule: the scenario
-            shape (exactly one).
+            shape (exactly one).  The member count picks the engine:
+            one member runs on the scalar reference engine, several on
+            the batch engine.
         injections: timed actuator and fault events, fired at the start
             of a tick on members (member scenarios) or fleet leaves
             (fleet/schedule scenarios), optionally targeted via
@@ -875,7 +871,6 @@ class ScenarioSpec(_Spec):
     dt_s: float = 1.0
     warmup_s: float = 240.0
     seed: int = 0
-    engine: str = "auto"
     members: Tuple[WorkloadSpec, ...] = ()
     sweep: Optional[SweepSpec] = None
     cluster: Optional[ClusterSpec] = None
@@ -896,7 +891,6 @@ class ScenarioSpec(_Spec):
                 f"(got {shapes or 'none'})")
         _choose(self.controller, CONTROLLERS, f"{ctx}.controller",
                 "controller")
-        _choose(self.engine, ENGINES, f"{ctx}.engine", "engine")
         if self.duration_s <= 0:
             raise ScenarioError(f"{ctx}.duration_s: must be positive")
         if self.dt_s <= 0:
@@ -904,21 +898,11 @@ class ScenarioSpec(_Spec):
         if not 0 <= self.warmup_s < self.duration_s:
             raise ScenarioError(f"{ctx}.warmup_s: must be in "
                                 f"[0, duration_s)")
-        if self.engine == "scalar" and len(self.members) > 1:
-            raise ScenarioError(f"{ctx}: the scalar engine runs exactly one "
-                                f"member; use engine 'batch' (or 'auto') "
-                                f"for {len(self.members)} members")
         # Fields the other shapes would silently ignore are rejected
         # instead — the subsystem's no-silent-defaults contract.
         if self.sweep is not None and self.dt_s != 1.0:
             raise ScenarioError(f"{ctx}.dt_s: sweep cells always run at "
                                 f"the engine's 1 s tick; drop dt_s")
-        if (self.sweep is not None or self.cluster is not None
-                or self.fleet is not None
-                or self.schedule is not None) and self.engine != "auto":
-            raise ScenarioError(
-                f"{ctx}.engine: only member scenarios take a top-level "
-                f"engine (fleets set fleet.engine)")
         fleet_like = self.fleet if self.fleet is not None else (
             self.schedule.fleet if self.schedule is not None else None)
         if self.checkpoint is not None:

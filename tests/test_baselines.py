@@ -1,39 +1,10 @@
-"""Tests for repro.baselines: OS isolation, static splits."""
+"""Tests for repro.baselines: static splits."""
 
 import pytest
 
 import repro
-from repro.baselines.os_isolation import (os_isolation_sweep,
-                                          violates_everywhere)
 from repro.baselines.static import (StaticPartitionController,
                                     conservative_static, optimistic_static)
-
-
-class TestOsIsolation:
-    @pytest.fixture(scope="class")
-    def sweep(self):
-        return os_isolation_sweep("websearch", loads=[0.1, 0.3, 0.5, 0.7])
-
-    def test_violates_at_every_load(self, sweep):
-        # Figure 1's brain rows: OS isolation is never enough.
-        assert violates_everywhere(sweep)
-
-    def test_be_throughput_is_nonzero(self, sweep):
-        # CFS is work-conserving: the BE task gets the idle cycles.
-        assert all(p.be_throughput > 0.3 for p in sweep)
-
-    def test_memkeyval_is_worst(self):
-        ws = os_isolation_sweep("websearch", loads=[0.3])
-        kv = os_isolation_sweep("memkeyval", loads=[0.3])
-        assert kv[0].slo_fraction > ws[0].slo_fraction
-
-    def test_unknown_be_rejected(self):
-        with pytest.raises(KeyError):
-            os_isolation_sweep("websearch", be_name="nope")
-
-    def test_violates_everywhere_validation(self):
-        with pytest.raises(ValueError):
-            violates_everywhere([])
 
 
 class TestStaticPartition:

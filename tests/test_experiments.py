@@ -24,13 +24,15 @@ def fig1_tables():
 class TestFig1Claims:
     """The §3.3 interference analysis, one claim per test."""
 
-    def test_os_isolation_inadequate(self, fig1_tables):
+    def test_cfs_shares_isolation_inadequate(self, fig1_tables):
         # brain under CFS shares violates at (nearly) every load for
-        # every workload.
+        # every workload, and hurts microsecond-scale memkeyval most.
         tables, loads = fig1_tables
         for table in tables.values():
             violations = sum(table.cell("brain", l) > 1.0 for l in loads)
             assert violations >= len(loads) - 1
+        assert (tables["memkeyval"].cell("brain", 0.30)
+                > tables["websearch"].cell("brain", 0.30))
 
     def test_llc_big_catastrophic_at_low_load(self, fig1_tables):
         tables, _ = fig1_tables

@@ -11,8 +11,6 @@ from repro.metrics import (BatchColumnStore, ColumnStore, WindowedMetrics,
                            sample_mean, window_width, worst_window_mean)
 from repro.metrics.columns import SPILL_DIR_ENV
 from repro.metrics.history import BatchMemberSeries, ColumnarHistory
-from repro.metrics.windows import (streaming_max, streaming_mean,
-                                   streaming_min, streaming_worst_window)
 
 
 @pytest.fixture
@@ -194,7 +192,6 @@ class TestSpill:
         files = sorted(p.name for p in tmp_path.iterdir())
         assert "chunk_000000_x.npy" in files
         assert "chunk_000001_t_s.npy" in files
-        assert store.spilled_nbytes() > 0
         # The resident tail is 3 rows, never the full 11.
         assert store.nbytes() == 3 * (8 + 8 + 4)
 
@@ -204,13 +201,6 @@ class TestSpill:
         assert store.value("x", 6) == 3.0    # in chunk 1
         assert store.value("x", 10) == 5.0   # in the tail
         assert store.value("x", -1) == 5.0
-
-    def test_column_chunks_stream(self, tmp_path):
-        store = self.make(tmp_path, rows=11, chunk=4)
-        chunks = list(store.column_chunks("x"))
-        assert [len(c) for c in chunks] == [4, 4, 3]
-        np.testing.assert_array_equal(np.concatenate(chunks),
-                                      np.arange(11) * 0.5)
 
     def test_batch_spill_member_reads(self, tmp_path):
         store = BatchColumnStore({"t_s": np.float64, "x": np.float64},
@@ -223,8 +213,7 @@ class TestSpill:
                                              dtype=float)})
         np.testing.assert_array_equal(store.member_column("x", 1),
                                       2.0 * np.arange(10.0))
-        chunks = list(store.member_column_chunks("x", 2))
-        np.testing.assert_array_equal(np.concatenate(chunks),
+        np.testing.assert_array_equal(store.member_column("x", 2),
                                       -np.arange(10.0))
         np.testing.assert_array_equal(store.member_column("t_s", 0),
                                       np.arange(10.0))
@@ -245,49 +234,6 @@ class TestSpill:
         with pytest.raises(ValueError):
             ColumnStore({"x": np.float64}, spill_dir=str(tmp_path),
                         spill_chunk_rows=0)
-
-
-class TestStreamingAggregates:
-    """Streaming chunk reductions agree with the materialized ones."""
-
-    def pairs(self, v, t, chunk=7):
-        return [(v[i:i + chunk], t[i:i + chunk])
-                for i in range(0, len(v), chunk)]
-
-    def test_against_materialized(self):
-        rng = np.random.default_rng(5)
-        v = rng.uniform(0.0, 2.0, size=200)
-        t = np.arange(200.0) * 0.5
-        skip = 13.0
-        assert streaming_max(self.pairs(v, t), skip) == max_after(v, t, skip)
-        assert streaming_min(self.pairs(v, t), skip) == min_after(v, t, skip)
-        assert streaming_mean(self.pairs(v, t), skip) == pytest.approx(
-            mean_after(v, t, skip), rel=1e-12)
-        got = streaming_worst_window(lambda: self.pairs(v, t),
-                                     window_s=30.0, skip_s=skip)
-        assert got == pytest.approx(
-            worst_window_mean(v, t, window_s=30.0, skip_s=skip), rel=1e-12)
-
-    def test_empty_and_short(self):
-        empty = []
-        assert streaming_mean(empty) == 0.0
-        assert streaming_max(empty) == 0.0
-        assert streaming_min(empty) == 0.0
-        assert streaming_worst_window(lambda: []) == 0.0
-        v, t = np.array([1.0, 3.0]), np.array([0.0, 1.0])
-        assert streaming_worst_window(lambda: self.pairs(v, t),
-                                      window_s=60.0) == pytest.approx(2.0)
-
-    def test_history_chunk_pairs(self, tmp_path):
-        history = _RecHistory(spill_dir=str(tmp_path), spill_chunk_rows=4)
-        for i in range(11):
-            history.append(_Rec(t_s=float(i), value=i * 1.5, count=i,
-                                flag=False, cap=None))
-        assert streaming_max(history.chunk_pairs("value")) == \
-            history.metrics.maximum("value")
-        assert streaming_mean(history.chunk_pairs("value"),
-                              skip_s=3.0) == pytest.approx(
-            history.metrics.mean("value", skip_s=3.0), rel=1e-12)
 
 
 class TestBatchColumnStore:

@@ -456,6 +456,34 @@ class TestDiffRunsPinpointsPR9MegaBug:
             assert diff_runs.first_divergence(times, cols, other) is None
 
 
+class TestDiffRunsOnMembers:
+    """Member scenarios compare every ``SimHistory`` column per (tick,
+    member), so a last-bit change to one member's numbers shows."""
+
+    def test_one_member_perturbation_is_reported(self):
+        result = run_traced(member_spec(), trace=True)
+        [(group, times, cols, window)] = diff_runs.member_columns(result)
+        assert group == "members"
+        assert cols["slo_fraction"].shape == (len(times), 2)
+        assert set(cols) == set(result.members[0].history.field_names())
+        assert diff_runs.first_divergence(times, cols, cols) is None
+        perturbed = dict(cols)
+        slo = cols["slo_fraction"].copy()
+        slo[:, 1] *= 1.0 + 1e-15
+        perturbed["slo_fraction"] = slo
+        div = diff_runs.first_divergence(times, cols, perturbed,
+                                         trace=result.trace)
+        assert div is not None
+        assert (div.column, div.member) == ("slo_fraction", 1)
+        changed = slo[:, 1] != cols["slo_fraction"][:, 1]
+        assert div.tick == int(np.argmax(changed))
+        assert div.value_b == slo[div.tick, 1] != div.value_a
+
+    def test_fleet_overrides_are_rejected(self):
+        with pytest.raises(SystemExit, match="members spec"):
+            diff_runs._run_variant(member_spec(), "mega", None, None)
+
+
 class TestDiffRunsAgainstRevision:
     """``scenario --base REV``: run A is the spec at a git revision, run
     in a temporary worktree by a subprocess on that tree's ``src``."""
@@ -479,6 +507,20 @@ class TestDiffRunsAgainstRevision:
         verdict = json.loads(done.stdout.splitlines()[-1])
         assert verdict["diverged"] is False
         assert verdict["columns_compared"] > 0
+
+    def test_head_members_reproduced_bitwise(self, tmp_path):
+        if subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
+                          capture_output=True).returncode:
+            pytest.skip("not a git checkout")
+        path = tmp_path / "members.json"
+        path.write_text(json.dumps(member_spec().to_data()))
+        done = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "diff_runs.py"),
+             "scenario", str(path), "--base", "HEAD", "--json"],
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout + done.stderr
+        verdict = json.loads(done.stdout.splitlines()[-1])
+        assert verdict == {"diverged": False, "columns_compared": 18}
 
     def test_unknown_revision_fails_loud(self, tmp_path):
         done = self.run_tool(tmp_path, "no-such-revision")

@@ -32,16 +32,6 @@ class TestCfsModel:
         cfs = CfsSharedCoreModel()
         assert cfs.tail_delay_ms(1, 1, 0, 0.5) == 0.0
 
-    def test_throughput_share_work_conserving(self):
-        cfs = CfsSharedCoreModel()
-        # BE soaks up idle capacity.
-        share = cfs.throughput_share(6, 36, 36, 0.98)
-        assert share > 0.7
-
-    def test_throughput_share_zero_demand(self):
-        cfs = CfsSharedCoreModel()
-        assert cfs.throughput_share(6, 0, 36, 0.98) == 0.0
-
 
 class TestHtbQdisc:
     def test_add_and_read(self):

@@ -11,10 +11,11 @@ equivalence contracts hold for every one of them:
   ``FleetResult.summary()`` and per-cluster history columns across
   engine ∈ {sharded, mega} × shard_leaves ∈ {1, 3, as-drawn} ×
   ``REPRO_JOBS`` ∈ {1, 4};
-* member shapes: back-to-back determinism is bitwise, and a
-  single-member batch matches the scalar reference engine under the
-  repo's scalar↔batch contract (``rtol=1e-9`` floats, exact actuator
-  columns);
+* member shapes: a batch of 2-3 members reruns bitwise, and every
+  member matches its scalar solo twin — the same member run alone on
+  the scalar reference engine with the same seed, controller and the
+  injections that reach it — under the repo's scalar↔batch contract
+  (``rtol=1e-9`` floats, exact actuator columns);
 * cluster shapes: the batch engine matches the scalar per-leaf loop
   bitwise on every arm;
 * sweep shapes: serial and process-pool execution produce identical
@@ -28,19 +29,29 @@ equivalence contracts hold for every one of them:
   itself is byte-identical JSONL across engine × shard plan × worker
   count.
 
-Profiles: ``REPRO_FUZZ_PROFILE=ci`` (the CI pin: 200 derandomized
-examples for the fleet matrix) or ``dev`` (default: a quick seeded
-pass).  ``tools/fuzz_scenarios.py`` reuses the same generator idea for
-open-ended soak runs.
+Profiles (``REPRO_FUZZ_PROFILE``): ``dev`` (default: a quick pass with
+a random seed), ``ci`` (the CI pin: derandomized, 200 examples for the
+fleet matrix) and ``soak`` (long seeded runs: every test draws
+:data:`SOAK_FACTOR` times its ``ci`` example count).  Seed a soak with
+pytest's ``--hypothesis-seed``::
+
+    REPRO_FUZZ_PROFILE=soak python -m pytest -x -q \
+        tests/test_scenario_fuzz.py --hypothesis-seed=0
+
+Every test notes its generated spec as one line of
+``ScenarioSpec.to_data()`` JSON, so a failure prints a scenario file:
+save that line as ``spec.json`` and ``load_scenario`` or
+``python -m repro.cli scenario spec.json`` reads it back.
 """
 
 import dataclasses
+import json
 import os
 import tempfile
 
 import numpy as np
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import WebsearchCluster
@@ -58,13 +69,34 @@ from repro.workloads.latency_critical import LC_PROFILES
 # "ci" is the pinned gate: derandomized (fixed example corpus, no flaky
 # reruns) and sized so the fleet matrix covers 200 generated scenarios.
 # "dev" (default) is a quick local pass with the usual random seed.
+# "soak" scales every test's count by SOAK_FACTOR and takes its seed
+# from --hypothesis-seed.
+PROFILE = os.environ.get("REPRO_FUZZ_PROFILE", "dev")
+#: How many times its ``ci`` example count each test draws under soak.
+SOAK_FACTOR = 5
 settings.register_profile(
     "ci", max_examples=200, derandomize=True, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.register_profile(
     "dev", max_examples=20, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
-settings.load_profile(os.environ.get("REPRO_FUZZ_PROFILE", "dev"))
+settings.register_profile(
+    "soak", max_examples=200 * SOAK_FACTOR, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.load_profile(PROFILE)
+
+
+def examples(n):
+    """A test's example count: ``n`` under ci and dev, scaled by soak."""
+    return n * SOAK_FACTOR if PROFILE == "soak" else n
+
+
+def note_spec(spec):
+    """Attach the spec to a failure report as one line of JSON, a
+    scenario file ``load_scenario`` and ``repro scenario`` read back."""
+    note("failing scenario (save the next line as spec.json):\n"
+         + json.dumps(spec.to_data(), sort_keys=True))
+
 
 LCS = tuple(sorted(LC_PROFILES))
 BES = tuple(sorted(BE_PROFILES))
@@ -171,9 +203,10 @@ def fleet_like_specs(draw):
 
 @st.composite
 def member_specs(draw):
-    """A random valid members scenario (every member gets a BE so the
-    actuator injections always have a group to poke)."""
-    n = draw(st.integers(1, 3))
+    """A random valid members scenario of 2-3 members, so it runs on the
+    batch engine (every member gets a BE so the actuator injections
+    always have a group to poke)."""
+    n = draw(st.integers(2, 3))
     duration = 60.0
     members = tuple(
         WorkloadSpec(lc=draw(st.sampled_from(LCS)),
@@ -187,6 +220,24 @@ def member_specs(draw):
     return ScenarioSpec(name="fuzz-members", duration_s=duration,
                         warmup_s=15.0, seed=draw(st.integers(0, 5)),
                         members=members, injections=injections)
+
+
+def solo_twin(spec, index):
+    """Member ``index`` of a members scenario, alone.
+
+    The twin keeps the member's effective seed and controller and the
+    injections that reach it: those aimed at it move to leaf 0, the
+    untargeted ones stay, the rest go.  One member runs on the scalar
+    reference engine.
+    """
+    member = dataclasses.replace(
+        spec.members[index], seed=spec.member_seed(index),
+        controller=spec.member_controller(index))
+    injections = tuple(
+        inj if inj.leaf is None else dataclasses.replace(inj, leaf=0)
+        for inj in spec.injections if inj.leaf in (None, index))
+    return dataclasses.replace(spec, members=(member,),
+                               injections=injections)
 
 
 @st.composite
@@ -263,6 +314,7 @@ class TestFleetMatrix:
 
     @given(spec=fleet_like_specs())
     def test_engine_shard_jobs_identity(self, spec):
+        note_spec(spec)
         spec.validate()
         base = run_with_jobs(spec, 1)
         variants = (
@@ -292,9 +344,10 @@ class TestResumeAxis:
         ("mega jobs=1", dict(engine="mega"), 1),
     )
 
-    @settings(max_examples=15)
+    @settings(max_examples=examples(15))
     @given(spec=fleet_like_specs())
     def test_save_and_resume_match_straight_run(self, spec):
+        note_spec(spec)
         spec.validate()
         at_s = spec.duration_s / 2.0  # always on the tick grid here
         base = run_with_jobs(spec, 1)
@@ -334,11 +387,12 @@ class TestTraceAxis:
         ("mega jobs=1", dict(engine="mega"), 1),
     )
 
-    @settings(max_examples=10)
+    @settings(max_examples=examples(10))
     @given(spec=fleet_like_specs())
     def test_trace_on_is_bit_identical_and_canonical(self, spec):
         from repro.obs import TRACE_ENV, events_to_jsonl
 
+        note_spec(spec)
         spec.validate()
         # The baseline must be untraced even when the suite itself runs
         # under ambient REPRO_TRACE=1 (the CI tier1-trace leg).
@@ -367,41 +421,47 @@ class TestTraceAxis:
 
 
 class TestMemberScenarios:
-    @settings(max_examples=40)
+    @settings(max_examples=examples(40))
     @given(spec=member_specs())
     def test_batch_deterministic_and_matches_scalar(self, spec):
+        """The batch reruns bitwise, and every member matches its
+        scalar solo twin under the scalar↔batch contract."""
+        note_spec(spec)
         spec.validate()
-        batch_spec = dataclasses.replace(spec, engine="batch")
-        first = run_scenario(batch_spec)
-        second = run_scenario(batch_spec)
+        first = run_scenario(spec)
+        second = run_scenario(spec)
+        assert first.kind == "batch"
         for i, (a, b) in enumerate(zip(first.members, second.members)):
             assert len(a.history) == len(b.history)
             for name in MEMBER_FLOAT_FIELDS:
                 assert np.array_equal(a.history.column(name),
                                       b.history.column(name)), (
                     f"member {i}: rerun column {name!r} diverged")
-        if len(spec.members) == 1:
-            scalar = run_scenario(dataclasses.replace(spec,
-                                                      engine="scalar"))
-            a = scalar.members[0].history
-            b = first.members[0].history
+        for i, member in enumerate(first.members):
+            solo = run_scenario(solo_twin(spec, i))
+            assert solo.kind == "single"
+            a = solo.members[0].history
+            b = member.history
             assert len(a) == len(b)
             for name in MEMBER_FLOAT_FIELDS:
                 np.testing.assert_allclose(
                     a.column(name), b.column(name), rtol=1e-9, atol=1e-12,
-                    err_msg=f"scalar vs batch: column {name!r} diverged")
+                    err_msg=f"member {i}: scalar vs batch column {name!r} "
+                            f"diverged")
             for name in MEMBER_EXACT_FIELDS:
-                assert [getattr(r, name) for r in a.records] == \
-                    [getattr(r, name) for r in b.records], (
-                    f"scalar vs batch: column {name!r} diverged")
+                assert np.array_equal(a.column(name), b.column(name),
+                                      equal_nan=True), (
+                    f"member {i}: scalar vs batch column {name!r} "
+                    f"diverged")
 
 
 class TestClusterScenarios:
-    @settings(max_examples=15)
+    @settings(max_examples=examples(15))
     @given(spec=cluster_specs())
     def test_batch_matches_scalar_bitwise(self, spec):
         """Each arm (a one-cluster fleet on the array engine) matches a
         scalar per-leaf ``WebsearchCluster`` bit for bit."""
+        note_spec(spec)
         spec.validate()
         batch = run_scenario(spec, processes=1)
         assert tuple(batch.cluster_arms) == spec.cluster.arms
@@ -420,9 +480,10 @@ class TestClusterScenarios:
 
 
 class TestSweepScenarios:
-    @settings(max_examples=10)
+    @settings(max_examples=examples(10))
     @given(spec=sweep_specs())
     def test_pool_matches_serial(self, spec):
+        note_spec(spec)
         spec.validate()
         serial = run_scenario(spec, processes=1)
         pooled = run_scenario(spec, processes=2)

@@ -132,7 +132,8 @@ class TestSpecRejection:
         with pytest.raises(ScenarioError, match="unknown controller"):
             load_scenario({"name": "t", "controller": "magic",
                            "members": [{"lc": "websearch"}]})
-        with pytest.raises(ScenarioError, match="unknown engine"):
+        with pytest.raises(ScenarioError,
+                           match="unknown field\\(s\\) 'engine'"):
             load_scenario({"name": "t", "engine": "gpu",
                            "members": [{"lc": "websearch"}]})
 
@@ -148,12 +149,6 @@ class TestSpecRejection:
         with pytest.raises(ScenarioError, match="warmup_s"):
             load_scenario({"name": "t", "duration_s": 100, "warmup_s": 100,
                            "members": [{"lc": "websearch"}]})
-
-    def test_scalar_engine_rejects_multiple_members(self):
-        with pytest.raises(ScenarioError, match="scalar engine"):
-            load_scenario({"name": "t", "engine": "scalar",
-                           "members": [{"lc": "websearch"},
-                                       {"lc": "websearch"}]})
 
     def test_injection_validation(self):
         with pytest.raises(ScenarioError, match="requires a 'value'"):
@@ -174,17 +169,11 @@ class TestSpecRejection:
                            "members": [{"lc": "websearch"}]})
 
     def test_sweep_rejects_ignored_fields(self):
-        # dt_s and a top-level engine would be silently ignored by the
-        # sweep/cluster lowering paths — the spec rejects them instead.
+        # dt_s would be silently ignored by the sweep lowering path —
+        # the spec rejects it instead.
         with pytest.raises(ScenarioError, match="dt_s"):
             load_scenario({"name": "t", "dt_s": 0.25,
                            "sweep": {"lc_tasks": ["websearch"]}})
-        with pytest.raises(ScenarioError, match="engine"):
-            load_scenario({"name": "t", "engine": "batch",
-                           "sweep": {"lc_tasks": ["websearch"]}})
-        with pytest.raises(ScenarioError, match="only member scenarios"):
-            load_scenario({"name": "t", "engine": "scalar",
-                           "cluster": {"leaves": 2}})
 
     def test_type_errors(self):
         with pytest.raises(ScenarioError, match="expected an integer"):
@@ -236,6 +225,9 @@ DECODER_REJECTS = [
     ("cluster-engine", {"name": "t", "cluster": {"leaves": 2,
                                                  "engine": "scalar"}},
      "scenario.cluster", "unknown field(s) 'engine'"),
+    ("top-level-engine", {"name": "t", "engine": "batch",
+                          "members": [{"lc": "websearch"}]},
+     "scenario", "unknown field(s) 'engine'"),
 ]
 
 
@@ -277,7 +269,6 @@ class TestDecoder:
 SAMPLE_YAML = """
 # comment
 name: sample            # trailing comment
-engine: batch
 duration_s: 120
 warmup_s: 30
 server:
@@ -440,14 +431,11 @@ class TestCompiler:
         grant = [{"at_s": 20, "action": "enable_be"},
                  {"at_s": 20, "action": "set_be_cores", "value": 6}]
         member = {"lc": "memkeyval", "be": "stream-DRAM"}
-        for engine in ("scalar", "batch"):
-            spec = load_scenario({
-                "name": "t", "controller": "none", "duration_s": 40,
-                "warmup_s": 0, "engine": engine, "members": [member],
-                "injections": grant})
-            cores = run_scenario(spec).members[0].history.column(
-                "be_cores")
-            assert list(cores) == [0] * 20 + [6] * 20, engine
+        spec = load_scenario({
+            "name": "t", "controller": "none", "duration_s": 40,
+            "warmup_s": 0, "members": [member], "injections": grant})
+        cores = run_scenario(spec).members[0].history.column("be_cores")
+        assert list(cores) == [0] * 20 + [6] * 20
         spec = load_scenario({
             "name": "t", "controller": "none", "duration_s": 40,
             "warmup_s": 0, "members": [member, member],

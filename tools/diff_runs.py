@@ -9,31 +9,35 @@ Usage::
         [--context 5] [--json]
     python tools/diff_runs.py trace A.jsonl B.jsonl
 
-``scenario`` mode runs one fleet- or schedule-shaped spec twice — under
-two engine/sharding/job-count configurations that the bit-identity
-contract says must agree — with per-tick slack collection
-(``slack_epoch_s = dt_s``) and decision tracing forced on.  It then
-reports the first (tick, column, member) where the runs disagree,
-together with the nearest preceding decision-trace events for that
-member, so a regression reads as "grant_cores for leaf 17 split at
-t=840 s, right after chaos disable_be fired there" instead of a bare
-summary mismatch.  Exit status: 0 when bit-identical, 1 on divergence.
+``scenario`` mode runs one spec twice with decision tracing forced on.
+A fleet- or schedule-shaped spec runs under two engine/sharding/job-
+count configurations that the bit-identity contract says must agree,
+with per-tick slack collection (``slack_epoch_s = dt_s``), and the
+fleet roll-up columns are compared.  A members spec runs as compiled
+(it has no engine knob), and every ``SimHistory`` column is compared
+per (tick, member).  The tool reports the first (tick, column, member)
+where the runs disagree, together with the nearest preceding
+decision-trace events for that member, so a regression reads as
+"grant_cores for leaf 17 split at t=840 s, right after chaos
+disable_be fired there" instead of a bare summary mismatch.  Exit
+status: 0 when bit-identical, 1 on divergence.
 
 With ``--base REV`` run A is the spec at git revision ``REV`` instead:
 the revision is checked out into a temporary ``git worktree``, run in
 a subprocess on that tree's ``src`` (its columns come back in an
 ``.npz`` file), and compared with run B on the working tree — so
 "this change keeps every number" is one command.  ``REV`` must already
-have the fleet API this tool drives (``_build_fleet``, slack views).
+have the API this tool drives (``_build_fleet`` and slack views for
+fleets, ``run_scenario`` for members).
 
 ``trace`` mode diffs two merged decision-trace JSONL files (the
 ``--trace`` CLI artifact) line by line and reports the first differing
 event — the canonical ordering makes byte comparison meaningful.
 
 The guts are importable (:func:`first_divergence`,
-:func:`fleet_columns`, :func:`nearest_events`) so tests can feed
-hand-built column dicts — e.g. a deliberately re-broken engine loop —
-through the same explainer the CLI uses.
+:func:`fleet_columns`, :func:`member_columns`, :func:`nearest_events`)
+so tests can feed hand-built column dicts — e.g. a deliberately
+re-broken engine loop — through the same explainer the CLI uses.
 """
 
 from __future__ import annotations
@@ -222,10 +226,27 @@ def fleet_columns(result) -> List[Tuple[str, np.ndarray,
     return groups
 
 
+def member_columns(result) -> List[Tuple[str, np.ndarray,
+                                         Dict[str, np.ndarray], float]]:
+    """Comparable columns of a members :class:`ScenarioResult`.
+
+    One ``("members", times_s, columns, 0.0)`` group: every
+    ``SimHistory`` field as a (T, N) array, one column per member
+    (all members share the run clock).
+    """
+    histories = [member.history for member in result.members]
+    cols = {name: np.column_stack([h.column(name) for h in histories])
+            for name in histories[0].field_names()}
+    return [("members", histories[0].times(), cols, 0.0)]
+
+
 def _member_label(result, group: str, member: Optional[int]) -> str:
     """Human label for a divergent member index within a group."""
     if member is None:
         return "(fleet-wide)"
+    if group == "members":
+        picked = result.members[member]
+        return f"({picked.lc}+{picked.be})"
     if group == "slack" and result.slack is not None:
         slack = result.slack
         cluster = slack.cluster_names[int(slack.leaf_cluster[member])]
@@ -253,16 +274,23 @@ def _fleet_spec_of(spec):
         return spec.fleet
     if spec.schedule is not None:
         return spec.schedule.fleet
-    raise SystemExit("diff_runs: scenario mode needs a fleet- or "
-                     "schedule-shaped spec")
+    raise SystemExit("diff_runs: scenario mode needs a members, fleet or "
+                     "schedule spec")
 
 
 def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
                  jobs: Optional[int]):
-    """One traced per-tick-slack fleet run under a config override."""
+    """One traced run: a members spec as compiled, or a per-tick-slack
+    fleet run under a config override."""
     from repro.scenarios.compiler import compile_scenario
     from repro.sim.runner import JOBS_ENV
 
+    if spec.members:
+        if (engine, shard_leaves, jobs) != (None, None, None):
+            raise SystemExit("diff_runs: --engine/--shard-leaves/--jobs "
+                             "configure fleet runs; a members spec has "
+                             "none of them")
+        return compile_scenario(spec).run()
     fleet_spec = _fleet_spec_of(spec)
     overrides: Dict[str, Any] = {}
     if engine is not None:
@@ -287,7 +315,7 @@ def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
 
 
 def _save_groups(path: str, groups) -> None:
-    """Write :func:`fleet_columns` groups to one ``.npz`` file."""
+    """Write column groups to one ``.npz`` file."""
     arrays = {}
     for group, times, cols, window in groups:
         arrays[f"{group}/@times"] = times
@@ -298,7 +326,7 @@ def _save_groups(path: str, groups) -> None:
 
 
 def _load_groups(path: str):
-    """The :func:`fleet_columns` groups :func:`_save_groups` wrote."""
+    """The column groups :func:`_save_groups` wrote."""
     with np.load(path) as archive:
         cols: Dict[str, Dict[str, np.ndarray]] = {}
         for key in archive.files:
@@ -344,13 +372,14 @@ def _scenario_mode(args) -> int:
 
     spec = load_scenario(args.spec)
     spec.validate()
+    columns = member_columns if spec.members else fleet_columns
     os.environ[TRACE_ENV] = "1"
     if args.base is not None:
         groups_a = _groups_at_revision(args, args.base)
     else:
         result_a = _run_variant(spec, args.engine_a, args.shard_leaves_a,
                                 args.jobs_a)
-        groups_a = fleet_columns(result_a)
+        groups_a = columns(result_a)
         if args.dump is not None:
             _save_groups(args.dump, groups_a)
             return 0
@@ -360,7 +389,7 @@ def _scenario_mode(args) -> int:
     local = result_b if args.base is not None else result_a
     hits: List[Tuple[str, Divergence]] = []
     groups_b = {group: (times, cols)
-                for group, times, cols, _ in fleet_columns(result_b)}
+                for group, times, cols, _ in columns(result_b)}
     compared = 0
     for group, times, cols, window in groups_a:
         times_b, cols_b = groups_b[group]
@@ -430,7 +459,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     scenario = sub.add_parser(
         "scenario", help="run one spec twice and diff per-tick columns")
-    scenario.add_argument("spec", help="fleet/schedule-shaped spec file")
+    scenario.add_argument("spec", help="members, fleet or schedule spec "
+                                       "file")
     scenario.add_argument("--engine-a", default=None,
                           help="fleet engine for run A (sharded|mega)")
     scenario.add_argument("--engine-b", default=None,
