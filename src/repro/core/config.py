@@ -1,6 +1,6 @@
 """Configuration constants of the Heracles controller.
 
-Every number here comes from §4.3 of the paper ("The constants used here
+Most numbers here come from §4.3 of the paper ("The constants used here
 were determined through empirical tuning"):
 
 * top-level poll period 15 s (enough queries for a meaningful tail);
@@ -13,6 +13,10 @@ were determined through empirical tuning"):
 * power action threshold at 90% of TDP;
 * subcontroller periods: cores & memory 2 s, power 2 s, network 1 s;
 * network headroom max(5% of link, 10% of LC bandwidth).
+
+This repo adds ``growth_guard`` (its reading of §5.2's guard band) and
+``be_benefit_epsilon`` (the gain that counts as BeBenefit()).  Its other
+Algorithm-2 numbers are named constants of :mod:`repro.core.core_memory`.
 """
 
 from __future__ import annotations

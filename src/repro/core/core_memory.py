@@ -25,12 +25,67 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from ..hardware.counters import CounterBank
 from ..sim.monitors import LatencyMonitor
 from ..sim.actuators import Actuators
 from .config import HeraclesConfig
 from .dram_model import LcDramBandwidthModel
 from .state import ControlState, GrowthPhase
+
+# This repo's Algorithm-2 constants (the paper's are HeraclesConfig's),
+# and the formulas over scalars or member arrays that both this module's
+# controller and the vector one in repro.sim.batch evaluate.
+
+#: LC core floor = ceil(load x cores x margin) + spare.  Near the
+#: minimum viable core count LC tail latency is flat up to a one-step
+#: queueing cliff no slack gradient can predict, so the LC workload
+#: keeps 8% more cores than its load needs, plus one.
+LC_FLOOR_MARGIN = 1.08
+LC_FLOOR_SPARE_CORES = 1
+#: Per-step decay of the slack cost last observed for a core or cache
+#: grant: a drop seen during an unrelated transient (load spike, noise
+#: burst) must not freeze growth permanently.
+SLACK_DROP_DECAY = 0.8
+#: Latency-vs-cores is convex (Fig. 3) and steepens super-linearly near
+#: saturation, so the next grant is assumed to cost up to this many
+#: times the slack the last one did.
+PRE_VIOLATION_FACTOR = 3.0
+#: Floor on BE traffic per core (GB/s), so a near-idle BE task still
+#: predicts some bandwidth for one more core.
+BE_BW_PER_CORE_FLOOR_GBPS = 0.1
+
+
+def be_core_budget(load, total_cores):
+    """Maximum BE cores left above the load-proportional LC floor."""
+    lc_floor = (np.ceil(load * total_cores * LC_FLOOR_MARGIN)
+                + LC_FLOOR_SPARE_CORES)
+    return np.maximum(0, total_cores - lc_floor)
+
+
+def be_bw_per_core_gbps(be_dram_gbps, be_cores):
+    """BeBwPerCore(): BE traffic over its cores; 1.0 (a conservative
+    non-zero divisor) while BE holds no core."""
+    per_core = np.maximum(BE_BW_PER_CORE_FLOOR_GBPS,
+                          be_dram_gbps / np.maximum(be_cores, 1))
+    return np.where(be_cores > 0, per_core, 1.0)
+
+
+def overage_cores(bw_gbps, limit_gbps, per_core_gbps):
+    """BE cores to remove so traffic drops back under the DRAM limit."""
+    return np.maximum(1, np.ceil((bw_gbps - limit_gbps) / per_core_gbps))
+
+
+def growth_threshold(config: HeraclesConfig) -> float:
+    """Slack a BE grant needs: the no-growth band plus the guard band."""
+    return config.slack_no_growth + config.growth_guard
+
+
+def pre_violation(slack, slack_drop, config: HeraclesConfig):
+    """Whether one more grant is predicted to land in the red band."""
+    return (slack - PRE_VIOLATION_FACTOR * slack_drop
+            <= config.slack_cut_cores)
 
 
 @dataclass
@@ -124,33 +179,20 @@ class CoreMemoryController:
         return total / max(1, self.actuators.spec.sockets)
 
     def be_bw_per_core_gbps(self) -> float:
-        """BeBwPerCore(): average BE traffic per core.
-
-        Computed from the machine-wide per-task counter over all BE
-        cores (adding one core to a socket adds one core's worth of
-        traffic to that socket's controllers)."""
-        cores = self.actuators.be_cores
-        if cores <= 0:
-            return 1.0  # conservative non-zero divisor
-        return max(0.1, self.counters.dram_bw_of(self.be_task) / cores)
+        """BeBwPerCore() from the machine-wide per-task counter (adding
+        one core to a socket adds one core's worth of traffic there)."""
+        return float(be_bw_per_core_gbps(
+            self.counters.dram_bw_of(self.be_task), self.actuators.be_cores))
 
     def predicted_total_bw_gbps(self) -> float:
         """PredictedTotalBW() = LcBwModel() + BeBw() + bw_derivative."""
         return self.lc_bw_model_gbps() + self.be_bw_gbps() + self._bw_derivative
 
     def be_core_budget(self) -> int:
-        """Maximum BE cores permitted by the load-proportional LC floor.
-
-        Near the minimum viable core count, LC tail latency is flat
-        right up to a one-step queueing cliff that no local slack
-        gradient can predict, so the controller never shrinks the LC
-        workload below the cores its current load needs plus a margin.
-        The load signal is the same one Algorithm 1 polls.
-        """
-        import math
-        total = self.actuators.spec.total_cores
-        lc_floor = min(total, math.ceil(self.state.load * total * 1.08) + 1)
-        return max(0, total - lc_floor)
+        """Maximum BE cores permitted by the load-proportional LC floor
+        (see ``LC_FLOOR_MARGIN``), at the load Algorithm 1 polled."""
+        return int(be_core_budget(self.state.load,
+                                  self.actuators.spec.total_cores))
 
     def current_slack(self) -> float:
         """Freshest latency slack available to the 2-second loop.
@@ -176,41 +218,54 @@ class CoreMemoryController:
     def step(self, now_s: float) -> None:
         if not self.due(now_s):
             return
+        total_bw = self._start_step(now_s)
+        if self._shed_dram_overage(total_bw) or self._shed_core_budget():
+            return
+        self._settle_llc_check()
+        self._grow(now_s)
+
+    def _start_step(self, now_s: float) -> float:
         self._last_step_s = now_s
         self._now_s = now_s
+        return self.measure_dram_bw()
 
-        total_bw = self.measure_dram_bw()
+    def _shed_dram_overage(self, total_bw: float) -> bool:
+        """Hard constraint: never saturate DRAM."""
+        if not (total_bw > self.dram_limit_gbps
+                and self.actuators.be_cores > 0):
+            return False
+        self._on_dram_overage(total_bw)
+        self._pending = None
+        return True
 
-        # Hard constraint: never saturate DRAM.
-        if total_bw > self.dram_limit_gbps and self.actuators.be_cores > 0:
-            overage = total_bw - self.dram_limit_gbps
-            import math
-            to_remove = max(1, math.ceil(overage / self.be_bw_per_core_gbps()))
-            self.actuators.remove_be_cores(to_remove)
-            self._pending = None
-            return
+    def _on_dram_overage(self, total_bw: float) -> None:
+        """Hook: traffic is over the limit; the 2015 response removes
+        enough BE cores to drop back under it."""
+        self.actuators.remove_be_cores(int(overage_cores(
+            total_bw, self.dram_limit_gbps, self.be_bw_per_core_gbps())))
 
-        # Hard constraint: rising load reclaims LC cores immediately,
-        # without waiting for latency slack to collapse first.
+    def _shed_core_budget(self) -> bool:
+        """Hard constraint: rising load reclaims LC cores immediately,
+        without waiting for latency slack to collapse first."""
         over_budget = self.actuators.be_cores - self.be_core_budget()
-        if over_budget > 0:
-            self.actuators.remove_be_cores(over_budget)
-            self._pending = None
-            return
+        if over_budget <= 0:
+            return False
+        self.actuators.remove_be_cores(over_budget)
+        self._pending = None
+        return True
 
-        # Complete a pending grow-LLC check before anything else.
+    def _settle_llc_check(self) -> None:
+        """Complete a pending grow-LLC check, or else decay the stale
+        slack-cost estimates so the descent re-probes."""
         if self._pending is not None:
             self._finish_llc_check()
         else:
-            # Decay stale slack-cost estimates so the descent re-probes:
-            # a drop observed during an unrelated transient (load spike,
-            # noise burst) must not freeze growth permanently.
-            self._last_slack_drop *= 0.8
-            self._llc_slack_drop *= 0.8
+            self._last_slack_drop *= SLACK_DROP_DECAY
+            self._llc_slack_drop *= SLACK_DROP_DECAY
 
+    def _grow(self, now_s: float) -> None:
         if not self.state.can_grow_be(now_s, self.actuators.be_enabled):
             return
-
         if self.state.phase is GrowthPhase.GROW_LLC:
             self._grow_llc_step()
         else:
@@ -218,11 +273,11 @@ class CoreMemoryController:
 
     def _grow_llc_step(self) -> None:
         slack = min(self.state.slack, self.current_slack())
-        if slack < self.config.slack_no_growth + self.config.growth_guard:
+        if slack < growth_threshold(self.config):
             return
         # Pre-violation estimate, as for cores: don't try a cache size
         # predicted to squeeze the LC workload into the red band.
-        if slack - 3.0 * self._llc_slack_drop <= self.config.slack_cut_cores:
+        if pre_violation(slack, self._llc_slack_drop, self.config):
             self.state.phase = GrowthPhase.GROW_CORES
             return
         if self.predicted_total_bw_gbps() > self.dram_limit_gbps:
@@ -286,7 +341,7 @@ class CoreMemoryController:
             self._last_slack_drop = max(
                 0.0, self._slack_before_grant - self.current_slack())
             self._slack_before_grant = None
-        if slack <= self.config.slack_no_growth + self.config.growth_guard:
+        if slack <= growth_threshold(self.config):
             return
         if self.be_core_budget() - self.actuators.be_cores <= 0:
             # Cores exhausted by the LC floor: hand the round to the
@@ -294,12 +349,9 @@ class CoreMemoryController:
             # and increasing the cache", §4.3).
             self.state.phase = GrowthPhase.GROW_LLC
             return
-        # Pre-violation estimate: latency-vs-cores is convex (Fig. 3) and
-        # steepens super-linearly near saturation, so the next removal
-        # can cost several times what the last one did.  Do not try an
-        # allocation predicted to land inside the red band.
-        predicted = slack - 3.0 * self._last_slack_drop
-        if predicted <= self.config.slack_cut_cores:
+        # Pre-violation estimate (see PRE_VIOLATION_FACTOR): do not try
+        # an allocation predicted to land inside the red band.
+        if pre_violation(slack, self._last_slack_drop, self.config):
             return
         if self.actuators.add_be_core():
             self._slack_before_grant = self.current_slack()

@@ -22,46 +22,28 @@ changes instead of anticipating them.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..hardware.counters import CounterBank
-from ..sim.actuators import Actuators
 from ..sim.engine import ColocationSim
-from ..sim.monitors import LatencyMonitor
 from .config import HeraclesConfig
 from .core_memory import CoreMemoryController
-from .state import ControlState
+
+#: The counted LC bandwidth is scaled up by this margin.  A measurement
+#: says what the LC workload used last interval, not what it will use
+#: after the next actuation, so the controller leaves a little room.
+MEASUREMENT_MARGIN = 1.10
 
 
 class HardwareCountedCoreMemoryController(CoreMemoryController):
-    """Algorithm 2 with LcBwModel() replaced by a live counter read."""
-
-    def __init__(self, config: HeraclesConfig, state: ControlState,
-                 actuators: Actuators, counters: CounterBank,
-                 lc_task: str, be_task: str,
-                 be_throughput_fn: Callable[[], float],
-                 monitor: Optional[LatencyMonitor] = None,
-                 slo_target_ms: Optional[float] = None,
-                 measurement_margin: float = 1.10):
-        if measurement_margin < 1.0:
-            raise ValueError("measurement margin must be >= 1.0")
-        super().__init__(config, state, actuators, counters,
-                         dram_model=None,  # type: ignore[arg-type]
-                         lc_task=lc_task, be_task=be_task,
-                         be_throughput_fn=be_throughput_fn,
-                         monitor=monitor, slo_target_ms=slo_target_ms)
-        self.measurement_margin = measurement_margin
+    """Algorithm 2 with LcBwModel() replaced by a live counter read
+    (its ``dram_model`` is never read)."""
 
     def lc_bw_model_gbps(self) -> float:
-        """LcBw per socket, *measured* rather than modelled.
-
-        The margin covers the forecast gap: a measurement says what the
-        LC workload used last interval, not what it will use after the
-        next actuation, so the controller leaves a little room.
-        """
+        """LcBw per socket, *measured* (plus ``MEASUREMENT_MARGIN``)
+        rather than modelled."""
         measured = self.counters.dram_bw_of(self.lc_task)
         sockets = self.actuators.spec.sockets
-        return measured * self.measurement_margin / max(1, sockets)
+        return measured * MEASUREMENT_MARGIN / max(1, sockets)
 
 
 def attach_hardware_counted_heracles(sim: ColocationSim,
@@ -73,25 +55,28 @@ def attach_hardware_counted_heracles(sim: ColocationSim,
     HeraclesController` with its ``core_memory`` member swapped for the
     hardware-counted variant.
     """
+    return _attach_counted(sim, config, HardwareCountedCoreMemoryController)
+
+
+def _attach_counted(sim: ColocationSim, config: Optional[HeraclesConfig],
+                    core_memory_cls):
+    """A Heracles on ``sim`` whose core & memory subcontroller is a
+    ``core_memory_cls`` (a counter-reading variant)."""
     from .controller import HeraclesController
     from .dram_model import LcDramBandwidthModel
     import numpy as np
 
-    if sim.be is None:
-        raise ValueError("Heracles manages a colocation; the sim has no "
-                         "BE task")
-    config = config or HeraclesConfig()
-    # A trivial placeholder model satisfies the constructor; the
-    # subcontroller that would use it is replaced below.
+    # A trivial placeholder model stands in for the offline profile:
+    # the counted variants never read it.
     placeholder = LcDramBandwidthModel(
         loads=np.array([0.0, 1.0]), ways=np.array([1.0, 2.0]),
         bandwidth_gbps=np.zeros((2, 2)))
     controller = HeraclesController.for_sim(sim, config=config,
                                             dram_model=placeholder)
-    controller.core_memory = HardwareCountedCoreMemoryController(
-        config, controller.state, sim.actuators, sim.counters,
-        lc_task=sim.lc.name, be_task=sim.be.name,
-        be_throughput_fn=controller.core_memory.be_throughput_fn,
-        monitor=sim.latency_monitor,
-        slo_target_ms=sim.lc.profile.slo_latency_ms)
+    base = controller.core_memory
+    controller.core_memory = core_memory_cls(
+        base.config, base.state, base.actuators, base.counters, placeholder,
+        lc_task=base.lc_task, be_task=base.be_task,
+        be_throughput_fn=base.be_throughput_fn, monitor=base.monitor,
+        slo_target_ms=base.slo_target_ms)
     return controller

@@ -25,17 +25,18 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..sim.actuators import MBA_THROTTLE_FLOOR
 from ..sim.engine import ColocationSim
 from .config import HeraclesConfig
-from .core_memory import CoreMemoryController
+from .hw_dram import HardwareCountedCoreMemoryController, _attach_counted
 
-#: Lowest throttle MBA can apply (Intel MBA bottoms out around 10-20%).
-MIN_THROTTLE = 0.10
-#: Multiplicative step per 2-second control action.
-THROTTLE_STEP = 0.85
+#: The throttle relaxes only while one more BE core's traffic still fits
+#: under this fraction of DRAM_LIMIT, so a relax cannot itself trigger
+#: the next overage.
+MBA_RELAX_FRACTION = 0.9
 
 
-class MbaCoreMemoryController(CoreMemoryController):
+class MbaCoreMemoryController(HardwareCountedCoreMemoryController):
     """Algorithm 2 with bandwidth throttling in both directions.
 
     * **Saturation response**: tighten the BE throttle (cheap,
@@ -46,10 +47,13 @@ class MbaCoreMemoryController(CoreMemoryController):
       tighten the throttle and grant the core anyway — for BE tasks with
       any compute component, more cores at lower per-core bandwidth is
       strictly more progress at the same channel load.
+
+    The LC bandwidth comes from the per-task counters (MBM), as in
+    :class:`~repro.core.hw_dram.HardwareCountedCoreMemoryController`.
     """
 
     def _on_core_growth_dram_blocked(self) -> None:
-        if self.actuators.be_dram_throttle > MIN_THROTTLE:
+        if self.actuators.be_dram_throttle > MBA_THROTTLE_FLOOR:
             # Tighten-for-core is an atomic trade: if the slack/budget
             # gates refuse the core anyway, restore the throttle —
             # otherwise a compute-bound BE task pays bandwidth for
@@ -67,56 +71,35 @@ class MbaCoreMemoryController(CoreMemoryController):
         else:
             super()._on_core_growth_dram_blocked()
 
+    def _on_dram_overage(self, total_bw: float) -> None:
+        """Tighten the throttle; once it is exhausted, the 2015 core
+        removal."""
+        if self.actuators.be_dram_throttle > MBA_THROTTLE_FLOOR:
+            self.actuators.lower_be_dram_throttle()
+        else:
+            super()._on_dram_overage(total_bw)
+
     def step(self, now_s: float) -> None:
         if not self.due(now_s):
             return
         # Relax the throttle before anything else when there is clear
         # headroom; the control loop then handles growth normally.
         bw = self.counters.worst_socket_dram_bw_gbps()
-        throttle = self.actuators.be_dram_throttle
-        if (throttle < 1.0
-                and bw + self.be_bw_per_core_gbps() < 0.9 * self.dram_limit_gbps):
+        if (self.actuators.be_dram_throttle < 1.0
+                and bw + self.be_bw_per_core_gbps()
+                < MBA_RELAX_FRACTION * self.dram_limit_gbps):
             self.actuators.raise_be_dram_throttle()
-        self._mba_step(now_s)
-
-    def _mba_step(self, now_s: float) -> None:
-        """Parent control loop with the overage branch replaced."""
-        self._last_step_s = now_s
-        self._now_s = now_s
-        total_bw = self.measure_dram_bw()
-
-        if total_bw > self.dram_limit_gbps and self.actuators.be_cores > 0:
-            if self.actuators.be_dram_throttle > MIN_THROTTLE:
-                self.actuators.lower_be_dram_throttle()
-            else:
-                # Throttle exhausted: the 2015 fallback.
-                import math
-                overage = total_bw - self.dram_limit_gbps
-                to_remove = max(1, math.ceil(
-                    overage / self.be_bw_per_core_gbps()))
-                self.actuators.remove_be_cores(to_remove)
-            self._pending = None
+        total_bw = self._start_step(now_s)
+        if self._shed_dram_overage(total_bw):
             return
-
-        if self._pending is not None:
-            self._finish_llc_check()
-        else:
-            self._last_slack_drop *= 0.8
-            self._llc_slack_drop *= 0.8
-
-        over_budget = self.actuators.be_cores - self.be_core_budget()
-        if over_budget > 0:
-            self.actuators.remove_be_cores(over_budget)
-            self._pending = None
+        # Unlike the parent, MBA settles a pending cache grant *before*
+        # the core-budget check.  The order is load-bearing: on a
+        # diurnal trace the parent's order changes every run's history
+        # (at constant load the two orders agree).
+        self._settle_llc_check()
+        if self._shed_core_budget():
             return
-
-        if not self.state.can_grow_be(now_s, self.actuators.be_enabled):
-            return
-        from .state import GrowthPhase
-        if self.state.phase is GrowthPhase.GROW_LLC:
-            self._grow_llc_step()
-        else:
-            self._grow_cores_step()
+        self._grow(now_s)
 
 
 def attach_mba_heracles(sim: ColocationSim,
@@ -127,16 +110,4 @@ def attach_mba_heracles(sim: ColocationSim,
     with the bandwidth throttle (MBA) — the full RDT feature set the
     paper anticipates.
     """
-    from .hw_dram import attach_hardware_counted_heracles
-    controller = attach_hardware_counted_heracles(sim, config=config)
-    base = controller.core_memory
-    controller.core_memory = MbaCoreMemoryController(
-        base.config, controller.state, sim.actuators, sim.counters,
-        dram_model=None,  # type: ignore[arg-type]
-        lc_task=sim.lc.name, be_task=sim.be.name,
-        be_throughput_fn=base.be_throughput_fn,
-        monitor=sim.latency_monitor,
-        slo_target_ms=sim.lc.profile.slo_latency_ms)
-    # Reuse the counter-based LC bandwidth estimate.
-    controller.core_memory.lc_bw_model_gbps = base.lc_bw_model_gbps
-    return controller
+    return _attach_counted(sim, config, MbaCoreMemoryController)

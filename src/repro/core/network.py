@@ -18,9 +18,19 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..hardware.counters import CounterBank
 from ..sim.actuators import Actuators
 from .config import HeraclesConfig
+
+
+def be_net_budget_gbps(link_gbps, lc_bw_gbps, config: HeraclesConfig):
+    """The Algorithm 4 BE transmit budget, for scalars or member arrays
+    (may be negative; HTB clamps to 0)."""
+    headroom = np.maximum(config.net_link_headroom * link_gbps,
+                          config.net_lc_headroom * lc_bw_gbps)
+    return (link_gbps - lc_bw_gbps) - headroom
 
 
 class NetworkController:
@@ -41,10 +51,8 @@ class NetworkController:
 
     def be_budget_gbps(self, lc_bw_gbps: float) -> float:
         """The Algorithm 4 formula (may be negative; HTB clamps to 0)."""
-        link = self.counters.link_rate_gbps()
-        headroom = max(self.config.net_link_headroom * link,
-                       self.config.net_lc_headroom * lc_bw_gbps)
-        return link - lc_bw_gbps - headroom
+        return float(be_net_budget_gbps(self.counters.link_rate_gbps(),
+                                        lc_bw_gbps, self.config))
 
     def step(self, now_s: float) -> None:
         if not self.due(now_s):

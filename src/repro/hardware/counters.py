@@ -10,7 +10,7 @@ accidentally peek at simulation internals the real system could not see.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from .server import Server
 
@@ -97,7 +97,3 @@ class CounterBank:
 
     def cpu_utilization(self) -> float:
         return self._server.telemetry.cpu_utilization
-
-    def per_task_dram_gbps(self) -> Dict[str, float]:
-        return {name: usage.dram_achieved_gbps
-                for name, usage in self._server.usages().items()}

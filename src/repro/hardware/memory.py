@@ -17,7 +17,7 @@ empirical inflection the paper builds its whole design on (§4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass
@@ -78,7 +78,6 @@ class MemoryController:
         self.capacity_gbps = capacity_gbps
         self.delay_knee = delay_knee
         self.delay_gain = delay_gain
-        self._last: MemoryResolution = MemoryResolution(0.0, 0.0, 0.0, [])
 
     def resolve(self, demands: List[MemoryDemand]) -> MemoryResolution:
         """Share the channels among ``demands`` and compute delay.
@@ -106,13 +105,12 @@ class MemoryController:
                         access_delay_factor=delay)
             for d in demands
         ]
-        self._last = MemoryResolution(
+        return MemoryResolution(
             total_demand_gbps=total_demand,
             total_achieved_gbps=achieved_total,
             utilization=utilization,
             grants=grants,
         )
-        return self._last
 
     def delay_factor(self, utilization: float, demand_gbps: float) -> float:
         """Memory access delay multiplier at a given channel utilization.
@@ -137,15 +135,3 @@ class MemoryController:
         factor = 1.05 + queueing
         oversub = max(0.0, demand_gbps / self.capacity_gbps - 1.0)
         return factor + 6.0 * oversub
-
-    def measured_bw_gbps(self) -> float:
-        """Counter read: total achieved bandwidth last interval."""
-        return self._last.total_achieved_gbps
-
-    def measured_utilization(self) -> float:
-        return self._last.utilization
-
-    def per_task_bw_gbps(self) -> Dict[str, float]:
-        """Approximate per-task traffic, as Heracles estimates from
-        NUMA-local per-core counters (§4.3)."""
-        return {g.task: g.achieved_gbps for g in self._last.grants}

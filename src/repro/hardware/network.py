@@ -17,7 +17,7 @@ is computed by the perf layer from the achieved/demanded ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 @dataclass
@@ -91,7 +91,6 @@ class EgressLink:
         if link_gbps <= 0:
             raise ValueError("link rate must be positive")
         self.link_gbps = link_gbps
-        self._last = LinkResolution(link_gbps, 0.0, 0.0, [])
 
     def resolve(self, demands: List[FlowDemand]) -> LinkResolution:
         """Weighted max-min fair allocation with per-task ceilings.
@@ -136,17 +135,9 @@ class EgressLink:
                             achieved_gbps=alloc[d.task],
                             demand_gbps=d.demand_gbps)
                   for d in demands]
-        self._last = LinkResolution(
+        return LinkResolution(
             link_gbps=self.link_gbps,
             total_demand_gbps=sum(d.demand_gbps for d in demands),
             total_achieved_gbps=sum(alloc.values()),
             grants=grants,
         )
-        return self._last
-
-    def measured_tx_gbps(self) -> float:
-        """Counter read: total transmit bandwidth last interval."""
-        return self._last.total_achieved_gbps
-
-    def per_task_tx_gbps(self) -> Dict[str, float]:
-        return {g.task: g.achieved_gbps for g in self._last.grants}

@@ -32,6 +32,11 @@ MIN_LC_CORES = 1
 #: BE share of the LLC on (re)admission: "one core and 10% of the LLC"
 #: (§4.3).
 INITIAL_BE_LLC_FRACTION = 0.10
+#: MBA throttle ladder: each step scales the BE DRAM request rate by
+#: ``MBA_THROTTLE_STEP`` (or undoes one such step), never below
+#: ``MBA_THROTTLE_FLOOR`` (Intel MBA bottoms out around 10-20%).
+MBA_THROTTLE_STEP = 0.85
+MBA_THROTTLE_FLOOR = 0.10
 
 
 class Actuators:
@@ -169,19 +174,17 @@ class Actuators:
     def be_dram_throttle(self) -> float:
         return self._be_dram_throttle
 
-    def lower_be_dram_throttle(self, factor: float = 0.85,
-                               floor: float = 0.10) -> float:
-        """Tighten the BE DRAM request-rate throttle multiplicatively."""
-        if not 0.0 < factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
-        self._be_dram_throttle = max(floor, self._be_dram_throttle * factor)
+    def lower_be_dram_throttle(self) -> float:
+        """Tighten the BE DRAM request-rate throttle one step, down to
+        ``MBA_THROTTLE_FLOOR``."""
+        self._be_dram_throttle = max(
+            MBA_THROTTLE_FLOOR, self._be_dram_throttle * MBA_THROTTLE_STEP)
         return self._be_dram_throttle
 
-    def raise_be_dram_throttle(self, factor: float = 0.85) -> float:
-        """Relax the throttle; saturates at 1.0 (unthrottled)."""
-        if not 0.0 < factor < 1.0:
-            raise ValueError("factor must be in (0, 1)")
-        self._be_dram_throttle = min(1.0, self._be_dram_throttle / factor)
+    def raise_be_dram_throttle(self) -> float:
+        """Relax the throttle one step; saturates at 1.0 (unthrottled)."""
+        self._be_dram_throttle = min(
+            1.0, self._be_dram_throttle / MBA_THROTTLE_STEP)
         return self._be_dram_throttle
 
     def set_be_dram_throttle(self, value: float) -> float:

@@ -71,6 +71,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..core import core_memory as alg2
+from ..core.network import be_net_budget_gbps
 from ..hardware.spec import MachineSpec
 from ..metrics.columns import BatchColumnStore
 from ..metrics.history import BatchMemberSeries
@@ -1680,23 +1682,17 @@ class _VecHeracles:
 
         cores = sim.be_cores_now()
         be_dram = np.where(tick["be_running"], tick["be_dram_ach"], 0.0)
-        safe_cores = np.where(cores > 0, cores, 1)
-        per_core = np.where(cores <= 0, 1.0,
-                            np.maximum(0.1, be_dram / safe_cores))
+        per_core = alg2.be_bw_per_core_gbps(be_dram, cores)
 
         # Hard constraint 1: never saturate DRAM.
         m1 = self._gate((bw > self.dram_limit) & (cores > 0))
         if m1.any():
-            to_remove = np.maximum(
-                1.0, np.ceil((bw - self.dram_limit) / per_core))
-            sim._v_remove_cores(m1, to_remove)
+            sim._v_remove_cores(m1, alg2.overage_cores(
+                bw, self.dram_limit, per_core))
             self._pending &= ~m1
 
         # Hard constraint 2: rising load reclaims LC cores immediately.
-        lc_floor = np.minimum(
-            self.total_cores,
-            np.ceil((self.load * self.total_cores) * 1.08) + 1)
-        budget = np.maximum(0.0, self.total_cores - lc_floor)
+        budget = alg2.be_core_budget(self.load, self.total_cores)
         alive = ~m1
         over = cores - budget
         m2 = self._gate(alive & (over > 0))
@@ -1726,8 +1722,8 @@ class _VecHeracles:
                                     * np.maximum(1e-9, self._p_thr_before))
             self.phase_llc[no_benefit] = False
         decay = alive & ~was_pending
-        self._last_slack_drop[decay] *= 0.8
-        self._llc_slack_drop[decay] *= 0.8
+        self._last_slack_drop[decay] *= alg2.SLACK_DROP_DECAY
+        self._llc_slack_drop[decay] *= alg2.SLACK_DROP_DECAY
 
         # CanGrowBE(): enabled, growth allowed, no cooldown.
         grow = self._gate(alive & sim._act_enabled & self.growth
@@ -1743,9 +1739,8 @@ class _VecHeracles:
         gl = grow & self.phase_llc
         if gl.any():
             slack = np.minimum(self.slack, cs)
-            g1 = gl & ~(slack < cfg.slack_no_growth + cfg.growth_guard)
-            pre = g1 & (slack - 3.0 * self._llc_slack_drop
-                        <= cfg.slack_cut_cores)
+            g1 = gl & ~(slack < alg2.growth_threshold(cfg))
+            pre = g1 & alg2.pre_violation(slack, self._llc_slack_drop, cfg)
             self.phase_llc[pre] = False
             g2 = g1 & ~pre
             predicted = (lc_model + be_bw) + self._bw_deriv
@@ -1779,12 +1774,12 @@ class _VecHeracles:
                     upd, np.maximum(0.0, self._sbg - cs),
                     self._last_slack_drop)
                 self._sbg_active = self._sbg_active & ~t
-                t1 = t & ~(slack <= cfg.slack_no_growth + cfg.growth_guard)
+                t1 = t & ~(slack <= alg2.growth_threshold(cfg))
                 exhausted = t1 & (budget - cores <= 0)
                 self.phase_llc[exhausted] = True
                 t2 = t1 & ~exhausted
-                t3 = t2 & ~(slack - 3.0 * self._last_slack_drop
-                            <= cfg.slack_cut_cores)
+                t3 = t2 & ~alg2.pre_violation(slack, self._last_slack_drop,
+                                              cfg)
                 granted = t3 & (sim._act_cores < sim._max_be_cores)
                 if granted.any():
                     sim._act_cores[granted] += 1
@@ -1826,10 +1821,7 @@ class _VecHeracles:
         self._last_net_s = now_s
         sim = self.sim
         link = self.link_gbps
-        lc_bw = sim._tick["lc_net_ach"]
-        headroom = np.maximum(cfg.net_link_headroom * link,
-                              cfg.net_lc_headroom * lc_bw)
-        budget = (link - lc_bw) - headroom
+        budget = be_net_budget_gbps(link, sim._tick["lc_net_ach"], cfg)
         # set_be_net_ceil(max(0, budget)), then the HTB clamp to the
         # link rate — max(0, max(0, x)) collapses.
         ceil = np.minimum(np.maximum(0.0, budget), link)

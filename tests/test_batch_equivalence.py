@@ -254,6 +254,42 @@ class TestChaosEquivalence:
                 [ChaosEvent(10.0, "leaf_crash", members=(1,))])
 
 
+class TestControlConstantsNamedOnce:
+    """Each Algorithm-2 constant of ``repro.core.core_memory`` is read,
+    at call time, by the scalar ``HeraclesController`` and the vector
+    controller alike: perturbing the one name moves both engines the
+    same way.  A batch-side copy of a constant fails this test."""
+
+    DURATION = 600.0
+    #: name -> perturbed value (each one moves this run).
+    PERTURBED = {
+        "LC_FLOOR_MARGIN": 1.3,
+        "LC_FLOOR_SPARE_CORES": 4,
+        "SLACK_DROP_DECAY": 1.0,
+        "PRE_VIOLATION_FACTOR": 6.0,
+        "BE_BW_PER_CORE_FLOOR_GBPS": 8.0,
+    }
+
+    def run(self, engine):
+        return engine("websearch", "brain", make_trace(3), 3, heracles,
+                      self.DURATION)
+
+    @pytest.fixture(scope="class")
+    def unpatched(self):
+        return self.run(scalar_run)
+
+    @pytest.mark.parametrize("name", sorted(PERTURBED))
+    def test_one_name_moves_both_engines(self, monkeypatch, unpatched,
+                                         name):
+        from repro.core import core_memory
+        monkeypatch.setattr(core_memory, name, self.PERTURBED[name])
+        scalar = self.run(scalar_run)
+        assert_histories_match(scalar, self.run(batch_run))
+        assert any(
+            not np.array_equal(scalar.column(f), unpatched.column(f))
+            for f in FLOAT_FIELDS + EXACT_FIELDS), f"{name} moved no run"
+
+
 class TestSocketCounts:
     """Machines with 1 and 3 sockets: the batch's generic socket folds
     and cache merge (every other test runs the 2-socket default), with

@@ -30,16 +30,6 @@ class TestHardwareDramAccounting:
         raw = sim.counters.dram_bw_of("websearch") / 2
         assert cm.lc_bw_model_gbps() == pytest.approx(raw * 1.10)
 
-    def test_margin_validation(self):
-        sim = repro.build_colocation("websearch", "brain", load=0.4)
-        from repro.core.config import HeraclesConfig
-        from repro.core.state import ControlState
-        with pytest.raises(ValueError):
-            HardwareCountedCoreMemoryController(
-                HeraclesConfig(), ControlState(), sim.actuators,
-                sim.counters, lc_task="websearch", be_task="brain",
-                be_throughput_fn=lambda: 0.0, measurement_margin=0.5)
-
     def test_requires_be(self):
         from repro.sim.engine import ColocationSim
         from repro.workloads.latency_critical import make_lc_workload

@@ -54,6 +54,44 @@ class TestColocationGoldens:
             58.8380539772727, rel=RTOL)
 
 
+class TestCountedDramGoldens:
+    """The two per-core-counter variants of Algorithm 2 — MBA throttling
+    and hardware-counted LC bandwidth — with websearch on the wiggly
+    diurnal trace (0.15-0.90, 600 s period; ``make_trace`` of
+    ``test_batch_equivalence``), seed 3, 1800 s.  A constant load leaves
+    the MBA step's order unexercised; the diurnal sweep moves it."""
+
+    GOLDENS = {
+        ("mba", "stream-DRAM"): (0.7884833128706599, 0.9523649339400059,
+                                 14.102222222222222, 82.5149541146274),
+        ("mba", "streetview"): (0.8395264807877728, 0.8497137920458561,
+                                12.206666666666667, 70.92773849078145),
+        ("counted", "stream-DRAM"): (0.7043996071389159,
+                                     0.8716436891120338,
+                                     5.7155555555555555, 82.33593795281182),
+        ("counted", "streetview"): (0.7835221004211728, 0.8479798534011568,
+                                    9.091666666666667, 82.6681127559662),
+    }
+
+    @pytest.mark.parametrize("variant, be", sorted(GOLDENS))
+    def test_goldens(self, variant, be):
+        from repro.core.hw_dram import attach_hardware_counted_heracles
+        from repro.core.mba import attach_mba_heracles
+        attach = {"mba": attach_mba_heracles,
+                  "counted": attach_hardware_counted_heracles}[variant]
+        trace = DiurnalTrace(low=0.15, high=0.90, period_s=600.0,
+                             noise_sigma=0.03, seed=3)
+        sim = build_colocation("websearch", be, trace=trace, seed=3)
+        attach(sim)
+        history = sim.run(1800)
+        slo, emu, cores, dram = self.GOLDENS[variant, be]
+        assert history.worst_window_slo() == pytest.approx(slo, rel=RTOL)
+        assert history.mean_emu() == pytest.approx(emu, rel=RTOL)
+        assert history.mean("be_cores") == pytest.approx(cores, rel=RTOL)
+        assert history.mean("dram_bw_gbps") == pytest.approx(dram,
+                                                             rel=RTOL)
+
+
 class TestClusterGoldens:
     """4-leaf websearch cluster, 20-minute diurnal trace, seed 3: the
     managed arm of a ``cluster`` scenario (the fleet engine)."""

@@ -26,7 +26,7 @@ def resolve_two_tasks(server):
                         activity=0.9,
                         uncached_dram_gbps_by_socket={0: 8.0, 1: 4.0},
                         net_demand_gbps=1.0)
-    server.resolve([lc, be])
+    return server.resolve([lc, be])
 
 
 class TestDramCounters:
@@ -90,6 +90,7 @@ class TestCpuCounters:
         assert counters.cpu_utilization() == pytest.approx(26 / 36)
 
     def test_per_task_dram_map(self, server, counters):
-        resolve_two_tasks(server)
-        per_task = counters.per_task_dram_gbps()
-        assert set(per_task) == {"lc", "be"}
+        usages = resolve_two_tasks(server)
+        assert set(usages) == {"lc", "be"}
+        for name, usage in usages.items():
+            assert counters.dram_bw_of(name) == usage.dram_achieved_gbps

@@ -81,14 +81,14 @@ class TestDelayCurve:
 
 class TestCounters:
     def test_measured_bw(self, controller):
-        controller.resolve([MemoryDemand("a", 25.0)])
-        assert controller.measured_bw_gbps() == pytest.approx(25.0)
-        assert controller.measured_utilization() == pytest.approx(25.0 / 60.0)
+        res = controller.resolve([MemoryDemand("a", 25.0)])
+        assert res.total_achieved_gbps == pytest.approx(25.0)
+        assert res.utilization == pytest.approx(25.0 / 60.0)
 
     def test_per_task_bw(self, controller):
-        controller.resolve([MemoryDemand("a", 25.0),
-                            MemoryDemand("b", 5.0)])
-        per_task = controller.per_task_bw_gbps()
+        res = controller.resolve([MemoryDemand("a", 25.0),
+                                  MemoryDemand("b", 5.0)])
+        per_task = {g.task: g.achieved_gbps for g in res.grants}
         assert per_task == {"a": pytest.approx(25.0), "b": pytest.approx(5.0)}
 
 

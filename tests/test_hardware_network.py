@@ -79,6 +79,6 @@ class TestValidation:
             link.resolve([FlowDemand("a", 1.0, flows=0)])
 
     def test_counters(self, link):
-        link.resolve([FlowDemand("a", 4.0), FlowDemand("b", 2.0)])
-        assert link.measured_tx_gbps() == pytest.approx(6.0)
-        assert link.per_task_tx_gbps()["a"] == pytest.approx(4.0)
+        res = link.resolve([FlowDemand("a", 4.0), FlowDemand("b", 2.0)])
+        assert res.total_achieved_gbps == pytest.approx(6.0)
+        assert res.grant_for("a").achieved_gbps == pytest.approx(4.0)
