@@ -8,6 +8,8 @@ regeneration cost; `pedantic` with one round keeps total runtime sane.
 
 import os
 
+import numpy as np
+
 
 #: Where benchmarks write their JSON measurements by default: a
 #: git-ignored directory, so a plain ``pytest`` run never rewrites the
@@ -20,3 +22,33 @@ def regenerate(benchmark, fn, *args, **kwargs):
     """Run an artefact generator once under the benchmark timer."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def capture_leaves(monkeypatch):
+    """Keep the per-leaf telemetry of the fleet runs that follow.
+
+    Wraps the fleet roll-up's ``assemble_cluster``; the returned dict
+    maps each cluster name to its ``[0, leaves)`` record.  Call again
+    before the next run to capture it separately.
+    """
+    from repro.fleet import assemble_cluster, simulator
+    leaves = {}
+
+    def assemble(shards, total_leaves=None):
+        record = assemble_cluster(shards, total_leaves)
+        leaves[record.cluster] = record
+        return record
+
+    monkeypatch.setattr(simulator, "assemble_cluster", assemble)
+    return leaves
+
+
+def assert_same_leaves(got, want, what):
+    """Bitwise equality of two captures' per-leaf arrays, by cluster."""
+    assert sorted(got) == sorted(want), f"{what}: cluster sets differ"
+    for name, record in want.items():
+        for field in ("times_s", "tails_ms", "emus", "be_norm",
+                      "be_cores"):
+            assert np.array_equal(getattr(got[name], field),
+                                  getattr(record, field)), (
+                f"cluster {name!r}: per-leaf {field} diverged {what}")

@@ -13,10 +13,10 @@ the full-fidelity 12-hour run) under two execution plans:
 
 and gates the two contractual properties of the fleet layer:
 
-* **equivalence**: both plans produce bit-identical per-cluster
-  histories, bit-identical fleet summaries, and bit-identical
-  per-shard worst-tail metrics — sharding and parallelism change
-  wall-clock, never numbers;
+* **equivalence**: both plans produce bit-identical per-leaf
+  telemetry (every leaf's tail latency and EMU at every tick),
+  per-cluster histories and fleet summaries — sharding and
+  parallelism change wall-clock, never numbers;
 * **speedup**: with enough cores (>= ``MIN_CPUS``), the sharded plan
   completes at least 3x faster in wall-clock time.  Hosts with fewer
   cores (e.g. 4-vCPU CI runners) still enforce a CPU-scaled tripwire
@@ -36,8 +36,9 @@ import time
 
 import numpy as np
 import pytest
-from conftest import OUT_DIR, regenerate
+from conftest import OUT_DIR, assert_same_leaves, capture_leaves, regenerate
 
+from repro.fleet import partition_leaves
 from repro.scenarios import compile_scenario
 from repro.scenarios.library import mixed_fleet_1k_scenario
 
@@ -69,24 +70,27 @@ def _run_fleet(shard_leaves: int, processes):
     return compile_scenario(spec).run(processes=processes)
 
 
-def test_bench_fleet_speedup_and_equivalence(benchmark):
+def test_bench_fleet_speedup_and_equivalence(benchmark, monkeypatch):
     spec = mixed_fleet_1k_scenario(time_compression=COMPRESSION,
                                    shard_leaves=SHARD_LEAVES)
     total_leaves = spec.fleet.total_leaves()
     biggest = max(c.leaves for c in spec.fleet.clusters)
 
     # Sequential comparator: whole clusters, one at a time, in-process.
+    seq_leaves = capture_leaves(monkeypatch)
     seq_start = time.perf_counter()
     sequential = _run_fleet(shard_leaves=biggest, processes=1)
     seq_wall = time.perf_counter() - seq_start
 
     # Sharded plan (the benchmark timer records this run).
+    shr_leaves = capture_leaves(monkeypatch)
     sharded_start = time.perf_counter()
     sharded = regenerate(benchmark, _run_fleet, SHARD_LEAVES, None)
     sharded_wall = time.perf_counter() - sharded_start
 
     speedup = seq_wall / sharded_wall
-    shard_count = sum(len(o.shards) for o in sharded.fleet.clusters)
+    shard_count = sum(len(partition_leaves(c.leaves, SHARD_LEAVES))
+                      for c in spec.fleet.clusters)
     warmup = spec.warmup_s
 
     print()
@@ -97,6 +101,7 @@ def test_bench_fleet_speedup_and_equivalence(benchmark):
           f"-> {speedup:.2f}x")
 
     # -- equivalence: sharding must never change a number ---------------
+    assert_same_leaves(shr_leaves, seq_leaves, "between execution plans")
     for seq_outcome in sequential.fleet.clusters:
         shr_outcome = sharded.fleet.cluster(seq_outcome.name)
         assert shr_outcome.root_slo_ms == seq_outcome.root_slo_ms
@@ -106,16 +111,6 @@ def test_bench_fleet_speedup_and_equivalence(benchmark):
             assert np.array_equal(a, b), (
                 f"cluster {seq_outcome.name!r} column {name!r} diverged "
                 f"between execution plans")
-        # Per-shard metrics roll up exactly: the worst leaf tail of the
-        # cluster is the max over its shards' worst tails, whatever the
-        # partition.
-        seq_worst = max(s.summary["worst_tail_ms"]
-                        for s in seq_outcome.shards)
-        shr_worst = max(s.summary["worst_tail_ms"]
-                        for s in shr_outcome.shards)
-        assert shr_worst == seq_worst, (
-            f"cluster {seq_outcome.name!r}: per-shard worst-tail metrics "
-            f"diverged between execution plans")
     seq_summary = sequential.fleet.summary(skip_s=warmup)
     shr_summary = sharded.fleet.summary(skip_s=warmup)
     assert seq_summary == shr_summary, "fleet summaries diverged"

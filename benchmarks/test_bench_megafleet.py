@@ -10,11 +10,11 @@ under both packings, strictly in-process:
 * **sharded** — today's default plan (~64-leaf shards) at
   ``processes=1``, packed into one unit;
 * **mega** — the same scenario with ``engine="mega"``: whole clusters
-  as one unit, one whole-cluster shard record each.
+  as one unit, one whole-cluster shard each.
 
-and enforces **equivalence**: bit-identical per-cluster histories,
-per-shard worst-tail roll-ups, and fleet summaries — the packing
-changes wall-clock, never numbers.  Both wall times and their ratio
+and enforces **equivalence**: bit-identical per-leaf telemetry,
+per-cluster histories and fleet summaries — the packing changes
+wall-clock, never numbers.  Both wall times and their ratio
 are reported, not gated.
 
 Measurements land in the git-ignored ``benchmarks/out/megafleet.json``
@@ -29,8 +29,9 @@ import os
 import time
 
 import numpy as np
-from conftest import OUT_DIR, regenerate
+from conftest import OUT_DIR, assert_same_leaves, capture_leaves, regenerate
 
+from repro.fleet import partition_leaves
 from repro.scenarios import compile_scenario
 from repro.scenarios.library import mixed_fleet_1k_scenario
 
@@ -56,24 +57,27 @@ def _run_fleet(engine: str):
     return compile_scenario(spec).run(processes=1)
 
 
-def test_bench_megafleet_speedup_and_equivalence(benchmark):
+def test_bench_megafleet_speedup_and_equivalence(benchmark, monkeypatch):
     spec = _scenario("mega")
     total_leaves = spec.fleet.total_leaves()
 
     # The sharded packing first, at one process.  (Running it first
     # also charges the one-off DRAM model profiling to it — both
     # packings share the per-process memoized models.)
+    seq_leaves = capture_leaves(monkeypatch)
     seq_start = time.perf_counter()
     sequential = _run_fleet("sharded")
     seq_wall = time.perf_counter() - seq_start
 
     # The whole-cluster packing (the benchmark timer records this run).
+    mega_leaves = capture_leaves(monkeypatch)
     mega_start = time.perf_counter()
     mega = regenerate(benchmark, _run_fleet, "mega")
     mega_wall = time.perf_counter() - mega_start
 
     speedup = seq_wall / mega_wall
-    shard_count = sum(len(o.shards) for o in sequential.fleet.clusters)
+    shard_count = sum(len(partition_leaves(c.leaves, spec.fleet.shard_leaves))
+                      for c in spec.fleet.clusters)
     warmup = spec.warmup_s
 
     print()
@@ -85,6 +89,7 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
           f"-> {speedup:.2f}x")
 
     # -- equivalence: the packing must never change a number ------------
+    assert_same_leaves(mega_leaves, seq_leaves, "between packings")
     for seq_outcome in sequential.fleet.clusters:
         mega_outcome = mega.fleet.cluster(seq_outcome.name)
         assert mega_outcome.root_slo_ms == seq_outcome.root_slo_ms
@@ -94,15 +99,6 @@ def test_bench_megafleet_speedup_and_equivalence(benchmark):
             assert np.array_equal(a, b), (
                 f"cluster {seq_outcome.name!r} column {name!r} diverged "
                 f"between packings")
-        # The worst leaf tail rolls up exactly whatever the partition:
-        # many shards when sharded, one whole-cluster shard on mega.
-        seq_worst = max(s.summary["worst_tail_ms"]
-                        for s in seq_outcome.shards)
-        mega_worst = max(s.summary["worst_tail_ms"]
-                         for s in mega_outcome.shards)
-        assert mega_worst == seq_worst, (
-            f"cluster {seq_outcome.name!r}: per-shard worst-tail metrics "
-            f"diverged between packings")
     seq_summary = sequential.fleet.summary(skip_s=warmup)
     mega_summary = mega.fleet.summary(skip_s=warmup)
     assert seq_summary == mega_summary, "fleet summaries diverged"

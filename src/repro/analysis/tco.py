@@ -34,7 +34,6 @@ class TcoParameters:
     pue: float = 2.0
     electricity_usd_per_kwh: float = 0.10
     amortization_years: float = 3.0
-    cluster_servers: int = 10_000
 
     def validate(self) -> None:
         if min(self.server_cost_usd, self.server_peak_watts,
@@ -46,8 +45,6 @@ class TcoParameters:
             raise ValueError("PUE cannot be below 1.0")
         if self.facility_capex_per_watt < 0:
             raise ValueError("facility capex cannot be negative")
-        if self.cluster_servers < 1:
-            raise ValueError("need at least one server")
 
 
 class TcoModel:
@@ -84,9 +81,6 @@ class TcoModel:
                  + p.facility_capex_per_watt * p.server_peak_watts)
         return capex + self.energy_cost_usd(
             self.server_power_watts(utilization))
-
-    def cluster_tco_usd(self, utilization: float) -> float:
-        return self.tco_per_server_usd(utilization) * self.params.cluster_servers
 
     # ------------------------------------------------------------------
 

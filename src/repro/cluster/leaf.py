@@ -70,10 +70,6 @@ class Leaf:
         self.sim.tick()
         return self.sim.history.last()
 
-    @property
-    def last_emu(self) -> float:
-        return self.sim.history.last().emu
-
 
 def make_leaf_lc(spec: MachineSpec, leaf_slo_ms: float,
                  lc_name: str = "websearch"):

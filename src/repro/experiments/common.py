@@ -18,7 +18,7 @@ Two kinds of experiment run in the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import HeraclesConfig
@@ -146,6 +146,34 @@ class ColocationResult:
     mean_lc_net_gbps: float
     mean_be_net_gbps: float
     history: SimHistory
+
+
+@dataclass
+class ColocationSweep:
+    """All Figure 4-7 measurements for one LC workload: the (BE task x
+    load) grid of a ``sweep`` scenario."""
+
+    lc_name: str
+    loads: List[float]
+    baseline_slo: List[float] = field(default_factory=list)
+    results: Dict[str, List[ColocationResult]] = field(default_factory=dict)
+
+    def worst_slo_series(self, be_name: str) -> List[float]:
+        """Worst 60 s windowed SLO fraction per load for one BE task."""
+        return [r.history.worst_window_slo(skip_s=240.0)
+                for r in self.results[be_name]]
+
+    def emu_series(self, be_name: str) -> List[float]:
+        """Mean EMU per load for one BE task."""
+        return [r.mean_emu for r in self.results[be_name]]
+
+    def metric_series(self, be_name: str, attr: str) -> List[float]:
+        """Any :class:`ColocationResult` attribute per load."""
+        return [getattr(r, attr) for r in self.results[be_name]]
+
+    def no_violations(self, be_name: str, threshold: float = 1.0) -> bool:
+        """True when no load point breaks the SLO for this BE task."""
+        return all(v <= threshold for v in self.worst_slo_series(be_name))
 
 
 def run_colocation(lc_name: str, be_name: str, load: float,

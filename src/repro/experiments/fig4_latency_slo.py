@@ -20,41 +20,13 @@ same compiled spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..scenarios import compile_scenario, registry
 from ..scenarios.library import (DEFAULT_LOADS,  # noqa: F401  (re-export)
                                  FIG4_BE_TASKS, fig4_scenario)
 from ..workloads.latency_critical import LC_PROFILES
-from .common import ColocationResult
-
-
-@dataclass
-class ColocationSweep:
-    """All Figure 4-7 measurements for one LC workload."""
-
-    lc_name: str
-    loads: List[float]
-    baseline_slo: List[float] = field(default_factory=list)
-    results: Dict[str, List[ColocationResult]] = field(default_factory=dict)
-
-    def worst_slo_series(self, be_name: str) -> List[float]:
-        """Worst 60 s windowed SLO fraction per load for one BE task."""
-        return [r.history.worst_window_slo(skip_s=240.0)
-                for r in self.results[be_name]]
-
-    def emu_series(self, be_name: str) -> List[float]:
-        """Mean EMU per load for one BE task."""
-        return [r.mean_emu for r in self.results[be_name]]
-
-    def metric_series(self, be_name: str, attr: str) -> List[float]:
-        """Any :class:`ColocationResult` attribute per load."""
-        return [getattr(r, attr) for r in self.results[be_name]]
-
-    def no_violations(self, be_name: str, threshold: float = 1.0) -> bool:
-        """True when no load point breaks the SLO for this BE task."""
-        return all(v <= threshold for v in self.worst_slo_series(be_name))
+from .common import ColocationSweep
 
 
 def run_sweep(lc_name: str,
@@ -89,11 +61,8 @@ def run_sweep(lc_name: str,
     scenario = fig4_scenario(lc_tasks=(lc_name,), be_tasks=be_tasks,
                              loads=loads, duration_s=duration_s,
                              warmup_s=warmup_s, seed=seed)
-    result = compile_scenario(scenario).run(processes=processes)
-    grid = result.sweeps[lc_name]
-    return ColocationSweep(lc_name=lc_name, loads=grid.loads,
-                           baseline_slo=grid.baseline_slo,
-                           results=grid.results)
+    return compile_scenario(scenario).run(processes=processes) \
+        .sweeps[lc_name]
 
 
 def run_fig4(lc_names: Optional[Sequence[str]] = None,

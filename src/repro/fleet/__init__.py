@@ -22,10 +22,9 @@ see ``docs/scenarios.md``) runnable as
 ``python -m repro.cli fleet <name-or-file>``.
 """
 
-from .aggregate import (AssembledCluster, FleetSlackView, FleetTelemetry,
-                        LeafSlackView, assemble_cluster,
-                        build_fleet_telemetry, fleet_emu_row,
-                        reduce_leaf_epochs, rollup_cluster,
+from .aggregate import (FleetSlackView, FleetTelemetry, LeafSlackView,
+                        assemble_cluster, build_fleet_telemetry,
+                        fleet_emu_row, reduce_leaf_epochs, rollup_cluster,
                         weighted_root_latency_row)
 from .shard import (ShardResult, ShardTask, overlapping_seed_ranges,
                     pack_shards, partition_leaves)
@@ -34,7 +33,7 @@ from .simulator import (DEFAULT_SHARD_LEAVES, ClusterOutcome, ClusterPlan,
 
 __all__ = [
     "DEFAULT_SHARD_LEAVES",
-    "AssembledCluster", "ClusterOutcome", "ClusterPlan", "FleetResult",
+    "ClusterOutcome", "ClusterPlan", "FleetResult",
     "FleetSlackView", "FleetTelemetry", "LeafSlackView",
     "ShardResult", "ShardTask", "ShardedFleetSim",
     "assemble_cluster", "build_fleet_telemetry", "fleet_emu_row",

@@ -29,6 +29,7 @@ Three stages, all deterministic and shard-count-independent:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -42,41 +43,25 @@ from ..workloads.traces import LoadTrace
 from .shard import ShardResult
 
 
-@dataclass
-class AssembledCluster:
-    """One cluster's leaf telemetry, reassembled in global leaf order.
-
-    ``times_s`` is the shared (T,) tick clock; ``tails_ms`` and
-    ``emus`` are (T, leaves).  ``be_norm`` / ``be_cores`` carry the
-    scheduler's slack signals when the shards collected them
-    (``collect_be``), else they are empty (0, 0) arrays.
-    """
-
-    times_s: np.ndarray
-    tails_ms: np.ndarray
-    emus: np.ndarray
-    be_norm: np.ndarray
-    be_cores: np.ndarray
-
-
 def assemble_cluster(shards: Sequence[ShardResult],
-                     total_leaves: Optional[int] = None) -> AssembledCluster:
+                     total_leaves: Optional[int] = None) -> ShardResult:
     """Concatenate one cluster's shard slices into leaf-ordered arrays.
 
-    Returns an :class:`AssembledCluster` with the leaf axis in global
-    leaf order.  Shards must tile the population contiguously — from
-    leaf 0 up to ``total_leaves`` when given — and agree on the tick
-    clock; all of it is asserted, since a violation (a missing shard,
-    say) would silently break the bit-identity contract.
+    Returns one :class:`ShardResult` over ``[0, leaves)`` (a lone
+    whole-cluster shard is returned as it is, without a copy).  Shards
+    must tile the population contiguously — from leaf 0 up to
+    ``total_leaves`` when given — and agree on the tick clock; all of
+    it is asserted, since a violation (a missing shard, say) would
+    silently break the bit-identity contract.
     """
     ordered = sorted(shards, key=lambda s: s.leaf_lo)
-    lo = ordered[0].leaf_lo
-    if lo != 0:
-        raise ValueError(f"cluster {ordered[0].cluster!r}: shard coverage "
-                         f"starts at leaf {lo}, not 0")
+    first = ordered[0]
+    if first.leaf_lo != 0:
+        raise ValueError(f"cluster {first.cluster!r}: shard coverage "
+                         f"starts at leaf {first.leaf_lo}, not 0")
     if total_leaves is not None and ordered[-1].leaf_hi != total_leaves:
         raise ValueError(
-            f"cluster {ordered[0].cluster!r}: shard coverage ends at leaf "
+            f"cluster {first.cluster!r}: shard coverage ends at leaf "
             f"{ordered[-1].leaf_hi}, not the cluster's {total_leaves}")
     for prev, nxt in zip(ordered, ordered[1:]):
         if prev.leaf_hi != nxt.leaf_lo:
@@ -87,18 +72,19 @@ def assemble_cluster(shards: Sequence[ShardResult],
         if not np.array_equal(prev.times_s, nxt.times_s):
             raise ValueError(f"cluster {prev.cluster!r}: shards disagree "
                              f"on the tick clock")
-    times = ordered[0].times_s
-    tails = np.concatenate([s.tails_ms for s in ordered], axis=1)
-    emus = np.concatenate([s.emus for s in ordered], axis=1)
-    if all(s.be_norm.size or not s.times_s.size for s in ordered):
-        be_norm = np.concatenate([s.be_norm for s in ordered], axis=1) \
-            if times.size else np.zeros((0, 0))
-        be_cores = np.concatenate([s.be_cores for s in ordered], axis=1) \
-            if times.size else np.zeros((0, 0))
-    else:
-        be_norm = be_cores = np.zeros((0, 0))
-    return AssembledCluster(times_s=times, tails_ms=tails, emus=emus,
-                            be_norm=be_norm, be_cores=be_cores)
+    if len(ordered) == 1:
+        return dataclasses.replace(first, trace=None, profile=None)
+
+    def joined(name):
+        return np.concatenate([getattr(s, name) for s in ordered], axis=1)
+
+    collected = first.be_norm.shape == first.tails_ms.shape
+    return ShardResult(
+        cluster=first.cluster, leaf_lo=0, leaf_hi=ordered[-1].leaf_hi,
+        times_s=first.times_s, tails_ms=joined("tails_ms"),
+        emus=joined("emus"),
+        be_norm=joined("be_norm") if collected else np.zeros((0, 0)),
+        be_cores=joined("be_cores") if collected else np.zeros((0, 0)))
 
 
 @dataclass
@@ -140,7 +126,7 @@ class LeafSlackView:
         return self.harvest_core_s.shape[1]
 
 
-def reduce_leaf_epochs(assembled: AssembledCluster, cluster: str,
+def reduce_leaf_epochs(assembled: ShardResult, cluster: str,
                        leaf_slo_ms: float, total_cores: int,
                        epoch_s: float, dt_s: float) -> LeafSlackView:
     """Fold per-tick leaf telemetry into a :class:`LeafSlackView`.

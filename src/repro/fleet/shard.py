@@ -6,7 +6,12 @@ fleet packs its shards, in order, into *units* of near-equal leaf
 counts (:func:`pack_shards`); each unit runs as one
 :class:`~repro.sim.megabatch.MegaFleetSim` array program, and units
 fan out across the :func:`repro.sim.runner.run_sweep` worker pool.
-Each unit hands back one :class:`ShardResult` per shard it ran.
+
+:class:`ShardResult` is the fleet layer's one leaf-telemetry record: a
+unit hands back one per shard it ran, each a column range of the
+unit's ``(T, N)`` telemetry, and
+:func:`~repro.fleet.aggregate.assemble_cluster` returns the same record
+over a whole cluster's ``[0, leaves)``.
 
 Equivalence contract
 --------------------
@@ -130,7 +135,6 @@ class ShardTask:
             (workloads, trace, seed, chaos events; leaf indices stay
             the plan's own, never shard-local).
         cluster_index: the plan's position in the fleet.
-        shard_index: this shard's position within the cluster.
         leaf_lo / leaf_hi: cluster leaf index range ``[lo, hi)``.
         member_base: fleet-global index of the plan's leaf 0
             (cumulative leaf count of the preceding plans);
@@ -140,7 +144,6 @@ class ShardTask:
 
     plan: Any
     cluster_index: int
-    shard_index: int
     leaf_lo: int
     leaf_hi: int
     member_base: int = 0
@@ -153,13 +156,11 @@ class ShardTask:
 
 @dataclass
 class ShardResult:
-    """One shard's run: per-tick leaf telemetry plus its own summary.
+    """Per-tick telemetry of the leaves ``[leaf_lo, leaf_hi)`` of a cluster.
 
     ``tails_ms`` and ``emus`` are ``(T, leaves)`` float64 arrays in
     global leaf order; ``times_s`` is the shared ``(T,)`` tick clock.
-    ``summary`` holds the shard-local aggregates (mean EMU, worst leaf
-    tail) the fleet reports per shard — and which the differential
-    benchmark pins bit-identical across execution plans.
+    A unit's records are views into its telemetry buffers, not copies.
 
     ``be_norm`` and ``be_cores`` are the scheduler's slack signals —
     per-tick normalized BE throughput and Heracles-granted BE cores per
@@ -171,37 +172,18 @@ class ShardResult:
     member indices) and tick-phase wall-clock breakdown, on the unit's
     first result only; both are ``None`` unless the run enabled the
     corresponding observability toggle.  The fleet layer merges them
-    across units and drops them from the stripped records.
+    across units.
     """
 
     cluster: str
-    cluster_index: int
-    shard_index: int
     leaf_lo: int
     leaf_hi: int
     times_s: np.ndarray
     tails_ms: np.ndarray
     emus: np.ndarray
-    summary: Dict[str, float]
     be_norm: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 0)))
     be_cores: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 0)))
     trace: Optional[Dict[str, np.ndarray]] = None
     profile: Optional[Dict[str, float]] = None
-
-    def stripped(self) -> "ShardResult":
-        """A summary-only copy with the bulk telemetry dropped.
-
-        The fleet roll-up consumes the (T, n) arrays once and then
-        keeps only this stripped record per shard — a full-fidelity
-        1000-leaf 12-hour run would otherwise pin ~0.7 GB of raw leaf
-        telemetry inside the result object for its whole lifetime.
-        """
-        empty = np.zeros(0)
-        return ShardResult(
-            cluster=self.cluster, cluster_index=self.cluster_index,
-            shard_index=self.shard_index, leaf_lo=self.leaf_lo,
-            leaf_hi=self.leaf_hi, times_s=empty,
-            tails_ms=empty.reshape(0, 0), emus=empty.reshape(0, 0),
-            summary=dict(self.summary))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -67,11 +67,16 @@ from .shard import (ShardResult, ShardTask, overlapping_seed_ranges,
 DEFAULT_SHARD_LEAVES = 64
 
 #: Manifest file written into a fleet checkpoint directory alongside
-#: the per-unit, per-group engine archives.  Resuming
-#: validates the manifest against the live fleet before any archive is
+#: one ``unit_<u>.npz`` engine archive per unit.  Resuming validates
+#: the manifest against the live fleet before any archive is
 #: unpickled, so a checkpoint taken with a different topology fails
 #: with a message naming the mismatch.
 FLEET_META_NAME = "meta.json"
+
+#: Layout version of a fleet checkpoint directory, recorded in its
+#: manifest; bumped on any incompatible change (3: one archive per
+#: fleet unit).
+FLEET_CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -143,10 +148,8 @@ class ClusterPlan:
 class ClusterOutcome:
     """One cluster's rolled-up run within a fleet result.
 
-    ``shards`` holds summary-only shard records (identity, leaf range,
-    per-shard aggregates); the bulk per-tick telemetry is consumed by
-    the roll-up and dropped, so results stay light even for
-    full-fidelity fleet runs.
+    The bulk per-leaf telemetry is consumed by the roll-up and
+    dropped, so results stay light even for full-fidelity fleet runs.
     """
 
     name: str
@@ -155,12 +158,6 @@ class ClusterOutcome:
     leaf_slo_ms: float
     root_slo_ms: float
     history: ClusterHistory
-    shards: List[ShardResult] = field(default_factory=list)
-
-    def shard_summaries(self) -> List[Dict[str, float]]:
-        """Per-shard summary dicts, in leaf order."""
-        return [dict(s.summary, leaf_lo=s.leaf_lo, leaf_hi=s.leaf_hi)
-                for s in sorted(self.shards, key=lambda s: s.leaf_lo)]
 
 
 @dataclass
@@ -168,10 +165,10 @@ class FleetResult:
     """Everything a fleet run produced.
 
     ``clusters`` holds each cluster's bit-exact
-    :class:`ClusterHistory` roll-up plus summary-only shard records;
-    ``telemetry`` is the fleet-level column store.  ``slack`` is the
-    decision-epoch per-leaf slack view the fleet scheduler consumes —
-    populated only when the run asked for it (``slack_epoch_s``).
+    :class:`ClusterHistory` roll-up; ``telemetry`` is the fleet-level
+    column store.  ``slack`` is the decision-epoch per-leaf slack view
+    the fleet scheduler consumes — populated only when the run asked
+    for it (``slack_epoch_s``).
 
     ``trace`` is the run's merged decision-trace payload
     (:mod:`repro.obs.trace` columns with fleet-global member indices;
@@ -247,7 +244,7 @@ class ShardedFleetSim:
             into ``min(workers, shards)`` contiguous units of
             near-equal leaf counts, run across the process pool;
             ``"mega"`` runs whole clusters as one in-process unit, one
-            whole-cluster shard record each.  Every unit is a
+            whole-cluster shard each.  Every unit is a
             :class:`~repro.sim.megabatch.MegaFleetSim`, so telemetry is
             bit-identical either way.
     """
@@ -294,8 +291,8 @@ class ShardedFleetSim:
         for index, plan in enumerate(self.clusters):
             ranges = [(0, plan.leaves)] if self.engine == "mega" \
                 else partition_leaves(plan.leaves, self.shard_leaves)
-            shards += [ShardTask(plan, index, s, lo, hi, base)
-                       for s, (lo, hi) in enumerate(ranges)]
+            shards += [ShardTask(plan, index, lo, hi, base)
+                       for lo, hi in ranges]
             base += plan.leaves
         return shards
 
@@ -303,7 +300,7 @@ class ShardedFleetSim:
                     collect_be: bool, units: int) -> Dict[str, Any]:
         """The manifest describing a fleet checkpoint directory."""
         return {
-            "version": 2,
+            "version": FLEET_CHECKPOINT_VERSION,
             "engine": self.engine,
             "units": units,
             "dt_s": float(dt_s),
@@ -325,10 +322,15 @@ class ShardedFleetSim:
             raise CheckpointError(
                 f"cannot read fleet checkpoint manifest {meta_path}: "
                 f"{exc}")
+        if meta.get("version") != FLEET_CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"{meta_path}: checkpoint version {meta.get('version')!r}, "
+                f"this build reads version {FLEET_CHECKPOINT_VERSION} "
+                f"(one unit_<u>.npz archive per fleet unit)")
         expected = self._fleet_meta(dt_s, meta.get("checkpoint_t_s", 0.0),
                                     collect_be, meta.get("units"))
-        for key in ("version", "engine", "dt_s", "collect_be",
-                    "shard_leaves", "clusters"):
+        for key in ("engine", "dt_s", "collect_be", "shard_leaves",
+                    "clusters"):
             if meta.get(key) != expected[key]:
                 raise CheckpointError(
                     f"{meta_path}: checkpoint {key}={meta.get(key)!r} "
@@ -369,18 +371,18 @@ class ShardedFleetSim:
                 plain fleet run — no extra telemetry.
             checkpoint_dir: when given (with ``checkpoint_at_s``),
                 snapshot every unit's full engine state mid-run into
-                this directory — one ``.npz`` archive per unit and
-                merged group plus a :data:`FLEET_META_NAME` manifest —
+                this directory — one ``unit_<u>.npz`` archive per unit
+                plus a :data:`FLEET_META_NAME` manifest —
                 so a later run can resume (or branch several what-ifs)
                 from ``t = checkpoint_at_s`` instead of ``t = 0``.
             checkpoint_at_s: simulated time of the snapshot; must land
                 on a tick strictly inside the run.
             resume_from: a checkpoint directory written by a previous
                 run of this same fleet; the run rebuilds the saved
-                packing (whatever the worker count now), warm-starts
-                every unit from its archives and only ticks the
-                remaining steps.  The result is bit-identical to
-                running from ``t = 0``.
+                packing (whatever the worker count now), loads every
+                unit from its archive and only ticks the remaining
+                steps.  The result is bit-identical to running from
+                ``t = 0``.
 
         Returns:
             The populated :class:`FleetResult`.
@@ -398,6 +400,7 @@ class ShardedFleetSim:
         collect_be = slack_epoch_s is not None
         shards = self._shards()
         k_save = None
+        k_done = 0
         if checkpoint_dir is not None:
             k_save = checkpoint_step(checkpoint_at_s, duration_s, dt_s)
         if resume_from is not None:
@@ -429,7 +432,7 @@ class ShardedFleetSim:
                   dict(unit=unit, dt_s=dt_s, collect_be=collect_be,
                        checkpoint_dir=checkpoint_dir,
                        checkpoint_at_s=checkpoint_at_s,
-                       resume_from=resume_from))
+                       resume_from=resume_from, resume_steps=k_done))
                  for unit, (lo, hi) in enumerate(
                      pack_shards([s.leaves for s in shards], units))]
         results = [result for unit_results in run_sweep(
@@ -446,8 +449,7 @@ class ShardedFleetSim:
             # The snapshot this run warm-started from: replayed so a
             # resumed trace matches the checkpointing run's.
             trace_checkpoint_save(
-                fleet_sink, resume_meta["checkpoint_t_s"],
-                int(round(resume_meta["checkpoint_t_s"] / dt_s)))
+                fleet_sink, resume_meta["checkpoint_t_s"], k_done)
         if fleet_sink is not None and checkpoint_dir is not None:
             trace_checkpoint_save(fleet_sink, checkpoint_at_s, k_save)
         trace_payloads = [r.trace for r in results if r.trace is not None]
@@ -490,8 +492,9 @@ class ShardedFleetSim:
         for plan in self.clusters:
             leaf_slo_ms, root_slo_ms = targets[plan.name]
             # Pop each cluster's shard list so its bulk (T, n) arrays
-            # are released as soon as they are rolled up — peak memory
-            # is one cluster's telemetry, not the whole fleet's.
+            # are released as soon as they are rolled up.  In-process
+            # records are views of their unit's buffers, which go with
+            # the last cluster that shares them.
             shard_results = by_cluster.pop(plan.name)
             assembled = assemble_cluster(shard_results,
                                          total_leaves=plan.leaves)
@@ -509,8 +512,7 @@ class ShardedFleetSim:
             outcomes.append(ClusterOutcome(
                 name=plan.name, leaves=plan.leaves, managed=plan.managed,
                 leaf_slo_ms=leaf_slo_ms, root_slo_ms=root_slo_ms,
-                history=history,
-                shards=[s.stripped() for s in shard_results]))
+                history=history))
             del shard_results, assembled
         telemetry = build_fleet_telemetry(
             histories, [plan.name for plan in self.clusters],

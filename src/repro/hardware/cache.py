@@ -252,10 +252,3 @@ class CatController:
             return False
         self.set_partition(cos, current - ways)
         return True
-
-    def transfer(self, src: str, dst: str, ways: int = 1) -> bool:
-        """Move ways between classes atomically; False if src too small."""
-        if not self.shrink(src, ways):
-            return False
-        self.set_partition(dst, self.partition_ways(dst) + ways)
-        return True

@@ -23,13 +23,6 @@ class CounterBank:
 
     # -- DRAM ----------------------------------------------------------
 
-    def dram_total_bw_gbps(self) -> float:
-        """Total DRAM traffic across all sockets (controller registers)."""
-        return self._server.telemetry.total_dram_gbps
-
-    def dram_capacity_gbps(self) -> float:
-        return self._server.spec.total_dram_bw_gbps
-
     def socket_dram_capacity_gbps(self) -> float:
         """Peak streaming bandwidth of one socket's channels."""
         return self._server.spec.socket.dram_bw_gbps

@@ -96,20 +96,12 @@ class MachineSpec:
         return self.sockets * self.socket.cores
 
     @property
-    def total_threads(self) -> int:
-        return self.sockets * self.socket.hyperthreads
-
-    @property
     def total_llc_mb(self) -> float:
         return self.sockets * self.socket.llc_mb
 
     @property
     def total_dram_bw_gbps(self) -> float:
         return self.sockets * self.socket.dram_bw_gbps
-
-    @property
-    def total_tdp_watts(self) -> float:
-        return self.sockets * self.socket.tdp_watts
 
     def validate(self) -> None:
         """Raise :class:`ValueError` if the specification is inconsistent."""

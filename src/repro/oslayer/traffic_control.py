@@ -75,11 +75,6 @@ class HtbQdisc:
         self._classes[name] = HtbClass(name=name, rate_gbps=rate,
                                        ceil_gbps=ceil_gbps)
 
-    def remove_class(self, name: str) -> None:
-        if name not in self._classes:
-            raise KeyError(name)
-        del self._classes[name]
-
     def ceil_of(self, name: str) -> Optional[float]:
         """Ceiling applied to ``name``; None when unknown or uncapped."""
         cls = self._classes.get(name)

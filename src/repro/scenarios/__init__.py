@@ -26,7 +26,7 @@ Schema reference: ``docs/scenarios.md``.  CLI:
 from . import library  # noqa: F401  (registers the shipped scenarios)
 from . import registry
 from .compiler import (CompiledScenario, MemberResult, ScenarioResult,
-                       SweepGrid, compile_scenario, run_scenario)
+                       compile_scenario, run_scenario)
 from .loader import load_scenario, loads_scenario, parse_simple_yaml
 from .spec import (CONTROLLERS, CheckpointSpec, ClusterSpec, FleetSpec,
                    InjectionSpec, JobSpec, ScenarioError, ScenarioSpec,
@@ -40,7 +40,7 @@ __all__ = [
     "ScenarioError", "ScenarioSpec", "ScheduleSpec", "ServerSpec",
     "ShardSpec", "SpikeSpec", "SweepSpec", "TraceSpec", "WorkloadSpec",
     "CompiledScenario", "MemberResult",
-    "ScenarioResult", "SweepGrid", "compile_scenario", "run_scenario",
+    "ScenarioResult", "compile_scenario", "run_scenario",
     "load_scenario", "loads_scenario", "parse_simple_yaml",
     "registry",
 ]

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Union
 from ..baselines import SCENARIO_BASELINES
 from ..cluster.cluster import ClusterHistory
 from ..core.controller import HeraclesController
-from ..experiments.common import (ColocationResult, baseline_cell,
+from ..experiments.common import (ColocationSweep, baseline_cell,
                                   colocation_sweep)
 from ..fleet import (ClusterOutcome, ClusterPlan, FleetResult,
                      ShardedFleetSim)
@@ -109,30 +109,20 @@ class MemberResult:
 
 
 @dataclass
-class SweepGrid:
-    """One LC workload's (BE x load) sweep results."""
-
-    lc_name: str
-    loads: List[float]
-    baseline_slo: List[float] = field(default_factory=list)
-    results: Dict[str, List[ColocationResult]] = field(default_factory=dict)
-
-
-@dataclass
 class ScenarioResult:
     """Everything a compiled scenario produced.
 
     Which fields are populated depends on the scenario shape:
     ``members`` fills :attr:`members`; ``sweep`` fills :attr:`sweeps`
-    (one :class:`SweepGrid` per LC task, in spec order); ``cluster``
-    fills :attr:`cluster_arms` and :attr:`root_slo_ms`; ``fleet``
-    fills :attr:`fleet`.
+    (one :class:`~repro.experiments.common.ColocationSweep` per LC task,
+    in spec order); ``cluster`` fills :attr:`cluster_arms` and
+    :attr:`root_slo_ms`; ``fleet`` fills :attr:`fleet`.
     """
 
     spec: ScenarioSpec
     kind: str
     members: List[MemberResult] = field(default_factory=list)
-    sweeps: Dict[str, SweepGrid] = field(default_factory=dict)
+    sweeps: Dict[str, ColocationSweep] = field(default_factory=dict)
     cluster_arms: Dict[str, ClusterHistory] = field(default_factory=dict)
     root_slo_ms: Optional[float] = None
     fleet: Optional[FleetResult] = None
@@ -493,7 +483,8 @@ class CompiledScenario:
         sweep = spec.sweep
         result = ScenarioResult(spec=spec, kind="sweep")
         for lc_name in sweep.lc_tasks:
-            grid = SweepGrid(lc_name=lc_name, loads=list(sweep.loads))
+            grid = ColocationSweep(lc_name=lc_name,
+                                   loads=list(sweep.loads))
             if sweep.include_baseline:
                 lc = make_lc_workload(lc_name, self.machine)
                 grid.baseline_slo = [

@@ -697,7 +697,7 @@ class CheckpointSpec(_Spec):
         save: checkpoint destination — snapshot the full engine state
             mid-run so a later scenario run can warm-start from it.
             A directory for fleet/schedule scenarios (one archive per
-            fleet unit and group plus a manifest), a single ``.npz``
+            fleet unit plus a manifest), a single ``.npz``
             archive path for member scenarios (all members ride in one
             engine).
             Requires ``at_s``.

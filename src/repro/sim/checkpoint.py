@@ -16,9 +16,9 @@ One engine checkpoint is a single uncompressed ``.npz`` archive:
     UTF-8 JSON as a ``uint8`` array: ``version`` (the format version —
     loading rejects archives written by a different layout), ``kind``
     (which engine family wrote it: ``"single"``, ``"batch"``,
-    ``"mega_group"`` — loading rejects a mismatch so a batch archive
-    cannot silently restore where a scalar sim is expected),
-    ``time_s`` (the engine clock at the snapshot), plus caller extras.
+    ``"fleet_unit"`` — loading rejects a mismatch so a batch archive
+    cannot silently restore where a scalar sim is expected) and
+    ``time_s`` (the engine clock at the snapshot).
 
 ``__pickle__``
     The engine itself as a pickle blob (``uint8``).  Everything that
@@ -28,12 +28,10 @@ One engine checkpoint is a single uncompressed ``.npz`` archive:
     in), actuator / monitor / controller state, the event schedule
     (injections and static-baseline grants included) with its cursor,
     and every ``np.random.default_rng`` stream's bit-generator
-    state (NumPy ``Generator`` objects pickle exactly).
-
-``array:<name>``
-    Caller-provided native arrays — the fleet engines store their
-    partially collected ``(T, N)`` telemetry here so a resumed run
-    continues filling the same rows.
+    state (NumPy ``Generator`` objects pickle exactly).  A fleet unit
+    (:class:`~repro.sim.megabatch.MegaFleetSim`) pickles its group
+    sims together with its collected telemetry, trimmed to the
+    completed rows, so a resumed unit continues filling the same rows.
 
 The correctness contract is the one every engine layer ships under:
 run-to-T is **bit-identical** to run-to-T/2 + save + load + resume, for
@@ -58,7 +56,7 @@ import json
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 from zipfile import BadZipFile
 
 import numpy as np
@@ -71,7 +69,6 @@ CHECKPOINT_VERSION = 3
 
 _META_KEY = "__meta__"
 _PICKLE_KEY = "__pickle__"
-_ARRAY_PREFIX = "array:"
 
 
 class CheckpointError(ValueError):
@@ -97,21 +94,16 @@ def checkpoint_step(at_s: float, duration_s: float, dt_s: float) -> int:
     return step
 
 
-def save_engine(sim: Any, path: str, kind: str,
-                arrays: Optional[Mapping[str, np.ndarray]] = None,
-                extra_meta: Optional[Mapping[str, Any]] = None) -> str:
+def save_engine(sim: Any, path: str, kind: str) -> str:
     """Write one engine's full state as a current-version archive.
 
     Args:
-        sim: the engine (scalar, batch, or mega group).  Must pickle —
+        sim: the engine (scalar, batch, or fleet unit).  Must pickle —
             every shipped engine does, cyclic controller references and
             RNG streams included.
         path: archive file path (``.npz`` appended if absent, matching
             ``np.savez``); parent directories are created.
         kind: engine family tag, checked again at load time.
-        arrays: native arrays stored alongside the blob (the fleet
-            engines' partially collected telemetry).
-        extra_meta: JSON-serializable extras merged into ``__meta__``.
 
     Returns the path actually written.
     """
@@ -120,12 +112,6 @@ def save_engine(sim: Any, path: str, kind: str,
         "kind": str(kind),
         "time_s": float(getattr(sim, "time_s", 0.0)),
     }
-    if extra_meta:
-        overlap = set(extra_meta) & set(meta)
-        if overlap:
-            raise CheckpointError(
-                f"extra_meta may not override {sorted(overlap)}")
-        meta.update(extra_meta)
     payload = {
         _META_KEY: np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"),
@@ -134,8 +120,6 @@ def save_engine(sim: Any, path: str, kind: str,
             pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL),
             dtype=np.uint8),
     }
-    for name, array in (arrays or {}).items():
-        payload[_ARRAY_PREFIX + name] = np.ascontiguousarray(array)
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     if not path.endswith(".npz"):
@@ -146,11 +130,10 @@ def save_engine(sim: Any, path: str, kind: str,
 
 @dataclass
 class EngineCheckpoint:
-    """One restored engine plus everything saved alongside it."""
+    """One restored engine plus the metadata saved with it."""
 
     sim: Any
     meta: Dict[str, Any]
-    arrays: Dict[str, np.ndarray]
 
     @property
     def time_s(self) -> float:
@@ -206,7 +189,9 @@ def load_engine(path: str,
     message naming the mismatch instead of an attribute error three
     layers into the resumed run.  The restored engine's observability
     hooks are reconciled with this process's ``REPRO_TRACE`` /
-    ``REPRO_PROFILE`` environment (see :func:`_reconcile_obs`).
+    ``REPRO_PROFILE`` environment (see :func:`_reconcile_obs`): every
+    sim an object lists in ``engines`` (a fleet unit's group sims), or
+    else the object itself.
     """
     if not os.path.exists(path) and os.path.exists(path + ".npz"):
         path += ".npz"
@@ -218,11 +203,6 @@ def load_engine(path: str,
                     f"{_META_KEY}/{_PICKLE_KEY})")
             meta = json.loads(bytes(archive[_META_KEY]).decode("utf-8"))
             blob = bytes(archive[_PICKLE_KEY])
-            arrays = {
-                name[len(_ARRAY_PREFIX):]: np.array(archive[name])
-                for name in archive.files
-                if name.startswith(_ARRAY_PREFIX)
-            }
     except (OSError, BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}")
     version = meta.get("version")
@@ -235,8 +215,9 @@ def load_engine(path: str,
         raise CheckpointError(
             f"{path}: holds a {kind!r} engine, expected {expect_kind!r}")
     sim = pickle.loads(blob)
-    _reconcile_obs(sim)
-    return EngineCheckpoint(sim=sim, meta=meta, arrays=arrays)
+    for engine in getattr(sim, "engines", (sim,)):
+        _reconcile_obs(engine)
+    return EngineCheckpoint(sim=sim, meta=meta)
 
 
 def run_ticks(sim: Any, steps: int, dt_s: float) -> None:

@@ -13,6 +13,14 @@ and segment slices — and the Heracles controllers of every managed
 leaf step together as the batch's vector controller, with no per-leaf
 Python objects and no per-shard Python tick loops.
 
+A unit owns its collected ``(T, N)`` telemetry and its completed-tick
+count, and returns each slice's columns as a
+:class:`~repro.fleet.shard.ShardResult` of views into them.  A fleet
+snapshot pickles the whole unit, telemetry trimmed to the completed
+rows, into one ``unit_<u>.npz`` engine archive
+(:func:`~repro.sim.checkpoint.save_engine`); a resume loads that unit
+and ticks on.
+
 Equivalence contract
 --------------------
 
@@ -62,8 +70,9 @@ class MegaFleetSim:
     units across a worker pool, produce the same numbers.
 
     Produces one :class:`~repro.fleet.shard.ShardResult` per slice, in
-    slice order, which the fleet roll-up (``assemble_cluster`` →
-    ``rollup_cluster`` → fleet telemetry) consumes.
+    slice order — column views of the unit's telemetry, no copies —
+    which the fleet roll-up (``assemble_cluster`` → ``rollup_cluster``
+    → fleet telemetry) consumes.
     """
 
     def __init__(self, slices, targets: Dict[str, Tuple[float, float]],
@@ -106,7 +115,8 @@ class MegaFleetSim:
                 group_of[key] = len(buckets)
                 buckets.append({"lcs": [], "traces": [], "bes": [],
                                 "seeds": [], "specs": [], "managed": [],
-                                "models": [], "spans": [], "events": []})
+                                "models": [], "spans": [], "events": [],
+                                "members": []})
             bucket = buckets[group_of[key]]
             if task.cluster_index not in workloads:
                 leaf_slo_ms, _ = targets[plan.name]
@@ -131,6 +141,8 @@ class MegaFleetSim:
                     (slice(g_lo, g_lo + n),
                      memoized_dram_model(plan.lc_name, spec)))
             bucket["spans"].append((index, g_lo, g_lo + n))
+            bucket["members"] += range(task.member_base + lo,
+                                       task.member_base + hi)
             # Chaos events arrive with cluster-local leaf targets (or
             # None for the whole cluster); each slice keeps the
             # intersection with its own leaf range, as explicit indices
@@ -156,153 +168,125 @@ class MegaFleetSim:
                     managed=np.array(bucket["managed"], dtype=bool))
             if bucket["events"]:
                 sim.set_chaos_events(bucket["events"])
+            # Fleet-global member indices (plan order numbers the
+            # leaves), so decision-trace events merge invariantly under
+            # any packing.
+            sim.obs_set_members(bucket["members"])
             self.groups.append((sim, bucket["spans"]))
-        self._set_member_maps()
+        #: Completed ticks, and per group the telemetry collected over
+        #: them under :class:`~repro.fleet.shard.ShardResult`'s field
+        #: names: ``times_s`` (T,), ``tails_ms`` / ``emus`` and, when
+        #: the run collects them, ``be_norm`` / ``be_cores`` (T, group
+        #: members).
+        self.steps_done = 0
+        self.telemetry: List[Dict[str, np.ndarray]] = [{} for _ in
+                                                       self.groups]
 
-    def _set_member_maps(self) -> None:
-        """Stamp fleet-global member indices on every group sim.
+    @property
+    def engines(self) -> List[BatchColocationSim]:
+        """The merged group sims (what a restore reconciles)."""
+        return [sim for sim, _ in self.groups]
 
-        Plan order defines the fleet-global leaf numbering (cluster
-        leaf ``j`` of plan ``i`` is global index ``sum(leaves[:i]) +
-        j``, carried as each slice's ``member_base``), so
-        decision-trace events merge invariantly under any packing.
-        Cheap (one int64 array per group), so it runs unconditionally
-        and also re-stamps restored groups.
+    @property
+    def time_s(self) -> float:
+        """The unit's clock (every group ticks in step)."""
+        return self.groups[0][0].time_s
+
+    def __getstate__(self):
+        """Pickle the collected telemetry trimmed to the completed rows.
+
+        After ``k`` ticks every row ``[0, k)`` is written except
+        ``be_cores`` row ``k - 1``, which tick ``k + 1`` gathers; the
+        resumed tick ``k`` rewrites it from the restored actuator state.
         """
-        for sim, spans in self.groups:
-            members = np.empty(sim.n, dtype=np.int64)
-            for index, lo, hi in spans:
-                task = self.slices[index]
-                members[lo:hi] = task.member_base + np.arange(
-                    task.leaf_lo, task.leaf_hi)
-            sim.obs_set_members(members)
+        k = self.steps_done
+        state = dict(self.__dict__)
+        state["telemetry"] = [
+            {name: rows[:k - 1] if name == "be_cores" else rows[:k]
+             for name, rows in rec.items()}
+            for rec in self.telemetry]
+        return state
 
     @staticmethod
-    def group_archive(checkpoint_dir: str, unit: int, group: int) -> str:
-        """Archive path of one unit's merged group under a checkpoint."""
-        return os.path.join(checkpoint_dir,
-                            f"mega_group_{unit}_{group}.npz")
+    def archive(checkpoint_dir: str, unit: int) -> str:
+        """Archive path of one fleet unit under a checkpoint directory."""
+        return os.path.join(checkpoint_dir, f"unit_{unit}.npz")
 
-    def _save_groups(self, checkpoint_dir: str, k: int, recs,
-                     collect_be: bool) -> None:
-        """Snapshot every group after ``k`` completed ticks.
+    @classmethod
+    def load(cls, checkpoint_dir: str, unit: int, slices,
+             steps_done: int) -> "MegaFleetSim":
+        """Restore unit ``unit`` of a fleet snapshot to resume it.
 
-        Rows ``[0, k)`` of each group's collected arrays are fully
-        written at this point except ``be_cores`` row ``k - 1``, which
-        is only gathered by tick ``k + 1``; the resumed run rewrites it
-        deterministically from the restored actuator state.
-        """
-        from .checkpoint import save_engine
-        for g, ((sim, _), (times, tails, emus, be_norm, be_cores)) \
-                in enumerate(zip(self.groups, recs)):
-            arrays = {"times": times[:k], "tails": tails[:k],
-                      "emus": emus[:k]}
-            if collect_be:
-                arrays["be_norm"] = be_norm[:k]
-                arrays["be_cores"] = be_cores[:k - 1]
-            path = self.group_archive(checkpoint_dir, self.unit, g)
-            save_engine(sim, path, kind="mega_group", arrays=arrays,
-                        extra_meta={"steps_done": k, "n": sim.n,
-                                    "group": g,
-                                    "collect_be": bool(collect_be)})
-
-    def _load_groups(self, resume_from: str, recs, steps: int,
-                     collect_be: bool) -> int:
-        """Swap in saved group sims + collected prefixes; returns k0.
-
-        The engine is first rebuilt fresh from its slices (group
-        layout is a deterministic function of the slices), then each
-        group's archive replaces the fresh sim and refills the
-        already-computed telemetry rows — validated against the
-        rebuilt layout so a checkpoint from a different fleet fails
-        loudly.
+        The archive must hold the live fleet's ``slices`` for this unit
+        and ``steps_done`` completed ticks (the manifest's snapshot
+        tick); anything else is a checkpoint from another fleet or run.
         """
         from .checkpoint import CheckpointError, load_engine
-        k0 = None
-        for g, (group, rec) in enumerate(zip(self.groups, recs)):
-            sim, spans = group
-            restored = load_engine(
-                self.group_archive(resume_from, self.unit, g),
-                expect_kind="mega_group")
-            if restored.meta.get("n") != sim.n:
-                raise CheckpointError(
-                    f"group {g}: checkpoint holds {restored.meta.get('n')} "
-                    f"members, this fleet builds {sim.n}")
-            if bool(restored.meta.get("collect_be")) != bool(collect_be):
-                raise CheckpointError(
-                    f"group {g}: checkpoint collect_be="
-                    f"{restored.meta.get('collect_be')} does not match "
-                    f"this run's collect_be={collect_be}")
-            k = int(restored.meta["steps_done"])
-            if k0 is None:
-                k0 = k
-            elif k != k0:
-                raise CheckpointError(
-                    f"group {g}: checkpointed at tick {k}, other groups "
-                    f"at {k0} — mixed-run checkpoint directory")
-            if k > steps:
-                raise CheckpointError(
-                    f"checkpoint holds {k} completed ticks but the "
-                    f"resumed run is only {steps} ticks long")
-            self.groups[g] = (restored.sim, spans)
-            times, tails, emus, be_norm, be_cores = rec
-            times[:k] = restored.arrays["times"]
-            tails[:k] = restored.arrays["tails"]
-            emus[:k] = restored.arrays["emus"]
-            if collect_be:
-                be_norm[:k] = restored.arrays["be_norm"]
-                # be_cores lands one tick late (see the run loop), so
-                # the checkpoint carries one row fewer; the resumed
-                # tick k rewrites row k - 1 from the restored state.
-                be_cores[:k - 1] = restored.arrays["be_cores"]
-        # Restored sims come back with whatever observability state the
-        # saving run pickled (load_engine reconciles the sinks with this
-        # process's environment); the global member maps are this run's.
-        self._set_member_maps()
-        return k0 or 0
+        path = cls.archive(checkpoint_dir, unit)
+        engine = load_engine(path, expect_kind="fleet_unit").sim
+
+        def ranges(tasks):
+            return [(t.plan.name, t.leaf_lo, t.leaf_hi, t.member_base)
+                    for t in tasks]
+
+        if ranges(engine.slices) != ranges(slices):
+            raise CheckpointError(
+                f"{path}: holds slices {ranges(engine.slices)}, this "
+                f"fleet packs {ranges(slices)} into unit {unit}")
+        if engine.steps_done != steps_done:
+            raise CheckpointError(
+                f"{path}: holds {engine.steps_done} completed ticks, the "
+                f"manifest's snapshot is at tick {steps_done}")
+        return engine
 
     def run(self, duration_s: float, dt_s: float = 1.0,
             collect_be: bool = False,
             checkpoint_dir: Optional[str] = None,
-            checkpoint_at_s: Optional[float] = None,
-            resume_from: Optional[str] = None) -> list:
-        """Advance the merged groups; one ShardResult per slice.
+            checkpoint_at_s: Optional[float] = None) -> list:
+        """Advance the merged groups to ``duration_s``; one ShardResult
+        per slice.
 
-        ``checkpoint_dir`` + ``checkpoint_at_s`` snapshot every group
-        (state + collected telemetry prefix) after the tick whose time
-        reaches ``checkpoint_at_s``; ``resume_from`` restores such a
-        directory and continues from the saved tick, producing results
-        bit-identical to the uninterrupted run.
+        A restored unit (:meth:`load`) continues from its completed
+        ticks, bit-identical to the uninterrupted run.
+        ``checkpoint_dir`` + ``checkpoint_at_s`` write the unit (state
+        and collected telemetry) to :meth:`archive` after the tick
+        whose time reaches ``checkpoint_at_s``.
         """
         from ..fleet.shard import ShardResult
-        from .checkpoint import checkpoint_step
+        from .checkpoint import CheckpointError, checkpoint_step, save_engine
         if duration_s <= 0:
             raise ValueError("duration must be positive")
         if dt_s <= 0:
             raise ValueError("dt must be positive")
         steps = int(round(duration_s / dt_s))
+        k0 = self.steps_done
+        if k0 > steps:
+            raise CheckpointError(
+                f"checkpoint holds {k0} completed ticks but the resumed "
+                f"run is only {steps} ticks long")
+        names = ["times_s", "tails_ms", "emus"]
+        if collect_be:
+            names += ["be_norm", "be_cores"]
+        if k0 and set(self.telemetry[0]) != set(names):
+            raise CheckpointError(
+                f"checkpoint collect_be={not collect_be} does not match "
+                f"this run's collect_be={collect_be}")
         k_save = None
         if checkpoint_dir is not None and checkpoint_at_s is not None:
             k_save = checkpoint_step(checkpoint_at_s, duration_s, dt_s)
-        recs = []
-        for sim, _ in self.groups:
-            times = np.empty(steps)
-            tails = np.empty((steps, sim.n))
-            emus = np.empty((steps, sim.n))
-            if collect_be:
-                be_norm = np.empty((steps, sim.n))
-                be_cores = np.empty((steps, sim.n))
-            else:
-                be_norm = be_cores = None
-            recs.append((times, tails, emus, be_norm, be_cores))
-        k0 = 0
-        if resume_from is not None:
-            k0 = self._load_groups(resume_from, recs, steps, collect_be)
+        for g, (sim, _) in enumerate(self.groups):
+            rec = {name: np.empty(steps if name == "times_s"
+                                  else (steps, sim.n)) for name in names}
+            for name, rows in self.telemetry[g].items():
+                rec[name][:len(rows)] = rows
+            self.telemetry[g] = rec
+        columns = [(sim, rec["times_s"], rec["tails_ms"], rec["emus"],
+                    rec.get("be_norm"), rec.get("be_cores"))
+                   for (sim, _), rec in zip(self.groups, self.telemetry)]
         from ..obs.progress import make_heartbeat
         heartbeat = make_heartbeat(f"fleet[unit {self.unit}]", steps)
         for k in range(k0, steps):
-            for (sim, _), (times, tails, emus, be_norm, be_cores) in zip(
-                    self.groups, recs):
+            for sim, times, tails, emus, be_norm, be_cores in columns:
                 sim._ticks_left = steps - k   # sizes the noise prefetch
                 result = sim.tick(dt_s)
                 times[k] = result.t_s
@@ -320,63 +304,38 @@ class MegaFleetSim:
                     # grant_cores epochs by one tick.
                     if k:
                         be_cores[k - 1] = sim._gathered_be_cores
+            self.steps_done = k + 1
             if k_save is not None and k + 1 == k_save:
-                self._save_groups(checkpoint_dir, k + 1, recs, collect_be)
+                save_engine(self, self.archive(checkpoint_dir, self.unit),
+                            kind="fleet_unit")
             if heartbeat is not None:
                 heartbeat.beat(k + 1)
         for sim, _ in self.groups:
             sim._ticks_left = None
         if steps and collect_be:
-            for (sim, _), (times, tails, emus, be_norm, be_cores) in zip(
-                    self.groups, recs):
+            for sim, _, _, _, _, be_cores in columns:
                 # The final row has no following tick to gather it; one
                 # direct read closes the shift.
                 be_cores[steps - 1] = sim.be_cores_now()
         results: List[Optional[ShardResult]] = [None] * len(self.slices)
-        for (sim, spans), (times, tails, emus, be_norm, be_cores) in zip(
-                self.groups, recs):
+        for (_, spans), rec in zip(self.groups, self.telemetry):
             for index, lo, hi in spans:
                 task = self.slices[index]
-                # Contiguous per-slice copies: the summary reductions
-                # see the same (T, leaves) layout a per-slice engine
-                # would have filled directly.
-                p_tails = np.ascontiguousarray(tails[:, lo:hi])
-                p_emus = np.ascontiguousarray(emus[:, lo:hi])
-                if steps:
-                    summary = {
-                        "mean_emu": float(p_emus.mean()),
-                        "min_emu": float(p_emus.min()),
-                        "worst_tail_ms": float(p_tails.max()),
-                        "mean_tail_ms": float(p_tails.mean()),
-                    }
-                else:
-                    # duration_s / dt_s rounded to zero ticks: an empty
-                    # run reports the metric layer's nothing-recorded
-                    # value instead of crashing on empty reductions.
-                    summary = {"mean_emu": 0.0, "min_emu": 0.0,
-                               "worst_tail_ms": 0.0, "mean_tail_ms": 0.0}
-                if collect_be:
-                    p_be_norm = np.ascontiguousarray(be_norm[:, lo:hi])
-                    p_be_cores = np.ascontiguousarray(be_cores[:, lo:hi])
-                else:
-                    p_be_norm = p_be_cores = np.zeros((0, 0))
+                leaves = {name: rows[:, lo:hi] for name, rows in rec.items()
+                          if name != "times_s"}
                 results[index] = ShardResult(
-                    cluster=task.plan.name,
-                    cluster_index=task.cluster_index,
-                    shard_index=task.shard_index, leaf_lo=task.leaf_lo,
-                    leaf_hi=task.leaf_hi, times_s=times.copy(),
-                    tails_ms=p_tails, emus=p_emus, summary=summary,
-                    be_norm=p_be_norm, be_cores=p_be_cores)
+                    cluster=task.plan.name, leaf_lo=task.leaf_lo,
+                    leaf_hi=task.leaf_hi, times_s=rec["times_s"], **leaves)
         # Observability rides on the first slice's result (the fleet
         # layer merges payloads across all results, so placement is
         # arbitrary; events already carry fleet-global member indices).
         from ..obs.profile import merge_profiles
         from ..obs.trace import concat_payloads
-        payloads = [sim._obs_trace.payload() for sim, _ in self.groups
+        payloads = [sim._obs_trace.payload() for sim in self.engines
                     if sim._obs_trace is not None]
         if payloads:
             results[0].trace = concat_payloads(payloads)
-        profiles = [sim._obs_prof.as_dict() for sim, _ in self.groups
+        profiles = [sim._obs_prof.as_dict() for sim in self.engines
                     if sim._obs_prof is not None]
         if profiles:
             results[0].profile = merge_profiles(profiles)
@@ -384,15 +343,22 @@ class MegaFleetSim:
 
 
 def run_mega_fleet(slices, targets: Dict[str, Tuple[float, float]],
-                   duration_s: float, unit: int = 0, **run_kwargs) -> list:
-    """Build and run one fleet unit: the picklable pool work unit.
+                   duration_s: float, unit: int = 0,
+                   resume_from: Optional[str] = None, resume_steps: int = 0,
+                   **run_kwargs) -> list:
+    """Build (or restore) and run one fleet unit: the pool work unit.
 
     :class:`~repro.fleet.simulator.ShardedFleetSim` packs its slices
     into units and fans them across :func:`repro.sim.runner.run_sweep`;
     returns one :class:`~repro.fleet.shard.ShardResult` per slice, in
-    slice order.  ``run_kwargs`` (``dt_s``, ``collect_be`` and the
-    checkpoint/resume parameters) pass straight through to
-    :meth:`MegaFleetSim.run`.
+    slice order.  ``resume_from`` names a checkpoint directory whose
+    unit archive, taken after ``resume_steps`` ticks, replaces the
+    build (:meth:`MegaFleetSim.load`).  ``run_kwargs`` (``dt_s``,
+    ``collect_be`` and the checkpoint parameters) pass straight through
+    to :meth:`MegaFleetSim.run`.
     """
-    return MegaFleetSim(slices, targets, unit=unit).run(duration_s,
-                                                        **run_kwargs)
+    if resume_from is None:
+        engine = MegaFleetSim(slices, targets, unit=unit)
+    else:
+        engine = MegaFleetSim.load(resume_from, unit, slices, resume_steps)
+    return engine.run(duration_s, **run_kwargs)

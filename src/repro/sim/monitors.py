@@ -117,12 +117,9 @@ class LatencyMonitor:
             return None
         return max(s[1] for s in window)
 
-    def sample_count(self) -> int:
-        return len(self._samples)
-
 
 class ThroughputMonitor:
-    """Accumulates BE throughput units and normalizes against a reference.
+    """Normalizes each tick's BE throughput against a reference.
 
     Normalized throughput is the EMU ingredient: BE units per second
     divided by the units/second the task achieves alone on the server.
@@ -132,8 +129,6 @@ class ThroughputMonitor:
         if reference_units_per_s <= 0:
             raise ValueError("reference throughput must be positive")
         self.reference_units_per_s = reference_units_per_s
-        self._total_units = 0.0
-        self._total_time_s = 0.0
         self._last_normalized = 0.0
 
     def record(self, units: float, dt_s: float) -> None:
@@ -141,16 +136,9 @@ class ThroughputMonitor:
             raise ValueError("dt must be positive")
         if units < 0:
             raise ValueError("units must be non-negative")
-        self._total_units += units
-        self._total_time_s += dt_s
         self._last_normalized = (units / dt_s) / self.reference_units_per_s
 
     @property
     def last_normalized(self) -> float:
         """Most recent normalized throughput (instantaneous)."""
         return self._last_normalized
-
-    def average_normalized(self) -> float:
-        if self._total_time_s == 0:
-            return 0.0
-        return (self._total_units / self._total_time_s) / self.reference_units_per_s

@@ -1,7 +1,7 @@
 """Workload models: latency-critical services, BE tasks, antagonists, traces."""
 
-from .antagonists import (AntagonistSpec, Placement, antagonist_by_label,
-                          figure1_antagonists, make_antagonist)
+from .antagonists import (AntagonistSpec, Placement, figure1_antagonists,
+                          make_antagonist)
 from .base import (Allocation, cache_demand_for, split_across_sockets,
                    spread_cores)
 from .best_effort import (BE_PROFILES, BRAIN, CPU_PWR, IPERF, STREAM_DRAM,
@@ -16,8 +16,7 @@ from .traces import (ConstantLoad, DiurnalTrace, LoadSpike, LoadTrace,
                      load_sweep, websearch_cluster_trace)
 
 __all__ = [
-    "AntagonistSpec", "Placement", "antagonist_by_label",
-    "figure1_antagonists", "make_antagonist",
+    "AntagonistSpec", "Placement", "figure1_antagonists", "make_antagonist",
     "Allocation", "cache_demand_for", "split_across_sockets", "spread_cores",
     "BE_PROFILES", "BRAIN", "CPU_PWR", "IPERF", "STREAM_DRAM", "STREAM_LLC",
     "STREETVIEW", "BestEffortWorkload", "BeWorkloadProfile",

@@ -142,15 +142,6 @@ def figure1_antagonists(spec: Optional[MachineSpec] = None) -> List[AntagonistSp
     ]
 
 
-def antagonist_by_label(label: str,
-                        spec: Optional[MachineSpec] = None) -> AntagonistSpec:
-    """Look up one Figure 1 row by its label."""
-    for spec_ in figure1_antagonists(spec):
-        if spec_.label == label:
-            return spec_
-    raise KeyError(f"unknown antagonist {label!r}")
-
-
 def make_antagonist(spec_: AntagonistSpec,
                     machine: Optional[MachineSpec] = None) -> BestEffortWorkload:
     """Instantiate the BE workload behind an antagonist spec."""

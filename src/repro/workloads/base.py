@@ -13,7 +13,7 @@ mutated by whatever controller is in charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..hardware.cache import CacheDemand
@@ -48,9 +48,6 @@ class Allocation:
     @property
     def total_cores(self) -> int:
         return sum(self.cores_by_socket.values())
-
-    def with_cores(self, cores_by_socket: Dict[int, int]) -> "Allocation":
-        return replace(self, cores_by_socket=dict(cores_by_socket))
 
     def sockets_in_use(self):
         return sorted(s for s, n in self.cores_by_socket.items() if n > 0)

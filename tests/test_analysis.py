@@ -37,10 +37,6 @@ class TestTcoModel:
         assert model.energy_proportionality_gain(0.20) < 0.07  # "< 7%"
         assert 0.01 < model.energy_proportionality_gain(0.75) < 0.05  # "~3%"
 
-    def test_cluster_scale(self, model):
-        assert model.cluster_tco_usd(0.5) == pytest.approx(
-            10_000 * model.tco_per_server_usd(0.5))
-
     def test_validation(self):
         import dataclasses
         with pytest.raises(ValueError):

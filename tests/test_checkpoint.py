@@ -208,12 +208,11 @@ class TestBatchRoundTrip:
         path = str(tmp_path / "meta.npz")
         batch = make_batch()
         run_ticks(batch, 90, 1.0)
-        save_engine(batch, path, kind="batch",
-                    extra_meta={"leaves": batch.n})
+        save_engine(batch, path, kind="batch")
         restored = load_engine(path)
         assert restored.meta["version"] == CHECKPOINT_VERSION
         assert restored.meta["kind"] == "batch"
-        assert restored.meta["leaves"] == 3
+        assert restored.sim.n == 3
         assert restored.time_s == pytest.approx(90.0)
 
 
@@ -281,20 +280,6 @@ class TestArchiveValidation:
         # Loading by the suffixless name the caller gave also works.
         assert load_engine(str(tmp_path / "bare")).time_s \
             == pytest.approx(5.0)
-
-    def test_extra_meta_cannot_shadow_core_keys(self, tmp_path):
-        sim = make_scalar()
-        with pytest.raises(CheckpointError, match="may not override"):
-            save_engine(sim, str(tmp_path / "x"), kind="single",
-                        extra_meta={"kind": "impostor"})
-
-    def test_side_arrays_round_trip_exactly(self, tmp_path):
-        sim = make_scalar()
-        tails = np.linspace(0.0, 1.0, 7)[:, None] * np.arange(3.0)
-        path = save_engine(sim, str(tmp_path / "arr"), kind="single",
-                           arrays={"tails": tails})
-        restored = load_engine(path)
-        assert np.array_equal(restored.arrays["tails"], tails)
 
     def test_checkpoint_step_bounds(self):
         assert checkpoint_step(90.0, 180.0, 1.0) == 90

@@ -54,7 +54,7 @@ class TestLeaf:
             record = leaf.tick()
         assert leaf.controller is not None
         assert record.tail_latency_ms > 0
-        assert leaf.last_emu >= record.load - 0.01
+        assert record.emu >= record.load - 0.01
 
     def test_leaf_slo_override_moves_target_only(self):
         from repro.hardware.spec import default_machine_spec

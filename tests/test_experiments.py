@@ -101,9 +101,10 @@ class TestCharacterizationMachinery:
         assert low < high <= 1.0
 
     def test_cell_records_placement(self):
-        from repro.workloads.antagonists import antagonist_by_label
+        from repro.workloads.antagonists import figure1_antagonists
         lc = make_lc_workload("websearch")
-        spec = antagonist_by_label("DRAM")
+        (spec,) = [row for row in figure1_antagonists()
+                   if row.label == "DRAM"]
         result = characterization_cell(lc, spec, 0.5)
         assert result.lc_cores + result.antagonist_cores == 36
         assert result.antagonist == "DRAM"

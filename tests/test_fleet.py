@@ -19,7 +19,7 @@ import pytest
 
 from repro.cluster.cluster import WebsearchCluster, cluster_slo_targets
 from repro.fleet import (ClusterPlan, ShardedFleetSim, ShardTask,
-                         pack_shards, partition_leaves)
+                         assemble_cluster, pack_shards, partition_leaves)
 from repro.hardware.spec import default_machine_spec
 from repro.scenarios import (ClusterSpec, ScenarioError, ScenarioSpec,
                              compile_scenario, load_scenario, registry)
@@ -39,6 +39,40 @@ CLUSTER_FIELDS = ("t_s", "load", "root_latency_ms", "root_slo_fraction",
 def reference_trace():
     """The shared cluster trace every differential run uses."""
     return websearch_cluster_trace(seed=SEED)
+
+
+LEAF_FIELDS = ("times_s", "tails_ms", "emus", "be_norm", "be_cores")
+
+
+def run_with_leaves(monkeypatch, run):
+    """``run()`` plus the per-leaf telemetry its roll-up assembled.
+
+    Wraps the fleet's ``assemble_cluster`` to keep each cluster's
+    ``[0, leaves)`` record, keyed by cluster name.
+    """
+    from repro.fleet import simulator
+    leaves = {}
+
+    def assemble(shards, total_leaves=None):
+        record = assemble_cluster(shards, total_leaves)
+        leaves[record.cluster] = record
+        return record
+
+    monkeypatch.setattr(simulator, "assemble_cluster", assemble)
+    return run(), leaves
+
+
+def assert_leaf_arrays_identical(got, want, what, collected=False):
+    """Bitwise equality of every cluster's per-leaf telemetry arrays;
+    ``collected`` also requires the BE slack signals to be present."""
+    assert sorted(got) == sorted(want), f"{what}: cluster sets differ"
+    for name, record in want.items():
+        if collected:
+            assert record.be_cores.shape == record.tails_ms.shape
+        for field in LEAF_FIELDS:
+            a, b = getattr(got[name], field), getattr(record, field)
+            assert np.array_equal(a, b), (
+                f"{what} [{name}]: per-leaf {field} diverged")
 
 
 def assert_cluster_histories_identical(got, want, what):
@@ -108,15 +142,19 @@ def scalar_cluster():
     return cluster
 
 
+def make_fleet(shard_leaves, engine="sharded", events=()):
+    """The differential cluster as a fleet (any packing)."""
+    return ShardedFleetSim(
+        [ClusterPlan(name="diff", leaves=LEAVES, trace=reference_trace(),
+                     seed=SEED, events=tuple(events))],
+        shard_leaves=shard_leaves, engine=engine)
+
+
 def run_fleet_once(shard_leaves, processes=1, engine="sharded",
                    slack_epoch_s=None):
     """One fleet run of the differential cluster (any engine)."""
-    fleet = ShardedFleetSim(
-        [ClusterPlan(name="diff", leaves=LEAVES, trace=reference_trace(),
-                     seed=SEED)],
-        shard_leaves=shard_leaves, engine=engine)
-    return fleet.run(DURATION, processes=processes,
-                     slack_epoch_s=slack_epoch_s)
+    return make_fleet(shard_leaves, engine).run(
+        DURATION, processes=processes, slack_epoch_s=slack_epoch_s)
 
 
 class TestFleetDifferential:
@@ -136,9 +174,9 @@ class TestFleetDifferential:
                                          shard_leaves, expected_shards,
                                          jobs):
         monkeypatch.setenv(JOBS_ENV, jobs)
+        assert len(make_fleet(shard_leaves)._shards()) == expected_shards
         result = run_fleet_once(shard_leaves, processes=None)
         outcome = result.cluster("diff")
-        assert len(outcome.shards) == expected_shards
         assert outcome.root_slo_ms == batch_cluster.root_slo_ms
         assert outcome.leaf_slo_ms == batch_cluster.leaf_slo_ms
         assert_cluster_histories_identical(
@@ -147,10 +185,9 @@ class TestFleetDifferential:
 
     def test_assemble_rejects_incomplete_tiling(self):
         """A missing trailing shard must fail loudly, never roll up."""
-        from repro.fleet import assemble_cluster
-        result = run_fleet_once(shard_leaves=3)
-        shards = sorted(result.cluster("diff").shards,
-                        key=lambda s: s.leaf_lo)
+        targets = {"diff": cluster_slo_targets(default_machine_spec(),
+                                               LEAVES)}
+        shards = run_mega_fleet(make_fleet(3)._shards(), targets, 30.0)
         with pytest.raises(ValueError, match="ends at leaf"):
             assemble_cluster(shards[:-1], total_leaves=LEAVES)
         with pytest.raises(ValueError, match="starts at leaf"):
@@ -179,8 +216,14 @@ class TestMegaEngineDifferential:
     scalar reference and every sharded plan) number for number."""
 
     @pytest.fixture(scope="class")
-    def mega_result(self):
-        return run_fleet_once(shard_leaves=LEAVES, engine="mega")
+    def mega_run(self):
+        with pytest.MonkeyPatch.context() as patch:
+            return run_with_leaves(patch, lambda: run_fleet_once(
+                shard_leaves=LEAVES, engine="mega"))
+
+    @pytest.fixture(scope="class")
+    def mega_result(self, mega_run):
+        return mega_run[0]
 
     def test_mega_matches_batch_bitwise(self, mega_result, batch_cluster):
         outcome = mega_result.cluster("diff")
@@ -195,28 +238,38 @@ class TestMegaEngineDifferential:
             mega_result.cluster("diff").history, scalar_cluster.history,
             "mega vs scalar")
 
-    def test_mega_is_one_whole_cluster_shard(self, mega_result):
-        """The mega engine reports each cluster as a single
-        whole-population shard so the roll-up stays shared."""
-        shards = mega_result.cluster("diff").shards
-        assert len(shards) == 1
-        assert (shards[0].leaf_lo, shards[0].leaf_hi) == (0, LEAVES)
+    def test_mega_is_one_whole_cluster_shard(self, mega_run):
+        """The mega engine runs each cluster as a single
+        whole-population shard, whatever the shard size."""
+        tasks = make_fleet(3, engine="mega")._shards()
+        assert [(t.leaf_lo, t.leaf_hi) for t in tasks] == [(0, LEAVES)]
+        assert mega_run[1]["diff"].tails_ms.shape \
+            == (int(DURATION), LEAVES)
 
     @pytest.mark.parametrize("jobs", ["1", "4"])
     @pytest.mark.parametrize("shard_leaves", [8, 3, 1])
-    def test_mega_summary_matches_sharded(self, mega_result, monkeypatch,
+    def test_mega_summary_matches_sharded(self, mega_run, monkeypatch,
                                           shard_leaves, jobs):
-        """Summaries are engine- and shard-plan-invariant, whatever
-        the worker pool shape."""
+        """Summaries and every leaf's telemetry are engine- and
+        shard-plan-invariant, whatever the worker pool shape."""
         monkeypatch.setenv(JOBS_ENV, jobs)
-        sharded = run_fleet_once(shard_leaves, processes=None)
+        sharded, leaves = run_with_leaves(
+            monkeypatch, lambda: run_fleet_once(shard_leaves,
+                                                processes=None))
+        mega_result, mega_leaves = mega_run
         assert mega_result.summary(skip_s=60.0) \
             == sharded.summary(skip_s=60.0)
+        assert_leaf_arrays_identical(
+            leaves, mega_leaves, f"shard={shard_leaves} jobs={jobs}")
 
-    def test_mega_slack_view_matches_sharded(self):
+    def test_mega_slack_view_matches_sharded(self, monkeypatch):
         """The scheduler's slack signals survive the engine swap."""
-        mega = run_fleet_once(LEAVES, engine="mega", slack_epoch_s=30.0)
-        sharded = run_fleet_once(3, slack_epoch_s=30.0)
+        mega, mega_leaves = run_with_leaves(monkeypatch, lambda: (
+            run_fleet_once(LEAVES, engine="mega", slack_epoch_s=30.0)))
+        sharded, leaves = run_with_leaves(monkeypatch, lambda: (
+            run_fleet_once(3, slack_epoch_s=30.0)))
+        assert_leaf_arrays_identical(leaves, mega_leaves, "mega vs sharded",
+                                     collected=True)
         a, b = mega.slack, sharded.slack
         assert a is not None and b is not None
         assert np.array_equal(a.epoch_t_s, b.epoch_t_s)
@@ -224,7 +277,8 @@ class TestMegaEngineDifferential:
             assert np.array_equal(getattr(a, name), getattr(b, name)), (
                 f"slack signal {name!r} diverged between engines")
 
-    def test_mega_slack_view_matches_sharded_under_be_chaos(self):
+    def test_mega_slack_view_matches_sharded_under_be_chaos(self,
+                                                            monkeypatch):
         """BE-toggle chaos must land in the *same* grant row on both
         engines.  The recorded grant for tick k is what tick k+1's
         actuator gather sees — including chaos events firing at the
@@ -240,15 +294,16 @@ class TestMegaEngineDifferential:
                   ChaosEvent(150.0, "disable_be", members=(3,)))
 
         def run(engine, shard_leaves):
-            fleet = ShardedFleetSim(
-                [ClusterPlan(name="diff", leaves=LEAVES,
-                             trace=reference_trace(), seed=SEED,
-                             events=events)],
-                shard_leaves=shard_leaves, engine=engine)
-            return fleet.run(DURATION, processes=1, slack_epoch_s=1.0)
+            return run_with_leaves(monkeypatch, lambda: make_fleet(
+                shard_leaves, engine, events).run(
+                    DURATION, processes=1, slack_epoch_s=1.0))
 
-        a = run("mega", LEAVES).slack
-        b = run("sharded", 3).slack
+        mega, mega_leaves = run("mega", LEAVES)
+        sharded, leaves = run("sharded", 3)
+        assert_leaf_arrays_identical(leaves, mega_leaves,
+                                     "mega vs sharded under BE chaos",
+                                     collected=True)
+        a, b = mega.slack, sharded.slack
         for name in ("harvest_core_s", "grant_cores", "latched"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), (
                 f"slack signal {name!r} diverged between engines "
@@ -440,10 +495,11 @@ class TestCheckpointResume:
 
     def test_saving_does_not_perturb_the_run(self, tmp_path):
         """The run that *writes* the snapshot stays on trajectory, and
-        the checkpoint directory holds a manifest + unit archives."""
+        the checkpoint directory holds a manifest + one unit archive."""
         import os
 
-        from repro.fleet.simulator import FLEET_META_NAME
+        from repro.fleet.simulator import (FLEET_CHECKPOINT_VERSION,
+                                           FLEET_META_NAME)
         ckpt = str(tmp_path / "ckpt")
         straight = self._straight()
         saved = self._fleet().run(CHAOS_DURATION, processes=1,
@@ -452,12 +508,10 @@ class TestCheckpointResume:
         assert_cluster_histories_identical(
             saved.cluster("diff").history, straight.cluster("diff").history,
             "checkpointing run vs straight")
-        names = sorted(os.listdir(ckpt))
-        assert FLEET_META_NAME in names
-        assert [n for n in names if n.startswith("mega_group_")]
+        assert sorted(os.listdir(ckpt)) == [FLEET_META_NAME, "unit_0.npz"]
         meta = json.loads((tmp_path / "ckpt" / FLEET_META_NAME)
                           .read_text())
-        assert meta["version"] == 2
+        assert meta["version"] == FLEET_CHECKPOINT_VERSION
         assert meta["checkpoint_t_s"] == SNAPSHOT_AT
         assert meta["engine"] == "sharded"
 
@@ -548,6 +602,42 @@ class TestCheckpointResume:
             self._fleet().run(CHAOS_DURATION,
                               resume_from=str(tmp_path / "nowhere"))
 
+    def test_unit_archive_from_another_snapshot_is_rejected(self,
+                                                            tmp_path):
+        """A unit archive whose tick count is not the manifest's."""
+        import shutil
+
+        from repro.sim.checkpoint import CheckpointError, load_engine
+        for name, at_s in (("a", SNAPSHOT_AT), ("b", SNAPSHOT_AT + 10.0)):
+            self._fleet().run(CHAOS_DURATION, processes=1,
+                              checkpoint_dir=str(tmp_path / name),
+                              checkpoint_at_s=at_s)
+        shutil.copy(tmp_path / "b" / "unit_0.npz",
+                    tmp_path / "a" / "unit_0.npz")
+        assert load_engine(str(tmp_path / "b" / "unit_0.npz")).time_s \
+            == SNAPSHOT_AT + 10.0
+        with pytest.raises(CheckpointError,
+                           match="65 completed ticks.*tick 55"):
+            self._fleet().run(CHAOS_DURATION, processes=1,
+                              resume_from=str(tmp_path / "a"))
+
+    def test_previous_layout_is_refused(self, tmp_path):
+        """A version-2 directory (one archive per merged group) is
+        refused by its manifest version before any archive loads."""
+        from repro.fleet.simulator import FLEET_META_NAME
+        from repro.sim.checkpoint import CheckpointError
+        ckpt = tmp_path / "ckpt"
+        self._fleet().run(CHAOS_DURATION, processes=1,
+                          checkpoint_dir=str(ckpt),
+                          checkpoint_at_s=SNAPSHOT_AT)
+        (ckpt / "unit_0.npz").rename(ckpt / "mega_group_0_0.npz")
+        meta = json.loads((ckpt / FLEET_META_NAME).read_text())
+        meta["version"] = 2
+        (ckpt / FLEET_META_NAME).write_text(json.dumps(meta))
+        with pytest.raises(CheckpointError,
+                           match="version 2, this build reads version 3"):
+            self._fleet().run(CHAOS_DURATION, resume_from=str(ckpt))
+
 
 class TestPackShards:
     def test_one_unit_takes_everything(self):
@@ -583,16 +673,52 @@ class TestFleetUnit:
         plan = ClusterPlan(name="c", leaves=4, trace=ConstantLoad(0.5),
                            managed=False, seed=1)
         targets = {"c": cluster_slo_targets(default_machine_spec(), 4)}
-        return run_mega_fleet([ShardTask(plan, 0, 0, leaf_lo, leaf_hi)],
+        return run_mega_fleet([ShardTask(plan, 0, leaf_lo, leaf_hi)],
                               targets, duration_s, dt_s=dt_s)
 
-    def test_shapes_and_summary(self):
+    def test_result_shapes(self):
         (result,) = self._run()
         assert result.tails_ms.shape == (30, 2)
         assert result.emus.shape == (30, 2)
         assert result.times_s.shape == (30,)
-        assert result.summary["worst_tail_ms"] == result.tails_ms.max()
+        assert result.be_norm.shape == result.be_cores.shape == (0, 0)
         assert (result.tails_ms > 0).all()
+
+    @pytest.mark.parametrize("cuts", [[(0, 1), (1, 4), (4, 6)],
+                                      [(0, 3)], [(3, 6)]])
+    def test_leaf_arrays_do_not_depend_on_slicing(self, cuts):
+        """Each slice's per-leaf arrays, BE signals included, equal the
+        same leaves' columns of a whole-cluster unit, bit for bit, in
+        one unit or one unit per slice."""
+        plan = ClusterPlan(name="c", leaves=6, trace=reference_trace(),
+                           seed=1, events=(
+                               ChaosEvent(20.0, "disable_be",
+                                          members=(0, 3)),
+                               ChaosEvent(35.0, "set_be_cores", 2,
+                                          members=(2, 3)),
+                               ChaosEvent(50.0, "enable_be",
+                                          members=(0, 3))))
+        targets = {"c": cluster_slo_targets(default_machine_spec(), 6)}
+
+        def run(ranges, unit=0):
+            return run_mega_fleet([ShardTask(plan, 0, lo, hi)
+                                   for lo, hi in ranges], targets, 80.0,
+                                  unit=unit, collect_be=True)
+
+        (whole,) = run([(0, 6)])
+        assert whole.be_cores.shape == whole.tails_ms.shape == (80, 6)
+        packed = run(cuts)
+        alone = [result for u, cut in enumerate(cuts)
+                 for result in run([cut], unit=u)]
+        for results, what in ((packed, "one unit"), (alone, "unit each")):
+            for result in results:
+                lo, hi = result.leaf_lo, result.leaf_hi
+                assert np.array_equal(result.times_s, whole.times_s)
+                for field in LEAF_FIELDS[1:]:
+                    assert np.array_equal(
+                        getattr(result, field),
+                        getattr(whole, field)[:, lo:hi]), (
+                        f"{what}: leaves [{lo}, {hi}) {field} diverged")
 
     def test_rejects_degenerate_tasks(self):
         with pytest.raises(ValueError, match="duration"):
@@ -650,18 +776,22 @@ def packing_plans():
 class TestPackingInvariance:
     """A leaf's trajectory does not depend on which other leaves share
     its array: every packing of the shards onto units — one unit, or
-    one per pool worker — gives the same histories, per-shard
-    summaries, slack views and merged decision traces."""
+    one per pool worker — gives the same per-leaf telemetry, histories,
+    slack views and merged decision traces."""
 
     @staticmethod
-    def _run(shard_leaves, processes, **kwargs):
+    def _run(monkeypatch, shard_leaves, processes, **kwargs):
         fleet = ShardedFleetSim(packing_plans(), shard_leaves=shard_leaves)
-        return fleet.run(CHAOS_DURATION, processes=processes,
-                         slack_epoch_s=10.0, **kwargs)
+        return run_with_leaves(monkeypatch, lambda: fleet.run(
+            CHAOS_DURATION, processes=processes, slack_epoch_s=10.0,
+            **kwargs))
 
     @staticmethod
     def _assert_same_fleet(got, want, what):
         from repro.obs import events_to_jsonl
+        (got, got_leaves), (want, want_leaves) = got, want
+        assert_leaf_arrays_identical(got_leaves, want_leaves, what,
+                                     collected=True)
         for outcome in want.clusters:
             assert_cluster_histories_identical(
                 got.cluster(outcome.name).history, outcome.history,
@@ -677,21 +807,16 @@ class TestPackingInvariance:
     def test_every_packing_is_identical(self, monkeypatch):
         from repro.obs import TRACE_ENV
         monkeypatch.setenv(TRACE_ENV, "1")
-        reference = ShardedFleetSim(packing_plans(), engine="mega").run(
-            CHAOS_DURATION, slack_epoch_s=10.0)
-        assert len(reference.trace["t_s"]) > 0
+        reference = run_with_leaves(monkeypatch, lambda: ShardedFleetSim(
+            packing_plans(), engine="mega").run(CHAOS_DURATION,
+                                                slack_epoch_s=10.0))
+        assert len(reference[0].trace["t_s"]) > 0
         for shard_leaves in (1, 3, 8):
-            summaries = None
             for processes in (1, 2, 3):
-                result = self._run(shard_leaves, processes)
-                what = f"shard={shard_leaves} processes={processes}"
-                self._assert_same_fleet(result, reference, what)
-                shards = {o.name: o.shard_summaries()
-                          for o in result.clusters}
-                if summaries is None:
-                    summaries = shards
-                assert shards == summaries, (
-                    f"{what}: per-shard summaries depend on the packing")
+                self._assert_same_fleet(
+                    self._run(monkeypatch, shard_leaves, processes),
+                    reference,
+                    f"shard={shard_leaves} processes={processes}")
 
     def test_two_unit_checkpoint_resumes_on_one_process(self, tmp_path,
                                                         monkeypatch):
@@ -699,33 +824,47 @@ class TestPackingInvariance:
         from repro.obs import TRACE_ENV
         monkeypatch.setenv(TRACE_ENV, "1")
         ckpt = str(tmp_path / "ckpt")
-        straight = self._run(3, 1)
-        saved = self._run(3, 2, checkpoint_dir=ckpt,
+        straight = self._run(monkeypatch, 3, 1)
+        saved = self._run(monkeypatch, 3, 2, checkpoint_dir=ckpt,
                           checkpoint_at_s=SNAPSHOT_AT)
         meta = json.loads((tmp_path / "ckpt" / FLEET_META_NAME)
                           .read_text())
         assert meta["units"] == 2
-        resumed = self._run(3, 1, resume_from=ckpt)
+        resumed = self._run(monkeypatch, 3, 1, resume_from=ckpt)
         self._assert_same_fleet(resumed, saved, "resumed vs saving run")
-        for outcome in straight.clusters:
+        assert_leaf_arrays_identical(resumed[1], straight[1],
+                                     "resumed vs straight", collected=True)
+        for outcome in straight[0].clusters:
             assert_cluster_histories_identical(
-                resumed.cluster(outcome.name).history, outcome.history,
+                resumed[0].cluster(outcome.name).history, outcome.history,
                 f"resumed vs straight [{outcome.name}]")
-            assert resumed.cluster(outcome.name).shard_summaries() \
-                == outcome.shard_summaries()
 
-    def test_corrupt_unit_count_is_rejected(self, tmp_path):
+    def test_corrupt_unit_count_is_rejected(self, tmp_path, monkeypatch):
         from repro.fleet.simulator import FLEET_META_NAME
         from repro.sim.checkpoint import CheckpointError
         ckpt = tmp_path / "ckpt"
-        self._run(3, 2, checkpoint_dir=str(ckpt),
+        self._run(monkeypatch, 3, 2, checkpoint_dir=str(ckpt),
                   checkpoint_at_s=SNAPSHOT_AT)
         meta_path = ckpt / FLEET_META_NAME
         meta = json.loads(meta_path.read_text())
         meta["units"] = 99
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(CheckpointError, match="units=99"):
-            self._run(3, 1, resume_from=str(ckpt))
+            self._run(monkeypatch, 3, 1, resume_from=str(ckpt))
+
+    def test_unit_archive_from_another_packing_is_rejected(self, tmp_path,
+                                                           monkeypatch):
+        """A unit archive whose slices are not the ones the live fleet
+        packs into that unit."""
+        from repro.sim.checkpoint import CheckpointError
+        ckpt = tmp_path / "ckpt"
+        self._run(monkeypatch, 3, 2, checkpoint_dir=str(ckpt),
+                  checkpoint_at_s=SNAPSHOT_AT)
+        (ckpt / "unit_0.npz").rename(ckpt / "swap.npz")
+        (ckpt / "unit_1.npz").rename(ckpt / "unit_0.npz")
+        (ckpt / "swap.npz").rename(ckpt / "unit_1.npz")
+        with pytest.raises(CheckpointError, match="holds slices"):
+            self._run(monkeypatch, 3, 1, resume_from=str(ckpt))
 
 
 def fleet_shaped(shape, **over):
@@ -777,9 +916,9 @@ def test_unsupported_option_fails_loud(case):
 
 
 class TestHeterogeneousFleet:
-    @pytest.fixture(scope="class")
-    def result(self):
-        fleet = ShardedFleetSim(
+    @staticmethod
+    def _fleet():
+        return ShardedFleetSim(
             [
                 ClusterPlan(name="web", leaves=4,
                             trace=reference_trace(), seed=1),
@@ -789,7 +928,10 @@ class TestHeterogeneousFleet:
                             managed=False, seed=2),
             ],
             shard_leaves=2)
-        return fleet.run(120.0, processes=1)
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return self._fleet().run(120.0, processes=1)
 
     def test_telemetry_shapes(self, result):
         telemetry = result.telemetry
@@ -815,10 +957,11 @@ class TestHeterogeneousFleet:
         assert (weighted >= latency.min(axis=1) - 1e-12).all()
 
     def test_cluster_lookup_and_shards(self, result):
-        web = result.cluster("web")
-        assert web.leaves == 4 and len(web.shards) == 2
-        summaries = web.shard_summaries()
-        assert [s["leaf_lo"] for s in summaries] == [0, 2]
+        assert result.cluster("web").leaves == 4
+        assert [(t.plan.name, t.leaf_lo, t.leaf_hi, t.member_base)
+                for t in self._fleet()._shards()] == [
+            ("web", 0, 2, 0), ("web", 2, 4, 0), ("kv", 0, 2, 4),
+            ("kv", 2, 3, 4)]
         with pytest.raises(KeyError):
             result.cluster("nope")
 
@@ -883,15 +1026,16 @@ class TestFleetValidation:
         with pytest.raises(ValueError, match="record_period_s"):
             ShardedFleetSim([self._plan()], record_period_s=0.0)
 
-    def test_zero_step_run_is_empty_not_a_crash(self):
+    def test_zero_step_run_is_empty_not_a_crash(self, monkeypatch):
         """duration/dt rounding to zero ticks mirrors the cluster driver
         (an empty history), instead of crashing on empty reductions."""
         fleet = ShardedFleetSim([self._plan(leaves=2)])
-        result = fleet.run(1.0, dt_s=5.0, processes=1)
+        result, leaves = run_with_leaves(monkeypatch, lambda: fleet.run(
+            1.0, dt_s=5.0, processes=1, slack_epoch_s=10.0))
         assert len(result.cluster("c").history) == 0
         assert len(result.telemetry) == 0
-        summary = result.cluster("c").shard_summaries()[0]
-        assert summary["worst_tail_ms"] == 0.0
+        assert leaves["c"].tails_ms.shape == (0, 2)
+        assert result.slack.epochs == 0
 
 
 class TestFleetSpecSchema:
@@ -1000,13 +1144,6 @@ class TestFleetSpecSchema:
         spaced["fleet"]["clusters"][1]["leaves"] = 1500
         spaced["fleet"]["clusters"][1]["seed"] = 99
         assert load_scenario(spaced).fleet.total_leaves() == 3000
-
-    def test_shard_records_are_summary_only(self):
-        """Results keep shard summaries, not the bulk (T, n) telemetry."""
-        result = run_fleet_once(shard_leaves=3)
-        for shard in result.cluster("diff").shards:
-            assert shard.tails_ms.size == 0 and shard.emus.size == 0
-            assert shard.summary["worst_tail_ms"] > 0
 
     def test_registered_fleet_scenarios_validate(self):
         mixed = registry.get("mixed-fleet-1k")

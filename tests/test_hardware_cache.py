@@ -177,20 +177,6 @@ class TestCatController:
         cat.set_partition("be", 1)
         assert not cat.shrink("be", 2)
 
-    def test_transfer(self):
-        cat = CatController(45.0, 20)
-        cat.set_partition("lc", 18)
-        cat.set_partition("be", 2)
-        assert cat.transfer("lc", "be", 3)
-        assert cat.partition_ways("lc") == 15
-        assert cat.partition_ways("be") == 5
-
-    def test_transfer_fails_gracefully(self):
-        cat = CatController(45.0, 20)
-        cat.set_partition("lc", 2)
-        assert not cat.transfer("lc", "be", 5)
-        assert cat.partition_ways("lc") == 2
-
     def test_needs_two_ways(self):
         with pytest.raises(ValueError):
             CatController(45.0, 1)

@@ -30,12 +30,11 @@ def resolve_two_tasks(server):
 
 
 class TestDramCounters:
-    def test_total_bw(self, server, counters):
+    def test_total_bw(self, server):
         resolve_two_tasks(server)
-        assert counters.dram_total_bw_gbps() == pytest.approx(32.0)
+        assert server.telemetry.total_dram_gbps == pytest.approx(32.0)
 
     def test_capacities(self, counters):
-        assert counters.dram_capacity_gbps() == pytest.approx(120.0)
         assert counters.socket_dram_capacity_gbps() == pytest.approx(60.0)
 
     def test_worst_socket(self, server, counters):

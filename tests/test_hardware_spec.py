@@ -64,13 +64,11 @@ class TestMachineSpec:
         spec = default_machine_spec()
         assert spec.sockets == 2
         assert spec.total_cores == 36
-        assert spec.total_threads == 72
 
     def test_totals(self):
         spec = default_machine_spec()
         assert spec.total_llc_mb == pytest.approx(90.0)
         assert spec.total_dram_bw_gbps == pytest.approx(120.0)
-        assert spec.total_tdp_watts == pytest.approx(240.0)
 
     def test_default_validates(self):
         default_machine_spec().validate()

@@ -68,14 +68,6 @@ class TestHtbQdisc:
         with pytest.raises(ValueError):
             htb.add_class("bad", rate_gbps=5.0, ceil_gbps=2.0)
 
-    def test_remove_class(self):
-        htb = HtbQdisc(10.0)
-        htb.add_class("be")
-        htb.remove_class("be")
-        assert htb.ceil_of("be") is None
-        with pytest.raises(KeyError):
-            htb.remove_class("be")
-
     def test_bad_link(self):
         with pytest.raises(ValueError):
             HtbQdisc(0.0)

@@ -86,7 +86,7 @@ class TestLatencyMonitor:
         m = LatencyMonitor(window_s=5, slo_window_s=10)
         for t in range(100):
             m.record(float(t), 1.0, 0.5)
-        assert m.sample_count() <= 12
+        assert len(m._samples) <= 12
 
 
 class TestThroughputMonitor:
@@ -94,12 +94,6 @@ class TestThroughputMonitor:
         m = ThroughputMonitor(reference_units_per_s=20.0)
         m.record(units=10.0, dt_s=1.0)
         assert m.last_normalized == pytest.approx(0.5)
-
-    def test_average(self):
-        m = ThroughputMonitor(reference_units_per_s=10.0)
-        m.record(5.0, 1.0)
-        m.record(15.0, 1.0)
-        assert m.average_normalized() == pytest.approx(1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -21,12 +21,6 @@ class TestAllocation:
         assert alloc.total_cores == 10
         assert alloc.sockets_in_use() == [0, 1]
 
-    def test_with_cores_copies(self):
-        alloc = Allocation(cores_by_socket={0: 4})
-        updated = alloc.with_cores({0: 8})
-        assert alloc.total_cores == 4
-        assert updated.total_cores == 8
-
     def test_empty_sockets_skipped(self):
         alloc = Allocation(cores_by_socket={0: 0, 1: 3})
         assert alloc.sockets_in_use() == [1]

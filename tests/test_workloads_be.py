@@ -4,8 +4,8 @@ import pytest
 
 from repro.hardware.server import Server
 from repro.hardware.spec import default_machine_spec
-from repro.workloads.antagonists import (Placement, antagonist_by_label,
-                                         figure1_antagonists, make_antagonist)
+from repro.workloads.antagonists import (Placement, figure1_antagonists,
+                                         make_antagonist)
 from repro.workloads.base import Allocation
 from repro.workloads.best_effort import (BE_PROFILES, BestEffortWorkload,
                                          BeWorkloadProfile, make_be_workload,
@@ -155,17 +155,12 @@ class TestAntagonists:
         assert rows["DRAM"].placement is Placement.REMAINING_CORES
 
     def test_spinloop_touches_no_memory(self, spec):
-        row = antagonist_by_label("HyperThread", spec)
+        row = {r.label: r for r in figure1_antagonists(spec)}["HyperThread"]
         assert row.profile.access_gbps_per_core == 0.0
         assert row.profile.bulk_mb == 0.0
 
-    def test_lookup_by_label(self, spec):
-        assert antagonist_by_label("DRAM", spec).label == "DRAM"
-        with pytest.raises(KeyError):
-            antagonist_by_label("nope", spec)
-
     def test_make_antagonist(self, spec):
-        row = antagonist_by_label("CPU power", spec)
+        row = {r.label: r for r in figure1_antagonists(spec)}["CPU power"]
         workload = make_antagonist(row, spec)
         assert isinstance(workload, BestEffortWorkload)
         assert workload.profile.power_weight > 1.5
