@@ -332,6 +332,7 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
     import dataclasses
 
     from .scenarios import ScenarioError, compile_scenario, registry
+    from .sim.checkpoint import CheckpointError
     if args.list_scenarios:
         for name in registry.names():
             print(f"{name:<16} {registry.description(name)}")
@@ -341,16 +342,16 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
                          "path (or --list)")
     try:
         spec = _resolve_scenario_spec(args.scenario)
-        if spec.cluster is not None and (args.trace or args.profile):
+        if spec.sweep is not None and (args.trace or args.profile):
             raise SystemExit(
-                f"scenario: {spec.name!r} is cluster-shaped and records "
+                f"scenario: {spec.name!r} is sweep-shaped and records "
                 f"no decision trace or phase profile; drop --trace and "
-                f"--profile, or run the leaves as a fleet scenario")
+                f"--profile, or run the cells as a members scenario")
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         spec = _apply_checkpoint_args(args, spec)
         result = compile_scenario(spec).run()
-    except ScenarioError as exc:
+    except (ScenarioError, CheckpointError) as exc:
         raise SystemExit(f"scenario: {exc}") from exc
     _emit_scenario_result(args, result)
     return 0
@@ -373,6 +374,7 @@ def _run_fleet_shaped(args: argparse.Namespace, command: str, shape: str,
     import dataclasses
 
     from .scenarios import ScenarioError, compile_scenario, registry
+    from .sim.checkpoint import CheckpointError
     if args.list_scenarios:
         for name in registry.names():
             if getattr(registry.get(name), shape) is not None:
@@ -409,7 +411,7 @@ def _run_fleet_shaped(args: argparse.Namespace, command: str, shape: str,
         spec = _apply_checkpoint_args(
             args, dataclasses.replace(spec, **{shape: stanza}))
         return spec, compile_scenario(spec).run()
-    except ScenarioError as exc:
+    except (ScenarioError, CheckpointError) as exc:
         raise SystemExit(f"{command}: {exc}") from exc
 
 

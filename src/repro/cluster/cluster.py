@@ -12,9 +12,9 @@ Execution backends
 :class:`WebsearchCluster` is the scalar reference: one
 ``ColocationSim`` per leaf (one :class:`Leaf` and one
 ``HeraclesController`` each), stepped in a Python loop.  The
-``cluster`` scenario shape runs each arm as a one-cluster fleet on the
-array engine instead (:mod:`repro.fleet.simulator`); every arm is
-bit-identical to this loop for the same seed (enforced by
+``cluster`` scenario shape runs its arms as one fleet on the array
+engine instead, one cluster per arm (:mod:`repro.fleet.simulator`);
+every arm is bit-identical to this loop for the same seed (enforced by
 ``tests/test_scenario_fuzz.py`` and ``tests/test_fleet.py``).
 """
 

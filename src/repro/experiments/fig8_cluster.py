@@ -9,12 +9,13 @@ brain on half the leaves and streetview on the other half.  Reported:
   80%" for the paper's hardware; our simulated substrate lands close
   (~0.8 average) with the same no-violation property.
 
-Each arm runs as a one-cluster fleet on the array engine (all leaves
-advance per tick as one vectorized step — see
-:mod:`repro.sim.megabatch`), and the managed and baseline arms are
-independent simulations fanned across the sweep runner.  The per-leaf
-scalar loop, :class:`~repro.cluster.cluster.WebsearchCluster`, is the
-reference every arm is bit-identical to.
+The two arms run as one fleet on the array engine, one cluster per
+arm (see :mod:`repro.sim.megabatch`): on one worker every leaf of
+both arms advances per tick as one vectorized step, and on two
+workers each arm is its own unit.  No leaf's controller looks at
+another leaf, so the per-leaf scalar loop,
+:class:`~repro.cluster.cluster.WebsearchCluster`, is the reference
+every arm is bit-identical to under either packing.
 
 The full-fidelity run is 12 simulated hours; ``time_compression``
 shrinks the trace period for quick looks (controller dynamics stay at
@@ -74,16 +75,14 @@ def run_fig8(leaves: int = 12,
              processes: Optional[int] = None) -> Fig8Result:
     """Run the cluster trace with and without Heracles.
 
-    Compiles a parametrized ``fig8`` scenario spec; the two arms share
-    nothing, so they are dispatched through
-    :func:`repro.sim.runner.run_sweep` — on a multi-core host they run
-    concurrently; on a single core the runner falls back to a serial
-    loop.
+    Compiles a parametrized ``fig8`` scenario spec and runs it as one
+    fleet with a cluster per arm: one worker runs both arms as one
+    array, two workers run the arms concurrently.
 
     Args:
         leaves / duration_s / time_compression / seed:
             forwarded to :func:`repro.scenarios.library.fig8_scenario`.
-        processes: runner worker count (``None`` = auto).
+        processes: fleet worker count (``None`` = auto).
 
     Returns:
         The populated :class:`Fig8Result`.

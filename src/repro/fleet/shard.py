@@ -47,8 +47,10 @@ def overlapping_seed_ranges(clusters):
     ``[seed * 1000, seed * 1000 + leaves)`` ranges overlap would share
     noise streams leaf-for-leaf and silently correlate every
     cross-cluster aggregate.  This is the one definition of that
-    collision — the spec layer and the engine both validate through
-    it.
+    collision; :meth:`repro.scenarios.spec.FleetSpec.validate_seeds`
+    rejects it in fleet and schedule specs.  The engine itself accepts
+    shared seeds: the arms of a ``cluster`` scenario run the same
+    leaves, noise included, with and without Heracles.
 
     Args:
         clusters: iterable of ``(seed, leaves, name)`` tuples.

@@ -234,21 +234,3 @@ class CatController:
     def classes(self) -> Dict[str, int]:
         return dict(self._classes)
 
-    def grow(self, cos: str, ways: int = 1) -> bool:
-        """Grow ``cos`` by taking unallocated ways; False if none free."""
-        if ways <= 0:
-            raise ValueError("growth must be positive")
-        if self.unallocated_ways() < ways:
-            return False
-        self.set_partition(cos, self.partition_ways(cos) + ways)
-        return True
-
-    def shrink(self, cos: str, ways: int = 1) -> bool:
-        """Shrink ``cos``, never below zero; False if nothing to give."""
-        if ways <= 0:
-            raise ValueError("shrink must be positive")
-        current = self.partition_ways(cos)
-        if current < ways:
-            return False
-        self.set_partition(cos, current - ways)
-        return True

@@ -71,10 +71,6 @@ class SocketSpec:
     # activity factor 1.0.  Power scales ~ activity * f^3 / f_nominal^3.
     core_dynamic_watts: float = 5.2
 
-    @property
-    def hyperthreads(self) -> int:
-        return self.cores * self.threads_per_core
-
 
 @dataclass(frozen=True)
 class NicSpec:

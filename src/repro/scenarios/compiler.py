@@ -15,12 +15,11 @@ execution layers below it.  Each scenario *shape* lowers differently:
   experiment layer's :func:`~repro.experiments.common.colocation_sweep`
   (so a sweep scenario is numerically identical to the hand-wired
   Figure 4-7 harness, offline-profiling memoization included);
-* ``cluster`` — each managed/baseline arm a one-cluster fleet (the
-  ``fleet`` lowering below, one in-process unit), the arms dispatched
-  through the same runner;
 * ``fleet`` — a sharded multi-cluster :class:`~repro.fleet.simulator.
   ShardedFleetSim`, every cluster partitioned into homogeneous shards
   fanned across the runner's process pool;
+* ``cluster`` — the same fleet run, one cluster per managed/baseline
+  arm (see :meth:`CompiledScenario.fleet_spec`);
 * ``schedule`` — the same sharded fleet run with the per-leaf slack
   view collected, then the :mod:`repro.sched` scheduler placing the
   spec's best-effort job queue over it (an empty queue leaves the
@@ -46,8 +45,7 @@ from ..cluster.cluster import ClusterHistory
 from ..core.controller import HeraclesController
 from ..experiments.common import (ColocationSweep, baseline_cell,
                                   colocation_sweep)
-from ..fleet import (ClusterOutcome, ClusterPlan, FleetResult,
-                     ShardedFleetSim)
+from ..fleet import ClusterPlan, FleetResult, ShardedFleetSim
 from ..obs.trace import concat_payloads
 from ..sched import ScheduleOutcome, run_schedule, tco_summary
 from ..sim.batch import BatchColocationSim
@@ -56,7 +54,7 @@ from ..sim.checkpoint import (checkpoint_step, completed_steps, load_engine,
                               run_ticks, save_engine,
                               trace_checkpoint_save)
 from ..sim.engine import ColocationSim, SimHistory
-from ..sim.runner import memoized_dram_model, run_sweep
+from ..sim.runner import memoized_dram_model
 from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
 from .spec import (FleetSpec, InjectionSpec, ScenarioError, ScenarioSpec,
@@ -69,15 +67,6 @@ def _chaos_event(injection: InjectionSpec) -> ChaosEvent:
         at_s=injection.at_s, action=injection.action,
         value=injection.value,
         members=None if injection.leaf is None else (injection.leaf,))
-
-
-def _run_cluster_arm(fleet: ShardedFleetSim, duration_s: float,
-                     dt_s: float) -> ClusterOutcome:
-    """Run one ``cluster``-scenario arm, a one-cluster fleet, in-process.
-
-    Module-level so the arms can fan out across the runner's pool.
-    """
-    return fleet.run(duration_s, dt_s=dt_s, processes=1).clusters[0]
 
 
 @dataclass
@@ -116,7 +105,10 @@ class ScenarioResult:
     ``members`` fills :attr:`members`; ``sweep`` fills :attr:`sweeps`
     (one :class:`~repro.experiments.common.ColocationSweep` per LC task,
     in spec order); ``cluster`` fills :attr:`cluster_arms` and
-    :attr:`root_slo_ms`; ``fleet`` fills :attr:`fleet`.
+    :attr:`root_slo_ms`; ``fleet`` fills :attr:`fleet`, and
+    ``schedule`` also :attr:`schedule`.  Every shape but ``sweep``
+    fills :attr:`trace` and :attr:`profile` when the observability
+    toggles are on.
     """
 
     spec: ScenarioSpec
@@ -323,8 +315,9 @@ class CompiledScenario:
         yet run.
 
         Raises:
-            ScenarioError: for sweep/cluster scenarios, which lower to
-                runner grids instead of a single simulation object.
+            ScenarioError: for sweep and fleet-shaped scenarios, which
+                lower to runner grids instead of a single simulation
+                object.
         """
         spec = self.spec
         if self.kind not in ("single", "batch"):
@@ -395,23 +388,19 @@ class CompiledScenario:
         """Execute the scenario and collect results.
 
         Args:
-            processes: worker processes for sweep/cluster fan-out
-                (``None`` = auto via :func:`repro.sim.runner.
-                default_jobs`; ignored by member scenarios, which are
-                single simulations).
+            processes: worker processes for a sweep's cells or a
+                fleet's units (``None`` = auto via
+                :func:`repro.sim.runner.default_jobs`; ignored by member
+                scenarios, which are single simulations).
 
         Returns:
             A populated :class:`ScenarioResult`.
         """
         if self.kind == "sweep":
             return self._run_sweep(processes)
-        if self.kind == "cluster":
-            return self._run_cluster(processes)
-        if self.kind == "fleet":
-            return self._run_fleet(processes)
-        if self.kind == "schedule":
-            return self._run_schedule(processes)
-        return self._run_members()
+        if self.kind in ("single", "batch"):
+            return self._run_members()
+        return self._run_fleet(processes)
 
     def _run_members(self) -> ScenarioResult:
         spec = self.spec
@@ -497,13 +486,44 @@ class CompiledScenario:
             result.sweeps[lc_name] = grid
         return result
 
-    def _build_fleet(self, fleet_spec) -> ShardedFleetSim:
+    def fleet_spec(self) -> FleetSpec:
+        """The :class:`FleetSpec` a fleet, schedule or cluster scenario
+        runs.
+
+        A ``cluster`` scenario is one fleet with one cluster per arm,
+        in ``cluster.arms`` order and named by the arm.  The arms share
+        the scenario's seed, trace and server, so each is bit-identical
+        to the scalar :class:`~repro.cluster.cluster.WebsearchCluster`
+        of that seed.  Each arm is one shard: one worker advances both
+        arms as one array, and more workers run one arm per unit.
+
+        Raises:
+            ScenarioError: for member and sweep scenarios, which run no
+                fleet.
+        """
+        spec = self.spec
+        if spec.fleet is not None:
+            return spec.fleet
+        if spec.schedule is not None:
+            return spec.schedule.fleet
+        cluster = spec.cluster
+        if cluster is None:
+            raise ScenarioError(f"scenario {spec.name!r} is a {self.kind} "
+                                f"scenario; it runs no fleet")
+        return FleetSpec(
+            clusters=tuple(
+                ShardSpec(name=arm, leaves=cluster.leaves,
+                          server=spec.server, trace=cluster.trace,
+                          managed=(arm == "managed"), seed=spec.seed)
+                for arm in cluster.arms),
+            shard_leaves=cluster.leaves)
+
+    def _build_fleet(self, fleet_spec: FleetSpec) -> ShardedFleetSim:
         """Lower a :class:`FleetSpec` onto the sharded fleet simulator.
 
-        Shared by the ``fleet`` and ``schedule`` shapes, so a scheduled
-        fleet is constructed *identically* to the plain fleet it wraps
-        — the root of the empty-queue bit-identity gate — and by each
-        arm of a ``cluster`` scenario, a one-cluster fleet.
+        Shared by the ``fleet``, ``schedule`` and ``cluster`` shapes,
+        so a scheduled fleet is constructed *identically* to the plain
+        fleet it wraps — the root of the empty-queue bit-identity gate.
         """
         spec = self.spec
         # A cluster-less injection reaches every cluster; a leaf target
@@ -531,65 +551,43 @@ class CompiledScenario:
             record_period_s=fleet_spec.record_period_s,
             engine=fleet_spec.engine)
 
-    def _fleet_run_kwargs(self) -> Dict[str, Optional[str]]:
-        """Checkpoint/resume kwargs for a fleet-shaped run."""
-        ckpt = self.spec.checkpoint
-        if ckpt is None:
-            return {}
-        return dict(checkpoint_dir=ckpt.save, checkpoint_at_s=ckpt.at_s,
-                    resume_from=ckpt.resume)
-
     def _run_fleet(self, processes: Optional[int]) -> ScenarioResult:
-        spec = self.spec
-        fleet = self._build_fleet(spec.fleet)
-        outcome = fleet.run(spec.duration_s, dt_s=spec.dt_s,
-                            processes=processes,
-                            **self._fleet_run_kwargs())
-        return ScenarioResult(spec=spec, kind="fleet", fleet=outcome,
-                              trace=outcome.trace,
-                              profile=outcome.profile)
+        """Run a fleet, schedule or cluster scenario as one fleet.
 
-    def _run_schedule(self, processes: Optional[int]) -> ScenarioResult:
+        A schedule run also collects the slack view and places the job
+        queue over it; a cluster run reports each cluster as its arm.
+        """
         spec = self.spec
         schedule = spec.schedule
-        fleet = self._build_fleet(schedule.fleet)
-        outcome = fleet.run(spec.duration_s, dt_s=spec.dt_s,
-                            processes=processes,
-                            slack_epoch_s=schedule.epoch_s,
-                            **self._fleet_run_kwargs())
+        ckpt = spec.checkpoint
+        snapshots = {} if ckpt is None else dict(
+            checkpoint_dir=ckpt.save, checkpoint_at_s=ckpt.at_s,
+            resume_from=ckpt.resume)
+        outcome = self._build_fleet(self.fleet_spec()).run(
+            spec.duration_s, dt_s=spec.dt_s, processes=processes,
+            slack_epoch_s=None if schedule is None else schedule.epoch_s,
+            **snapshots)
+        result = ScenarioResult(spec=spec, kind=self.kind,
+                                trace=outcome.trace,
+                                profile=outcome.profile)
+        if self.kind == "cluster":
+            for arm in outcome.clusters:
+                result.cluster_arms[arm.name] = arm.history
+                result.root_slo_ms = arm.root_slo_ms
+            return result
+        result.fleet = outcome
+        if schedule is None:
+            return result
         started = perf_counter()
-        scheduled = run_schedule(outcome.slack, schedule.expand_jobs(),
-                                 policy=schedule.policy,
-                                 queue_limit=schedule.queue_limit)
-        profile = outcome.profile
-        if profile is not None:
-            profile = dict(profile, sched=perf_counter() - started)
-        payloads = [p for p in (outcome.trace, scheduled.trace)
+        result.schedule = run_schedule(
+            outcome.slack, schedule.expand_jobs(), policy=schedule.policy,
+            queue_limit=schedule.queue_limit)
+        if result.profile is not None:
+            result.profile = dict(result.profile,
+                                  sched=perf_counter() - started)
+        payloads = [p for p in (outcome.trace, result.schedule.trace)
                     if p is not None]
-        return ScenarioResult(spec=spec, kind="schedule", fleet=outcome,
-                              schedule=scheduled,
-                              trace=(concat_payloads(payloads)
-                                     if payloads else None),
-                              profile=profile)
-
-    def _run_cluster(self, processes: Optional[int]) -> ScenarioResult:
-        spec = self.spec
-        cluster = spec.cluster
-        arms = [
-            ((self._build_fleet(FleetSpec(
-                clusters=(ShardSpec(
-                    name=arm, leaves=cluster.leaves, server=spec.server,
-                    trace=cluster.trace, managed=(arm == "managed"),
-                    seed=spec.seed),),
-                engine="mega")), spec.duration_s, spec.dt_s), {})
-            for arm in cluster.arms
-        ]
-        outcomes = run_sweep(_run_cluster_arm, arms, processes=processes,
-                             star=True)
-        result = ScenarioResult(spec=spec, kind="cluster")
-        for arm, outcome in zip(cluster.arms, outcomes):
-            result.cluster_arms[arm] = outcome.history
-            result.root_slo_ms = outcome.root_slo_ms
+        result.trace = concat_payloads(payloads) if payloads else None
         return result
 
 

@@ -407,8 +407,9 @@ class ClusterSpec(_Spec):
     """A websearch minicluster run (the §5.3 / Figure 8 shape).
 
     Arms (``managed`` = Heracles on every leaf, ``baseline`` = no
-    colocation) are independent one-cluster fleet runs fanned across
-    the runner.
+    colocation) run the same leaves, seed and trace; the compiler runs
+    them as one fleet with one cluster per arm (see
+    :meth:`repro.scenarios.compiler.CompiledScenario.fleet_spec`).
     """
 
     leaves: int = 8
@@ -426,6 +427,9 @@ class ClusterSpec(_Spec):
             raise ScenarioError(f"{ctx}.arms: need at least one arm")
         for arm in self.arms:
             _choose(arm, ("managed", "baseline"), f"{ctx}.arms", "arm")
+        if len(set(self.arms)) != len(self.arms):
+            raise ScenarioError(f"{ctx}.arms: each arm runs once; got "
+                                f"{list(self.arms)}")
         self.trace.validate(f"{ctx}.trace")
 
 
@@ -910,8 +914,9 @@ class ScenarioSpec(_Spec):
                 raise ScenarioError(
                     f"{ctx}.checkpoint: checkpointing applies to "
                     f"'members', 'fleet' and 'schedule' scenarios; sweep "
-                    f"cells and minicluster arms are short independent "
-                    f"runs with nothing to resume")
+                    f"cells are short independent runs with nothing to "
+                    f"resume, and cluster scenarios do not take "
+                    f"snapshots yet")
             self.checkpoint.validate(f"{ctx}.checkpoint")
             if fleet_like is not None and self.checkpoint.spill_dir:
                 raise ScenarioError(

@@ -4,7 +4,7 @@ Two execution backends share one physics model: the scalar
 :class:`ColocationSim` (one server, reference implementation) and the
 vectorized :class:`~repro.sim.batch.BatchColocationSim` (N servers per
 tick as array math).  :mod:`repro.sim.runner` fans independent runs —
-sweep points, cluster arms — across a process pool.
+sweep points, fleet units — across a process pool.
 """
 
 from .actuators import Actuators, BE_COS, LC_COS

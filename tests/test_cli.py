@@ -100,15 +100,33 @@ class TestShapeMismatches:
 
     @pytest.mark.parametrize("flags", [["--trace", "out.jsonl"],
                                        ["--profile"]])
-    def test_cluster_scenarios_reject_trace_and_profile(self, flags,
-                                                        monkeypatch):
-        # A cluster scenario records neither; the flags must not be
+    def test_sweep_scenarios_reject_trace_and_profile(self, flags,
+                                                      monkeypatch):
+        # A sweep scenario records neither; the flags must not be
         # accepted and then silently produce nothing.
         from repro.obs import PROFILE_ENV, TRACE_ENV
         for name in (TRACE_ENV, PROFILE_ENV):
             monkeypatch.delenv(name, raising=False)
-        with pytest.raises(SystemExit, match="cluster-shaped"):
-            main(["scenario", "fig8"] + flags)
+        with pytest.raises(SystemExit, match="sweep-shaped"):
+            main(["scenario", "fig4"] + flags)
+
+    def test_cluster_scenarios_write_trace_and_profile(self, tmp_path,
+                                                       capsys,
+                                                       monkeypatch):
+        from repro.obs import PROFILE_ENV, TRACE_ENV, read_jsonl
+        for name in (TRACE_ENV, PROFILE_ENV):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv(JOBS_ENV, "1")
+        spec = tmp_path / "cluster.json"
+        spec.write_text(json.dumps({
+            "name": "tiny-cluster", "duration_s": 60, "warmup_s": 10,
+            "cluster": {"leaves": 2}}))
+        trace = tmp_path / "trace.jsonl"
+        main(["scenario", str(spec), "--trace", str(trace), "--profile"])
+        captured = capsys.readouterr()
+        assert read_jsonl(str(trace))
+        assert "phase" in captured.err and "physics" in captured.err
+        assert captured.out.startswith("root SLO:")
 
     def test_sched_policy_choices_are_enforced_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -120,6 +138,22 @@ class TestShapeMismatches:
         # import-light; this pin fails if the mirror ever drifts.
         from repro.sched.policies import POLICIES
         assert SCHED_POLICIES == POLICIES
+
+
+class TestCheckpointErrors:
+    """A checkpoint that cannot be read is a message, not a traceback."""
+
+    @pytest.mark.parametrize("command, scenario, snapshot", [
+        ("scenario", "diurnal-spike", "missing.npz"),
+        ("fleet", "follow-the-sun", "missing"),
+        ("sched", "diurnal-scavenger", "missing"),
+    ])
+    def test_missing_resume_is_a_clean_error(self, command, scenario,
+                                             snapshot, tmp_path):
+        with pytest.raises(SystemExit,
+                           match=f"^{command}: cannot read .*checkpoint"):
+            main([command, scenario, "--resume",
+                  str(tmp_path / snapshot)])
 
 
 class TestBadSpecFiles:

@@ -19,7 +19,8 @@ import pytest
 
 from repro.cluster.cluster import WebsearchCluster, cluster_slo_targets
 from repro.fleet import (ClusterPlan, ShardedFleetSim, ShardTask,
-                         assemble_cluster, pack_shards, partition_leaves)
+                         assemble_cluster, overlapping_seed_ranges,
+                         pack_shards, partition_leaves)
 from repro.hardware.spec import default_machine_spec
 from repro.scenarios import (ClusterSpec, ScenarioError, ScenarioSpec,
                              compile_scenario, load_scenario, registry)
@@ -905,6 +906,8 @@ UNSUPPORTED_FLEET_OPTIONS = {
             fleet_shaped("schedule", server={"cores": 8}))),
     "fleet-controller": (ScenarioError, "controller", lambda: load_scenario(
         fleet_shaped("fleet", controller="none"))),
+    "cluster-duplicate-arms": (ScenarioError, "arms", lambda: load_scenario(
+        {"name": "twice", "cluster": {"arms": ["managed", "managed"]}})),
 }
 
 
@@ -990,18 +993,22 @@ class TestFleetValidation:
         with pytest.raises(ValueError, match="zero or negative"):
             ShardedFleetSim([self._plan()], shard_leaves=-4)
 
-    def test_rejects_cross_cluster_seed_collisions(self):
-        """Adjacent seeds + 1000-leaf clusters would share noise streams."""
-        with pytest.raises(ValueError, match="seed ranges overlap"):
-            ShardedFleetSim([
-                self._plan(name="a", leaves=1500, seed=7),
-                self._plan(name="b", leaves=1500, seed=8),
-            ])
-        # Widely spaced seeds (or sub-1000 clusters) are fine.
-        ShardedFleetSim([self._plan(name="a", leaves=1500, seed=7),
-                         self._plan(name="b", leaves=1500, seed=9)])
-        ShardedFleetSim([self._plan(name="a", leaves=500, seed=7),
-                         self._plan(name="b", leaves=500, seed=8)])
+    def test_accepts_same_seed_clusters(self):
+        """A cluster scenario's arms share one seed on purpose; the spec
+        layer, not the engine, rejects overlaps in user-written fleets."""
+        fleet = ShardedFleetSim([self._plan(name="a", seed=7),
+                                 self._plan(name="b", seed=7)])
+        assert [plan.seed for plan in fleet.clusters] == [7, 7]
+
+    def test_overlapping_seed_ranges(self):
+        """Adjacent seeds + 1000-leaf clusters would share noise streams;
+        widely spaced seeds or sub-1000 clusters do not."""
+        assert overlapping_seed_ranges(
+            [(7, 1500, "a"), (8, 1500, "b")]) == ("a", "b")
+        assert overlapping_seed_ranges(
+            [(7, 1500, "a"), (9, 1500, "b")]) is None
+        assert overlapping_seed_ranges(
+            [(7, 500, "a"), (8, 500, "b")]) is None
 
     def test_rejects_duplicate_names_and_empty_fleets(self):
         with pytest.raises(ValueError, match="unique"):

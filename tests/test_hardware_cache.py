@@ -159,29 +159,6 @@ class TestCatController:
         cat.set_partition("lc", 12)
         assert cat.unallocated_ways() == 8
 
-    def test_grow_and_shrink(self):
-        cat = CatController(45.0, 20)
-        cat.set_partition("be", 2)
-        assert cat.grow("be", 3)
-        assert cat.partition_ways("be") == 5
-        assert cat.shrink("be", 4)
-        assert cat.partition_ways("be") == 1
-
-    def test_grow_fails_when_full(self):
-        cat = CatController(45.0, 20)
-        cat.set_partition("lc", 20)
-        assert not cat.grow("be", 1)
-
-    def test_shrink_fails_below_zero(self):
-        cat = CatController(45.0, 20)
-        cat.set_partition("be", 1)
-        assert not cat.shrink("be", 2)
-
     def test_needs_two_ways(self):
         with pytest.raises(ValueError):
             CatController(45.0, 1)
-
-    def test_invalid_grow_amount(self):
-        cat = CatController(45.0, 20)
-        with pytest.raises(ValueError):
-            cat.grow("lc", 0)

@@ -49,10 +49,6 @@ class TestTurboSpec:
 
 
 class TestSocketSpec:
-    def test_hyperthreads(self):
-        s = SocketSpec(cores=18, threads_per_core=2)
-        assert s.hyperthreads == 36
-
     def test_paper_llc_per_core(self):
         # 2.5 MB of LLC per core, per the paper's hardware description.
         s = SocketSpec()

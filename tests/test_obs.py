@@ -31,9 +31,9 @@ from repro.obs import (FIELDS, KINDS, PHASES, SOURCES, PhaseProfiler,
                        read_jsonl, render_profile, trace_enabled,
                        write_jsonl)
 from repro.scenarios import CheckpointSpec, run_scenario
-from repro.scenarios.spec import (FleetSpec, InjectionSpec, ScenarioSpec,
-                                  ScheduleSpec, ShardSpec, TraceSpec,
-                                  JobSpec, WorkloadSpec)
+from repro.scenarios.spec import (ClusterSpec, FleetSpec, InjectionSpec,
+                                  ScenarioSpec, ScheduleSpec, ShardSpec,
+                                  TraceSpec, JobSpec, WorkloadSpec)
 from repro.sim.chaos import CHAOS_EVENT_ACTIONS
 from repro.sim.runner import JOBS_ENV
 
@@ -265,6 +265,17 @@ class TestTraceDeterminism:
                 assert text  # the injections guarantee events
             else:
                 assert text == reference, f"{what}: trace diverged"
+
+    def test_cluster_jsonl_identical_across_jobs(self):
+        """Both arms in one unit (1 worker) or one arm per unit (2)."""
+        spec = ScenarioSpec(
+            name="obs-cluster", duration_s=40.0, warmup_s=0.0, seed=2,
+            cluster=ClusterSpec(leaves=3))
+        spec.validate()
+        one, two = (events_to_jsonl(run_traced(spec, jobs=jobs).trace)
+                    for jobs in (1, 2))
+        assert one  # Heracles on the managed arm always decides
+        assert one == two
 
     def test_member_indices_are_fleet_global(self):
         spec = fleet_spec()

@@ -47,7 +47,8 @@ class TestCacheProperties:
         cat.set_partition("lc", ways // 2)
         cat.set_partition("be", ways - ways // 2)
         assert cat.unallocated_ways() == 0
-        assert not cat.grow("lc")
+        with pytest.raises(ValueError):
+            cat.set_partition("lc", ways // 2 + 1)
 
 
 class TestMemoryProperties:

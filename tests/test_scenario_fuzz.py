@@ -245,7 +245,9 @@ def cluster_specs(draw):
     """A random valid cluster scenario (injection-free by contract)."""
     cluster = ClusterSpec(
         leaves=draw(st.integers(2, 3)),
-        arms=draw(st.sampled_from((("managed",), ("managed", "baseline")))),
+        arms=draw(st.sampled_from((("managed",), ("baseline",),
+                                   ("managed", "baseline"),
+                                   ("baseline", "managed")))),
         trace=draw_trace(draw))
     return ScenarioSpec(name="fuzz-cluster", duration_s=40.0,
                         warmup_s=10.0, seed=draw(st.integers(0, 5)),
@@ -457,13 +459,14 @@ class TestMemberScenarios:
 
 class TestClusterScenarios:
     @settings(max_examples=examples(15))
-    @given(spec=cluster_specs())
-    def test_batch_matches_scalar_bitwise(self, spec):
-        """Each arm (a one-cluster fleet on the array engine) matches a
-        scalar per-leaf ``WebsearchCluster`` bit for bit."""
+    @given(spec=cluster_specs(), processes=st.sampled_from((1, 2)))
+    def test_batch_matches_scalar_bitwise(self, spec, processes):
+        """Each arm (one cluster of the scenario's fleet, sharing a unit
+        with the other arm at one worker) matches a scalar per-leaf
+        ``WebsearchCluster`` bit for bit."""
         note_spec(spec)
         spec.validate()
-        batch = run_scenario(spec, processes=1)
+        batch = run_scenario(spec, processes=processes)
         assert tuple(batch.cluster_arms) == spec.cluster.arms
         for arm, history in batch.cluster_arms.items():
             scalar = WebsearchCluster(

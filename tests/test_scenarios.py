@@ -407,6 +407,30 @@ class TestCompiler:
         with pytest.raises(ScenarioError, match="runner grid"):
             compiled.build()
 
+    def test_cluster_scenario_is_one_fleet(self, monkeypatch):
+        """Both arms run in one ShardedFleetSim, one cluster per arm in
+        ``arms`` order; the result reports arms, not a fleet."""
+        from repro.scenarios import compiler
+        real = compiler.ShardedFleetSim
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(compiler, "ShardedFleetSim", counting)
+        spec = load_scenario({"name": "t", "duration_s": 40,
+                              "warmup_s": 0, "seed": 4,
+                              "cluster": {"leaves": 2,
+                                          "arms": ["baseline", "managed"]}})
+        fleet_spec = compile_scenario(spec).fleet_spec()
+        assert [(c.name, c.managed, c.seed) for c in fleet_spec.clusters] \
+            == [("baseline", False, 4), ("managed", True, 4)]
+        result = run_scenario(spec, processes=1)
+        assert len(built) == 1
+        assert list(result.cluster_arms) == ["baseline", "managed"]
+        assert result.fleet is None and "fleet" not in result.to_dict()
+
     def test_controller_none_leaves_be_disabled(self):
         spec = load_scenario({
             "name": "t", "controller": "none", "duration_s": 30,

@@ -10,10 +10,14 @@ Usage::
     python tools/diff_runs.py trace A.jsonl B.jsonl
 
 ``scenario`` mode runs one spec twice with decision tracing forced on.
-A fleet- or schedule-shaped spec runs under two engine/sharding/job-
-count configurations that the bit-identity contract says must agree,
-with per-tick slack collection (``slack_epoch_s = dt_s``), and the
-fleet roll-up columns are compared.  A members spec runs as compiled
+A fleet-, schedule- or cluster-shaped spec runs the fleet the compiler
+lowers it to (:meth:`~repro.scenarios.compiler.CompiledScenario.
+fleet_spec`; a cluster spec is one cluster per arm) under two
+engine/sharding/job-count configurations that the bit-identity
+contract says must agree, with per-tick slack collection
+(``slack_epoch_s = dt_s``), and the fleet roll-up columns are
+compared.  So ``--jobs-a 1 --jobs-b 2`` on a cluster spec compares
+both arms in one unit with one arm per unit.  A members spec runs as compiled
 (it has no engine knob), and every ``SimHistory`` column is compared
 per (tick, member).  The tool reports the first (tick, column, member)
 where the runs disagree, together with the nearest preceding
@@ -28,7 +32,9 @@ a subprocess on that tree's ``src`` (its columns come back in an
 ``.npz`` file), and compared with run B on the working tree — so
 "this change keeps every number" is one command.  ``REV`` must already
 have the API this tool drives (``_build_fleet`` and slack views for
-fleets, ``run_scenario`` for members).
+fleets, ``run_scenario`` for members).  A ``REV`` older than
+``CompiledScenario.fleet_spec`` still runs fleet and schedule specs
+from their own stanza, but cannot lower a cluster spec.
 
 ``trace`` mode diffs two merged decision-trace JSONL files (the
 ``--trace`` CLI artifact) line by line and reports the first differing
@@ -268,16 +274,6 @@ def _format_event(event: Mapping[str, Any]) -> str:
     return " ".join(parts)
 
 
-def _fleet_spec_of(spec):
-    """The FleetSpec inside a fleet- or schedule-shaped scenario."""
-    if spec.fleet is not None:
-        return spec.fleet
-    if spec.schedule is not None:
-        return spec.schedule.fleet
-    raise SystemExit("diff_runs: scenario mode needs a members, fleet or "
-                     "schedule spec")
-
-
 def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
                  jobs: Optional[int]):
     """One traced run: a members spec as compiled, or a per-tick-slack
@@ -291,7 +287,18 @@ def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
                              "configure fleet runs; a members spec has "
                              "none of them")
         return compile_scenario(spec).run()
-    fleet_spec = _fleet_spec_of(spec)
+    if spec.sweep is not None:
+        raise SystemExit("diff_runs: scenario mode needs a members, "
+                         "fleet, schedule or cluster spec")
+    compiled = compile_scenario(spec)
+    if hasattr(compiled, "fleet_spec"):
+        fleet_spec = compiled.fleet_spec()
+    else:
+        # A --base revision older than CompiledScenario.fleet_spec.
+        fleet_spec = spec.fleet or getattr(spec.schedule, "fleet", None)
+        if fleet_spec is None:
+            raise SystemExit("diff_runs: this revision cannot lower a "
+                             "cluster spec to a fleet")
     overrides: Dict[str, Any] = {}
     if engine is not None:
         overrides["engine"] = engine
@@ -303,7 +310,7 @@ def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
     if jobs is not None:
         os.environ[JOBS_ENV] = str(jobs)
     try:
-        fleet = compile_scenario(spec)._build_fleet(fleet_spec)
+        fleet = compiled._build_fleet(fleet_spec)
         return fleet.run(spec.duration_s, dt_s=spec.dt_s,
                          slack_epoch_s=spec.dt_s)
     finally:
@@ -459,8 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     scenario = sub.add_parser(
         "scenario", help="run one spec twice and diff per-tick columns")
-    scenario.add_argument("spec", help="members, fleet or schedule spec "
-                                       "file")
+    scenario.add_argument("spec", help="members, fleet, schedule or "
+                                       "cluster spec file")
     scenario.add_argument("--engine-a", default=None,
                           help="fleet engine for run A (sharded|mega)")
     scenario.add_argument("--engine-b", default=None,
