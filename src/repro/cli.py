@@ -31,10 +31,9 @@ EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "tco": tco_table.main,
 }
 
-#: Commands whose work fans out across the sweep runner; ``--jobs``
-#: only affects these (plus ``all``, which includes them).
-SWEEP_COMMANDS = frozenset({"fig4", "fig5", "fig6", "fig8", "all",
-                            "scenario", "fleet", "sched"})
+#: Commands whose fleet units fan out across the process pool;
+#: ``--jobs`` only affects these (plus ``all``, which includes fig8).
+SWEEP_COMMANDS = frozenset({"fig8", "all", "scenario", "fleet", "sched"})
 
 #: Placement policies the ``sched`` command may select (mirrors
 #: :data:`repro.sched.policies.POLICIES` without importing the engine
@@ -71,8 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "-j", "--jobs", type=int, default=None, metavar="N",
-            help="worker processes for sweep fan-out (default: one per "
-                 "CPU; 1 forces the serial path)")
+            help="worker processes for a fleet's units (default: one "
+                 "per CPU; 1 forces the serial path)")
 
     def add_obs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -219,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_jobs(args: argparse.Namespace) -> None:
-    """Pin the sweep runner's worker count from ``--jobs``.
+    """Pin the process pool's worker count from ``--jobs``.
 
-    Non-sweep commands run a fixed serial pipeline, where ``--jobs``
-    cannot change anything — say so instead of silently ignoring it.
+    The other commands run one process, where ``--jobs`` cannot
+    change anything — say so instead of silently ignoring it.
     """
     if args.jobs is None:
         return
@@ -231,7 +230,7 @@ def _apply_jobs(args: argparse.Namespace) -> None:
     if args.experiment not in SWEEP_COMMANDS:
         warnings.warn(
             f"--jobs has no effect for {args.experiment!r}: it runs "
-            f"serially (sweep fan-out applies to "
+            f"in one process (fleet fan-out applies to "
             f"{', '.join(sorted(SWEEP_COMMANDS - {'all', 'scenario'}))}, "
             f"'all' and 'scenario')",
             stacklevel=2)
@@ -342,11 +341,6 @@ def _run_scenario_command(args: argparse.Namespace) -> int:
                          "path (or --list)")
     try:
         spec = _resolve_scenario_spec(args.scenario)
-        if spec.sweep is not None and (args.trace or args.profile):
-            raise SystemExit(
-                f"scenario: {spec.name!r} is sweep-shaped and records "
-                f"no decision trace or phase profile; drop --trace and "
-                f"--profile, or run the cells as a members scenario")
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         spec = _apply_checkpoint_args(args, spec)

@@ -11,15 +11,17 @@ Two kinds of experiment run in the paper:
 
 * **Controlled colocation** (§5, Figures 4-8): the LC workload and a BE
   task run under a controller (Heracles or a baseline) and the system is
-  simulated through time.  :func:`run_colocation` wraps the build → warm
-  up → measure loop used by all of those figures.
+  simulated through time.  A ``sweep`` scenario runs a Figure 4-7 grid
+  as one batch of members and summarizes each cell with
+  :func:`colocation_result`; :func:`run_colocation` runs one cell on
+  the scalar reference engine.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.config import HeraclesConfig
 from ..core.controller import HeraclesController
@@ -28,7 +30,6 @@ from ..hardware.server import Server
 from ..hardware.spec import MachineSpec, default_machine_spec
 from ..oslayer.scheduler import CfsSharedCoreModel
 from ..sim.engine import ColocationSim, SimHistory
-from ..sim.runner import memoized_dram_model, run_sweep
 from ..workloads.antagonists import AntagonistSpec, Placement, make_antagonist
 from ..workloads.base import Allocation, spread_cores
 from ..workloads.best_effort import make_be_workload
@@ -176,22 +177,10 @@ class ColocationSweep:
         return all(v <= threshold for v in self.worst_slo_series(be_name))
 
 
-def run_colocation(lc_name: str, be_name: str, load: float,
-                   duration_s: float = 900.0,
-                   warmup_s: float = 240.0,
-                   spec: Optional[MachineSpec] = None,
-                   config: Optional[HeraclesConfig] = None,
-                   dram_model: Optional[LcDramBandwidthModel] = None,
-                   trace: Optional[LoadTrace] = None,
-                   seed: int = 0) -> ColocationResult:
-    """Run one LC x BE colocation under Heracles."""
-    spec = spec or default_machine_spec()
-    lc = make_lc_workload(lc_name, spec)
-    be = make_be_workload(be_name, spec)
-    sim = ColocationSim(lc=lc, trace=trace or ConstantLoad(load), be=be,
-                        spec=spec, seed=seed)
-    HeraclesController.for_sim(sim, config=config, dram_model=dram_model)
-    history = sim.run(duration_s)
+def colocation_result(lc_name: str, be_name: str, load: float,
+                      history: SimHistory,
+                      warmup_s: float) -> ColocationResult:
+    """Summarize one colocation run's history past the warm-up."""
     # One timestamp-filter pass over the columnar store covers every
     # steady-state mean the figures report.
     means = history.means(
@@ -215,37 +204,23 @@ def run_colocation(lc_name: str, be_name: str, load: float,
     )
 
 
-def colocation_sweep(lc_name: str,
-                     be_names: Sequence[str],
-                     loads: Sequence[float],
-                     duration_s: float = 900.0,
-                     warmup_s: float = 240.0,
-                     spec: Optional[MachineSpec] = None,
-                     config: Optional[HeraclesConfig] = None,
-                     seed: int = 0,
-                     processes: Optional[int] = None
-                     ) -> Dict[str, List[ColocationResult]]:
-    """Run the (BE task x load) colocation grid through the sweep runner.
+def run_colocation(lc_name: str, be_name: str, load: float,
+                   duration_s: float = 900.0,
+                   warmup_s: float = 240.0,
+                   spec: Optional[MachineSpec] = None,
+                   config: Optional[HeraclesConfig] = None,
+                   dram_model: Optional[LcDramBandwidthModel] = None,
+                   trace: Optional[LoadTrace] = None,
+                   seed: int = 0) -> ColocationResult:
+    """Run one LC x BE colocation under Heracles on the scalar engine.
 
-    Every grid cell is an independent :func:`run_colocation`; the cells
-    fan out across a process pool (see :func:`repro.sim.runner.
-    run_sweep`) and the offline DRAM model is profiled exactly once in
-    the parent and shipped to the workers, instead of once per cell.
-
-    Returns:
-        ``{be_name: [ColocationResult per load, in load order]}``.
+    The reference a ``sweep`` scenario's batch cells are held to.
     """
     spec = spec or default_machine_spec()
-    model = memoized_dram_model(lc_name, spec)
-    points = [
-        ((), dict(lc_name=lc_name, be_name=be_name, load=load,
-                  duration_s=duration_s, warmup_s=warmup_s, spec=spec,
-                  config=config, dram_model=model, seed=seed))
-        for be_name in be_names for load in loads
-    ]
-    results = run_sweep(run_colocation, points, processes=processes,
-                        star=True)
-    grid: Dict[str, List[ColocationResult]] = {}
-    for result in results:
-        grid.setdefault(result.be_name, []).append(result)
-    return grid
+    lc = make_lc_workload(lc_name, spec)
+    be = make_be_workload(be_name, spec)
+    sim = ColocationSim(lc=lc, trace=trace or ConstantLoad(load), be=be,
+                        spec=spec, seed=seed)
+    HeraclesController.for_sim(sim, config=config, dram_model=dram_model)
+    history = sim.run(duration_s)
+    return colocation_result(lc_name, be_name, load, history, warmup_s)

@@ -13,9 +13,9 @@ figure module extracts its series.
 
 This module is a thin consumer of the scenario layer: the grid itself
 is the registered ``fig4`` scenario (see
-:func:`repro.scenarios.library.fig4_scenario`), and ``python -m
-repro.cli fig4`` and ``python -m repro.cli scenario fig4`` run the
-same compiled spec.
+:func:`repro.scenarios.library.fig4_scenario`), which runs every cell
+as one member of a batch, and ``python -m repro.cli fig4`` and
+``python -m repro.cli scenario fig4`` run the same compiled spec.
 """
 
 from __future__ import annotations
@@ -33,21 +33,18 @@ def run_sweep(lc_name: str,
               be_tasks: Sequence[str] = FIG4_BE_TASKS,
               loads: Sequence[float] = DEFAULT_LOADS,
               duration_s: float = 900.0,
-              seed: int = 0,
-              processes: Optional[int] = None) -> ColocationSweep:
+              seed: int = 0) -> ColocationSweep:
     """Run the Heracles colocation grid for one LC workload.
 
-    Compiles a parametrized ``fig4`` scenario spec and runs it; the
-    (BE task x load) grid fans out across a process pool via
-    :func:`repro.experiments.common.colocation_sweep`.  Pass
-    ``processes=1`` (or set ``REPRO_JOBS=1``) to force the serial path.
+    Compiles a parametrized ``fig4`` scenario spec and runs it: the
+    (BE task x load) cells are the members of one batch.
 
     Args:
         lc_name: LC workload to sweep.
         be_tasks / loads: grid axes.
         duration_s: per-cell run length (warm-up stays the paper's
             240 s).
-        seed / processes: forwarded to every cell / the runner.
+        seed: every cell's tail-noise seed.
 
     Returns:
         The populated :class:`ColocationSweep`.
@@ -61,8 +58,7 @@ def run_sweep(lc_name: str,
     scenario = fig4_scenario(lc_tasks=(lc_name,), be_tasks=be_tasks,
                              loads=loads, duration_s=duration_s,
                              warmup_s=warmup_s, seed=seed)
-    return compile_scenario(scenario).run(processes=processes) \
-        .sweeps[lc_name]
+    return compile_scenario(scenario).run().sweeps[lc_name]
 
 
 def run_fig4(lc_names: Optional[Sequence[str]] = None,

@@ -6,17 +6,17 @@ subcontroller caps the BE class via HTB so that "Heracles partitions
 network transmit bandwidth correctly to protect the LC workload"
 (§5.1).  This experiment records LC and BE egress bandwidth vs load:
 the BE share shrinks as memkeyval's own traffic grows, and memkeyval
-keeps its SLO throughout (its Figure 4 panel).
+keeps its SLO throughout (its Figure 4 panel).  The points are the
+memkeyval x iperf cells of the Figure 4 sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from ..hardware.spec import MachineSpec, default_machine_spec
-from .common import run_colocation
-from .fig4_latency_slo import DEFAULT_LOADS
+from ..hardware.spec import default_machine_spec
+from .fig4_latency_slo import DEFAULT_LOADS, run_sweep
 
 
 @dataclass
@@ -33,20 +33,15 @@ class NetworkBwPoint:
 
 def run_fig7(loads: Sequence[float] = DEFAULT_LOADS,
              duration_s: float = 900.0,
-             spec: Optional[MachineSpec] = None,
              seed: int = 0) -> List[NetworkBwPoint]:
-    spec = spec or default_machine_spec()
-    points = []
-    for load in loads:
-        result = run_colocation("memkeyval", "iperf", load,
-                                duration_s=duration_s, spec=spec, seed=seed)
-        points.append(NetworkBwPoint(
-            load=load,
-            lc_gbps=result.mean_lc_net_gbps,
-            be_gbps=result.mean_be_net_gbps,
-            worst_slo=result.history.worst_window_slo(skip_s=240.0),
-        ))
-    return points
+    sweep = run_sweep("memkeyval", be_tasks=("iperf",), loads=loads,
+                      duration_s=duration_s, seed=seed)
+    return [NetworkBwPoint(
+        load=result.load,
+        lc_gbps=result.mean_lc_net_gbps,
+        be_gbps=result.mean_be_net_gbps,
+        worst_slo=result.history.worst_window_slo(skip_s=240.0))
+        for result in sweep.results["iperf"]]
 
 
 def main() -> None:

@@ -6,7 +6,7 @@ a JSON/YAML file, or in code — describes hardware overrides, any mix of
 LC/BE members with per-member traces and seeds, controller selection
 (Heracles, none, or a static baseline), mid-run injections, sweep
 grids, and cluster runs; :func:`compile_scenario` lowers it onto the
-scalar engine, the batched backend, or the parallel sweep runner.
+scalar engine, the batched backend, or the fleet simulator.
 
 Three entry points::
 

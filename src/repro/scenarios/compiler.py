@@ -11,10 +11,11 @@ execution layers below it.  Each scenario *shape* lowers differently:
   go on the engine's event schedule (start of tick, see
   :mod:`repro.sim.chaos`);
 * ``sweep`` — a (LC x BE x load) grid of independent constant-load
-  runs fanned across :func:`repro.sim.runner.run_sweep` via the
-  experiment layer's :func:`~repro.experiments.common.colocation_sweep`
-  (so a sweep scenario is numerically identical to the hand-wired
-  Figure 4-7 harness, offline-profiling memoization included);
+  servers, lowered to the ``members`` path: one member per cell, so a
+  multi-cell grid runs as one batch (one offline DRAM model segment
+  per LC task) and each cell matches its scalar
+  :func:`~repro.experiments.common.run_colocation` twin under the
+  scalar-batch contract;
 * ``fleet`` — a sharded multi-cluster :class:`~repro.fleet.simulator.
   ShardedFleetSim`, every cluster partitioned into homogeneous shards
   fanned across the runner's process pool;
@@ -36,6 +37,7 @@ Typical use::
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Union
@@ -44,7 +46,7 @@ from ..baselines import SCENARIO_BASELINES
 from ..cluster.cluster import ClusterHistory
 from ..core.controller import HeraclesController
 from ..experiments.common import (ColocationSweep, baseline_cell,
-                                  colocation_sweep)
+                                  colocation_result)
 from ..fleet import ClusterPlan, FleetResult, ShardedFleetSim
 from ..obs.trace import concat_payloads
 from ..sched import ScheduleOutcome, run_schedule, tco_summary
@@ -58,7 +60,7 @@ from ..sim.runner import memoized_dram_model
 from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
 from .spec import (FleetSpec, InjectionSpec, ScenarioError, ScenarioSpec,
-                   ShardSpec)
+                   ShardSpec, TraceSpec, WorkloadSpec)
 
 
 def _chaos_event(injection: InjectionSpec) -> ChaosEvent:
@@ -104,9 +106,10 @@ class ScenarioResult:
     Which fields are populated depends on the scenario shape:
     ``members`` fills :attr:`members`; ``sweep`` fills :attr:`sweeps`
     (one :class:`~repro.experiments.common.ColocationSweep` per LC task,
-    in spec order); ``cluster`` fills :attr:`cluster_arms` and
-    :attr:`root_slo_ms`; ``fleet`` fills :attr:`fleet`, and
-    ``schedule`` also :attr:`schedule`.  Every shape but ``sweep``
+    in spec order) and :attr:`members` (one per grid cell, in
+    ``lc_tasks x be_tasks x loads`` order); ``cluster`` fills
+    :attr:`cluster_arms` and :attr:`root_slo_ms`; ``fleet`` fills
+    :attr:`fleet`, and ``schedule`` also :attr:`schedule`.  Every shape
     fills :attr:`trace` and :attr:`profile` when the observability
     toggles are on.
     """
@@ -280,11 +283,12 @@ class CompiledScenario:
     """A spec lowered onto the engine stack, ready to run.
 
     ``kind`` is one of ``single`` (scalar engine), ``batch``, ``sweep``,
-    ``cluster``, ``fleet`` or ``schedule``.  :meth:`build` materializes
-    the simulation object
-    for member scenarios (useful for stepping manually or attaching
-    extra instrumentation); :meth:`run` executes the whole scenario and
-    returns a :class:`ScenarioResult`.
+    ``cluster``, ``fleet`` or ``schedule``.  :attr:`member_spec` is the
+    members scenario that member and sweep scenarios run (a sweep's
+    grid cells as members), ``None`` for the fleet shapes.
+    :meth:`build` materializes its simulation object (useful for
+    stepping manually or attaching extra instrumentation); :meth:`run`
+    executes the whole scenario and returns a :class:`ScenarioResult`.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -303,27 +307,48 @@ class CompiledScenario:
         else:
             self.kind = "single"
         self.machine = spec.server.to_machine_spec()
+        if spec.sweep is not None:
+            self.member_spec = self._sweep_members()
+        else:
+            self.member_spec = spec if spec.members else None
 
-    # -- member scenarios ----------------------------------------------
+    def _sweep_members(self) -> ScenarioSpec:
+        """The sweep grid as a members scenario.
 
-    def build(self) -> Union[ColocationSim, BatchColocationSim]:
-        """Materialize the simulation for a member scenario.
-
-        Returns a fully wired :class:`ColocationSim` (kind ``single``)
-        or :class:`BatchColocationSim` (kind ``batch``) with Heracles
-        attached and baseline grants and injections scheduled, but not
-        yet run.
-
-        Raises:
-            ScenarioError: for sweep and fleet-shaped scenarios, which
-                lower to runner grids instead of a single simulation
-                object.
+        One member per (LC, BE, load) cell, in ``lc_tasks x be_tasks x
+        loads`` order, each at a constant load and the scenario seed,
+        as :func:`~repro.experiments.common.run_colocation` runs a
+        cell.
         """
         spec = self.spec
-        if self.kind not in ("single", "batch"):
+        sweep = spec.sweep
+        cells = tuple(
+            WorkloadSpec(lc=lc, be=be,
+                         trace=TraceSpec(kind="constant", load=load),
+                         seed=spec.seed)
+            for lc in sweep.lc_tasks for be in sweep.be_tasks
+            for load in sweep.loads)
+        return dataclasses.replace(spec, sweep=None, members=cells)
+
+    # -- member and sweep scenarios ------------------------------------
+
+    def build(self) -> Union[ColocationSim, BatchColocationSim]:
+        """Materialize the simulation of :attr:`member_spec`.
+
+        Returns a fully wired :class:`ColocationSim` (one member) or
+        :class:`BatchColocationSim` (several) with Heracles attached
+        and baseline grants and injections scheduled, but not yet run.
+
+        Raises:
+            ScenarioError: for fleet-shaped scenarios, which lower to
+                runner grids instead of a single simulation object.
+        """
+        spec = self.member_spec
+        if spec is None:
             raise ScenarioError(
-                f"scenario {spec.name!r} is a {self.kind} scenario; it "
-                f"lowers to a runner grid — call run() instead of build()")
+                f"scenario {self.spec.name!r} is a {self.kind} scenario; "
+                f"it lowers to a runner grid — call run() instead of "
+                f"build()")
         spill_dir = spec.checkpoint.spill_dir \
             if spec.checkpoint is not None else None
         members = spec.members
@@ -333,7 +358,7 @@ class CompiledScenario:
         traces = [m.trace.build(default_seed=spec.member_seed(i))
                   for i, m in enumerate(members)]
         seeds = [spec.member_seed(i) for i in range(len(members))]
-        if self.kind == "single":
+        if len(members) == 1:
             sim = ColocationSim(lc=lcs[0], trace=traces[0], be=bes[0],
                                 spec=self.machine, seed=seeds[0],
                                 spill_dir=spill_dir)
@@ -360,10 +385,11 @@ class CompiledScenario:
         the granted state.
         """
         batch = isinstance(sim, BatchColocationSim)
+        spec = self.member_spec
         segments = []
         grants: List[ChaosEvent] = []
-        for i, member in enumerate(self.spec.members):
-            controller = self.spec.member_controller(i)
+        for i, member in enumerate(spec.members):
+            controller = spec.member_controller(i)
             if controller == "heracles" and member.be is not None:
                 model = memoized_dram_model(member.lc, self.machine)
                 if batch:
@@ -388,29 +414,29 @@ class CompiledScenario:
         """Execute the scenario and collect results.
 
         Args:
-            processes: worker processes for a sweep's cells or a
-                fleet's units (``None`` = auto via
-                :func:`repro.sim.runner.default_jobs`; ignored by member
-                scenarios, which are single simulations).
+            processes: worker processes for a fleet's units (``None`` =
+                auto via :func:`repro.sim.runner.default_jobs`; ignored
+                by member and sweep scenarios, which are single
+                simulations).
 
         Returns:
             A populated :class:`ScenarioResult`.
         """
         if self.kind == "sweep":
-            return self._run_sweep(processes)
+            return self._run_sweep()
         if self.kind in ("single", "batch"):
             return self._run_members()
         return self._run_fleet(processes)
 
     def _run_members(self) -> ScenarioResult:
-        spec = self.spec
+        spec = self.member_spec
         ckpt = spec.checkpoint
         if ckpt is None:
             sim = self.build()
             sim.run(spec.duration_s, dt_s=spec.dt_s)
         else:
             sim = self._run_members_checkpointed()
-        result = ScenarioResult(spec=spec, kind=self.kind)
+        result = ScenarioResult(spec=self.spec, kind=self.kind)
         sims = sim.members if isinstance(sim, BatchColocationSim) else [sim]
         for i, member_sim in enumerate(sims):
             member = spec.members[i]
@@ -467,10 +493,13 @@ class CompiledScenario:
         run_ticks(sim, total - done, spec.dt_s)
         return sim
 
-    def _run_sweep(self, processes: Optional[int]) -> ScenarioResult:
+    def _run_sweep(self) -> ScenarioResult:
+        """Run the grid's members, then regroup them into one
+        :class:`ColocationSweep` per LC task."""
         spec = self.spec
         sweep = spec.sweep
-        result = ScenarioResult(spec=spec, kind="sweep")
+        result = self._run_members()
+        cells = iter(result.members)
         for lc_name in sweep.lc_tasks:
             grid = ColocationSweep(lc_name=lc_name,
                                    loads=list(sweep.loads))
@@ -479,10 +508,11 @@ class CompiledScenario:
                 grid.baseline_slo = [
                     baseline_cell(lc, load, self.machine)
                     for load in sweep.loads]
-            grid.results = colocation_sweep(
-                lc_name, sweep.be_tasks, sweep.loads,
-                duration_s=spec.duration_s, warmup_s=spec.warmup_s,
-                spec=self.machine, seed=spec.seed, processes=processes)
+            for be_name in sweep.be_tasks:
+                grid.results[be_name] = [
+                    colocation_result(lc_name, be_name, load,
+                                      next(cells).history, spec.warmup_s)
+                    for load in sweep.loads]
             result.sweeps[lc_name] = grid
         return result
 

@@ -47,9 +47,9 @@ def fig4_scenario(lc_tasks: Optional[Sequence[str]] = None,
         duration_s / warmup_s / seed: per-cell run parameters.
 
     Returns:
-        A ``sweep``-shaped :class:`ScenarioSpec` whose compiled run is
-        numerically identical to the hand-wired
-        :func:`repro.experiments.fig4_latency_slo.run_sweep` grid.
+        A ``sweep``-shaped :class:`ScenarioSpec`; its compiled run is
+        one batch of the grid's cells, each matching
+        :func:`repro.experiments.common.run_colocation` to 1e-9.
     """
     return ScenarioSpec(
         name="fig4",

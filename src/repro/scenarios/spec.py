@@ -373,11 +373,12 @@ class WorkloadSpec(_Spec):
 
 @dataclass(frozen=True)
 class SweepSpec(_Spec):
-    """A (LC task x BE task x load) grid, fanned across the runner.
+    """A (LC task x BE task x load) grid of constant-load servers.
 
-    Each cell is one independent constant-load colocation run (the
-    Figure 4-7 methodology); cells are dispatched through
-    :func:`repro.sim.runner.run_sweep`.
+    Each cell is one independent constant-load colocation under
+    Heracles (the Figure 4-7 methodology); the compiler runs the cells
+    as the members of one scenario (see
+    :attr:`repro.scenarios.compiler.CompiledScenario.member_spec`).
     """
 
     lc_tasks: Tuple[str, ...] = ("websearch",)
@@ -400,6 +401,12 @@ class SweepSpec(_Spec):
             if not 0.0 < load <= 1.0:
                 raise ScenarioError(f"{ctx}.loads: load {load!r} outside "
                                     f"(0, 1]")
+        # The grid is keyed by LC, BE and load; a repeat has no cell.
+        for axis in ("lc_tasks", "be_tasks", "loads"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ScenarioError(f"{ctx}.{axis}: each entry runs once; "
+                                    f"got {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -904,9 +911,6 @@ class ScenarioSpec(_Spec):
                                 f"[0, duration_s)")
         # Fields the other shapes would silently ignore are rejected
         # instead — the subsystem's no-silent-defaults contract.
-        if self.sweep is not None and self.dt_s != 1.0:
-            raise ScenarioError(f"{ctx}.dt_s: sweep cells always run at "
-                                f"the engine's 1 s tick; drop dt_s")
         fleet_like = self.fleet if self.fleet is not None else (
             self.schedule.fleet if self.schedule is not None else None)
         if self.checkpoint is not None:

@@ -3,8 +3,8 @@
 Two execution backends share one physics model: the scalar
 :class:`ColocationSim` (one server, reference implementation) and the
 vectorized :class:`~repro.sim.batch.BatchColocationSim` (N servers per
-tick as array math).  :mod:`repro.sim.runner` fans independent runs —
-sweep points, fleet units — across a process pool.
+tick as array math).  :mod:`repro.sim.runner` fans independent fleet
+units across a process pool.
 """
 
 from .actuators import Actuators, BE_COS, LC_COS

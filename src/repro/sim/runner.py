@@ -1,12 +1,12 @@
-"""Parallel sweep runner: fan independent simulation points across cores.
+"""Process fan-out for independent work, and offline-profile memoization.
 
-Every figure of the evaluation is a *sweep* — the same build → warm up →
-measure loop repeated over loads, BE tasks, ablation arms, or cluster
-configurations, with no data dependencies between points.
-:func:`run_sweep` fans such points across a ``ProcessPoolExecutor``
-(results come back in submission order) and degrades gracefully to a
-serial loop when only one CPU is available, when the pool cannot be
-created (restricted sandboxes), or when ``processes=1`` is requested.
+The fleet simulator splits a fleet into units with no data dependencies
+between them; :func:`run_sweep` fans such points across a
+``ProcessPoolExecutor`` (results come back in submission order) and
+degrades gracefully to a serial loop when only one CPU is available,
+when the pool cannot be created (restricted sandboxes), or when
+``processes=1`` is requested.  A Figure 4-7 ``sweep`` scenario does not
+come through here: its cells are the members of one batch.
 
 The worker count defaults to ``min(len(points), cpu_count)`` and can be
 pinned globally through the ``REPRO_JOBS`` environment variable (the CLI
@@ -17,12 +17,9 @@ Offline profiling memoization
 -----------------------------
 
 Heracles needs one offline DRAM-bandwidth model per (LC workload,
-machine) pair, and a sweep would otherwise re-profile it at every point
-— in every worker process.  :func:`memoized_dram_model` caches the
-profile per process and, more importantly, lets the parent profile once
-and ship the model to the workers as an argument (``repro.experiments.
-common.colocation_sweep`` does exactly that), so a 60-point sweep pays
-for one profiling run instead of 60.
+machine) pair.  :func:`memoized_dram_model` caches the profile per
+process, so every member, sweep cell or fleet leaf on the same LC
+workload shares one profiling run.
 """
 
 from __future__ import annotations

@@ -98,24 +98,38 @@ class TestShapeMismatches:
         with pytest.raises(SystemExit, match="'sched' command"):
             main(["fleet", "diurnal-scavenger"])
 
-    @pytest.mark.parametrize("flags", [["--trace", "out.jsonl"],
-                                       ["--profile"]])
-    def test_sweep_scenarios_reject_trace_and_profile(self, flags,
-                                                      monkeypatch):
-        # A sweep scenario records neither; the flags must not be
-        # accepted and then silently produce nothing.
-        from repro.obs import PROFILE_ENV, TRACE_ENV
+    @pytest.mark.parametrize("flags", [["--trace"], ["--profile"]])
+    def test_sweep_scenarios_write_trace_and_profile(self, flags, tmp_path,
+                                                     capsys, monkeypatch):
+        # A sweep scenario runs as one batch of members, so each flag
+        # must produce its output rather than be accepted and ignored.
+        from repro.obs import PROFILE_ENV, TRACE_ENV, read_jsonl
         for name in (TRACE_ENV, PROFILE_ENV):
-            monkeypatch.delenv(name, raising=False)
-        with pytest.raises(SystemExit, match="sweep-shaped"):
-            main(["scenario", "fig4"] + flags)
+            # Set, not deleted, so teardown restores what main() exports.
+            monkeypatch.setenv(name, "0")
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "name": "tiny-sweep", "duration_s": 60, "warmup_s": 10,
+            "sweep": {"lc_tasks": ["websearch"], "be_tasks": ["brain"],
+                      "loads": [0.3, 0.6]}}))
+        trace = tmp_path / "trace.jsonl"
+        args = flags + [str(trace)] if flags == ["--trace"] else flags
+        main(["scenario", str(spec)] + args)
+        captured = capsys.readouterr()
+        if flags == ["--trace"]:
+            assert read_jsonl(str(trace))
+        else:
+            assert not trace.exists()
+            assert "phase" in captured.err and "physics" in captured.err
+        assert captured.out.startswith("websearch: worst-case tail")
 
     def test_cluster_scenarios_write_trace_and_profile(self, tmp_path,
                                                        capsys,
                                                        monkeypatch):
         from repro.obs import PROFILE_ENV, TRACE_ENV, read_jsonl
         for name in (TRACE_ENV, PROFILE_ENV):
-            monkeypatch.delenv(name, raising=False)
+            # Set, not deleted, so teardown restores what main() exports.
+            monkeypatch.setenv(name, "0")
         monkeypatch.setenv(JOBS_ENV, "1")
         spec = tmp_path / "cluster.json"
         spec.write_text(json.dumps({

@@ -6,7 +6,8 @@ samples, record cadences in ticks, 1-tick-per-second run loops).
 These tests pin the retirement as a *property*: the paper-facing
 aggregates — worst 60-second windowed SLO, mean EMU, cluster record
 cadence — are invariant (up to window rounding) across
-``dt_s ∈ {0.5, 1, 5}`` on the scalar, batched, and cluster paths.
+``dt_s ∈ {0.5, 1, 5}`` on the scalar, batched, sweep and cluster
+paths.
 
 The workloads are built noise-free (tail-noise draws happen once per
 tick, so a run at ``dt_s=0.5`` would otherwise consume a different
@@ -24,6 +25,8 @@ from repro.cluster.cluster import WebsearchCluster
 from repro.cluster.coordinator import CoordinatedWebsearchCluster
 from repro.fleet import ClusterPlan, ShardedFleetSim
 from repro.hardware.spec import default_machine_spec
+from repro.scenarios import run_scenario
+from repro.scenarios.library import fig4_scenario
 from repro.sim.batch import BatchColocationSim
 from repro.sim.chaos import ChaosEvent
 from repro.sim.engine import ColocationSim
@@ -129,6 +132,38 @@ class TestBatchDtInvariance:
                                    rtol=1e-9, atol=1e-12)
         assert member.worst_window_slo(skip_s=60.0) == pytest.approx(
             sim.history.worst_window_slo(skip_s=60.0), rel=1e-12)
+
+
+class TestSweepDtInvariance:
+    """A sweep scenario runs its cells at the spec's ``dt_s`` and
+    reports the same grid at every tick size once Heracles has
+    settled."""
+
+    def _run(self, dt_s, monkeypatch):
+        monkeypatch.setitem(LC_PROFILES, "websearch",
+                            replace(LC_PROFILES["websearch"],
+                                    noise_sigma=0.0))
+        spec = fig4_scenario(lc_tasks=("websearch",),
+                             be_tasks=("brain", "streetview"),
+                             loads=(0.3, 0.6), duration_s=600.0,
+                             warmup_s=240.0)
+        return run_scenario(replace(spec, dt_s=dt_s)).sweeps["websearch"]
+
+    def test_grid_invariant(self, monkeypatch):
+        grids = [self._run(dt, monkeypatch) for dt in DTS]
+        for dt, grid in zip(DTS, grids):
+            for cells in grid.results.values():
+                assert [len(c.history) for c in cells] == \
+                    [int(600.0 / dt)] * 2
+        for be_name, cells in grids[0].results.items():
+            for other in grids[1:]:
+                for a, b in zip(cells, other.results[be_name]):
+                    assert b.mean_emu == pytest.approx(a.mean_emu,
+                                                       rel=1e-9)
+                    assert b.history.worst_window_slo(skip_s=240.0) == \
+                        pytest.approx(
+                            a.history.worst_window_slo(skip_s=240.0),
+                            rel=1e-9)
 
 
 class TestChaosDtInvariance:

@@ -131,7 +131,7 @@ class TestCli:
 
     def test_jobs_accepted_for_sweeps_without_warning(self):
         from repro.cli import build_parser
-        args = build_parser().parse_args(["fig4", "--jobs", "2"])
+        args = build_parser().parse_args(["fig8", "--jobs", "2"])
         assert args.jobs == 2
         args = build_parser().parse_args(["scenario", "fig4", "-j", "3"])
         assert args.jobs == 3

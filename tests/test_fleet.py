@@ -908,6 +908,9 @@ UNSUPPORTED_FLEET_OPTIONS = {
         fleet_shaped("fleet", controller="none"))),
     "cluster-duplicate-arms": (ScenarioError, "arms", lambda: load_scenario(
         {"name": "twice", "cluster": {"arms": ["managed", "managed"]}})),
+    "sweep-duplicate-be_tasks": (
+        ScenarioError, "be_tasks", lambda: load_scenario(
+            {"name": "twice", "sweep": {"be_tasks": ["brain", "brain"]}})),
 }
 
 

@@ -31,6 +31,7 @@ from repro.obs import (FIELDS, KINDS, PHASES, SOURCES, PhaseProfiler,
                        read_jsonl, render_profile, trace_enabled,
                        write_jsonl)
 from repro.scenarios import CheckpointSpec, run_scenario
+from repro.scenarios.library import fig4_scenario
 from repro.scenarios.spec import (ClusterSpec, FleetSpec, InjectionSpec,
                                   ScenarioSpec, ScheduleSpec, ShardSpec,
                                   TraceSpec, JobSpec, WorkloadSpec)
@@ -489,6 +490,23 @@ class TestDiffRunsOnMembers:
         changed = slo[:, 1] != cols["slo_fraction"][:, 1]
         assert div.tick == int(np.argmax(changed))
         assert div.value_b == slo[div.tick, 1] != div.value_a
+
+    def test_sweep_cell_perturbation_is_reported(self):
+        """A sweep runs as members, one per grid cell; a one-entry
+        change to one cell is reported at its tick, column and cell."""
+        spec = fig4_scenario(lc_tasks=("websearch",),
+                             be_tasks=("brain", "iperf"), loads=(0.3, 0.6),
+                             duration_s=30.0, warmup_s=0.0, seed=2)
+        result = diff_runs._run_variant(spec, None, None, None)
+        [(group, times, cols, window)] = diff_runs.member_columns(result)
+        assert cols["emu"].shape == (30, 4)
+        assert diff_runs.first_divergence(times, cols, cols) is None
+        perturbed = dict(cols)
+        perturbed["emu"] = cols["emu"].copy()
+        perturbed["emu"][17, 2] += 1e-12
+        div = diff_runs.first_divergence(times, cols, perturbed)
+        assert (div.tick, div.column, div.member) == (17, "emu", 2)
+        assert diff_runs._member_label(result, group, 2) == "(websearch+iperf)"
 
     def test_fleet_overrides_are_rejected(self):
         with pytest.raises(SystemExit, match="members spec"):

@@ -4,7 +4,6 @@ import os
 
 import pytest
 
-from repro.experiments.common import colocation_sweep, run_colocation
 from repro.hardware.spec import default_machine_spec
 from repro.sim import runner
 from repro.sim.runner import (clear_model_cache, default_jobs,
@@ -85,30 +84,3 @@ class TestMemoizedModel:
         fresh = profile_lc_dram_model(make_lc_workload("websearch"))
         np.testing.assert_allclose(cached.bandwidth_gbps,
                                    fresh.bandwidth_gbps)
-
-
-class TestColocationSweep:
-    def test_grid_shape_and_order(self):
-        grid = colocation_sweep("websearch", ["brain"], [0.3, 0.6],
-                                duration_s=60.0, warmup_s=20.0,
-                                processes=1, seed=2)
-        assert set(grid) == {"brain"}
-        assert [r.load for r in grid["brain"]] == [0.3, 0.6]
-        assert all(r.lc_name == "websearch" for r in grid["brain"])
-
-    def test_matches_direct_run(self):
-        """A sweep cell equals the same point run directly with the
-        memoized model (the runner must not perturb results)."""
-        clear_model_cache()
-        spec = default_machine_spec()
-        model = memoized_dram_model("websearch", spec)
-        direct = run_colocation("websearch", "brain", 0.5, duration_s=60.0,
-                                warmup_s=20.0, spec=spec, dram_model=model,
-                                seed=7)
-        grid = colocation_sweep("websearch", ["brain"], [0.5],
-                                duration_s=60.0, warmup_s=20.0, spec=spec,
-                                processes=1, seed=7)
-        swept = grid["brain"][0]
-        assert swept.max_slo_fraction == pytest.approx(
-            direct.max_slo_fraction, rel=1e-12)
-        assert swept.mean_emu == pytest.approx(direct.mean_emu, rel=1e-12)

@@ -18,8 +18,8 @@ equivalence contracts hold for every one of them:
   (``rtol=1e-9`` floats, exact actuator columns);
 * cluster shapes: the batch engine matches the scalar per-leaf loop
   bitwise on every arm;
-* sweep shapes: serial and process-pool execution produce identical
-  grids;
+* sweep shapes: every cell of the batch matches its scalar
+  ``run_colocation`` twin under the same scalar↔batch contract;
 * the resume axis: for fleet-like shapes, a run that *writes* a
   mid-run checkpoint and a fresh run *resumed* from that checkpoint
   are both bit-identical to the straight run — across engine ∈
@@ -55,6 +55,7 @@ from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import WebsearchCluster
+from repro.experiments.common import run_colocation
 from repro.scenarios import CheckpointSpec, run_scenario
 from repro.scenarios.spec import (CONTROLLERS, ClusterSpec, FleetSpec,
                                   InjectionSpec, JobSpec, ScenarioSpec,
@@ -485,20 +486,32 @@ class TestClusterScenarios:
 class TestSweepScenarios:
     @settings(max_examples=examples(10))
     @given(spec=sweep_specs())
-    def test_pool_matches_serial(self, spec):
+    def test_batch_matches_scalar(self, spec):
+        """Every cell matches :func:`run_colocation` on the scalar
+        reference engine under the scalar↔batch contract."""
         note_spec(spec)
         spec.validate()
-        serial = run_scenario(spec, processes=1)
-        pooled = run_scenario(spec, processes=2)
-        assert serial.sweeps.keys() == pooled.sweeps.keys()
-        for lc_name, grid in serial.sweeps.items():
-            other = pooled.sweeps[lc_name]
-            assert grid.loads == other.loads
-            assert grid.baseline_slo == other.baseline_slo
-            assert grid.results.keys() == other.results.keys()
+        result = run_scenario(spec)
+        assert tuple(result.sweeps) == spec.sweep.lc_tasks
+        for lc_name, grid in result.sweeps.items():
+            assert grid.loads == list(spec.sweep.loads)
+            assert tuple(grid.results) == spec.sweep.be_tasks
             for be_name, cells in grid.results.items():
-                a = [r.history.worst_window_slo(skip_s=spec.warmup_s)
-                     for r in cells]
-                b = [r.history.worst_window_slo(skip_s=spec.warmup_s)
-                     for r in other.results[be_name]]
-                assert a == b, f"{lc_name}/{be_name}: sweep cells diverged"
+                for cell in cells:
+                    twin = run_colocation(
+                        lc_name, be_name, cell.load,
+                        duration_s=spec.duration_s,
+                        warmup_s=spec.warmup_s, seed=spec.seed)
+                    what = f"{lc_name}/{be_name}@{cell.load}"
+                    a, b = twin.history, cell.history
+                    assert len(a) == len(b)
+                    for name in MEMBER_FLOAT_FIELDS:
+                        np.testing.assert_allclose(
+                            a.column(name), b.column(name), rtol=1e-9,
+                            atol=1e-12,
+                            err_msg=f"{what}: column {name!r} diverged")
+                    for name in MEMBER_EXACT_FIELDS:
+                        assert np.array_equal(a.column(name),
+                                              b.column(name),
+                                              equal_nan=True), (
+                            f"{what}: column {name!r} diverged")

@@ -168,13 +168,6 @@ class TestSpecRejection:
             load_scenario({"name": "t", "server": {"llc_ways": 1},
                            "members": [{"lc": "websearch"}]})
 
-    def test_sweep_rejects_ignored_fields(self):
-        # dt_s would be silently ignored by the sweep lowering path —
-        # the spec rejects it instead.
-        with pytest.raises(ScenarioError, match="dt_s"):
-            load_scenario({"name": "t", "dt_s": 0.25,
-                           "sweep": {"lc_tasks": ["websearch"]}})
-
     def test_type_errors(self):
         with pytest.raises(ScenarioError, match="expected an integer"):
             load_scenario({"name": "t", "seed": 1.5,
@@ -401,11 +394,43 @@ class TestCompiler:
         assert all(len(m.history) == 60 for m in result.members)
         assert "memkeyval" in result.render()
 
-    def test_sweep_scenario_rejects_build(self):
-        compiled = compile_scenario(fig4_scenario(loads=(0.5,)))
+    def test_sweep_scenario_is_one_batch(self, monkeypatch):
+        """A multi-cell sweep builds one batch of its cells, in ``lc x be
+        x load`` order at the scenario seed, and calls no sweep
+        runner; its grid and its members hold the same histories."""
+        from repro.fleet import simulator
+        from repro.sim import runner
+        built = []
+        real_init = BatchColocationSim.__init__
+
+        def counting_init(sim, *args, **kwargs):
+            built.append(sim)
+            real_init(sim, *args, **kwargs)
+
+        def no_runner(*args, **kwargs):
+            raise AssertionError("a sweep called run_sweep")
+
+        monkeypatch.setattr(BatchColocationSim, "__init__", counting_init)
+        monkeypatch.setattr(runner, "run_sweep", no_runner)
+        monkeypatch.setattr(simulator, "run_sweep", no_runner)
+        spec = fig4_scenario(lc_tasks=("websearch", "memkeyval"),
+                             be_tasks=("brain",), loads=(0.3, 0.6),
+                             duration_s=40.0, warmup_s=10.0, seed=5)
+        compiled = compile_scenario(spec)
         assert compiled.kind == "sweep"
-        with pytest.raises(ScenarioError, match="runner grid"):
-            compiled.build()
+        result = compiled.run(processes=2)
+        assert len(built) == 1 and built[0].n == 4
+        assert [(m.lc, m.be, m.seed, m.controller)
+                for m in result.members] == \
+            [("websearch", "brain", 5, "heracles")] * 2 \
+            + [("memkeyval", "brain", 5, "heracles")] * 2
+        cells = [cell for grid in result.sweeps.values()
+                 for cell in grid.results["brain"]]
+        assert [(c.lc_name, c.load) for c in cells] == [
+            ("websearch", 0.3), ("websearch", 0.6),
+            ("memkeyval", 0.3), ("memkeyval", 0.6)]
+        assert all(c.history is m.history
+                   for c, m in zip(cells, result.members))
 
     def test_cluster_scenario_is_one_fleet(self, monkeypatch):
         """Both arms run in one ShardedFleetSim, one cluster per arm in
@@ -499,7 +524,7 @@ class TestGoldenParity:
     """The fig4 scenario reproduces the hand-wired fig4 numbers."""
 
     def test_fig4_scenario_matches_hand_wired(self):
-        from repro.experiments.common import baseline_cell, colocation_sweep
+        from repro.experiments.common import baseline_cell, run_colocation
         from repro.hardware.spec import default_machine_spec
         from repro.workloads.latency_critical import make_lc_workload
 
@@ -511,13 +536,13 @@ class TestGoldenParity:
             "websearch"]
 
         machine = default_machine_spec()
-        hand = colocation_sweep("websearch", ("brain",), loads,
-                                duration_s=300.0, spec=machine, seed=0,
-                                processes=1)
+        hand = [run_colocation("websearch", "brain", load,
+                               duration_s=300.0, spec=machine, seed=0)
+                for load in loads]
         lc = make_lc_workload("websearch", machine)
         hand_baseline = [baseline_cell(lc, load, machine) for load in loads]
 
-        for ours, theirs in zip(grid.results["brain"], hand["brain"]):
+        for ours, theirs in zip(grid.results["brain"], hand):
             assert ours.max_slo_fraction == pytest.approx(
                 theirs.max_slo_fraction, abs=1e-6)
             assert ours.mean_emu == pytest.approx(theirs.mean_emu, abs=1e-6)

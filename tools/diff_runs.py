@@ -17,14 +17,15 @@ engine/sharding/job-count configurations that the bit-identity
 contract says must agree, with per-tick slack collection
 (``slack_epoch_s = dt_s``), and the fleet roll-up columns are
 compared.  So ``--jobs-a 1 --jobs-b 2`` on a cluster spec compares
-both arms in one unit with one arm per unit.  A members spec runs as compiled
-(it has no engine knob), and every ``SimHistory`` column is compared
-per (tick, member).  The tool reports the first (tick, column, member)
-where the runs disagree, together with the nearest preceding
-decision-trace events for that member, so a regression reads as
-"grant_cores for leaf 17 split at t=840 s, right after chaos
-disable_be fired there" instead of a bare summary mismatch.  Exit
-status: 0 when bit-identical, 1 on divergence.
+both arms in one unit with one arm per unit.  A members or sweep spec
+runs as compiled (it has no engine knob), and every ``SimHistory``
+column is compared per (tick, member); a sweep's members are its grid
+cells in ``lc_tasks x be_tasks x loads`` order.  The tool reports the
+first (tick, column, member) where the runs disagree, together with
+the nearest preceding decision-trace events for that member, so a
+regression reads as "grant_cores for leaf 17 split at t=840 s, right
+after chaos disable_be fired there" instead of a bare summary
+mismatch.  Exit status: 0 when bit-identical, 1 on divergence.
 
 With ``--base REV`` run A is the spec at git revision ``REV`` instead:
 the revision is checked out into a temporary ``git worktree``, run in
@@ -34,7 +35,8 @@ a subprocess on that tree's ``src`` (its columns come back in an
 have the API this tool drives (``_build_fleet`` and slack views for
 fleets, ``run_scenario`` for members).  A ``REV`` older than
 ``CompiledScenario.fleet_spec`` still runs fleet and schedule specs
-from their own stanza, but cannot lower a cluster spec.
+from their own stanza, but cannot lower a cluster spec, and one that
+runs sweeps without members cannot run a sweep spec.
 
 ``trace`` mode diffs two merged decision-trace JSONL files (the
 ``--trace`` CLI artifact) line by line and reports the first differing
@@ -234,12 +236,15 @@ def fleet_columns(result) -> List[Tuple[str, np.ndarray,
 
 def member_columns(result) -> List[Tuple[str, np.ndarray,
                                          Dict[str, np.ndarray], float]]:
-    """Comparable columns of a members :class:`ScenarioResult`.
+    """Comparable columns of a members or sweep :class:`ScenarioResult`.
 
     One ``("members", times_s, columns, 0.0)`` group: every
     ``SimHistory`` field as a (T, N) array, one column per member
     (all members share the run clock).
     """
+    if not result.members:
+        raise SystemExit("diff_runs: this revision runs sweeps without "
+                         "members; it cannot run a sweep spec")
     histories = [member.history for member in result.members]
     cols = {name: np.column_stack([h.column(name) for h in histories])
             for name in histories[0].field_names()}
@@ -276,20 +281,17 @@ def _format_event(event: Mapping[str, Any]) -> str:
 
 def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
                  jobs: Optional[int]):
-    """One traced run: a members spec as compiled, or a per-tick-slack
-    fleet run under a config override."""
+    """One traced run: a members or sweep spec as compiled, or a
+    per-tick-slack fleet run under a config override."""
     from repro.scenarios.compiler import compile_scenario
     from repro.sim.runner import JOBS_ENV
 
-    if spec.members:
+    if spec.members or spec.sweep is not None:
         if (engine, shard_leaves, jobs) != (None, None, None):
             raise SystemExit("diff_runs: --engine/--shard-leaves/--jobs "
                              "configure fleet runs; a members spec has "
-                             "none of them")
+                             "none of them (a sweep runs as members)")
         return compile_scenario(spec).run()
-    if spec.sweep is not None:
-        raise SystemExit("diff_runs: scenario mode needs a members, "
-                         "fleet, schedule or cluster spec")
     compiled = compile_scenario(spec)
     if hasattr(compiled, "fleet_spec"):
         fleet_spec = compiled.fleet_spec()
@@ -379,7 +381,8 @@ def _scenario_mode(args) -> int:
 
     spec = load_scenario(args.spec)
     spec.validate()
-    columns = member_columns if spec.members else fleet_columns
+    columns = member_columns if spec.members or spec.sweep is not None \
+        else fleet_columns
     os.environ[TRACE_ENV] = "1"
     if args.base is not None:
         groups_a = _groups_at_revision(args, args.base)
