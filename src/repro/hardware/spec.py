@@ -99,6 +99,13 @@ class MachineSpec:
     def total_dram_bw_gbps(self) -> float:
         return self.sockets * self.socket.dram_bw_gbps
 
+    def structural_key(self) -> "MachineSpec":
+        """This spec with DRAM bandwidth and NIC link rate set to 1.0:
+        servers with equal keys can share one batch array program."""
+        return dataclasses.replace(
+            self, socket=dataclasses.replace(self.socket, dram_bw_gbps=1.0),
+            nic=dataclasses.replace(self.nic, link_gbps=1.0))
+
     def validate(self) -> None:
         """Raise :class:`ValueError` if the specification is inconsistent."""
         if self.sockets < 1:

@@ -14,7 +14,12 @@ The phase set is fixed (:data:`PHASES`) so breakdowns from different
 shards and runs merge by plain key-wise addition:
 
 * ``chaos`` — resolving injected fault/actuator events at tick start;
-* ``physics`` — load evaluation + the vectorized server physics;
+* ``physics`` — load evaluation + the server physics (scalar engine);
+* ``power``, ``cache``, ``dram``, ``network``, ``tail`` — the batch
+  engine's physics, one phase per layer: offered load, core placement
+  and demands with the power/DVFS equilibrium; the CAT partitions; the
+  DRAM channels; the egress link; the M/M/k tail, noise and BE
+  throughput;
 * ``telemetry`` — appending the tick's rows into the column stores;
 * ``controllers`` — stepping Heracles/baseline controllers;
 * ``setup`` — fleet wall-clock outside every unit's tick phases when
@@ -34,6 +39,7 @@ never changes a simulated number* (``tests/test_obs.py``).
 from __future__ import annotations
 
 import os
+from time import perf_counter
 from typing import Dict, Mapping, Optional
 
 #: Environment toggle: any non-empty value other than ``"0"`` enables
@@ -41,8 +47,8 @@ from typing import Dict, Mapping, Optional
 PROFILE_ENV = "REPRO_PROFILE"
 
 #: The fixed phase vocabulary; merges are key-wise sums over this set.
-PHASES = ("chaos", "physics", "telemetry", "controllers", "setup",
-          "rollup", "ipc", "sched")
+PHASES = ("chaos", "physics", "power", "cache", "dram", "network", "tail",
+          "telemetry", "controllers", "setup", "rollup", "ipc", "sched")
 
 
 def profile_enabled() -> bool:
@@ -68,6 +74,13 @@ class PhaseProfiler:
         would silently vanish from every merged breakdown.
         """
         self.seconds[phase] += dt
+
+    def lap(self, phase: str, mark: float) -> float:
+        """Accumulate the time since ``mark`` into ``phase``; returns
+        the new mark (``perf_counter()`` now)."""
+        now = perf_counter()
+        self.seconds[phase] += now - mark
+        return now
 
     def merge(self, other: Optional[Mapping[str, float]]) -> None:
         """Key-wise add another breakdown (dict or profiler ``seconds``)."""

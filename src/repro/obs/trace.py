@@ -226,22 +226,25 @@ class TraceSink:
         hot loop calls this once per tick — a 1000-leaf mega tick
         emits ~1k events, far too many for per-event Python calls.
         """
-        kind_rows, member_cols = np.nonzero(old != new)
-        count = len(kind_rows)
+        # Row-major flat indices (events kind by kind, members in order)
+        # gather with flat takes, cheaper than tuple indexing.
+        changed = np.flatnonzero(old != new)
+        count = len(changed)
         if not count:
             return
-        a = old[kind_rows, member_cols]
-        b = new[kind_rows, member_cols]
+        kind_rows, member_cols = np.divmod(changed, old.shape[1])
+        a = old.take(changed)
+        b = new.take(changed)
         self._store.append_rows({
             "t_s": np.full(count, float(t_s)),
-            "member": np.asarray(members, dtype=np.int64)[member_cols],
+            "member": np.asarray(members, dtype=np.int64).take(member_cols),
             "source": np.full(count, SOURCE_CODE["controller"],
                               dtype=np.int64),
-            "kind": _ACTUATOR_KIND_CODES[kind_rows],
+            "kind": _ACTUATOR_KIND_CODES.take(kind_rows),
             "a": np.where(np.isinf(a), _NAN, a),
             "b": np.where(np.isinf(b), _NAN, b),
-            "slo": np.asarray(slo, dtype=np.float64)[member_cols],
-            "load": np.asarray(load, dtype=np.float64)[member_cols],
+            "slo": np.asarray(slo, dtype=np.float64).take(member_cols),
+            "load": np.asarray(load, dtype=np.float64).take(member_cols),
         })
 
     def payload(self) -> Dict[str, np.ndarray]:

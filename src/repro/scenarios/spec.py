@@ -918,9 +918,7 @@ class ScenarioSpec(_Spec):
                 raise ScenarioError(
                     f"{ctx}.checkpoint: checkpointing applies to "
                     f"'members', 'fleet' and 'schedule' scenarios; sweep "
-                    f"cells are short independent runs with nothing to "
-                    f"resume, and cluster scenarios do not take "
-                    f"snapshots yet")
+                    f"and cluster scenarios do not take snapshots yet")
             self.checkpoint.validate(f"{ctx}.checkpoint")
             if fleet_like is not None and self.checkpoint.spill_dir:
                 raise ScenarioError(

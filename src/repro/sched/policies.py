@@ -132,7 +132,10 @@ class SlackGreedyPolicy(Policy):
         # supply[i]).  Every cut ends one overlap, i.e. one pair.
         supply = np.cumsum(free[order])
         want = np.cumsum(ctx.max_cores)
-        ends = np.union1d(supply, want)
+        # Sorted distinct cut points (what np.union1d returns, without
+        # np.unique importing numpy.ma).
+        ends = np.sort(np.concatenate((supply, want)))
+        ends = ends[np.concatenate(([True], ends[1:] != ends[:-1]))]
         ends = ends[ends <= min(supply[-1], want[-1])]
         starts = np.concatenate(([0], ends[:-1]))
         return Placement(np.searchsorted(want, starts, side="right"),

@@ -30,6 +30,15 @@ runs the contract is bitwise: any packing of the same members into
 batches, and any change to this module that claims to keep the
 numbers, must reproduce every column exactly.
 
+Array layout
+------------
+
+The physics is socket-major: a per-socket quantity is an ``(S, N)``
+array and a per-class one (cores, masks, cache and DRAM demands, DVFS
+targets, frequencies) one ``(2, S, N)`` array, row 0 LC and row 1 BE,
+so each NumPy inner loop runs over the N members and each formula is
+one call for both classes.
+
 One member model
 ----------------
 
@@ -64,7 +73,7 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from functools import cached_property
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Union
@@ -369,18 +378,13 @@ class BatchColocationSim:
         self._members: Optional[List[BatchMember]] = None
         self.vec_heracles: Optional[_VecHeracles] = None
 
-        # Mutable telemetry state (RAPL-style smoothed power).
-        S = self.spec.sockets
-        self._rapl_watts = np.zeros((n, S))
+        # Mutable telemetry state (RAPL-style smoothed power, (S, N)).
+        self._rapl_watts = np.zeros((self.spec.sockets, n))
         self._rapl_started = False
         self._rapl_smoothing = 0.5
         self._gathered_be_cores = np.zeros(n, dtype=np.int64)
         # This tick's measurements the vector controller reads.
         self._tick: Dict[str, np.ndarray] = {}
-        # Tick-loop constants, hoisted so the hot path spends no
-        # dispatches rebuilding run-invariant values.
-        self._srange = np.arange(S, dtype=np.int64)
-        self._total_cores_i64 = np.int64(self.spec.total_cores)
         # Observability (off by default: both stay None unless the
         # REPRO_TRACE / REPRO_PROFILE env toggles are set; the whole
         # disabled path is these attributes' None checks).
@@ -634,12 +638,6 @@ class BatchColocationSim:
     # below is gated on one ``is None`` check.  Tracing never mutates
     # engine state.
 
-    #: Class-level observability defaults (pre-observability pickles
-    #: restore with everything off).
-    _obs_trace = None
-    _obs_prof = None
-    _obs_map = None
-
     def obs_set_members(self, members) -> None:
         """Set the *global* (fleet-wide) index of every local member.
 
@@ -659,34 +657,34 @@ class BatchColocationSim:
             self._obs_map = np.arange(self.n, dtype=np.int64)
         return self._obs_map
 
-    def _obs_actuator_state(self):
+    def _obs_actuator_state(self) -> np.ndarray:
         """The traced actuator columns ``(gate, cores, llc, dvfs, ceil)``
-        (uncapped DVFS / ceiling read ``inf``)."""
+        as a new (5, N) float array (uncapped DVFS / ceiling read
+        ``inf``; cores and ways read 0 where BE is off)."""
         enabled = self._act_enabled
-        return (enabled, np.where(enabled, self._act_cores, 0),
-                np.where(enabled, self._act_be_ways, 0), self._act_cap,
-                self._act_ceil)
+        state = np.empty((5, self.n))
+        state[0] = enabled
+        np.multiply(self._act_cores, enabled, out=state[1])
+        np.multiply(self._act_be_ways, enabled, out=state[2])
+        state[3] = self._act_cap
+        state[4] = self._act_ceil
+        return state
 
     def _obs_emit_decisions(self, pre, slo_fraction, load) -> None:
         """Emit one event per actuator a controller changed this tick.
 
-        ``pre`` is a copy of the traced actuator columns taken after
-        the tick's chaos events and before its controllers (chaos
-        mutations carry their own events); attached triggering signals
-        are the tick's observed SLO fraction and offered load.
-        Uncapped DVFS/ceiling values (``inf``) are emitted as null.  The
-        whole tick goes out as one fused ``(5, N)`` delta append (see
+        ``pre`` is the traced actuator state taken after the tick's
+        chaos events and before its controllers (chaos mutations carry
+        their own events); attached triggering signals are the tick's
+        observed SLO fraction and offered load.  Uncapped DVFS/ceiling
+        values (``inf``) are emitted as null.  The whole tick goes out
+        as one fused ``(5, N)`` delta append (see
         :meth:`TraceSink.emit_actuator_deltas`) — array-shaped cost,
         no per-event Python calls.
         """
-        post = self._obs_actuator_state()
-        old = np.stack([np.asarray(column, dtype=np.float64)
-                        for column in pre])
-        new = np.stack([np.asarray(column, dtype=np.float64)
-                        for column in post])
         self._obs_trace.emit_actuator_deltas(
-            self.time_s, self._obs_members(), old, new,
-            slo_fraction, load)
+            self.time_s, self._obs_members(), pre,
+            self._obs_actuator_state(), slo_fraction, load)
 
     # ------------------------------------------------------------------
     # Chaos events (fault injection)
@@ -796,39 +794,33 @@ class BatchColocationSim:
         clusters into one array program) passes one
         :class:`MachineSpec` per member.  The specs must agree on every
         field the physics reads as a shared scalar — core counts, cache
-        geometry, turbo ladder, power envelope — and the two capacity
+        geometry, turbo ladder, power envelope (its
+        :meth:`MachineSpec.structural_key`) — and the two capacity
         fields the physics applies per member, DRAM bandwidth and NIC
-        link rate, become broadcast columns: ``(N, 1)`` against the
-        per-socket demand matrices and ``(N,)`` against the egress
-        vectors.  With no ``specs`` (every existing caller) the columns
-        are the plain ``self.spec`` scalars and the arithmetic is
-        unchanged bit for bit.
+        link rate, become ``(N,)`` columns that broadcast against the
+        socket-major ``(S, N)`` demand rows and the egress vectors
+        alike.  With no ``specs``, or specs that all agree, the columns
+        are the plain ``self.spec`` scalars.  Each distinct spec
+        object is checked once.
         """
         base = self.spec
         if specs is None:
             return base.socket.dram_bw_gbps, base.nic.link_gbps
-        specs = list(specs)
         if len(specs) != self.n:
             raise ValueError(f"specs: expected {self.n} entries")
-        norm = _dc_replace(
-            base, socket=_dc_replace(base.socket, dram_bw_gbps=1.0),
-            nic=_dc_replace(base.nic, link_gbps=1.0))
-        for s in specs:
-            if _dc_replace(
-                    s, socket=_dc_replace(s.socket, dram_bw_gbps=1.0),
-                    nic=_dc_replace(s.nic, link_gbps=1.0)) != norm:
-                raise ValueError(
-                    "specs may differ only in DRAM bandwidth and NIC "
-                    "link rate; every structural field (cores, cache, "
-                    "turbo, power) must match the batch spec")
-        dram = np.array([s.socket.dram_bw_gbps for s in specs])
-        link = np.array([s.nic.link_gbps for s in specs])
-        dram_col = (base.socket.dram_bw_gbps
-                    if (dram == base.socket.dram_bw_gbps).all()
-                    else dram[:, None])
-        link_col = (base.nic.link_gbps
-                    if (link == base.nic.link_gbps).all() else link)
-        return dram_col, link_col
+        rows, of = _distinct(specs)
+        key = base.structural_key()
+        if any(s.structural_key() != key for s in rows):
+            raise ValueError(
+                "specs may differ only in DRAM bandwidth and NIC "
+                "link rate; every structural field (cores, cache, "
+                "turbo, power) must match the batch spec")
+        dram = np.array([s.socket.dram_bw_gbps for s in rows])[of]
+        link = np.array([s.nic.link_gbps for s in rows])[of]
+        return ((base.socket.dram_bw_gbps
+                 if (dram == base.socket.dram_bw_gbps).all() else dram),
+                (base.nic.link_gbps
+                 if (link == base.nic.link_gbps).all() else link))
 
     def _build_static_arrays(self, lcs, bes) -> None:
         # Each parameter is read once per distinct workload instance (a
@@ -876,7 +868,7 @@ class BatchColocationSim:
         self._lc["net_peak"] = self._lc["net_frac"] * self._nic_link
         self._lc["tail_mass"] = 1.0 - self._lc["percentile"]
         # Queueing pool structure depends only on the integer core count:
-        # table[i, servers] is servers_per_pool for member i.
+        # table[r, servers] is servers_per_pool for distinct LC row r.
         total = self.spec.total_cores
         table = np.ones((len(lc_rows), total + 1), dtype=np.int64)
         for i, w in enumerate(lc_rows):
@@ -884,8 +876,9 @@ class BatchColocationSim:
             for servers in range(1, total + 1):
                 pools = max(1, round(servers / ps)) if ps else 1
                 table[i, servers] = max(1, round(servers / pools))
-        self._k_table = table[lc_of]
-        self._member_index = np.arange(len(lcs))
+        # Per-member row offsets: _k_table.take(_k_base + cores) is
+        # member i's servers per pool in one flat gather.
+        self._k_table, self._k_base = table, lc_of * table.shape[1]
 
         def barr(fn, default=0.0):
             return np.array([fn(w.profile) if w is not None else default
@@ -906,18 +899,37 @@ class BatchColocationSim:
             "mem_bound": barr(lambda q: q.mem_bound_fraction),
             "cache_benefit": barr(lambda q: q.cache_benefit),
         }
-        # Concatenated LC+BE statics for the stacked cache resolution.
-        self._hot_frac_cat = np.concatenate([self._lc["hot_frac"],
-                                             self._be["hot_frac"]])
-        self._bulk_reuse_cat = np.concatenate([self._lc["bulk_reuse"],
-                                               self._be["bulk_reuse"]])
+        # Class-stacked (2, 1, N) columns, row 0 LC and row 1 BE: the
+        # statics, and the tick's buffers whose other row is static
+        # (an LC DVFS cap of inf: min(inf, x) == x exactly).
+        L, B, n = self._lc, self._be, len(lcs)
 
-    @cached_property
-    def _k_base(self) -> np.ndarray:
-        """Row offsets into ``_k_table``: ``_k_table.take(_k_base +
-        cores)`` is ``_k_table[member, cores]`` in one flat gather.
-        (Derived on first use, so older snapshots restore it too.)"""
-        return self._member_index * self._k_table.shape[1]
+        def col2(lc_row, be_row, dtype=float):
+            out = np.empty((2, 1, n), dtype=dtype)
+            out[0, 0], out[1, 0] = lc_row, be_row
+            return out
+
+        self._hot_mb2 = col2(L["hot_mb"], B["hot_mb"])
+        self._hot_frac2 = col2(L["hot_frac"], B["hot_frac"])
+        self._cold_frac2 = 1.0 - self._hot_frac2
+        self._bulk_reuse2 = col2(L["bulk_reuse"], B["bulk_reuse"])
+        self._act2 = col2(0.0, B["activity"])
+        self._cap2 = col2(np.inf, np.inf)
+        self._bulk2 = col2(0.0, B["bulk_mb"])
+        self._access2 = col2(0.0, 0.0)
+        self._uncached2 = col2(0.0, 0.0)
+        self._net2 = np.zeros((2, n))
+        self._net_ceil2 = np.full((2, n), np.inf)
+        self._net_flows2 = np.array((L["net_flows"], B["net_flows"]))
+        self._part2 = col2(0.0, 0.0)
+        self._count2 = col2(0, 0, dtype=np.int64)
+        # Per-socket core splits by BE core count (the actuators'
+        # round-robin policy), (S, total + 1): LC's and BE's.
+        S, per_socket = self.spec.sockets, self.spec.socket.cores
+        c = np.arange(self.spec.total_cores + 1)
+        be_split = c // S + (np.arange(S)[:, None] < c % S)
+        self._split_lc, self._split_be = per_socket - be_split, be_split
+        self._cores2 = np.empty((2, S, n), dtype=np.int64)
 
     # ------------------------------------------------------------------
     # The vectorized tick
@@ -927,7 +939,6 @@ class BatchColocationSim:
         """Advance all members by one interval (vectorized physics)."""
         if dt_s <= 0:
             raise ValueError("dt must be positive")
-        n, S = self.n, self.spec.sockets
         spec = self.spec
         socket = spec.socket
 
@@ -942,9 +953,7 @@ class BatchColocationSim:
         else:
             chaos_dead = chaos_parted = None
         if prof is not None:
-            now = perf_counter()
-            prof.add("chaos", now - mark)
-            mark = now
+            mark = prof.lap("chaos", mark)
 
         # -- 1. Offered load ------------------------------------------------
         load = self._offered_load()
@@ -967,63 +976,56 @@ class BatchColocationSim:
         self._gathered_be_cores = be_eff
         pre_act = None
         if self._obs_trace is not None:
-            # Copies: the pre-controller snapshot must not follow the
-            # live columns.
-            pre_act = tuple(np.array(column)
-                            for column in self._obs_actuator_state())
+            # A snapshot: it must not follow the live columns.
+            pre_act = self._obs_actuator_state()
 
         be_running = self._has_be & be_enabled & (be_eff > 0)
 
-        # Per-socket core splits (the actuators' round-robin policy).
-        be_s = (be_eff[:, None] // S
-                + (self._srange[None, :] < (be_eff[:, None] % S)))
-        lc_s = socket.cores - be_s
-        lc_total = self._total_cores_i64 - be_eff
-        be_total = np.where(be_running, be_eff, 0)
-        be_s = np.where(be_running[:, None], be_s, 0)
+        # Core counts per class: totals (2, 1, N) and per-socket splits
+        # (2, S, N), looked up by BE core count ("clip" writes into out
+        # unbuffered; the actuators keep every count in the table).
+        count, cores = self._count2, self._cores2
+        lc_total = np.subtract(spec.total_cores, be_eff, out=count[0, 0])
+        be_total = np.multiply(be_eff, be_running, out=count[1, 0])
+        np.take(self._split_lc, be_eff, axis=1, out=cores[0], mode="clip")
+        np.take(self._split_be, be_total, axis=1, out=cores[1], mode="clip")
 
         # -- 3. Workload demands -------------------------------------------
-        L = self._lc
+        L, B = self._lc, self._be
         rho_lc = np.minimum(
             1.0, ((load * L["peak_qps"]) * L["base_service_ms"]
                   / 1000.0) / lc_total)
-        act_lc = L["compute_activity"] * rho_lc
+        act = self._act2
+        np.multiply(L["compute_activity"], rho_lc, out=act[0, 0])
         dram_target = L["dram_peak_gbps"] * load ** L["dram_exponent"]
-        uncached_lc = L["uncached_share"] * dram_target
-        access_lc = (L["cached_share"] * dram_target) / L["miss_frac"]
-        bulk_lc = L["bulk_peak_mb"] * load
-        net_lc = L["net_peak"] * load
+        uncached, access, bulk = self._uncached2, self._access2, self._bulk2
+        np.multiply(L["uncached_share"], dram_target, out=uncached[0, 0])
+        np.multiply(B["uncached_per_core"], be_total, out=uncached[1, 0])
+        np.divide(L["cached_share"] * dram_target, L["miss_frac"],
+                  out=access[0, 0])
+        np.multiply(B["access_per_core"], be_total, out=access[1, 0])
+        np.multiply(L["bulk_peak_mb"], load, out=bulk[0, 0])
+        # Egress demand (2, N); a BE demand is finite, so the 0/1 mask
+        # product is exact.
+        net = self._net2
+        net_lc = np.multiply(L["net_peak"], load, out=net[0])
+        np.multiply(B["net_demand"], be_running, out=net[1])
 
         # Per-socket splits, matching the two scalar helpers' operation
         # order: cache_demand_for normalizes the weight first
-        # (w = cores/total), split_across_sockets divides last.
-        lc_mask_s = lc_s > 0
-        w_lc = np.where(lc_mask_s, lc_s / lc_total[:, None], 0.0)
-        hot_lc_s = L["hot_mb"][:, None] * w_lc
-        bulk_lc_s = bulk_lc[:, None] * w_lc
-        access_lc_s = access_lc[:, None] * w_lc
-        uncached_lc_s = np.where(
-            lc_mask_s,
-            (uncached_lc[:, None] * lc_s) / lc_total[:, None], 0.0)
-
-        B = self._be
-        be_mask_s = be_s > 0
-        safe_be_total = np.where(be_total > 0, be_total, 1)
-        w_be = np.where(be_mask_s, be_s / safe_be_total[:, None], 0.0)
-        hot_be_s = B["hot_mb"][:, None] * w_be
-        bulk_be_s = B["bulk_mb"][:, None] * w_be
-        access_be = B["access_per_core"] * be_total
-        access_be_s = access_be[:, None] * w_be
-        uncached_be = B["uncached_per_core"] * be_total
-        uncached_be_s = np.where(
-            be_mask_s,
-            (uncached_be[:, None] * be_s) / safe_be_total[:, None], 0.0)
-        act_be = B["activity"]
-        net_be = np.where(be_running, B["net_demand"], 0.0)
+        # (w = cores/total), split_across_sockets divides last.  A BE
+        # total of 0 divides by 1 (its cores are all 0, so masked).
+        mask = cores > 0
+        total = np.maximum(count, 1)
+        w = np.where(mask, cores / total, 0.0)
+        hot_s = self._hot_mb2 * w
+        bulk_s = bulk * w
+        access_s = access * w
+        uncached_s = np.where(mask, (uncached * cores) / total, 0.0)
 
         # -- 4. Power / frequency equilibrium -------------------------------
-        lc_freq_s, be_freq_s, power_s = self._resolve_power(
-            lc_s, act_lc, be_s, act_be, dvfs_cap)
+        self._cap2[1, 0] = dvfs_cap
+        freq_s, power_s = self._resolve_power(cores, mask, act, self._cap2)
         # RAPL metering (exponentially smoothed, as the real counters).
         a = self._rapl_smoothing
         if self._rapl_started:
@@ -1031,48 +1033,53 @@ class BatchColocationSim:
         else:
             self._rapl_watts = power_s.copy()
             self._rapl_started = True
-        # Core-weighted achieved frequency per task.
-        lc_freq = _weighted_freq(lc_freq_s, lc_s)
-        be_freq = _weighted_freq(be_freq_s, be_s)
+        # Core-weighted achieved frequency per class, (2, N).
+        freq = _weighted_freq(freq_s, cores, count, total)
         if self._chaos is not None:
             # Straggler derate on the achieved frequencies (healthy
             # members multiply by exactly 1.0 — a bitwise identity).
-            lc_freq = lc_freq * self._chaos_derate
-            be_freq = be_freq * self._chaos_derate
+            freq = freq * self._chaos_derate
+        lc_freq, be_freq = freq
+        if prof is not None:
+            mark = prof.lap("power", mark)
 
         # -- 5. LLC occupancy within each CAT partition ---------------------
         # LC and BE resolve in separate partitions with identical math,
-        # so both stacks go through one vectorized resolution.
+        # so both classes go through one stacked resolution.
         mb_per_way = socket.llc_mb / socket.llc_ways
-        hit2, hot_cov2, bulk_cov2, miss2 = _resolve_partition(
-            np.concatenate([lc_ways * mb_per_way, be_ways * mb_per_way]),
-            np.concatenate([lc_mask_s, be_mask_s]),
-            np.concatenate([hot_lc_s, hot_be_s]),
-            np.concatenate([bulk_lc_s, bulk_be_s]),
-            np.concatenate([access_lc_s, access_be_s]),
-            self._hot_frac_cat, self._bulk_reuse_cat)
-        lc_hit, be_hit = hit2[:n], hit2[n:]
-        lc_hot_cov, lc_bulk_cov = hot_cov2[:n], bulk_cov2[:n]
-        be_hot_cov, be_bulk_cov = hot_cov2[n:], bulk_cov2[n:]
-        lc_miss_s, be_miss_s = miss2[:n], miss2[n:]
+        part = self._part2
+        np.multiply(lc_ways, mb_per_way, out=part[0, 0])
+        np.multiply(be_ways, mb_per_way, out=part[1, 0])
+        (hit, hot_cov, bulk_cov), miss_s = _resolve_partition(
+            part, mask, hot_s, bulk_s, access_s, self._hot_frac2,
+            self._cold_frac2, self._bulk_reuse2)
+        if prof is not None:
+            mark = prof.lap("cache", mark)
 
         # -- 6. DRAM channels ----------------------------------------------
-        dram = self._resolve_memory(
-            lc_s, be_s, uncached_lc_s, lc_miss_s, uncached_be_s, be_miss_s,
-            throttle, be_running)
+        dram = self._resolve_memory(mask, uncached_s, miss_s, throttle,
+                                    be_running)
+        if prof is not None:
+            mark = prof.lap("dram", mark)
 
         # -- 7. Egress link -------------------------------------------------
-        net = self._resolve_network(
-            net_lc, L["net_flows"], net_be, B["net_flows"], be_ceil,
-            be_running)
+        self._net_ceil2[1] = be_ceil
+        net_ach = self._resolve_network(net, self._net_ceil2)
+        lc_net, be_net = net_ach
+        # Each class's satisfied share of its demand.
+        has = net > 0
+        lc_sat, be_sat = np.where(has, np.minimum(
+            1.0, net_ach / np.where(has, net, 1.0)), 1.0)
+        if prof is not None:
+            mark = prof.lap("network", mark)
 
         # -- 8. LC tail latency --------------------------------------------
         nominal = socket.turbo.nominal_ghz
         freq_factor = (nominal / lc_freq) ** L["freq_exp"]
-        hot_loss = 1.0 - lc_hot_cov
+        hot_loss = 1.0 - hot_cov[0]
         cache_factor = (1.0
                         + L["hot_w"] * hot_loss * (0.3 + 0.7 * hot_loss)
-                        + L["bulk_w"] * (1.0 - lc_bulk_cov))
+                        + L["bulk_w"] * (1.0 - bulk_cov[0]))
         mem_factor = 1.0 + L["mem_frac"] * (dram["lc_delay"] - 1.0)
         # Heracles pins LC and BE to disjoint physical cores, so the
         # HyperThread share is identically zero on this path (factor 1).
@@ -1082,9 +1089,6 @@ class BatchColocationSim:
         k_pool = self._k_table.take(self._k_base + lc_total)
         tail = _queue_tail_ms(lc_total, service_ms, qps, L["tail_mult"],
                               L["tail_mass"], k_pool)
-        lc_sat = np.where(net_lc > 0,
-                          np.minimum(1.0, net["lc_ach"] / np.where(
-                              net_lc > 0, net_lc, 1.0)), 1.0)
         tail = tail * _net_latency_factor(net_lc, lc_sat, L["net_gain"])
 
         # Per-member seeded noise streams, drawn in member order so the
@@ -1108,26 +1112,21 @@ class BatchColocationSim:
                                dram["be_dem"] > 1e-9, dram["be_dem"], 1.0)),
                            1.0)
         mem_scale = (1.0 - B["mem_bound"]) + B["mem_bound"] * mem_sat
-        cache_scale = 1.0 + B["cache_benefit"] * (be_hit - 1.0)
+        cache_scale = 1.0 + B["cache_benefit"] * (hit[1] - 1.0)
         eff = np.maximum(1e-3, freq_scale * mem_scale * cache_scale * 1.0)
-        be_sat = np.where(net_be > 0,
-                          np.minimum(1.0, net["be_ach"] / np.where(
-                              net_be > 0, net_be, 1.0)), 1.0)
         eff = np.where(B["net_demand"] > 0, eff * be_sat, eff)
         be_units = np.where(be_running, be_total * eff, 0.0)
 
         # -- 10. Telemetry / counters ---------------------------------------
         self._tick = {
             "be_running": be_running, "lc_freq_ghz": lc_freq,
-            "be_dram_ach": dram["be_ach"], "lc_net_ach": net["lc_ach"],
+            "be_dram_ach": dram["be_ach"], "lc_net_ach": lc_net,
             "worst_socket_dram_gbps": dram["worst_socket_gbps"],
         }
 
         # -- 11. Member bookkeeping: monitors, history, controllers ---------
         if prof is not None:
-            now = perf_counter()
-            prof.add("physics", now - mark)
-            mark = now
+            mark = prof.lap("tail", mark)
         be_norm = self._record_members(load, tail, be_units, be_running,
                                        dt_s)
         emu = load + be_norm
@@ -1161,23 +1160,22 @@ class BatchColocationSim:
                                             spec.total_cores)
                                  / spec.total_cores),
                 power_fraction_of_tdp=(_socket_fold(np.add, power_s)
-                                       / (socket.tdp_watts * S)),
-                lc_net_gbps=net["lc_ach"],
-                be_net_gbps=net["be_ach"],
+                                       / (socket.tdp_watts
+                                          * spec.sockets)),
+                lc_net_gbps=lc_net,
+                be_net_gbps=be_net,
                 link_utilization=np.minimum(
-                    1.0, net["total_ach"] / self._nic_link),
+                    1.0, (lc_net + be_net) / self._nic_link),
             ))
         if prof is not None:
-            now = perf_counter()
-            prof.add("telemetry", now - mark)
-            mark = now
+            mark = prof.lap("telemetry", mark)
 
         if self.vec_heracles is not None:
             self.vec_heracles.step(self.time_s)
         if pre_act is not None:
             self._obs_emit_decisions(pre_act, slo_fraction, load)
         if prof is not None:
-            prof.add("controllers", perf_counter() - mark)
+            prof.lap("controllers", mark)
 
         self.time_s += dt_s
         return result
@@ -1208,8 +1206,7 @@ class BatchColocationSim:
 
     @cached_property
     def _turbo_ceiling(self) -> np.ndarray:
-        """Turbo ceiling (GHz) by a socket's active-core count 0..cores.
-        (Derived on first use, so older snapshots restore it too.)"""
+        """Turbo ceiling (GHz) by a socket's active-core count 0..cores."""
         turbo, cores = self.spec.socket.turbo, self.spec.socket.cores
         active = np.arange(cores + 1)
         fraction = (np.minimum(np.maximum((active - 1) / (cores - 1), 0.0),
@@ -1218,8 +1215,13 @@ class BatchColocationSim:
         return np.where(active <= 0, turbo.max_turbo_ghz,
                         turbo.max_turbo_ghz - span * fraction)
 
-    def _resolve_power(self, lc_s, act_lc, be_s, act_be, dvfs_cap):
-        """Per-socket frequency/power equilibrium, (N, S) vectorized.
+    def _resolve_power(self, cores, mask, act, cap):
+        """Per-socket frequency/power equilibrium, class-stacked.
+
+        ``cores`` (2, S, N) and its ``mask`` (``cores > 0``), ``act``
+        and the DVFS ``cap`` (2, 1, N; LC's cap is inf).  Returns the
+        (2, S, N) frequencies (0 where a class has no cores on a
+        socket) and the (S, N) socket power.
 
         Mirrors :meth:`SocketPowerModel.resolve`: turbo ceiling from the
         active-core count, per-task DVFS targets, and — when the socket
@@ -1241,49 +1243,36 @@ class BatchColocationSim:
         turbo = socket.turbo
         nominal = turbo.nominal_ghz
         floor = turbo.min_ghz
-        k = socket.core_dynamic_watts
         tdp = socket.tdp_watts
         if self._chaos is not None:
-            # Timed power caps scale the TDP limit per member; (N, 1)
-            # broadcasts across sockets.  Every use of ``tdp`` below is
-            # elementwise, so the array substitutes for the scalar.
-            tdp = tdp * self._chaos_tdp[:, None]
+            # Timed power caps scale the TDP limit per member; (N,)
+            # broadcasts across socket rows.  Every use of ``tdp``
+            # below is elementwise, so the array substitutes for the
+            # scalar.
+            tdp = tdp * self._chaos_tdp
         idle = socket.idle_watts
 
-        lc_present = lc_s > 0
-        be_present = be_s > 0   # be_s is zero where BE is not running
-        active = (np.where((act_lc > 0)[:, None], lc_s, 0)
-                  + np.where((act_be > 0)[:, None], be_s, 0))
-        ceiling = self._turbo_ceiling.take(active)
-        t_lc = np.maximum(floor, ceiling)
-        t_be = np.maximum(floor, np.minimum(dvfs_cap[:, None], ceiling))
-
-        coef_lc = np.where(lc_present, (lc_s * act_lc[:, None]) * k, 0.0)
-        coef_be = np.where(be_present, (be_s * act_be[:, None]) * k, 0.0)
-
-        dyn_lc = coef_lc * (t_lc / nominal) ** 3
-        dyn_be = coef_be * (t_be / nominal) ** 3
-        power = idle + (dyn_lc + dyn_be)
+        active = np.where(act > 0, cores, 0)
+        ceiling = self._turbo_ceiling.take(active[0] + active[1])
+        t = np.maximum(floor, np.minimum(cap, ceiling))
+        coef = np.where(mask, (cores * act) * socket.core_dynamic_watts,
+                        0.0)
+        dyn = coef * (t / nominal) ** 3
+        power = idle + (dyn[0] + dyn[1])
         throttled = power > tdp
         if throttled.any():
-            # Throttled sockets by flat (row-major) index: one gather,
-            # and one in-place scatter into this call's own arrays.
+            # Throttled sockets by flat (socket-major) index: one
+            # gather per stack, one setitem back into this call's t.
             idx = np.flatnonzero(throttled)
-            T = np.array((t_lc.take(idx), t_be.take(idx)))     # (2, M)
-            C = np.array((coef_lc.take(idx), coef_be.take(idx)))
-            R3 = np.array((dyn_lc.take(idx), dyn_be.take(idx)))
-            # Subset the per-member (N, 1) TDP column to the throttled
-            # sockets' members.
-            tdp_t = (tdp.take(idx // lc_s.shape[1])
+            t2 = t.reshape(2, -1)
+            tdp_t = (tdp.take(idx % self.n)
                      if isinstance(tdp, np.ndarray) else tdp)
-            f_thr, p_thr = self._throttle(T, C, R3, idle, tdp_t, nominal,
-                                          floor)
-            t_lc.put(idx, f_thr[0])
-            t_be.put(idx, f_thr[1])
+            f_thr, p_thr = self._throttle(
+                t2[:, idx], coef.reshape(2, -1)[:, idx],
+                dyn.reshape(2, -1)[:, idx], idle, tdp_t, nominal, floor)
+            t2[:, idx] = f_thr
             power.put(idx, p_thr)
-        return (np.where(lc_present, t_lc, 0.0),
-                np.where(be_present, t_be, 0.0),
-                power)
+        return np.where(mask, t, 0.0), power
 
     def _throttle(self, T, C, R3, idle, tdp, nominal, floor):
         """Frequencies and power of TDP-throttled sockets.
@@ -1372,27 +1361,32 @@ class BatchColocationSim:
             lo = np.where(over, lo, mid)
         return lo * BatchColocationSim._BISECT_SCALE
 
-    def _resolve_memory(self, lc_s, be_s, uncached_lc_s, lc_miss_s,
-                        uncached_be_s, be_miss_s, throttle, be_running):
-        """Per-socket DRAM sharing, saturation delay, and counters."""
-        cap = self._dram_cap  # scalar, or (N, 1) on a heterogeneous batch
+    def _resolve_memory(self, mask, uncached_s, miss_s, throttle,
+                        be_running):
+        """Per-socket DRAM sharing, saturation delay, and counters.
+
+        Takes the class-stacked (2, S, N) core ``mask`` and demands;
+        sockets are (S, N) rows below.
+        """
+        cap = self._dram_cap  # scalar, or (N,) on a heterogeneous batch
         if self._chaos is not None:
             # Straggler derate on the per-member channel capacity (the
             # scalar engine sets MemoryController.capacity_gbps to the
             # same ``stock * derate`` product).
-            cap = cap * self._chaos_derate[:, None]
+            cap = cap * self._chaos_derate
         knee, gain = 0.88, 0.10  # MemoryController defaults
 
-        bw_lc = uncached_lc_s + lc_miss_s
-        bw_be = uncached_be_s + be_miss_s
-        inc_lc = (bw_lc > 0) | (lc_s > 0)
-        inc_be = ((bw_be > 0) | (be_s > 0)) & be_running[:, None]
-        # (The scalar path multiplies the LC demand by its 1.0
-        # throttle; multiplication by exactly 1.0 is the identity, so
-        # it is dropped here.)
-        dem_lc = np.where(inc_lc, bw_lc, 0.0)
-        dem_be = np.where(inc_be, bw_be * throttle[:, None], 0.0)
-        total = dem_lc + dem_be
+        bw = uncached_s + miss_s
+        inc = (bw > 0) | mask
+        inc[1] &= be_running
+        dem = np.where(inc, bw, 0.0)
+        be_dem = _socket_fold(np.add, dem[1])   # offered: unthrottled
+        # MBA throttles BE's requests.  The factor is finite and >= 0,
+        # so an excluded socket's 0 stays an exact 0.  (The scalar
+        # path multiplies the LC demand by its 1.0 throttle, the
+        # identity, so it is dropped here.)
+        dem[1] *= throttle
+        total = dem[0] + dem[1]
         fits = total <= cap
         scale = np.where(fits, 1.0, cap / np.where(fits, 1.0, total))
         achieved_total = np.where(fits, total, cap)
@@ -1411,58 +1405,46 @@ class BatchColocationSim:
         # socket order and excluded sockets contribute exact zeros, so
         # this reproduces the scalar per-socket accumulation loop.
         return {
-            "lc_ach": _socket_fold(np.add, dem_lc * scale),
             "lc_delay": np.maximum(1.0, _socket_fold(
-                np.maximum, np.where(inc_lc, delay, 1.0))),
-            "be_dem": _socket_fold(np.add, np.where(inc_be, bw_be, 0.0)),
-            "be_ach": _socket_fold(np.add, dem_be * scale),
+                np.maximum, np.where(inc[0], delay, 1.0))),
+            "be_dem": be_dem,
+            "be_ach": _socket_fold(np.add, dem[1] * scale),
             "total_gbps": _socket_fold(np.add, achieved_total),
             "max_util": _socket_fold(np.maximum, util),
             "worst_socket_gbps": _socket_fold(np.maximum, achieved_total),
         }
 
-    def _resolve_network(self, net_lc, flows_lc, net_be, flows_be, be_ceil,
-                         be_running):
+    def _resolve_network(self, net, ceil):
         """Weighted max-min egress sharing with per-class HTB ceilings.
 
         A faithful vector transcription of :meth:`EgressLink.resolve`
-        for the two-flow case: flow counts are the weights, allocations
-        are capped at min(demand, ceil), leftover capacity redistributes
-        until the link is full or every active flow is satisfied.
+        for the two-flow case, class-stacked: ``net`` and ``ceil`` are
+        (2, N) demands (BE's 0 where it does not run) and ceilings
+        (LC's inf: the LC class is never ceiled).  Flow counts are the
+        weights, allocations are capped at min(demand, ceil), leftover
+        capacity redistributes until the link is full or every active
+        flow is satisfied.  Returns the (2, N) allocations.
         """
-        lim_lc = net_lc  # the LC class is never ceiled
-        lim_be = np.where(be_running, np.minimum(net_be, be_ceil), 0.0)
-        present_be = be_running
-
-        alloc_lc = np.zeros(self.n)
-        alloc_be = np.zeros(self.n)
+        lim = np.minimum(net, ceil)
+        flows = self._net_flows2
+        alloc = np.zeros_like(lim)
         capacity = self._nic_link  # scalar, or (N,): broadcasts alike
-        a_lc = lim_lc > 0
-        a_be = present_be & (lim_be > 0)
+        active = lim > 0
         live = True  # every member, until the first round narrows it
         for _ in range(3):  # len(demands) + 1 rounds, as the scalar loop
-            live = live & (a_lc | a_be) & (capacity > 1e-12)
+            live = live & (active[0] | active[1]) & (capacity > 1e-12)
             if not live.any():
                 break
-            wsum = np.where(live, flows_lc * a_lc + flows_be * a_be, 1.0)
-            g_lc = (capacity * flows_lc) / wsum
-            take_lc = np.where(live & a_lc,
-                               np.minimum(g_lc, lim_lc - alloc_lc), 0.0)
-            alloc_lc = alloc_lc + take_lc
-            g_be = (capacity * flows_be) / wsum
-            take_be = np.where(live & a_be,
-                               np.minimum(g_be, lim_be - alloc_be), 0.0)
-            alloc_be = alloc_be + take_be
-            spent = take_lc + take_be
+            weight = flows * active
+            wsum = np.where(live, weight[0] + weight[1], 1.0)
+            take = np.where(live & active, np.minimum(
+                (capacity * flows) / wsum, lim - alloc), 0.0)
+            alloc = alloc + take
+            spent = take[0] + take[1]
             capacity = np.where(live, capacity - spent, capacity)
-            a_lc = a_lc & ((lim_lc - alloc_lc) > 1e-12)
-            a_be = a_be & ((lim_be - alloc_be) > 1e-12)
+            active = active & ((lim - alloc) > 1e-12)
             live = live & (spent > 1e-12)
-        return {
-            "lc_ach": alloc_lc,
-            "be_ach": alloc_be,
-            "total_ach": alloc_lc + alloc_be,
-        }
+        return alloc
 
 
 # ----------------------------------------------------------------------
@@ -1512,10 +1494,9 @@ class _VecHeracles:
         self.sockets = max(1, spec.sockets)
         self.total_cores = spec.total_cores
         self.tdp_watts = spec.socket.tdp_watts
-        self.link_gbps = sim._nic_link  # scalar, or (N,) heterogeneous
-        cap = sim._dram_cap
-        self.dram_limit = (config.dram_limit_fraction
-                           * (cap[:, 0] if np.ndim(cap) else cap))
+        # Scalars, or (N,) columns on a heterogeneous batch.
+        self.link_gbps = sim._nic_link
+        self.dram_limit = config.dram_limit_fraction * sim._dram_cap
         #: ``(slice, LcDramBandwidthModel)`` pairs: the offline model
         #: each managed member range shares.
         self.model_segments = list(model_segments)
@@ -1564,8 +1545,7 @@ class _VecHeracles:
         """The offline models grouped by grid axes, for one vector pass
         per group: ``(members, loads, ways, tables, base, scale)`` with
         every model's table stacked flat in ``tables`` and, per member,
-        its model's offset there and its scale.  (Derived on first use,
-        so older snapshots restore it too.)"""
+        its model's offset there and its scale."""
         groups: Dict[tuple, list] = {}
         for sl, model in self.model_segments:
             gl = np.asarray(model.loads, dtype=float)
@@ -1642,27 +1622,27 @@ class _VecHeracles:
         sim = self.sim
         viol = slack < 0
         sim._v_disable(self._gate(viol))
-        self.growth[viol] = False
+        self.growth &= ~viol
         self.cooldown_until = np.where(
             viol, np.maximum(self.cooldown_until, now_s + cfg.cooldown_s),
             self.cooldown_until)
         rest = ~viol
         high = rest & (load > cfg.load_disable_threshold)
         sim._v_disable(self._gate(high))
-        self.growth[high] = False
+        self.growth &= ~high
         rest = rest & ~high
         enable = self._gate(rest & (load < cfg.load_enable_threshold)
                             & ~(now_s < self.cooldown_until))
         sim._v_enable(enable)
         # Slack guards (unconditional on load; see top_level.py note).
         low = rest & (slack < cfg.slack_no_growth)
-        self.growth[low] = False
+        self.growth &= ~low
         cut = self._gate(low & (slack < cfg.slack_cut_cores)
                          & sim._act_enabled)
         if cut.any():
             excess = sim.be_cores_now() - cfg.be_cores_floor
             sim._v_remove_cores(cut & (excess > 0), excess)
-        self.growth[rest & ~low] = True
+        self.growth |= rest & ~low
 
     def _core_memory(self, now_s: float) -> None:
         cfg = self.cfg
@@ -1715,15 +1695,15 @@ class _VecHeracles:
                              | (self._bw_deriv >= 0))
             if rollback.any():
                 sim._v_set_split(rollback, self._p_prev_ways)
-                self.phase_llc[rollback] = False
+                self.phase_llc &= ~rollback
             checked = mp & ~rollback
             gain = sim._be_last_norm - self._p_thr_before
             no_benefit = checked & (gain <= cfg.be_benefit_epsilon
                                     * np.maximum(1e-9, self._p_thr_before))
-            self.phase_llc[no_benefit] = False
+            self.phase_llc &= ~no_benefit
         decay = alive & ~was_pending
-        self._last_slack_drop[decay] *= alg2.SLACK_DROP_DECAY
-        self._llc_slack_drop[decay] *= alg2.SLACK_DROP_DECAY
+        for drop in (self._last_slack_drop, self._llc_slack_drop):
+            np.multiply(drop, alg2.SLACK_DROP_DECAY, out=drop, where=decay)
 
         # CanGrowBE(): enabled, growth allowed, no cooldown.
         grow = self._gate(alive & sim._act_enabled & self.growth
@@ -1741,31 +1721,32 @@ class _VecHeracles:
             slack = np.minimum(self.slack, cs)
             g1 = gl & ~(slack < alg2.growth_threshold(cfg))
             pre = g1 & alg2.pre_violation(slack, self._llc_slack_drop, cfg)
-            self.phase_llc[pre] = False
+            self.phase_llc &= ~pre
             g2 = g1 & ~pre
             predicted = (lc_model + be_bw) + self._bw_deriv
             blocked = g2 & (predicted > self.dram_limit)
-            self.phase_llc[blocked] = False
+            self.phase_llc &= ~blocked
             g3 = g2 & ~blocked
             if g3.any():
                 prev = sim._act_be_ways.copy()
                 full = g3 & (sim._act_be_ways + 1
                              > self.sim.spec.socket.llc_ways - 1)
-                self.phase_llc[full] = False
+                self.phase_llc &= ~full
                 ok = g3 & ~full
                 if ok.any():
                     sim._v_set_split(ok, sim._act_be_ways + 1)
                     self._pending |= ok
-                    self._p_prev_ways[ok] = prev[ok]
-                    self._p_thr_before[ok] = sim._be_last_norm[ok]
-                    self._p_slack_before[ok] = slack[ok]
+                    np.copyto(self._p_prev_ways, prev, where=ok)
+                    np.copyto(self._p_thr_before, sim._be_last_norm,
+                              where=ok)
+                    np.copyto(self._p_slack_before, slack, where=ok)
 
         # GROW_CORES arm.
         gc = grow & ~self.phase_llc & ~gl
         if gc.any():
             needed = (lc_model + be_bw) + per_core
             dram_blocked = gc & (needed > self.dram_limit)
-            self.phase_llc[dram_blocked] = True
+            self.phase_llc |= dram_blocked
             t = gc & ~dram_blocked
             if t.any():
                 slack = np.minimum(self.slack, cs)
@@ -1776,14 +1757,15 @@ class _VecHeracles:
                 self._sbg_active = self._sbg_active & ~t
                 t1 = t & ~(slack <= alg2.growth_threshold(cfg))
                 exhausted = t1 & (budget - cores <= 0)
-                self.phase_llc[exhausted] = True
+                self.phase_llc |= exhausted
                 t2 = t1 & ~exhausted
                 t3 = t2 & ~alg2.pre_violation(slack, self._last_slack_drop,
                                               cfg)
                 granted = t3 & (sim._act_cores < sim._max_be_cores)
                 if granted.any():
-                    sim._act_cores[granted] += 1
-                    self._sbg[granted] = cs[granted]
+                    np.add(sim._act_cores, 1, out=sim._act_cores,
+                           where=granted)
+                    np.copyto(self._sbg, cs, where=granted)
                     self._sbg_active |= granted
 
     def _power(self, now_s: float) -> None:
@@ -1808,10 +1790,12 @@ class _VecHeracles:
         # here, a lower_be_frequency event — is a TurboSpec.clamp_ghz
         # result, so the cap sits on the ladder and its index is an
         # exact lookup.
-        cap = sim._act_cap
-        idx = np.searchsorted(sim._cap_ladder, cap)
-        cap[lower] = sim._cap_ladder[sim._cap_down[idx[lower]]]
-        cap[raise_] = sim._cap_ladder[sim._cap_up[idx[raise_]]]
+        ladder = sim._cap_ladder
+        idx = np.searchsorted(ladder, sim._act_cap)
+        np.copyto(sim._act_cap, ladder.take(sim._cap_down.take(idx)),
+                  where=lower)
+        np.copyto(sim._act_cap, ladder.take(sim._cap_up.take(idx)),
+                  where=raise_)
 
     def _network(self, now_s: float) -> None:
         cfg = self.cfg
@@ -1838,53 +1822,56 @@ class _VecHeracles:
 
 
 def _socket_fold(op, x: np.ndarray) -> np.ndarray:
-    """``op.reduce(x, axis=1)`` of an (N, S) array, bit for bit, as a
-    left fold over the socket columns (``op``: ``np.add``/``np.maximum``).
+    """``op.reduce`` over the socket axis of an (S, N) or (2, S, N)
+    array (``op``: ``np.add``/``np.maximum``), bit for bit equal to
+    reducing each member's contiguous row of S sockets.
 
-    A fold costs S - 1 column ops instead of one reduction call ten
-    times as dear on a few columns.  A max is exact in any order;
-    NumPy adds a row of fewer than 8 elements left to right (pairwise
-    summation starts at 8), so only wider sums keep the reduction.
+    A left fold over socket rows costs S - 1 full-width ops.  A max is
+    exact in any order; NumPy adds a row of fewer than 8 elements left
+    to right (pairwise summation starts at 8), so a wider sum reduces a
+    contiguous transposed copy to keep NumPy's order.
     """
-    if op is np.add and x.shape[1] >= 8:
-        return x.sum(axis=1)
-    acc = x[:, 0]
-    for s in range(1, x.shape[1]):
-        acc = op(acc, x[:, s])
+    if op is np.add and x.shape[-2] >= 8:
+        return np.ascontiguousarray(np.swapaxes(x, -1, -2)).sum(axis=-1)
+    acc = x[..., 0, :]
+    for s in range(1, x.shape[-2]):
+        acc = op(acc, x[..., s, :])
     return acc
 
 
-def _weighted_freq(freq_s: np.ndarray, cores_s: np.ndarray) -> np.ndarray:
-    """Core-weighted mean frequency across sockets, in socket order.
+def _weighted_freq(freq_s, cores_s, count, total) -> np.ndarray:
+    """Core-weighted mean frequency per class, (2, N), in socket order.
 
+    ``freq_s``/``cores_s`` are (2, S, N); ``count`` (2, 1, N) holds
+    each class's core total and ``total`` the same with 0 raised to 1.
     The accumulation starts from socket 0's product instead of a zero
     array — identical bits (frequencies and core counts are
-    non-negative, so ``0.0 + x == x`` exactly), two fewer allocations
-    per call on the hot path.
+    non-negative, so ``0.0 + x == x`` exactly) — and always folds left,
+    as the scalar loop adds.
     """
-    acc = freq_s[:, 0] * cores_s[:, 0]
-    cores = cores_s[:, 0]
-    for s in range(1, freq_s.shape[1]):
-        acc = acc + freq_s[:, s] * cores_s[:, s]
-        cores = cores + cores_s[:, s]
-    return np.where(cores > 0, acc / np.where(cores > 0, cores, 1), 0.0)
+    prod = freq_s * cores_s
+    acc = prod[:, 0]
+    for s in range(1, prod.shape[1]):
+        acc = acc + prod[:, s]
+    return np.where(count[:, 0] > 0, acc / total[:, 0], 0.0)
 
 
 def _resolve_partition(part_mb, mask_s, hot_s, bulk_s, access_s,
-                       hot_frac, bulk_reuse):
+                       hot_frac, cold_frac, bulk_reuse):
     """Steady-state occupancy of one task alone in one CAT partition.
 
-    With a single resident task the scalar waterfill reduces to
-    ``occupancy = min(partition, footprint)``; coverage and hit fraction
-    follow :func:`repro.hardware.cache.resolve_occupancy` exactly.
-    Cross-socket merging replicates the scalar engine's sequential
-    rule: first socket sets the values, later sockets average coverage
-    and sum occupancy.
+    Class-stacked: ``part_mb`` and the statics are (2, 1, N), the rest
+    (2, S, N).  With a single resident task the scalar waterfill
+    reduces to ``occupancy = min(partition, footprint)``; coverage and
+    hit fraction follow :func:`repro.hardware.cache.resolve_occupancy`
+    exactly.  Cross-socket merging replicates the scalar engine's
+    sequential rule: first socket sets the values, later sockets
+    average coverage and sum occupancy.
 
-    Returns (hit, hot_cov, bulk_cov, miss_gbps_per_socket).
+    Returns ``((hit, hot_cov, bulk_cov), miss_gbps_per_socket)``: three
+    (2, N) arrays and a (2, S, N) one.
     """
-    S = mask_s.shape[1]
-    occ_s = np.minimum(part_mb[:, None], hot_s + bulk_s)
+    occ_s = np.minimum(part_mb, hot_s + bulk_s)
     has = hot_s > 0
     hot_cov_s = np.where(has, np.minimum(
         1.0, occ_s / np.where(has, hot_s, 1.0)), 1.0)
@@ -1892,21 +1879,20 @@ def _resolve_partition(part_mb, mask_s, hot_s, bulk_s, access_s,
     has = bulk_s > 0
     bulk_cov_s = np.where(has, np.minimum(
         1.0, left_s / np.where(has, bulk_s, 1.0)), 1.0)
-    hit_s = np.minimum(1.0, hot_frac[:, None] * hot_cov_s
-                       + (1.0 - hot_frac[:, None]) * bulk_cov_s
-                       * bulk_reuse[:, None])
+    hit_s = np.minimum(1.0, hot_frac * hot_cov_s
+                       + cold_frac * bulk_cov_s * bulk_reuse)
     miss_s = np.where(mask_s, access_s * (1.0 - hit_s), 0.0)
 
     # Cross-socket merge of all three quantities at once: the first
     # included socket sets the value, each later one averages into it.
-    v = np.array((hit_s, hot_cov_s, bulk_cov_s))            # (3, n, S)
-    out = np.where(mask_s[:, 0], v[..., 0], 1.0)
+    v = np.array((hit_s, hot_cov_s, bulk_cov_s))            # (3, 2, S, N)
+    out = np.where(mask_s[:, 0], v[:, :, 0], 1.0)
     seen = mask_s[:, 0]
-    for s in range(1, S):
-        m, v_s = mask_s[:, s], v[..., s]
+    for s in range(1, mask_s.shape[1]):
+        m, v_s = mask_s[:, s], v[:, :, s]
         out = np.where(m, np.where(seen, (out + v_s) / 2, v_s), out)
         seen = seen | m
-    return out[0], out[1], out[2], miss_s
+    return out, miss_s
 
 
 def _queue_tail_ms(servers, service_ms, qps, tail_mult, tail_mass, k):
@@ -1914,8 +1900,9 @@ def _queue_tail_ms(servers, service_ms, qps, tail_mult, tail_mass, k):
 
     ``k`` is the per-pool server count (precomputed from the integer
     core count, see ``_k_table``).  The Erlang-B recurrence runs
-    unmasked to the largest ``k`` in the batch and each member keeps its
-    own step ``k`` — the very steps of the scalar iteration.
+    unmasked to the largest ``k`` in the batch, keeping every step's
+    row, and each member reads its own step ``k`` back in one gather —
+    the very steps of the scalar iteration.
     """
     rho = (qps * (service_ms / 1000.0)) / servers
     service_tail = tail_mult * service_ms
@@ -1923,22 +1910,20 @@ def _queue_tail_ms(servers, service_ms, qps, tail_mult, tail_mass, k):
     stable = np.minimum(rho, 0.995)
     offered = stable * k
     # Erlang-B recurrence, then Erlang-C.
-    counts = np.bincount(k)
-    b = b_k = np.ones_like(offered)
-    for i in range(1, len(counts)):
+    n = len(k)
+    steps = np.empty((int(k.max()) + 1, n))
+    b = np.ones_like(offered)
+    for i in range(1, len(steps)):
         t = offered * b
-        b = t / (i + t)
-        if counts[i] == len(k):
-            b_k = b
-        elif counts[i]:
-            b_k = np.where(k == i, b, b_k)
-    b = b_k
+        b = np.divide(t, i + t, out=steps[i])
+    b = steps.take(k * n + np.arange(n))
     rho_e = offered / k
     c = b / ((1.0 - rho_e) + rho_e * b)
     p_wait = np.where(offered == 0, 0.0,
                       np.minimum(1.0, np.maximum(0.0, c)))
-    log_arg = np.where(p_wait > tail_mass, p_wait / tail_mass, 1.0)
-    wait = np.where(p_wait > tail_mass,
+    waits = p_wait > tail_mass
+    log_arg = np.where(waits, p_wait / tail_mass, 1.0)
+    wait = np.where(waits,
                     service_ms / (k * (1.0 - stable)) * np.log(log_arg),
                     0.0)
     overload = np.where(rho > 0.995,

@@ -7,7 +7,7 @@ engine's complete live state mid-run so the run can continue — in this
 process, a new process, or several processes at once (warm-started
 what-if branching: simulate to steady state once, fork many futures).
 
-Snapshot format (version 3)
+Snapshot format (version 4)
 ---------------------------
 
 One engine checkpoint is a single uncompressed ``.npz`` archive:
@@ -64,8 +64,9 @@ import numpy as np
 #: Archive layout version; bumped on any incompatible format change
 #: (2: batch members pickle as array state, not per-member objects;
 #: 3: a batch carries no object controllers — baseline grants and
-#: injections live in its event schedule).
-CHECKPOINT_VERSION = 3
+#: injections live in its event schedule; 4: a batch's per-socket
+#: arrays are socket-major, (S, N)).
+CHECKPOINT_VERSION = 4
 
 _META_KEY = "__meta__"
 _PICKLE_KEY = "__pickle__"

@@ -324,9 +324,7 @@ class ColocationSim:
         if self._chaos is not None:
             self._chaos_apply()
         if prof is not None:
-            now = perf_counter()
-            prof.add("chaos", now - mark)
-            mark = now
+            mark = prof.lap("chaos", mark)
         pre_actuators = (self._obs_actuator_state()
                          if self._obs_trace is not None else None)
         load = self.trace.clipped(self.time_s)
@@ -382,9 +380,7 @@ class ColocationSim:
             be_norm = self.be_monitor.last_normalized
 
         if prof is not None:
-            now = perf_counter()
-            prof.add("physics", now - mark)
-            mark = now
+            mark = prof.lap("physics", mark)
         telemetry = self.server.telemetry
         if self._chaos is None:
             power_fraction = telemetry.power_fraction_of_tdp
@@ -416,16 +412,14 @@ class ColocationSim:
         )
         self.history.append(record)
         if prof is not None:
-            now = perf_counter()
-            prof.add("telemetry", now - mark)
-            mark = now
+            mark = prof.lap("telemetry", mark)
 
         if self.controller is not None:
             self.controller.step(self.time_s)
         if pre_actuators is not None:
             self._obs_emit_decisions(pre_actuators, record)
         if prof is not None:
-            prof.add("controllers", perf_counter() - mark)
+            prof.lap("controllers", mark)
 
         self.time_s += dt_s
         return record

@@ -79,7 +79,6 @@ class MegaFleetSim:
                  unit: int = 0):
         # Deferred imports: this module sits in repro.sim, below the
         # cluster/fleet layers it is building for.
-        import dataclasses
         from ..cluster.leaf import make_leaf_lc
         from ..hardware.spec import default_machine_spec
         from ..sim.runner import memoized_dram_model
@@ -95,12 +94,6 @@ class MegaFleetSim:
                     f"shard [{task.leaf_lo}, {task.leaf_hi}) falls outside "
                     f"the cluster's {task.plan.leaves}-leaf population")
 
-        def structural_key(spec):
-            return dataclasses.replace(
-                spec,
-                socket=dataclasses.replace(spec.socket, dram_bw_gbps=1.0),
-                nic=dataclasses.replace(spec.nic, link_gbps=1.0))
-
         group_of: Dict[object, int] = {}
         buckets: List[dict] = []
         # One LC instance and one BE instance per task name per cluster,
@@ -110,7 +103,7 @@ class MegaFleetSim:
         for index, task in enumerate(self.slices):
             plan, lo, hi = task.plan, task.leaf_lo, task.leaf_hi
             spec = plan.spec or default_machine_spec()
-            key = structural_key(spec)
+            key = spec.structural_key()
             if key not in group_of:
                 group_of[key] = len(buckets)
                 buckets.append({"lcs": [], "traces": [], "bes": [],

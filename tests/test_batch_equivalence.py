@@ -328,10 +328,22 @@ class TestVectorKernels:
 
     @pytest.mark.parametrize("sockets", range(1, 11))
     def test_socket_fold_is_numpys_reduction(self, sockets):
+        """Folding socket rows, (S, N) or class-stacked (2, S, N),
+        equals NumPy's reduction of each member's (N, S) socket row."""
         x = np.random.default_rng(sockets).lognormal(0.0, 3.0,
                                                      (500, sockets))
-        assert np.array_equal(_socket_fold(np.add, x), x.sum(axis=1))
-        assert np.array_equal(_socket_fold(np.maximum, x), x.max(axis=1))
+        rows = np.ascontiguousarray(x.T)
+        assert np.array_equal(_socket_fold(np.add, rows), x.sum(axis=1))
+        assert np.array_equal(_socket_fold(np.maximum, rows),
+                              x.max(axis=1))
+        pair = np.random.default_rng(sockets + 100).lognormal(
+            0.0, 3.0, (2, 500, sockets))
+        stacked = np.ascontiguousarray(pair.transpose(0, 2, 1))
+        for op, ref in ((np.add, np.sum), (np.maximum, np.max)):
+            fold = _socket_fold(op, stacked)
+            assert fold.shape == (2, 500)
+            for c in range(2):
+                assert np.array_equal(fold[c], ref(pair[c], axis=1))
 
     @pytest.mark.parametrize("skew", [1.0, 1 + 3e-13, 1 - 3e-13, 1.01])
     def test_throttle_is_the_literal_bisection(self, monkeypatch, skew):

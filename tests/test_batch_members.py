@@ -146,10 +146,11 @@ class TestMixedControllers:
 
 
 def test_version_1_archive_is_rejected(tmp_path):
-    """Batch members pickle as array state (version 2) and a batch
-    carries no object controllers (version 3): older archives fail
-    with a clear error before unpickling."""
-    for version in (1, 2):
+    """Batch members pickle as array state (version 2), a batch
+    carries no object controllers (version 3) and its per-socket
+    arrays are socket-major (version 4): older archives fail with a
+    clear error before unpickling, never restore transposed."""
+    for version in (1, 2, 3):
         path = str(tmp_path / f"v{version}.npz")
         meta = json.dumps({"version": version, "kind": "batch",
                            "time_s": 0.0}).encode("utf-8")
@@ -157,8 +158,28 @@ def test_version_1_archive_is_rejected(tmp_path):
                  __pickle__=np.zeros(4, dtype=np.uint8))
         with pytest.raises(CheckpointError,
                            match=f"checkpoint version {version}, this "
-                                 f"build reads version 3"):
+                                 f"build reads version 4"):
             load_engine(path)
+
+
+def test_member_specs_vary_only_in_capacities():
+    """Per-member specs become (N,) capacity columns; any structural
+    difference is refused, whichever spec object carries it."""
+    import dataclasses
+    rich = dataclasses.replace(SPEC, socket=dataclasses.replace(
+        SPEC.socket, dram_bw_gbps=80.0))
+    batch = BatchColocationSim(
+        lc=make_lc_workload("websearch", SPEC), trace=make_trace(1),
+        bes=make_be_workload("brain", SPEC), spec=SPEC, seeds=[1, 2, 3],
+        specs=[SPEC, rich, rich])
+    assert np.array_equal(batch._dram_cap, [60.0, 80.0, 80.0])
+    assert batch._nic_link == SPEC.nic.link_gbps
+    odd = dataclasses.replace(SPEC, socket=dataclasses.replace(
+        SPEC.socket, tdp_watts=100.0))
+    with pytest.raises(ValueError, match="may differ only in DRAM"):
+        BatchColocationSim(
+            lc=make_lc_workload("websearch", SPEC), trace=make_trace(1),
+            spec=SPEC, seeds=[1, 2, 3], specs=[SPEC, rich, odd])
 
 
 def two_member_batch(bes=("brain", "streetview")):

@@ -120,7 +120,8 @@ class TestShapeMismatches:
             assert read_jsonl(str(trace))
         else:
             assert not trace.exists()
-            assert "phase" in captured.err and "physics" in captured.err
+            # Two cells run as one batch: physics reads per layer.
+            assert "phase" in captured.err and "power" in captured.err
         assert captured.out.startswith("websearch: worst-case tail")
 
     def test_cluster_scenarios_write_trace_and_profile(self, tmp_path,
@@ -139,7 +140,7 @@ class TestShapeMismatches:
         main(["scenario", str(spec), "--trace", str(trace), "--profile"])
         captured = capsys.readouterr()
         assert read_jsonl(str(trace))
-        assert "phase" in captured.err and "physics" in captured.err
+        assert "phase" in captured.err and "power" in captured.err
         assert captured.out.startswith("root SLO:")
 
     def test_sched_policy_choices_are_enforced_by_argparse(self, capsys):

@@ -36,6 +36,7 @@ from repro.scenarios.spec import (ClusterSpec, FleetSpec, InjectionSpec,
                                   ScenarioSpec, ScheduleSpec, ShardSpec,
                                   TraceSpec, JobSpec, WorkloadSpec)
 from repro.sim.chaos import CHAOS_EVENT_ACTIONS
+from repro.sim.engine import SimHistory
 from repro.sim.runner import JOBS_ENV
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -319,6 +320,23 @@ class TestProfiler:
         assert all(value >= 0.0 for value in result.profile.values())
         core = {"chaos", "physics", "telemetry", "controllers"}
         assert sum(result.profile.get(name, 0.0) for name in core) > 0.0
+
+    def test_batch_physics_is_timed_per_layer(self):
+        """The batch engine splits physics into its five layers, and
+        timing them changes no number."""
+        spec = member_spec()
+        spec.validate()
+        plain = run_traced(spec, trace=False, profile=False)
+        profiled = run_traced(spec, trace=False, profile=True)
+        assert plain.profile is None
+        for layer in ("power", "cache", "dram", "network", "tail"):
+            assert profiled.profile[layer] > 0.0, layer
+        assert profiled.profile["physics"] == 0.0
+        for a, b in zip(plain.members, profiled.members):
+            for name in SimHistory.field_names():
+                assert np.array_equal(a.history.column(name),
+                                      b.history.column(name),
+                                      equal_nan=True), name
 
     def test_schedule_run_profiles_the_scheduler(self):
         spec = fleet_spec(duration_s=20.0, schedule=True)
@@ -617,7 +635,8 @@ class TestCliJsonAndArtifacts:
         main(["scenario", self.write_spec(tmp_path), "--json",
               "--profile"])
         err = capsys.readouterr().err
-        assert "phase" in err and "physics" in err
+        # A fleet runs the batch engine: physics reads per layer.
+        assert "phase" in err and "power" in err and "tail" in err
 
     def test_progress_heartbeat_reaches_stderr(self, tmp_path, capsys,
                                                monkeypatch):

@@ -154,6 +154,34 @@ class TestPolicies:
             for leaf, used in per_leaf.items():
                 assert used <= ctx.cap[leaf], policy
 
+    def test_greedy_placement_does_not_import_numpy_ma(self):
+        """np.unique (behind np.union1d) imports numpy.ma, about 14 ms
+        of every scheduler process; the greedy cut points do without."""
+        import os
+        import subprocess
+        import sys
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.sched import PlacementContext, SlackGreedyPolicy\n"
+            "ctx = PlacementContext(\n"
+            "    epoch=1, epoch_len_s=60.0,\n"
+            "    rate_per_core=np.array([0.2, 0.9, 0.5]),\n"
+            "    cap=np.array([4.0, 4.0, 4.0]),\n"
+            "    latched=np.zeros(3, dtype=bool),\n"
+            "    max_cores=np.array([3, 6], dtype=np.int64),\n"
+            "    pinned_leaf=np.array([0, 1], dtype=np.int64))\n"
+            "placement = SlackGreedyPolicy().place(ctx)\n"
+            "assert placement.cores.sum() == 9, placement.cores\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduling policy"):
             make_policy("fifo")
