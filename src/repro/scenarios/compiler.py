@@ -1,30 +1,26 @@
 """Lower a validated :class:`ScenarioSpec` onto the engine stack.
 
 The compiler is the bridge between the declarative layer and the
-execution layers below it.  Each scenario *shape* lowers differently:
+execution layers below it.  Every shape is first lowered, once, to
+members or one fleet (:meth:`ScenarioSpec.lowered`: a sweep is one
+member per grid cell, a cluster one fleet cluster per arm), and only
+that lowered spec is run:
 
-* ``members`` — one :class:`~repro.sim.engine.ColocationSim` (single
-  member, scalar engine) or one :class:`~repro.sim.batch.
-  BatchColocationSim` (several members): Heracles
-  members run under a ``HeraclesController`` (scalar) or the batch's
-  vector controller, and a static baseline's grant and every injection
-  go on the engine's event schedule (start of tick, see
-  :mod:`repro.sim.chaos`);
-* ``sweep`` — a (LC x BE x load) grid of independent constant-load
-  servers, lowered to the ``members`` path: one member per cell, so a
-  multi-cell grid runs as one batch (one offline DRAM model segment
-  per LC task) and each cell matches its scalar
+* members — one :class:`~repro.sim.engine.ColocationSim` (one member,
+  scalar engine) or one :class:`~repro.sim.batch.BatchColocationSim`
+  (several): Heracles members run under a ``HeraclesController``
+  (scalar) or the batch's vector controller, and a static baseline's
+  grant and every injection go on the engine's event schedule (start
+  of tick, see :mod:`repro.sim.chaos`).  A sweep's cells then regroup
+  into its grid, each cell matching its scalar
   :func:`~repro.experiments.common.run_colocation` twin under the
   scalar-batch contract;
-* ``fleet`` — a sharded multi-cluster :class:`~repro.fleet.simulator.
-  ShardedFleetSim`, every cluster partitioned into homogeneous shards
-  fanned across the runner's process pool;
-* ``cluster`` — the same fleet run, one cluster per managed/baseline
-  arm (see :meth:`CompiledScenario.fleet_spec`);
-* ``schedule`` — the same sharded fleet run with the per-leaf slack
-  view collected, then the :mod:`repro.sched` scheduler placing the
-  spec's best-effort job queue over it (an empty queue leaves the
-  fleet/cluster histories bit-identical to the plain ``fleet`` run).
+* fleet — one :class:`~repro.fleet.simulator.ShardedFleetSim`, every
+  cluster partitioned into homogeneous shards fanned across the
+  runner's process pool.  A cluster scenario reports each fleet
+  cluster as its arm; a schedule also collects the per-leaf slack view
+  and places its best-effort job queue over it (an empty queue leaves
+  the fleet histories bit-identical to the plain fleet run).
 
 Typical use::
 
@@ -37,7 +33,6 @@ Typical use::
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Union
@@ -52,15 +47,14 @@ from ..obs.trace import concat_payloads
 from ..sched import ScheduleOutcome, run_schedule, tco_summary
 from ..sim.batch import BatchColocationSim
 from ..sim.chaos import ChaosEvent
-from ..sim.checkpoint import (checkpoint_step, completed_steps, load_engine,
-                              run_ticks, save_engine,
-                              trace_checkpoint_save)
+from ..sim.checkpoint import (CheckpointError, checkpoint_step,
+                              completed_steps, load_engine, run_ticks,
+                              save_engine, trace_checkpoint_save)
 from ..sim.engine import ColocationSim, SimHistory
 from ..sim.runner import memoized_dram_model
 from ..workloads.best_effort import make_be_workload
 from ..workloads.latency_critical import make_lc_workload
-from .spec import (FleetSpec, InjectionSpec, ScenarioError, ScenarioSpec,
-                   ShardSpec, TraceSpec, WorkloadSpec)
+from .spec import FleetSpec, InjectionSpec, ScenarioError, ScenarioSpec
 
 
 def _chaos_event(injection: InjectionSpec) -> ChaosEvent:
@@ -283,68 +277,41 @@ class CompiledScenario:
     """A spec lowered onto the engine stack, ready to run.
 
     ``kind`` is one of ``single`` (scalar engine), ``batch``, ``sweep``,
-    ``cluster``, ``fleet`` or ``schedule``.  :attr:`member_spec` is the
-    members scenario that member and sweep scenarios run (a sweep's
-    grid cells as members), ``None`` for the fleet shapes.
-    :meth:`build` materializes its simulation object (useful for
-    stepping manually or attaching extra instrumentation); :meth:`run`
-    executes the whole scenario and returns a :class:`ScenarioResult`.
+    ``cluster``, ``fleet`` or ``schedule``.  :attr:`lowered` is the
+    members or fleet scenario the spec runs as
+    (:meth:`~repro.scenarios.spec.ScenarioSpec.lowered`): checkpoint,
+    resume, injections, trace and profile act on it, and a sweep's grid
+    and a cluster's arms are views of its result.  :meth:`build`
+    materializes a members simulation object (useful for stepping
+    manually or attaching extra instrumentation); :meth:`run` executes
+    the whole scenario and returns a :class:`ScenarioResult`.
     """
 
     def __init__(self, spec: ScenarioSpec):
         spec.validate()
         self.spec = spec
-        if spec.sweep is not None:
-            self.kind = "sweep"
-        elif spec.cluster is not None:
-            self.kind = "cluster"
-        elif spec.fleet is not None:
-            self.kind = "fleet"
-        elif spec.schedule is not None:
-            self.kind = "schedule"
-        elif len(spec.members) > 1:
-            self.kind = "batch"
-        else:
-            self.kind = "single"
+        self.lowered = spec.lowered()
+        self.kind = next(
+            (shape for shape in ("sweep", "cluster", "fleet", "schedule")
+             if getattr(spec, shape) is not None),
+            "batch" if len(spec.members) > 1 else "single")
         self.machine = spec.server.to_machine_spec()
-        if spec.sweep is not None:
-            self.member_spec = self._sweep_members()
-        else:
-            self.member_spec = spec if spec.members else None
 
-    def _sweep_members(self) -> ScenarioSpec:
-        """The sweep grid as a members scenario.
-
-        One member per (LC, BE, load) cell, in ``lc_tasks x be_tasks x
-        loads`` order, each at a constant load and the scenario seed,
-        as :func:`~repro.experiments.common.run_colocation` runs a
-        cell.
-        """
-        spec = self.spec
-        sweep = spec.sweep
-        cells = tuple(
-            WorkloadSpec(lc=lc, be=be,
-                         trace=TraceSpec(kind="constant", load=load),
-                         seed=spec.seed)
-            for lc in sweep.lc_tasks for be in sweep.be_tasks
-            for load in sweep.loads)
-        return dataclasses.replace(spec, sweep=None, members=cells)
-
-    # -- member and sweep scenarios ------------------------------------
+    # -- scenarios that run as members ---------------------------------
 
     def build(self) -> Union[ColocationSim, BatchColocationSim]:
-        """Materialize the simulation of :attr:`member_spec`.
+        """Materialize the simulation of a members :attr:`lowered`.
 
         Returns a fully wired :class:`ColocationSim` (one member) or
         :class:`BatchColocationSim` (several) with Heracles attached
         and baseline grants and injections scheduled, but not yet run.
 
         Raises:
-            ScenarioError: for fleet-shaped scenarios, which lower to
-                runner grids instead of a single simulation object.
+            ScenarioError: for scenarios that run as a fleet, which
+                lowers to fleet units instead of one simulation object.
         """
-        spec = self.member_spec
-        if spec is None:
+        spec = self.lowered
+        if not spec.members:
             raise ScenarioError(
                 f"scenario {self.spec.name!r} is a {self.kind} scenario; "
                 f"it lowers to a runner grid — call run() instead of "
@@ -385,7 +352,7 @@ class CompiledScenario:
         the granted state.
         """
         batch = isinstance(sim, BatchColocationSim)
-        spec = self.member_spec
+        spec = self.lowered
         segments = []
         grants: List[ChaosEvent] = []
         for i, member in enumerate(spec.members):
@@ -416,22 +383,22 @@ class CompiledScenario:
         Args:
             processes: worker processes for a fleet's units (``None`` =
                 auto via :func:`repro.sim.runner.default_jobs`; ignored
-                by member and sweep scenarios, which are single
+                by scenarios that run as members, which are single
                 simulations).
 
         Returns:
             A populated :class:`ScenarioResult`.
         """
-        if self.kind == "sweep":
-            return self._run_sweep()
-        if self.kind in ("single", "batch"):
-            return self._run_members()
-        return self._run_fleet(processes)
+        if not self.lowered.members:
+            return self._run_fleet(processes)
+        result = self._run_members()
+        if self.spec.sweep is not None:
+            self._regroup_sweep(result)
+        return result
 
     def _run_members(self) -> ScenarioResult:
-        spec = self.member_spec
-        ckpt = spec.checkpoint
-        if ckpt is None:
+        spec = self.lowered
+        if spec.checkpoint is None:
             sim = self.build()
             sim.run(spec.duration_s, dt_s=spec.dt_s)
         else:
@@ -453,19 +420,30 @@ class CompiledScenario:
         return result
 
     def _run_members_checkpointed(self):
-        """Run a member scenario in checkpoint-aware tick segments.
+        """Run a members scenario in checkpoint-aware tick segments.
 
         Segment boundaries are integer ticks (never duration halves —
         see :mod:`repro.sim.checkpoint`), so a resumed or snapshotting
         run replays the exact tick sequence a straight ``sim.run``
-        executes and stays bit-identical to it.
+        executes and stays bit-identical to it.  A snapshot records
+        :func:`_resume_manifest` and resumes only under a scenario
+        that matches it.
         """
-        spec = self.spec
+        spec = self.lowered
         ckpt = spec.checkpoint
-        expect = "batch" if self.kind == "batch" else "single"
+        expect = "batch" if len(spec.members) > 1 else "single"
+        manifest = _resume_manifest(spec)
         total = int(round(spec.duration_s / spec.dt_s))
         if ckpt.resume is not None:
             restored = load_engine(ckpt.resume, expect_kind=expect)
+            saved = restored.meta.get("manifest", {})
+            for key, want in manifest.items():
+                if saved.get(key) != want:
+                    raise CheckpointError(
+                        f"{ckpt.resume}: snapshot {key}={saved.get(key)!r} "
+                        f"does not match this scenario's {want!r}; a "
+                        f"snapshot resumes only under the members and "
+                        f"tick size that wrote it")
             sim = restored.sim
             done = completed_steps(sim, spec.dt_s)
             if done > total:
@@ -488,17 +466,16 @@ class CompiledScenario:
             # already carries the event and a resumed run replays it.
             trace_checkpoint_save(getattr(sim, "_obs_trace", None),
                                   sim.time_s, k_save)
-            save_engine(sim, ckpt.save, kind=expect)
+            save_engine(sim, ckpt.save, kind=expect, manifest=manifest)
             done = k_save
         run_ticks(sim, total - done, spec.dt_s)
         return sim
 
-    def _run_sweep(self) -> ScenarioResult:
-        """Run the grid's members, then regroup them into one
-        :class:`ColocationSweep` per LC task."""
+    def _regroup_sweep(self, result: ScenarioResult) -> None:
+        """Regroup a sweep's members into one :class:`ColocationSweep`
+        per LC task, in spec order."""
         spec = self.spec
         sweep = spec.sweep
-        result = self._run_members()
         cells = iter(result.members)
         for lc_name in sweep.lc_tasks:
             grid = ColocationSweep(lc_name=lc_name,
@@ -514,48 +491,17 @@ class CompiledScenario:
                                       next(cells).history, spec.warmup_s)
                     for load in sweep.loads]
             result.sweeps[lc_name] = grid
-        return result
 
-    def fleet_spec(self) -> FleetSpec:
-        """The :class:`FleetSpec` a fleet, schedule or cluster scenario
-        runs.
-
-        A ``cluster`` scenario is one fleet with one cluster per arm,
-        in ``cluster.arms`` order and named by the arm.  The arms share
-        the scenario's seed, trace and server, so each is bit-identical
-        to the scalar :class:`~repro.cluster.cluster.WebsearchCluster`
-        of that seed.  Each arm is one shard: one worker advances both
-        arms as one array, and more workers run one arm per unit.
-
-        Raises:
-            ScenarioError: for member and sweep scenarios, which run no
-                fleet.
-        """
-        spec = self.spec
-        if spec.fleet is not None:
-            return spec.fleet
-        if spec.schedule is not None:
-            return spec.schedule.fleet
-        cluster = spec.cluster
-        if cluster is None:
-            raise ScenarioError(f"scenario {spec.name!r} is a {self.kind} "
-                                f"scenario; it runs no fleet")
-        return FleetSpec(
-            clusters=tuple(
-                ShardSpec(name=arm, leaves=cluster.leaves,
-                          server=spec.server, trace=cluster.trace,
-                          managed=(arm == "managed"), seed=spec.seed)
-                for arm in cluster.arms),
-            shard_leaves=cluster.leaves)
+    # -- scenarios that run as a fleet ---------------------------------
 
     def _build_fleet(self, fleet_spec: FleetSpec) -> ShardedFleetSim:
         """Lower a :class:`FleetSpec` onto the sharded fleet simulator.
 
-        Shared by the ``fleet``, ``schedule`` and ``cluster`` shapes,
-        so a scheduled fleet is constructed *identically* to the plain
-        fleet it wraps — the root of the empty-queue bit-identity gate.
+        Shared by every scenario that runs as a fleet, so a scheduled
+        fleet is constructed *identically* to the plain fleet it wraps
+        — the root of the empty-queue bit-identity gate.
         """
-        spec = self.spec
+        spec = self.lowered
         # A cluster-less injection reaches every cluster; a leaf target
         # stays cluster-local.  Schedule order is preserved per cluster
         # — it is the engines' tie-break for same-timestamp events.
@@ -582,22 +528,23 @@ class CompiledScenario:
             engine=fleet_spec.engine)
 
     def _run_fleet(self, processes: Optional[int]) -> ScenarioResult:
-        """Run a fleet, schedule or cluster scenario as one fleet.
+        """Run a scenario that runs as one fleet.
 
         A schedule run also collects the slack view and places the job
         queue over it; a cluster run reports each cluster as its arm.
         """
-        spec = self.spec
+        spec = self.lowered
         schedule = spec.schedule
         ckpt = spec.checkpoint
         snapshots = {} if ckpt is None else dict(
             checkpoint_dir=ckpt.save, checkpoint_at_s=ckpt.at_s,
             resume_from=ckpt.resume)
-        outcome = self._build_fleet(self.fleet_spec()).run(
+        fleet = spec.fleet if schedule is None else schedule.fleet
+        outcome = self._build_fleet(fleet).run(
             spec.duration_s, dt_s=spec.dt_s, processes=processes,
             slack_epoch_s=None if schedule is None else schedule.epoch_s,
             **snapshots)
-        result = ScenarioResult(spec=spec, kind=self.kind,
+        result = ScenarioResult(spec=self.spec, kind=self.kind,
                                 trace=outcome.trace,
                                 profile=outcome.profile)
         if self.kind == "cluster":
@@ -619,6 +566,18 @@ class CompiledScenario:
                     if p is not None]
         result.trace = concat_payloads(payloads) if payloads else None
         return result
+
+
+def _resume_manifest(spec: ScenarioSpec) -> Dict[str, object]:
+    """What a members snapshot must match to resume under ``spec``: the
+    tick size, the member count and each member's LC, BE and seed."""
+    manifest: Dict[str, object] = {"dt_s": spec.dt_s,
+                                   "members": len(spec.members)}
+    for i, member in enumerate(spec.members):
+        manifest.update({f"members[{i}].lc": member.lc,
+                         f"members[{i}].be": member.be,
+                         f"members[{i}].seed": spec.member_seed(i)})
+    return manifest
 
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:

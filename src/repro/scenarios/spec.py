@@ -376,9 +376,8 @@ class SweepSpec(_Spec):
     """A (LC task x BE task x load) grid of constant-load servers.
 
     Each cell is one independent constant-load colocation under
-    Heracles (the Figure 4-7 methodology); the compiler runs the cells
-    as the members of one scenario (see
-    :attr:`repro.scenarios.compiler.CompiledScenario.member_spec`).
+    Heracles (the Figure 4-7 methodology), run as the members of one
+    scenario (see :meth:`ScenarioSpec.lowered`).
     """
 
     lc_tasks: Tuple[str, ...] = ("websearch",)
@@ -414,9 +413,8 @@ class ClusterSpec(_Spec):
     """A websearch minicluster run (the §5.3 / Figure 8 shape).
 
     Arms (``managed`` = Heracles on every leaf, ``baseline`` = no
-    colocation) run the same leaves, seed and trace; the compiler runs
-    them as one fleet with one cluster per arm (see
-    :meth:`repro.scenarios.compiler.CompiledScenario.fleet_spec`).
+    colocation) run the same leaves, seed and trace, as one fleet with
+    one cluster per arm (see :meth:`ScenarioSpec.lowered`).
     """
 
     leaves: int = 8
@@ -707,10 +705,10 @@ class CheckpointSpec(_Spec):
     Args:
         save: checkpoint destination — snapshot the full engine state
             mid-run so a later scenario run can warm-start from it.
-            A directory for fleet/schedule scenarios (one archive per
-            fleet unit plus a manifest), a single ``.npz``
-            archive path for member scenarios (all members ride in one
-            engine).
+            A directory for scenarios that run as a fleet (one archive
+            per fleet unit plus a manifest), a single ``.npz`` archive
+            path for scenarios that run as members (all members ride
+            in one engine).
             Requires ``at_s``.
         at_s: simulated time of the snapshot; must land on a tick
             strictly inside the run.
@@ -720,9 +718,9 @@ class CheckpointSpec(_Spec):
             ``t = 0``.
         spill_dir: bound telemetry memory by streaming full history
             chunks to ``.npy`` files under this directory instead of
-            growing RAM with the horizon.  Member scenarios only:
-            fleet and schedule scenarios keep no per-tick column store
-            and reject it.
+            growing RAM with the horizon.  Member and sweep scenarios
+            only: a fleet keeps no per-tick column store, so fleet,
+            schedule and cluster scenarios reject it.
     """
 
     save: Optional[str] = None
@@ -785,10 +783,11 @@ class InjectionSpec(_Spec):
       blackout duration in seconds (load held at the root, tail
       pinned at 10x SLO while partitioned).
 
-    ``cluster`` / ``leaf`` target the event: in a fleet scenario
-    ``cluster`` names one cluster (default: every cluster) and
-    ``leaf`` one leaf index within it (default: every leaf); in a
-    members scenario ``leaf`` is the member index (default: every
+    ``cluster`` / ``leaf`` target the event: in a scenario that runs
+    as a fleet ``cluster`` names one cluster (a cluster scenario's
+    arm; default: every cluster) and ``leaf`` one leaf index within it
+    (default: every leaf); in one that runs as members ``leaf`` is the
+    member index (a sweep cell's index in grid order; default: every
     member) and ``cluster`` is not accepted.
     """
 
@@ -847,8 +846,9 @@ class ScenarioSpec(_Spec):
     constant-load runs), ``cluster`` (the §5.3 minicluster), ``fleet``
     (a sharded multi-cluster fleet) or ``schedule`` (a fleet with a
     best-effort job queue scheduled over it) selects the scenario
-    shape; the compiler lowers each shape onto a different part of the
-    engine stack (see :mod:`repro.scenarios.compiler`).
+    shape.  Every shape runs as members or as one fleet
+    (:meth:`lowered`), which :mod:`repro.scenarios.compiler` puts on
+    the engine stack.
 
     Args:
         name: registry/display name.
@@ -866,12 +866,10 @@ class ScenarioSpec(_Spec):
             one member runs on the scalar reference engine, several on
             the batch engine.
         injections: timed actuator and fault events, fired at the start
-            of a tick on members (member scenarios) or fleet leaves
-            (fleet/schedule scenarios), optionally targeted via
-            ``cluster``/``leaf``.
-        checkpoint: checkpoint/resume and telemetry-spill controls
-            (member, fleet, and schedule scenarios; sweeps and
-            miniclusters reject the stanza rather than ignore it).
+            of a tick on the lowered scenario's members or fleet
+            leaves, optionally targeted via ``cluster``/``leaf``.
+        checkpoint: checkpoint/resume and telemetry-spill controls,
+            for every shape.
     """
 
     name: str
@@ -891,7 +889,12 @@ class ScenarioSpec(_Spec):
     checkpoint: Optional[CheckpointSpec] = None
 
     def validate(self, ctx: str = "scenario") -> None:
-        """Validate the whole spec tree (shape, ranges, nested specs)."""
+        """Validate the whole spec tree (shape, ranges, nested specs).
+
+        Each shape's own stanza is checked once, as written;
+        ``checkpoint`` and ``injections`` are then checked against the
+        members or fleet the scenario runs as (:meth:`lowered`).
+        """
         shapes = [s for s in ("members", "sweep", "cluster", "fleet",
                               "schedule")
                   if (getattr(self, s) or None) is not None]
@@ -910,34 +913,13 @@ class ScenarioSpec(_Spec):
             raise ScenarioError(f"{ctx}.warmup_s: must be in "
                                 f"[0, duration_s)")
         # Fields the other shapes would silently ignore are rejected
-        # instead — the subsystem's no-silent-defaults contract.
-        fleet_like = self.fleet if self.fleet is not None else (
-            self.schedule.fleet if self.schedule is not None else None)
-        if self.checkpoint is not None:
-            if not self.members and fleet_like is None:
-                raise ScenarioError(
-                    f"{ctx}.checkpoint: checkpointing applies to "
-                    f"'members', 'fleet' and 'schedule' scenarios; sweep "
-                    f"and cluster scenarios do not take snapshots yet")
-            self.checkpoint.validate(f"{ctx}.checkpoint")
-            if fleet_like is not None and self.checkpoint.spill_dir:
-                raise ScenarioError(
-                    f"{ctx}.checkpoint.spill_dir: fleet and schedule runs "
-                    f"collect leaf telemetry as dense arrays, not column "
-                    f"stores, so there is nothing to spill; spill_dir "
-                    f"applies to 'members' scenarios only")
-            if (self.checkpoint.at_s is not None
-                    and self.checkpoint.at_s > self.duration_s):
-                raise ScenarioError(
-                    f"{ctx}.checkpoint.at_s: snapshot at "
-                    f"{self.checkpoint.at_s} s lands after the scenario "
-                    f"ends (duration_s={self.duration_s}); it must land "
-                    f"inside the run")
-        if self.injections and not self.members and fleet_like is None:
-            raise ScenarioError(f"{ctx}.injections: injections require a "
-                                f"'members', 'fleet' or 'schedule' "
-                                f"scenario")
-        if fleet_like is not None and not self.server.is_default():
+        # instead — the subsystem's no-silent-defaults contract.  A
+        # lowered cluster carries its server per arm, so only a fleet
+        # or schedule written with a top-level server trips this.
+        lowered = self.lowered()
+        fleet = lowered.fleet if lowered.schedule is None \
+            else lowered.schedule.fleet
+        if fleet is not None and not lowered.server.is_default():
             raise ScenarioError(
                 f"{ctx}.server: fleet scenarios declare hardware per "
                 f"cluster (fleet.clusters[*].server), not at the top "
@@ -953,7 +935,7 @@ class ScenarioSpec(_Spec):
                     f"{ctx}.controller: cluster scenarios run Heracles on "
                     f"the managed arm and nothing on the baseline arm; "
                     f"pick arms with cluster.arms instead of a controller")
-            if fleet_like is not None:
+            if fleet is not None:
                 raise ScenarioError(
                     f"{ctx}.controller: fleet scenarios run Heracles on "
                     f"managed clusters and nothing on baseline ones; set "
@@ -971,6 +953,9 @@ class ScenarioSpec(_Spec):
             self.sweep.validate(f"{ctx}.sweep")
         if self.cluster is not None:
             self.cluster.validate(f"{ctx}.cluster")
+        # A lowered cluster's arms share the scenario seed on purpose
+        # (each equals the scalar cluster of that seed), so only a
+        # written fleet has its seed ranges checked.
         if self.fleet is not None:
             self.fleet.validate(f"{ctx}.fleet")
             self.fleet.validate_seeds(self.seed, f"{ctx}.fleet")
@@ -978,8 +963,23 @@ class ScenarioSpec(_Spec):
             self.schedule.validate(f"{ctx}.schedule")
             self.schedule.fleet.validate_seeds(self.seed,
                                                f"{ctx}.schedule.fleet")
-        cluster_leaves = ({c.name: c.leaves for c in fleet_like.clusters}
-                          if fleet_like is not None else None)
+        if self.checkpoint is not None:
+            self.checkpoint.validate(f"{ctx}.checkpoint")
+            if fleet is not None and self.checkpoint.spill_dir:
+                raise ScenarioError(
+                    f"{ctx}.checkpoint.spill_dir: fleet runs collect leaf "
+                    f"telemetry as dense arrays, not column stores, so "
+                    f"there is nothing to spill; spill_dir applies to "
+                    f"'members' and 'sweep' scenarios only")
+            if (self.checkpoint.at_s is not None
+                    and self.checkpoint.at_s > self.duration_s):
+                raise ScenarioError(
+                    f"{ctx}.checkpoint.at_s: snapshot at "
+                    f"{self.checkpoint.at_s} s lands after the scenario "
+                    f"ends (duration_s={self.duration_s}); it must land "
+                    f"inside the run")
+        leaves = None if fleet is None else {
+            c.name: c.leaves for c in fleet.clusters}
         for i, injection in enumerate(self.injections):
             ictx = f"{ctx}.injections[{i}]"
             injection.validate(ictx)
@@ -989,36 +989,70 @@ class ScenarioSpec(_Spec):
                     f"after the scenario ends (duration_s="
                     f"{self.duration_s}); injections must fire inside "
                     f"the run")
-            if self.members:
+            if leaves is None:
                 if injection.cluster is not None:
                     raise ScenarioError(
-                        f"{ictx}.cluster: member scenarios have no "
-                        f"clusters; use 'leaf' to target one member")
+                        f"{ictx}.cluster: member and sweep scenarios have "
+                        f"no clusters; use 'leaf' to target one member "
+                        f"(a sweep cell by its grid index)")
                 if (injection.leaf is not None
-                        and injection.leaf >= len(self.members)):
+                        and injection.leaf >= len(lowered.members)):
                     raise ScenarioError(
                         f"{ictx}.leaf: member index {injection.leaf} out "
-                        f"of range for {len(self.members)} member(s)")
-            elif cluster_leaves is not None:
-                if (injection.cluster is not None
-                        and injection.cluster not in cluster_leaves):
+                        f"of range for {len(lowered.members)} member(s)")
+                continue
+            if injection.cluster is not None \
+                    and injection.cluster not in leaves:
+                raise ScenarioError(
+                    f"{ictx}.cluster: unknown cluster {injection.cluster!r}"
+                    f"; clusters: {', '.join(sorted(leaves))}")
+            if injection.leaf is not None:
+                if injection.cluster is None:
                     raise ScenarioError(
-                        f"{ictx}.cluster: unknown cluster "
-                        f"{injection.cluster!r}; fleet clusters: "
-                        f"{', '.join(sorted(cluster_leaves))}")
-                if injection.leaf is not None:
-                    if injection.cluster is None:
-                        raise ScenarioError(
-                            f"{ictx}.leaf: a fleet-wide injection cannot "
-                            f"name a leaf index; add 'cluster' to pick "
-                            f"the cluster the index refers to")
-                    if injection.leaf >= cluster_leaves[injection.cluster]:
-                        raise ScenarioError(
-                            f"{ictx}.leaf: leaf index {injection.leaf} "
-                            f"out of range for cluster "
-                            f"{injection.cluster!r} "
-                            f"({cluster_leaves[injection.cluster]} "
-                            f"leaves)")
+                        f"{ictx}.leaf: a fleet-wide injection cannot name "
+                        f"a leaf index; add 'cluster' to pick the cluster "
+                        f"the index refers to")
+                if injection.leaf >= leaves[injection.cluster]:
+                    raise ScenarioError(
+                        f"{ictx}.leaf: leaf index {injection.leaf} out of "
+                        f"range for cluster {injection.cluster!r} "
+                        f"({leaves[injection.cluster]} leaves)")
+
+    def lowered(self) -> "ScenarioSpec":
+        """This scenario as the members or the one fleet it runs as.
+
+        A sweep becomes one member per (LC, BE, load) cell, in
+        ``lc_tasks x be_tasks x loads`` order, each at a constant load
+        and the scenario seed, as
+        :func:`~repro.experiments.common.run_colocation` runs a cell.
+        A cluster becomes a fleet of one cluster per arm, in
+        ``cluster.arms`` order and named by the arm, each one shard;
+        the arms share the scenario's seed, trace and server, so each
+        is bit-identical to the scalar
+        :class:`~repro.cluster.cluster.WebsearchCluster` of that seed.
+        Members, fleet and schedule scenarios are already lowered.
+        """
+        if self.sweep is not None:
+            sweep = self.sweep
+            cells = tuple(
+                WorkloadSpec(lc=lc, be=be,
+                             trace=TraceSpec(kind="constant", load=load),
+                             seed=self.seed)
+                for lc in sweep.lc_tasks for be in sweep.be_tasks
+                for load in sweep.loads)
+            return dataclasses.replace(self, sweep=None, members=cells)
+        if self.cluster is not None:
+            cluster = self.cluster
+            fleet = FleetSpec(
+                clusters=tuple(
+                    ShardSpec(name=arm, leaves=cluster.leaves,
+                              server=self.server, trace=cluster.trace,
+                              managed=(arm == "managed"), seed=self.seed)
+                    for arm in cluster.arms),
+                shard_leaves=cluster.leaves)
+            return dataclasses.replace(self, cluster=None, fleet=fleet,
+                                       server=ServerSpec())
+        return self
 
     def member_seed(self, index: int) -> int:
         """Effective tail-noise seed of member ``index``."""

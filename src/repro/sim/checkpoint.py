@@ -95,7 +95,7 @@ def checkpoint_step(at_s: float, duration_s: float, dt_s: float) -> int:
     return step
 
 
-def save_engine(sim: Any, path: str, kind: str) -> str:
+def save_engine(sim: Any, path: str, kind: str, **extra: Any) -> str:
     """Write one engine's full state as a current-version archive.
 
     Args:
@@ -105,6 +105,8 @@ def save_engine(sim: Any, path: str, kind: str) -> str:
         path: archive file path (``.npz`` appended if absent, matching
             ``np.savez``); parent directories are created.
         kind: engine family tag, checked again at load time.
+        extra: further JSON metadata (say, what the snapshot must
+            match to resume), returned in :attr:`EngineCheckpoint.meta`.
 
     Returns the path actually written.
     """
@@ -112,6 +114,7 @@ def save_engine(sim: Any, path: str, kind: str) -> str:
         "version": CHECKPOINT_VERSION,
         "kind": str(kind),
         "time_s": float(getattr(sim, "time_s", 0.0)),
+        **extra,
     }
     payload = {
         _META_KEY: np.frombuffer(

@@ -302,3 +302,31 @@ class TestArchiveValidation:
                 at_s = step * dt
                 k = checkpoint_step(at_s, duration, dt)
                 assert k + (total - k) == total
+
+
+class TestScenarioResumeManifest:
+    """A members snapshot resumes only under the scenario that wrote
+    it: member count, each member's LC, BE and seed, and the tick
+    size, each mismatch named by its field."""
+
+    @staticmethod
+    def _spec(checkpoint, n=3, lc="websearch", dt_s=1.0):
+        from repro.scenarios import ScenarioSpec
+        return ScenarioSpec.from_dict({
+            "name": "manifest", "duration_s": 20, "warmup_s": 0,
+            "dt_s": dt_s, "members": [{"lc": lc, "be": "brain"}] * n,
+            "checkpoint": checkpoint})
+
+    @pytest.mark.parametrize("resume_under, match", [
+        ({"n": 4}, "snapshot members=3 does not match this scenario's 4"),
+        ({"lc": "memkeyval"}, r"snapshot members\[0\]\.lc='websearch' "
+                              r"does not match this scenario's "
+                              r"'memkeyval'"),
+        ({"dt_s": 0.5}, "snapshot dt_s=1.0 does not match"),
+    ], ids=["member-count", "workload", "tick-size"])
+    def test_mismatch_is_rejected(self, resume_under, match, tmp_path):
+        from repro.scenarios import run_scenario
+        path = str(tmp_path / "ck.npz")
+        run_scenario(self._spec({"save": path, "at_s": 10}))
+        with pytest.raises(CheckpointError, match=match):
+            run_scenario(self._spec({"resume": path}, **resume_under))

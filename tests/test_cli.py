@@ -171,6 +171,32 @@ class TestCheckpointErrors:
                   str(tmp_path / snapshot)])
 
 
+class TestScenarioCheckpointRoundTrip:
+    """A sweep and a cluster saved mid-run by ``repro scenario`` and
+    resumed from that snapshot print the straight run's report."""
+
+    @pytest.mark.parametrize("shape", [
+        {"sweep": {"lc_tasks": ["websearch"], "be_tasks": ["brain"],
+                   "loads": [0.3, 0.6]}},
+        {"cluster": {"leaves": 2}},
+    ], ids=["sweep", "cluster"])
+    def test_save_and_resume_print_the_straight_report(
+            self, shape, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "1")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(
+            {"name": "round-trip", "duration_s": 40, "warmup_s": 10},
+            **shape)))
+        snapshot = str(tmp_path / "ck")
+        documents = []
+        for flags in ([], ["--checkpoint", snapshot, "--checkpoint-at",
+                           "20"], ["--resume", snapshot]):
+            main(["scenario", str(spec), "--json"] + flags)
+            documents.append(json.loads(capsys.readouterr().out))
+        assert documents[1] == documents[0]
+        assert documents[2] == documents[0]
+
+
 class TestBadSpecFiles:
     def test_invalid_spec_content_is_a_clean_error(self, tmp_path,
                                                    monkeypatch):

@@ -16,14 +16,16 @@ equivalence contracts hold for every one of them:
   the scalar reference engine with the same seed, controller and the
   injections that reach it — under the repo's scalar↔batch contract
   (``rtol=1e-9`` floats, exact actuator columns);
-* cluster shapes: the batch engine matches the scalar per-leaf loop
-  bitwise on every arm;
-* sweep shapes: every cell of the batch matches its scalar
-  ``run_colocation`` twin under the same scalar↔batch contract;
-* the resume axis: for fleet-like shapes, a run that *writes* a
-  mid-run checkpoint and a fresh run *resumed* from that checkpoint
-  are both bit-identical to the straight run — across engine ∈
-  {sharded, mega} × ``REPRO_JOBS`` ∈ {1, 4};
+* cluster shapes (injection-free): the batch engine matches the
+  scalar per-leaf loop bitwise on every arm;
+* sweep shapes, with injections aimed at cells by grid index: every
+  cell of the batch matches its scalar solo twin under the same
+  scalar↔batch contract;
+* the resume axis: a run that *writes* a mid-run checkpoint and a
+  fresh run *resumed* from that checkpoint are both bit-identical to
+  the straight run — for fleet-like shapes across engine ∈
+  {sharded, mega} × ``REPRO_JOBS`` ∈ {1, 4}, and for sweeps and for
+  clusters with injections (member histories, arm histories);
 * the trace axis: enabling decision tracing (``REPRO_TRACE=1``)
   leaves every simulated number bit-identical, and the merged trace
   itself is byte-identical JSONL across engine × shard plan × worker
@@ -55,7 +57,6 @@ from hypothesis import HealthCheck, given, note, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import WebsearchCluster
-from repro.experiments.common import run_colocation
 from repro.scenarios import CheckpointSpec, run_scenario
 from repro.scenarios.spec import (CONTROLLERS, ClusterSpec, FleetSpec,
                                   InjectionSpec, JobSpec, ScenarioSpec,
@@ -242,22 +243,30 @@ def solo_twin(spec, index):
 
 
 @st.composite
-def cluster_specs(draw):
-    """A random valid cluster scenario (injection-free by contract)."""
+def cluster_specs(draw, injections=False):
+    """A random valid cluster scenario, with injections aimed at arms
+    when ``injections`` is set (the scalar ``WebsearchCluster`` the
+    batch test compares with takes none)."""
     cluster = ClusterSpec(
         leaves=draw(st.integers(2, 3)),
         arms=draw(st.sampled_from((("managed",), ("baseline",),
                                    ("managed", "baseline"),
                                    ("baseline", "managed")))),
         trace=draw_trace(draw))
-    return ScenarioSpec(name="fuzz-cluster", duration_s=40.0,
+    duration = 40.0
+    drawn = tuple(
+        draw_injection(draw, duration, cluster_leaves=dict.fromkeys(
+            cluster.arms, cluster.leaves))
+        for _ in range(draw(st.integers(0, 4)) if injections else 0))
+    return ScenarioSpec(name="fuzz-cluster", duration_s=duration,
                         warmup_s=10.0, seed=draw(st.integers(0, 5)),
-                        cluster=cluster)
+                        cluster=cluster, injections=drawn)
 
 
 @st.composite
 def sweep_specs(draw):
-    """A random valid sweep scenario (small grid)."""
+    """A random valid sweep scenario (small grid), with injections
+    aimed at cells by grid index."""
     sweep = SweepSpec(
         lc_tasks=(draw(st.sampled_from(LCS)),),
         be_tasks=tuple(draw(st.lists(st.sampled_from(BES), min_size=1,
@@ -265,8 +274,14 @@ def sweep_specs(draw):
         loads=tuple(draw(st.lists(st.sampled_from((0.25, 0.5, 0.75)),
                                   min_size=1, max_size=2, unique=True))),
         include_baseline=draw(st.booleans()))
-    return ScenarioSpec(name="fuzz-sweep", duration_s=40.0, warmup_s=10.0,
-                        seed=draw(st.integers(0, 5)), sweep=sweep)
+    duration = 40.0
+    cells = len(sweep.be_tasks) * len(sweep.loads)
+    injections = tuple(
+        draw_injection(draw, duration, n_members=cells)
+        for _ in range(draw(st.integers(0, 3))))
+    return ScenarioSpec(name="fuzz-sweep", duration_s=duration,
+                        warmup_s=10.0, seed=draw(st.integers(0, 5)),
+                        sweep=sweep, injections=injections)
 
 
 def run_with_jobs(spec, jobs):
@@ -373,6 +388,51 @@ class TestResumeAxis:
                 assert_fleet_results_identical(
                     resumed, base, f"{what} (resumed run)",
                     spec.warmup_s)
+
+
+def assert_lowered_runs_identical(got, want, what):
+    """Bit-identical member histories (a sweep) and arm histories (a
+    cluster)."""
+    assert len(got.members) == len(want.members), f"{what}: member count"
+    for i, (a, b) in enumerate(zip(got.members, want.members)):
+        assert len(a.history) == len(b.history), f"{what}: member {i}"
+        for name in MEMBER_FLOAT_FIELDS + MEMBER_EXACT_FIELDS:
+            assert np.array_equal(a.history.column(name),
+                                  b.history.column(name), equal_nan=True), (
+                f"{what}: member {i} column {name!r} diverged")
+    assert list(got.cluster_arms) == list(want.cluster_arms), what
+    assert got.root_slo_ms == want.root_slo_ms, f"{what}: root SLO"
+    for arm, history in want.cluster_arms.items():
+        other = got.cluster_arms[arm]
+        assert len(other) == len(history), f"{what}: arm {arm!r}"
+        for name in CLUSTER_FIELDS:
+            assert np.array_equal(other.column(name),
+                                  history.column(name)), (
+                f"{what}: arm {arm!r} column {name!r} diverged")
+
+
+class TestLoweredResumeAxis:
+    """The resume leg for the shapes that lower to members or a fleet:
+    a sweep (with cell injections) and a cluster (with arm injections)
+    saved at T/2, and resumed from that snapshot, equal the straight
+    run bit for bit."""
+
+    @settings(max_examples=examples(15))
+    @given(spec=st.one_of(sweep_specs(), cluster_specs(injections=True)))
+    def test_save_and_resume_match_straight_run(self, spec):
+        note_spec(spec)
+        spec.validate()
+        base = run_scenario(spec, processes=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "ckpt")
+            for what, checkpoint in (
+                    ("checkpointing run", CheckpointSpec(
+                        save=ckpt, at_s=spec.duration_s / 2.0)),
+                    ("resumed run", CheckpointSpec(resume=ckpt))):
+                got = run_scenario(
+                    dataclasses.replace(spec, checkpoint=checkpoint),
+                    processes=1)
+                assert_lowered_runs_identical(got, base, what)
 
 
 class TestTraceAxis:
@@ -487,23 +547,24 @@ class TestSweepScenarios:
     @settings(max_examples=examples(10))
     @given(spec=sweep_specs())
     def test_batch_matches_scalar(self, spec):
-        """Every cell matches :func:`run_colocation` on the scalar
-        reference engine under the scalar↔batch contract."""
+        """Every cell matches its solo twin (the cell alone, with the
+        injections that reach it) on the scalar reference engine under
+        the scalar↔batch contract."""
         note_spec(spec)
         spec.validate()
         result = run_scenario(spec)
+        lowered = spec.lowered()
         assert tuple(result.sweeps) == spec.sweep.lc_tasks
+        index = 0
         for lc_name, grid in result.sweeps.items():
             assert grid.loads == list(spec.sweep.loads)
             assert tuple(grid.results) == spec.sweep.be_tasks
             for be_name, cells in grid.results.items():
                 for cell in cells:
-                    twin = run_colocation(
-                        lc_name, be_name, cell.load,
-                        duration_s=spec.duration_s,
-                        warmup_s=spec.warmup_s, seed=spec.seed)
+                    twin = run_scenario(solo_twin(lowered, index))
+                    index += 1
                     what = f"{lc_name}/{be_name}@{cell.load}"
-                    a, b = twin.history, cell.history
+                    a, b = twin.members[0].history, cell.history
                     assert len(a) == len(b)
                     for name in MEMBER_FLOAT_FIELDS:
                         np.testing.assert_allclose(

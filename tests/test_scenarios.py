@@ -184,6 +184,19 @@ def _fleet_data(**cluster):
                                         **cluster)]}}
 
 
+def _sweep_data(**over):
+    """A two-cell sweep scenario mapping plus top-level fields."""
+    return dict({"name": "t", "duration_s": 40, "warmup_s": 0,
+                 "sweep": {"loads": [0.3, 0.6]}}, **over)
+
+
+def _cluster_data(**over):
+    """A two-leaf, two-arm cluster scenario mapping plus top-level
+    fields."""
+    return dict({"name": "t", "duration_s": 40, "warmup_s": 0,
+                 "cluster": {"leaves": 2}}, **over)
+
+
 #: One bad-input row per annotation kind the decoder handles, plus a
 #: cross-field rule, each at a nested path: (id, scenario data, dotted
 #: path, kind word).
@@ -221,6 +234,20 @@ DECODER_REJECTS = [
     ("top-level-engine", {"name": "t", "engine": "batch",
                           "members": [{"lc": "websearch"}]},
      "scenario", "unknown field(s) 'engine'"),
+    ("sweep-injection-cluster", _sweep_data(injections=[
+        {"at_s": 1, "action": "leaf_crash", "cluster": "a"}]),
+     "scenario.injections[0].cluster", "have no clusters"),
+    ("sweep-injection-leaf", _sweep_data(injections=[
+        {"at_s": 1, "action": "leaf_crash", "leaf": 2}]),
+     "scenario.injections[0].leaf", "out of range for 2 member(s)"),
+    ("cluster-injection-arm", _cluster_data(injections=[
+        {"at_s": 1, "action": "leaf_crash", "cluster": "canary"}]),
+     "scenario.injections[0].cluster", "unknown cluster 'canary'"),
+    ("cluster-injection-leaf", _cluster_data(injections=[
+        {"at_s": 1, "action": "leaf_crash", "leaf": 0}]),
+     "scenario.injections[0].leaf", "fleet-wide injection cannot name"),
+    ("cluster-spill_dir", _cluster_data(checkpoint={"spill_dir": "spill"}),
+     "scenario.checkpoint.spill_dir", "nothing to spill"),
 ]
 
 
@@ -448,13 +475,42 @@ class TestCompiler:
                               "warmup_s": 0, "seed": 4,
                               "cluster": {"leaves": 2,
                                           "arms": ["baseline", "managed"]}})
-        fleet_spec = compile_scenario(spec).fleet_spec()
+        fleet_spec = compile_scenario(spec).lowered.fleet
         assert [(c.name, c.managed, c.seed) for c in fleet_spec.clusters] \
             == [("baseline", False, 4), ("managed", True, 4)]
         result = run_scenario(spec, processes=1)
         assert len(built) == 1
         assert list(result.cluster_arms) == ["baseline", "managed"]
         assert result.fleet is None and "fleet" not in result.to_dict()
+
+    def test_sweep_and_cluster_take_checkpoint_and_injections(self):
+        """Both stanzas are checked against the lowered form: a sweep
+        injection targets a cell by grid index, a cluster injection an
+        arm by name, and a sweep may spill."""
+        sweep = load_scenario(_sweep_data(
+            injections=[{"at_s": 5, "action": "straggler", "value": 0.5,
+                         "leaf": 1}],
+            checkpoint={"save": "ck", "at_s": 20, "spill_dir": "spill"}))
+        lowered = compile_scenario(sweep).lowered
+        assert [(m.lc, m.be, m.trace.load, m.seed)
+                for m in lowered.members] == [
+            ("websearch", "brain", 0.3, 0), ("websearch", "brain", 0.6, 0)]
+        assert lowered.sweep is None
+        assert lowered.injections == sweep.injections
+        assert lowered.checkpoint == sweep.checkpoint
+        cluster = load_scenario(_cluster_data(
+            server={"cores": 8},
+            injections=[{"at_s": 5, "action": "leaf_crash",
+                         "cluster": "managed", "leaf": 1}],
+            checkpoint={"resume": "ck"}))
+        lowered = compile_scenario(cluster).lowered
+        assert lowered.cluster is None and not lowered.members
+        assert [(c.name, c.leaves, c.managed, c.server.cores)
+                for c in lowered.fleet.clusters] == [
+            ("managed", 2, True, 8), ("baseline", 2, False, 8)]
+        assert lowered.server.is_default()
+        assert lowered.injections == cluster.injections
+        assert lowered.checkpoint == cluster.checkpoint
 
     def test_controller_none_leaves_be_disabled(self):
         spec = load_scenario({

@@ -10,22 +10,22 @@ Usage::
     python tools/diff_runs.py trace A.jsonl B.jsonl
 
 ``scenario`` mode runs one spec twice with decision tracing forced on.
-A fleet-, schedule- or cluster-shaped spec runs the fleet the compiler
-lowers it to (:meth:`~repro.scenarios.compiler.CompiledScenario.
-fleet_spec`; a cluster spec is one cluster per arm) under two
-engine/sharding/job-count configurations that the bit-identity
-contract says must agree, with per-tick slack collection
-(``slack_epoch_s = dt_s``), and the fleet roll-up columns are
-compared.  So ``--jobs-a 1 --jobs-b 2`` on a cluster spec compares
-both arms in one unit with one arm per unit.  A members or sweep spec
-runs as compiled (it has no engine knob), and every ``SimHistory``
-column is compared per (tick, member); a sweep's members are its grid
-cells in ``lc_tasks x be_tasks x loads`` order.  The tool reports the
-first (tick, column, member) where the runs disagree, together with
-the nearest preceding decision-trace events for that member, so a
-regression reads as "grant_cores for leaf 17 split at t=840 s, right
-after chaos disable_be fired there" instead of a bare summary
-mismatch.  Exit status: 0 when bit-identical, 1 on divergence.
+Every spec runs as the members or the one fleet the compiler lowers it
+to (:attr:`~repro.scenarios.compiler.CompiledScenario.lowered`: a
+sweep's members are its grid cells in ``lc_tasks x be_tasks x loads``
+order, a cluster spec is one fleet cluster per arm), injections
+included.  A fleet runs under two engine/sharding/job-count
+configurations that the bit-identity contract says must agree, with
+per-tick slack collection (``slack_epoch_s = dt_s``), and the fleet
+roll-up columns are compared.  So ``--jobs-a 1 --jobs-b 2`` on a
+cluster spec compares both arms in one unit with one arm per unit.
+Members run as compiled (they have no engine knob), and every
+``SimHistory`` column is compared per (tick, member).  The tool
+reports the first (tick, column, member) where the runs disagree,
+together with the nearest preceding decision-trace events for that
+member, so a regression reads as "grant_cores for leaf 17 split at
+t=840 s, right after chaos disable_be fired there" instead of a bare
+summary mismatch.  Exit status: 0 when bit-identical, 1 on divergence.
 
 With ``--base REV`` run A is the spec at git revision ``REV`` instead:
 the revision is checked out into a temporary ``git worktree``, run in
@@ -34,9 +34,11 @@ a subprocess on that tree's ``src`` (its columns come back in an
 "this change keeps every number" is one command.  ``REV`` must already
 have the API this tool drives (``_build_fleet`` and slack views for
 fleets, ``run_scenario`` for members).  A ``REV`` older than
-``CompiledScenario.fleet_spec`` still runs fleet and schedule specs
-from their own stanza, but cannot lower a cluster spec, and one that
-runs sweeps without members cannot run a sweep spec.
+``CompiledScenario.lowered`` lowers a cluster spec through
+``CompiledScenario.fleet_spec`` and refuses sweep and cluster specs
+with injections; one older than ``fleet_spec`` runs fleet and schedule
+specs from their own stanza, but cannot lower a cluster spec, and one
+that runs sweeps without members cannot run a sweep spec.
 
 ``trace`` mode diffs two merged decision-trace JSONL files (the
 ``--trace`` CLI artifact) line by line and reports the first differing
@@ -236,7 +238,8 @@ def fleet_columns(result) -> List[Tuple[str, np.ndarray,
 
 def member_columns(result) -> List[Tuple[str, np.ndarray,
                                          Dict[str, np.ndarray], float]]:
-    """Comparable columns of a members or sweep :class:`ScenarioResult`.
+    """Comparable columns of a :class:`ScenarioResult` that ran as
+    members (a members or sweep spec).
 
     One ``("members", times_s, columns, 0.0)`` group: every
     ``SimHistory`` field as a (T, N) array, one column per member
@@ -249,6 +252,14 @@ def member_columns(result) -> List[Tuple[str, np.ndarray,
     cols = {name: np.column_stack([h.column(name) for h in histories])
             for name in histories[0].field_names()}
     return [("members", histories[0].times(), cols, 0.0)]
+
+
+def run_columns(result) -> List[Tuple[str, np.ndarray,
+                                      Dict[str, np.ndarray], float]]:
+    """The column groups of a fleet or a members run."""
+    if hasattr(result, "telemetry"):
+        return fleet_columns(result)
+    return member_columns(result)
 
 
 def _member_label(result, group: str, member: Optional[int]) -> str:
@@ -279,28 +290,44 @@ def _format_event(event: Mapping[str, Any]) -> str:
     return " ".join(parts)
 
 
+def _lowered_fleet(spec, compiled):
+    """The fleet ``spec`` runs as, or ``None`` when it runs as members.
+
+    Reads :attr:`CompiledScenario.lowered`; a ``--base`` revision older
+    than it runs sweeps as members and lowers a cluster through
+    ``CompiledScenario.fleet_spec`` where it has one.
+    """
+    lowered = getattr(compiled, "lowered", None)
+    if lowered is not None:
+        if lowered.members:
+            return None
+        return lowered.fleet or lowered.schedule.fleet
+    if spec.members or spec.sweep is not None:
+        return None
+    if hasattr(compiled, "fleet_spec"):
+        return compiled.fleet_spec()
+    fleet_spec = spec.fleet or getattr(spec.schedule, "fleet", None)
+    if fleet_spec is None:
+        raise SystemExit("diff_runs: this revision cannot lower a "
+                         "cluster spec to a fleet")
+    return fleet_spec
+
+
 def _run_variant(spec, engine: Optional[str], shard_leaves: Optional[int],
                  jobs: Optional[int]):
-    """One traced run: a members or sweep spec as compiled, or a
+    """One traced run: a spec that runs as members as compiled, or a
     per-tick-slack fleet run under a config override."""
     from repro.scenarios.compiler import compile_scenario
     from repro.sim.runner import JOBS_ENV
 
-    if spec.members or spec.sweep is not None:
+    compiled = compile_scenario(spec)
+    fleet_spec = _lowered_fleet(spec, compiled)
+    if fleet_spec is None:
         if (engine, shard_leaves, jobs) != (None, None, None):
             raise SystemExit("diff_runs: --engine/--shard-leaves/--jobs "
                              "configure fleet runs; a members spec has "
                              "none of them (a sweep runs as members)")
-        return compile_scenario(spec).run()
-    compiled = compile_scenario(spec)
-    if hasattr(compiled, "fleet_spec"):
-        fleet_spec = compiled.fleet_spec()
-    else:
-        # A --base revision older than CompiledScenario.fleet_spec.
-        fleet_spec = spec.fleet or getattr(spec.schedule, "fleet", None)
-        if fleet_spec is None:
-            raise SystemExit("diff_runs: this revision cannot lower a "
-                             "cluster spec to a fleet")
+        return compiled.run()
     overrides: Dict[str, Any] = {}
     if engine is not None:
         overrides["engine"] = engine
@@ -381,15 +408,13 @@ def _scenario_mode(args) -> int:
 
     spec = load_scenario(args.spec)
     spec.validate()
-    columns = member_columns if spec.members or spec.sweep is not None \
-        else fleet_columns
     os.environ[TRACE_ENV] = "1"
     if args.base is not None:
         groups_a = _groups_at_revision(args, args.base)
     else:
         result_a = _run_variant(spec, args.engine_a, args.shard_leaves_a,
                                 args.jobs_a)
-        groups_a = columns(result_a)
+        groups_a = run_columns(result_a)
         if args.dump is not None:
             _save_groups(args.dump, groups_a)
             return 0
@@ -399,7 +424,7 @@ def _scenario_mode(args) -> int:
     local = result_b if args.base is not None else result_a
     hits: List[Tuple[str, Divergence]] = []
     groups_b = {group: (times, cols)
-                for group, times, cols, _ in columns(result_b)}
+                for group, times, cols, _ in run_columns(result_b)}
     compared = 0
     for group, times, cols, window in groups_a:
         times_b, cols_b = groups_b[group]
@@ -469,8 +494,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
     scenario = sub.add_parser(
         "scenario", help="run one spec twice and diff per-tick columns")
-    scenario.add_argument("spec", help="members, fleet, schedule or "
-                                       "cluster spec file")
+    scenario.add_argument("spec", help="scenario spec file (any shape)")
     scenario.add_argument("--engine-a", default=None,
                           help="fleet engine for run A (sharded|mega)")
     scenario.add_argument("--engine-b", default=None,
